@@ -6,6 +6,21 @@ row k and the forwarding relay's coefficient on row k+1, relays
 alternating R1, R2, R1, ...  This module builds H, evaluates the sum-rate
 log-determinant bound, and extracts per-stream MMSE successive
 interference cancellation (V-BLAST) SINRs.
+
+The SIC never forms a dense matrix.  H^H H is tridiagonal and depends only
+on g_sd = |h_sd|^2 and the relay gains g_r(k) = |h_r1d|^2, |h_r2d|^2: with
+a_k = snr (g_sd + g_r(k)) and c_k = snr^2 g_sd g_r(k), I + snr H^H H has
+diagonal 1 + a_k and squared off-diagonal moduli c_k.  Detecting a stream
+deletes its row and column, which zeroes the couplings next to it.  The
+MMSE-SIC SINR 1/[(I + snr H_A^H H_A)^-1]_kk - 1 of an undetected stream
+(Tse & Viswanath, Fundamentals of Wireless Communication, ch. 8) is then
+a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1}, where f and g are the forward and
+backward pivots of the tridiagonal matrix (the diagonal of a tridiagonal
+inverse: Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992; Usmani, Linear
+Algebra Appl. 212/213, 1994).  The pivots are >= 1, so no division can
+fail.  A stage costs O(l) per frame: O(l^2) for strongest-first order and
+O(l) in total for natural order, against O(l^5) for per-candidate dense
+solves.
 """
 
 from __future__ import annotations
@@ -19,9 +34,33 @@ from .channel import ChannelRealization
 
 _LN2 = np.log(2.0)
 
-# Relative slack for asserting the per-stream SINR bound; the bound is exact
-# in exact arithmetic, the slack only absorbs solver rounding.
+# Relative slack of the per-stream SINR bound check; the bound is exact in
+# exact arithmetic, the slack only absorbs rounding.
 _SINR_BOUND_RTOL = 1e-9
+
+# Strongest-first candidates within this relative distance of the stage
+# maximum are tied; the lowest stream index wins.  Rounding alone moves
+# exactly tied SINRs apart by ~1e-13 relative.
+TIE_RTOL = 1e-9
+
+
+class InvariantError(ArithmeticError):
+    """An identity that holds in exact arithmetic failed beyond rounding."""
+
+
+def require(ok: np.ndarray, what: str) -> None:
+    """Raise InvariantError naming ``what`` unless every entry of ``ok`` holds."""
+    bad = np.size(ok) - np.count_nonzero(ok)
+    if bad:
+        raise InvariantError(f"{what} ({bad} of {np.size(ok)} entries)")
+
+
+def check_sinr_bound(sinrs: np.ndarray, bound: np.ndarray) -> None:
+    """Per-stream SINRs must not exceed snr * ||h_k||^2 beyond rounding."""
+    require(
+        sinrs <= bound * (1.0 + _SINR_BOUND_RTOL) + 1e-12,
+        "per-stream SINR exceeded the column-norm bound",
+    )
 
 
 class DetectionOrder(Enum):
@@ -39,18 +78,9 @@ class EquivalentChannel:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] + 1 or m.shape[1] < 1:
+        if m.ndim != 2:
             raise ValueError(f"expected an (l+1) x l matrix, got shape {m.shape}")
-        l = m.shape[1]
-        off = m.copy()
-        idx = np.arange(l)
-        off[idx, idx] = 0.0
-        off[idx + 1, idx] = 0.0
-        if np.any(off != 0.0):
-            raise ValueError("matrix must be zero off the two diagonals")
-        diag = m[idx, idx]
-        if l > 1 and not np.all(diag == diag[0]):
-            raise ValueError("main diagonal must repeat the direct coefficient")
+        _relay_gains(m[None])
 
     @property
     def l(self) -> int:
@@ -125,63 +155,99 @@ class SinrChain:
         return float(np.sum(np.log1p(self.sinr)) / _LN2)
 
 
+def _relay_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared gains (g_sd (n,), g_r (l, n)) read off stacked relay matrices.
+
+    ``g_r[k]`` is the gain of the relay that forwards stream k.  Raises
+    ValueError unless every matrix is the (l+1) x l relay matrix: zero off
+    the two diagonals, the direct coefficient repeated on the main diagonal
+    and the two relay coefficients alternating below it.
+    """
+    if h.ndim != 3 or h.shape[1] != h.shape[2] + 1 or h.shape[2] < 1:
+        raise ValueError(f"expected stacked (l+1) x l matrices, got shape {h.shape}")
+    l = h.shape[2]
+    k = np.arange(l)
+    diag = h[:, k, k]
+    sub = h[:, k + 1, k]
+    off = np.ones(h.shape[1:], dtype=bool)
+    off[k, k] = off[k + 1, k] = False
+    if np.any(h[:, off] != 0.0):
+        raise ValueError("matrix must be zero off the two diagonals")
+    if np.any(diag[:, 1:] != diag[:, :1]):
+        raise ValueError("main diagonal must repeat the direct coefficient")
+    if np.any(sub[:, 2:] != sub[:, :-2]):
+        raise ValueError("relay coefficients must alternate below the diagonal")
+    return np.abs(diag[:, 0]) ** 2, np.abs(sub.T) ** 2
+
+
+def _right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-stream c_k / g_{k+1} from the backward pivot recurrence.
+
+    ``a`` is (l, n), ``c`` the (l-1, n) couplings.  The pivots
+    g_k = 1 + a_k - c_k/g_{k+1} are Schur complements of I + snr * G, so
+    they are >= 1.
+    """
+    right = np.zeros_like(a)
+    for k in range(a.shape[0] - 2, -1, -1):
+        right[k] = c[k] / (1.0 + a[k + 1] - right[k + 1])
+    return right
+
+
+def _interference(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-stream c_{k-1}/f_{k-1} + c_k/g_{k+1}.
+
+    The forward pivots f_k = 1 + a_k - c_{k-1}/f_{k-1} are the backward
+    pivots of the reversed chain.
+    """
+    return _right_terms(a, c) + _right_terms(a[::-1], c[::-1])[::-1]
+
+
 def mmse_sic_sinrs_batch(
     h: np.ndarray, snr: float, ordering: DetectionOrder = DetectionOrder.STRONGEST_FIRST
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized MMSE-SIC over stacked channels.
+    """Vectorized MMSE-SIC over stacked (n, l+1, l) relay matrices.
 
     At each stage the SINR of an undetected stream k is
-    snr * h_k^H (I + snr * sum_{j in A, j != k} h_j h_j^H)^-1 h_k with A the
-    set of still-undetected streams; the detected stream's column is then
-    removed.  Strongest-first picks the maximal-SINR stream (ties go to the
-    lowest index); natural order detects streams in time order.
+    1 / [(I + snr * H_A^H H_A)^-1]_kk - 1 with A the set of undetected
+    streams; the Gram matrix is tridiagonal, so this is
+    a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1} (see `_interference`) with
+    a_k = snr * (g_sd + g_r(k)) and c_k = snr^2 * g_sd * g_r(k) while streams
+    k and k+1 are both undetected, 0 otherwise.  Strongest-first picks the
+    maximal-SINR stream, counting candidates within a relative
+    `TIE_RTOL` of the maximum as tied and taking the lowest index among
+    them; natural order detects streams in time order.
 
     Returns (orders, sinrs): (n, l) arrays, sinrs indexed by stream.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
-    n, rows, l = h.shape
-    eye = np.eye(rows)
-    active = np.ones((n, l), dtype=bool)
-    orders = np.empty((n, l), dtype=np.intp)
-    sinrs = np.zeros((n, l))
-    rows_idx = np.arange(n)
+    g_sd, g_r = _relay_gains(h)
+    l, n = g_r.shape
+    a = snr * (g_sd + g_r)
+    c = snr * snr * g_sd * g_r[:-1]
+    orders = np.empty((l, n), dtype=np.intp)
 
-    def candidate_sinr(k: int) -> np.ndarray:
-        # Interference-only covariance: build the Gram afresh from the
-        # remaining columns minus k (no rank-one downdates, no cancellation).
-        mask = active.copy()
-        mask[:, k] = False
-        hm = h * mask[:, None, :]
-        a = eye + snr * (hm @ hm.conj().swapaxes(-1, -2))
-        x = np.linalg.solve(a, h[:, :, k][:, :, None])[:, :, 0]
-        q = np.real(np.einsum("ni,ni->n", h[:, :, k].conj(), x))
-        return snr * np.maximum(q, 0.0)
-
-    for stage in range(l):
-        if ordering is DetectionOrder.NATURAL:
-            sel = np.full(n, stage, dtype=np.intp)
-            sel_sinr = candidate_sinr(stage)
-        else:
-            cand = np.full((n, l), -np.inf)
-            for k in range(l):
-                live = active[:, k]
-                if not live.any():
-                    continue
-                cand[live, k] = candidate_sinr(k)[live]
-            sel = np.argmax(cand, axis=1)
-            sel_sinr = cand[rows_idx, sel]
-        orders[:, stage] = sel
-        sinrs[rows_idx, sel] = sel_sinr
-        active[rows_idx, sel] = False
+    if ordering is DetectionOrder.NATURAL:
+        # Stream j meets only the undetected streams j+1.. on its right.
+        orders[:] = np.arange(l)[:, None]
+        sinrs = np.maximum(a - _right_terms(a, c), 0.0)
+    else:
+        cols = np.arange(n)
+        sinrs = np.zeros((l, n))
+        active = np.ones((l, n), dtype=bool)
+        for stage in range(l):
+            live = c * (active[:-1] & active[1:])
+            cand = np.where(active, np.maximum(a - _interference(a, live), 0.0), -np.inf)
+            best = cand.max(axis=0)
+            sel = np.argmax(cand >= best * (1.0 - TIE_RTOL), axis=0)
+            orders[stage] = sel
+            sinrs[sel, cols] = cand[sel, cols]
+            active[sel, cols] = False
 
     # Post-detection SINR can never exceed the interference-free bound
-    # snr * ||h_k||^2; violations beyond rounding indicate a solver bug.
-    bound = snr * np.sum(np.abs(h) ** 2, axis=1)
-    assert np.all(
-        sinrs <= bound * (1.0 + _SINR_BOUND_RTOL) + 1e-12
-    ), "per-stream SINR exceeded the column-norm bound"
-    return orders, sinrs
+    # a_k = snr * ||h_k||^2.
+    check_sinr_bound(sinrs, a)
+    return orders.T, sinrs.T
 
 
 def mmse_sic_sinrs(

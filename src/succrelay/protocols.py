@@ -32,6 +32,7 @@ from .mimolinalg import (
     logdet_capacity,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
+    require,
 )
 
 _LN2 = np.log(2.0)
@@ -182,6 +183,15 @@ def _destination_combining_caps(batch: ChannelBatch, snr: float, l: int) -> np.n
     return np.stack([_cap((gsd + grd[i0 % 2]) * snr) for i0 in range(l)], axis=1)
 
 
+def check_jensen_bound(combining_sum: np.ndarray, logdet: np.ndarray) -> None:
+    """Concavity of log2(1+x) makes the per-codeword combining rates sum to
+    at least the log-det bound; a violation beyond rounding is a numerics bug."""
+    require(
+        combining_sum >= logdet * (1.0 - 1e-9) - 1e-12,
+        "combining-rate sum fell below the log-det bound",
+    )
+
+
 def successive_genie_batch(
     batch: ChannelBatch, snr: float, l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -194,9 +204,7 @@ def successive_genie_batch(
     sum_caps = per_cw.sum(axis=1)
     h = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
     logdet = logdet_capacity_batch(h, snr)
-    # Concavity of log2(1+x) guarantees the per-codeword combining rates sum
-    # to at least the log-det bound; fails only on a numerics bug.
-    assert np.all(dest.sum(axis=1) >= logdet * (1.0 - 1e-9) - 1e-12)
+    check_jensen_bound(dest.sum(axis=1), logdet)
     rate = np.minimum(sum_caps, logdet) / (l + 1)
     return rate, per_cw, branch, sum_caps, logdet
 

@@ -1,13 +1,19 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
+from dense_oracle import dense_mmse_sic_sinrs_batch, mp_mmse_sic_sinrs
 from succrelay.channel import ChannelRealization, sample_realizations, preset_geometry
 from succrelay.mimolinalg import (
     DetectionOrder,
     EquivalentChannel,
+    InvariantError,
     SinrChain,
     build_equivalent_channel,
     build_equivalent_channel_batch,
+    check_sinr_bound,
     logdet_capacity,
     logdet_capacity_batch,
     mmse_sic_sinrs,
@@ -71,6 +77,10 @@ class TestBuild:
         mixed[2, 1] = 1.0
         with pytest.raises(ValueError):
             EquivalentChannel(mixed)
+        swapped = build_equivalent_channel(ChannelRealization(1, 1, 1, 1, 2, 3), 3).matrix
+        swapped[3, 2] = 3.0  # stream 2 forwarded by R2
+        with pytest.raises(ValueError):
+            EquivalentChannel(swapped)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -146,6 +156,18 @@ class TestMmseSic:
         assert chain.sinr[0] == chain.sinr[1]
         assert chain.order[0] == 0
 
+    def test_near_tie_within_tolerance_goes_to_lowest_index(self):
+        # orthogonal columns, stream 1 stronger by 2e-12 relative: a tie
+        real = ChannelRealization(0.0, 1.0, 1.0, 1.0, 2.0, 2.0 * (1.0 + 1e-12))
+        chain = mmse_sic_sinrs(build_equivalent_channel(real, 2), 1.0)
+        assert chain.sinr[1] > chain.sinr[0]
+        assert chain.order == (0, 1)
+
+    def test_gap_beyond_tolerance_is_not_a_tie(self):
+        real = ChannelRealization(0.0, 1.0, 1.0, 1.0, 2.0, 2.0 * (1.0 + 1e-8))
+        chain = mmse_sic_sinrs(build_equivalent_channel(real, 2), 1.0)
+        assert chain.order == (1, 0)
+
     def test_natural_order_is_time_order(self):
         rng = np.random.default_rng(8)
         real = random_realization(rng)
@@ -196,11 +218,121 @@ class TestMmseSic:
         with pytest.raises(ValueError):
             mmse_sic_sinrs(ch, -0.5)
 
+    def test_rejects_non_relay_matrices(self):
+        good = build_equivalent_channel_batch(
+            np.array([1.0 + 1j]), np.array([2.0]), np.array([3.0j]), 4
+        )
+        mmse_sic_sinrs_batch(good, 1.0)
+        off = good.copy()
+        off[0, 3, 0] = 0.5  # two rows below the diagonal
+        diag = good.copy()
+        diag[0, 2, 2] = 1.0  # direct coefficient not repeated
+        swapped = good.copy()
+        swapped[0, 3, 2] = 3.0j  # stream 2 forwarded by R2
+        for bad in (off, diag, swapped, good[:, :4, :], good[0]):
+            with pytest.raises(ValueError):
+                mmse_sic_sinrs_batch(bad, 1.0)
+
+    def test_sinr_bound_check_raises(self):
+        bound = np.array([[1.0, 2.0]])
+        check_sinr_bound(bound * (1.0 + 1e-12), bound)
+        for sinrs in ([[1.0, 2.1]], [[np.nan, 0.0]]):
+            with pytest.raises(InvariantError, match="column-norm bound"):
+                check_sinr_bound(np.array(sinrs), bound)
+
     def test_sinr_chain_validation(self):
         with pytest.raises(ValueError):
             SinrChain(order=(0, 0), sinr=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             SinrChain(order=(0, 1), sinr=np.array([1.0, -2.0]))
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_orders_and_sinrs_match(self, case, snr_db):
+        # SINR errors are measured against the stream's bound snr * ||h_k||^2
+        snr = 10.0 ** (snr_db / 10.0)
+        rng = np.random.default_rng(500 + int(snr_db))
+        for l in range(1, 9):
+            batch = sample_realizations(preset_geometry(case), rng, 200)
+            hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
+            bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
+            for ordering in DetectionOrder:
+                orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                want_orders, want_sinrs = dense_mmse_sic_sinrs_batch(hb, snr, ordering)
+                assert np.array_equal(orders, want_orders), (l, ordering)
+                assert np.all(np.abs(sinrs - want_sinrs) <= 1e-9 * bound), (l, ordering)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    def test_60db_against_mpmath(self, case):
+        # At 60 dB the dense solves lose ~1e-9 relative and may pick another
+        # order; 60-digit arithmetic settles every draw where they differ.
+        pytest.importorskip("mpmath")
+        snr = 1e6
+        rng = np.random.default_rng(600)
+        checked = 0
+        for l in (3, 5, 7, 8):
+            batch = sample_realizations(preset_geometry(case), rng, 200)
+            hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
+            bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
+            for ordering in DetectionOrder:
+                orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                dense_orders, dense_sinrs = dense_mmse_sic_sinrs_batch(hb, snr, ordering)
+                differ = np.any(orders != dense_orders, axis=1) | np.any(
+                    np.abs(sinrs - dense_sinrs) > 1e-9 * bound, axis=1
+                )
+                for i in sorted({0, 1, *np.flatnonzero(differ)}):
+                    want_order, want_sinrs = mp_mmse_sic_sinrs(hb[i], snr, ordering)
+                    assert tuple(orders[i]) == want_order, (l, ordering, i)
+                    assert np.all(np.abs(sinrs[i] - want_sinrs) <= 1e-13 * bound[i])
+                    checked += 1
+        assert checked >= 16
+
+
+class TestExtremeInputs:
+    LEVELS = (0.0, 1e-12, 1.0, 1e12)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 16, 64])
+    def test_finite_nonnegative_without_warnings(self, l):
+        rng = np.random.default_rng(700 + l)
+        corners = np.array(list(itertools.product(self.LEVELS, repeat=3))).T
+        gains = np.concatenate([10.0 ** rng.uniform(-12.0, 12.0, (3, 100)), corners], axis=1)
+        h = np.sqrt(gains) * np.exp(2j * np.pi * rng.uniform(size=gains.shape))
+        hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr in (0.0, 1e6):
+                for ordering in DetectionOrder:
+                    _, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                    assert np.all(np.isfinite(sinrs)) and np.all(sinrs >= 0.0)
+                    if snr == 0.0:
+                        assert np.all(sinrs == 0.0)
+
+    def test_all_zero_channel_every_length(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in (1, 2, 7, 64):
+                hb = np.zeros((3, l + 1, l), dtype=complex)
+                for snr in (0.0, 1e6):
+                    orders, sinrs = mmse_sic_sinrs_batch(hb, snr)
+                    assert np.all(sinrs == 0.0)
+                    assert np.all(orders == np.arange(l))
+
+    def test_extreme_gains_against_mpmath(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(707)
+        gains = 10.0 ** rng.uniform(-12.0, 12.0, (3, 8))
+        h = np.sqrt(gains) * np.exp(2j * np.pi * rng.uniform(size=gains.shape))
+        hb = build_equivalent_channel_batch(h[0], h[1], h[2], 8)
+        snr = 1e6
+        bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
+        for ordering in DetectionOrder:
+            orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+            for i in range(len(hb)):
+                want_order, want_sinrs = mp_mmse_sic_sinrs(hb[i], snr, ordering)
+                assert tuple(orders[i]) == want_order
+                assert np.all(np.abs(sinrs[i] - want_sinrs) <= 1e-13 * bound[i])
 
 
 class TestBounds:

@@ -9,6 +9,7 @@ from succrelay.channel import (
 )
 from succrelay.mimolinalg import (
     DetectionOrder,
+    InvariantError,
     build_equivalent_channel,
     build_equivalent_channel_batch,
     logdet_capacity,
@@ -22,6 +23,7 @@ from succrelay.protocols import (
     capacity_fn,
     capacity_gain_G,
     check_interference_free,
+    check_jensen_bound,
     interference_free_batch,
     rate_classic1,
     rate_classic2,
@@ -119,6 +121,13 @@ class TestSuccessiveGenie:
         for snr in (1.0, 100.0):
             rate, _, _, _, logdet = successive_genie_batch(batch, snr, 7)
             assert np.all(rate <= logdet / 8 + 1e-12)
+
+    def test_jensen_check_raises(self):
+        logdet = np.array([2.0, 5.0])
+        check_jensen_bound(logdet * (1.0 - 1e-12), logdet)
+        for combining_sum in ([2.0, 4.9], [np.nan, 5.0]):
+            with pytest.raises(InvariantError, match="log-det bound"):
+                check_jensen_bound(np.array(combining_sum), logdet)
 
     def test_min_structure_never_increased_by_logdet(self):
         batch = random_batch(3, 400)
