@@ -8,10 +8,9 @@ per-codeword rate R = (l+1) rbar / l supported by its single-stream
 combining cap, and l*R supported by the equivalent channel's log-det
 bound; outage is the failure of any of these.
 
-For Monte Carlo throughput the log-det is evaluated through the
-determinant recurrence of the tridiagonal Gram matrix I + snr H H^H,
-which depends only on the squared link magnitudes (validated against the
-dense factorization in the test suite).
+The log-det bound comes from `mimolinalg.logdet_capacity_batch`, the
+O(l) pivot recurrence on the three squared link gains that every rate
+path shares; no channel matrix is formed.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NetworkGeometry
+from .mimolinalg import logdet_capacity_batch
 
 _SCHEMES = ("successive", "classic2")
-_RESCALE_LIMIT = 1e250
 
 
 def dmt_formula(r: float, l: int) -> float:
@@ -54,45 +53,6 @@ class DmtPoint:
     def __post_init__(self) -> None:
         if any(not 0.0 <= p <= 1.0 for p in self.outage_prob):
             raise ValueError("outage probabilities must lie in [0, 1]")
-
-
-def _logdet_recurrence(
-    a0: np.ndarray, a1: np.ndarray, a2: np.ndarray, l: int
-) -> np.ndarray:
-    """log2 det(I + snr H H^H) from scaled gains a_k = snr * |h_k|^2.
-
-    Leading principal minors of the tridiagonal Gram matrix satisfy
-    D_k = diag_k D_{k-1} - |off_{k-1}|^2 D_{k-2}; codeword k's relay term
-    alternates between the two scaled relay gains.  Minors are rescaled on
-    overflow risk and the scale tracked in log2.
-    """
-    ar = (a1, a2)
-    diag_mid = (1.0 + a0 + a1, 1.0 + a0 + a2)
-    off2 = (a0 * a1, a0 * a2)
-
-    d_prev = np.ones_like(a0)
-    d = 1.0 + a0
-    logscale = None
-    for k0 in range(l):
-        p = k0 % 2
-        diag = diag_mid[p] if k0 < l - 1 else 1.0 + ar[p]
-        d_new = diag * d - off2[p] * d_prev
-        d_prev = d
-        d = d_new
-        big = d > _RESCALE_LIMIT
-        if big.any():
-            if logscale is None:
-                logscale = np.zeros_like(a0)
-            factor = d[big]
-            logscale[big] += np.log2(factor)
-            d = d.copy()
-            d_prev = d_prev.copy()
-            d[big] = 1.0
-            d_prev[big] /= factor
-    out = np.log2(d)
-    if logscale is not None:
-        out += logscale
-    return out
 
 
 def _count_block(
@@ -126,7 +86,7 @@ def _count_block(
     fail = (g0 + g1) < threshold
     if l >= 2:
         fail |= (g0 + g2) < threshold
-    logdet = _logdet_recurrence(snr * g0, snr * g1, snr * g2, l)
+    logdet = logdet_capacity_batch(g0, g1, g2, snr, l)
     fail |= logdet < l * r_cw
     return int(np.count_nonzero(fail))
 

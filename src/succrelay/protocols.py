@@ -25,11 +25,11 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelBatch, ChannelRealization
-from .mimolinalg import (
+# No rate builds the channel matrix; build_equivalent_channel_batch is
+# imported only because bench/tracing.py wraps it in this module.
+from .mimolinalg import (  # noqa: F401
     DetectionOrder,
-    build_equivalent_channel,
     build_equivalent_channel_batch,
-    logdet_capacity,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
     require,
@@ -111,6 +111,10 @@ class RateReport:
 def _check_snr(snr: float) -> None:
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
+
+
+def _destination_gains(batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.abs(batch.h_sd) ** 2, np.abs(batch.h_r1d) ** 2, np.abs(batch.h_r2d) ** 2
 
 
 def _gains(batch: ChannelBatch) -> tuple[np.ndarray, ...]:
@@ -196,14 +200,10 @@ def successive_genie_batch(
     batch: ChannelBatch, snr: float, l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Genie-bound rates: (rate_per_slot, per_codeword, branch, sum_caps, logdet)."""
-    _check_snr(snr)
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
+    logdet = logdet_capacity_batch(*_destination_gains(batch), snr, l)  # checks snr, l
     dest = _destination_combining_caps(batch, snr, l)
     per_cw, branch = _successive_codeword_caps(batch, snr, l, dest)
     sum_caps = per_cw.sum(axis=1)
-    h = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-    logdet = logdet_capacity_batch(h, snr)
     check_jensen_bound(dest.sum(axis=1), logdet)
     rate = np.minimum(sum_caps, logdet) / (l + 1)
     return rate, per_cw, branch, sum_caps, logdet
@@ -213,11 +213,9 @@ def successive_vblast_batch(
     batch: ChannelBatch, snr: float, l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MMSE-SIC rates: (rate_per_slot, per_codeword, branch)."""
-    _check_snr(snr)
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
-    h = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-    _, sinrs = mmse_sic_sinrs_batch(h, snr, DetectionOrder.STRONGEST_FIRST)
+    _, sinrs = mmse_sic_sinrs_batch(
+        *_destination_gains(batch), snr, l, DetectionOrder.STRONGEST_FIRST
+    )
     stream_caps = _cap(sinrs)
     per_cw, branch = _successive_codeword_caps(batch, snr, l, stream_caps)
     # The SIC chain already enforces the sum-rate bound, so no outer min.
@@ -226,9 +224,7 @@ def successive_vblast_batch(
 
 
 def theorem1_rate_batch(batch: ChannelBatch, snr: float, l: int) -> np.ndarray:
-    _check_snr(snr)
-    h = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-    return logdet_capacity_batch(h, snr) / (l + 1)
+    return logdet_capacity_batch(*_destination_gains(batch), snr, l) / (l + 1)
 
 
 def interference_free_batch(
@@ -339,8 +335,7 @@ def check_interference_free(
 
 def rate_theorem1(real: ChannelRealization, snr: float, l: int) -> float:
     """Interference-free successive-relaying capacity, bits per slot."""
-    _check_snr(snr)
-    return logdet_capacity(build_equivalent_channel(real, l), snr) / (l + 1)
+    return float(theorem1_rate_batch(ChannelBatch.from_realization(real), snr, l)[0])
 
 
 def apply_adaptive_fallback(
@@ -390,24 +385,17 @@ def capacity_gain_G(
         raise ValueError(f"snr must be > 0, got {snr}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
     rng = np.random.default_rng(seed)
     n_links = 5 if conditioned else 3
     v = rng.standard_normal((2, n_links, trials))
-    h = (v[0] + 1j * v[1]) / np.sqrt(2.0)
-    h_sd, h_r1d, h_r2d = h[0], h[1], h[2]
-    gsd = np.abs(h_sd) ** 2
-    g1 = np.abs(h_r1d) ** 2
-    g2 = np.abs(h_r2d) ** 2
+    g = np.abs((v[0] + 1j * v[1]) / np.sqrt(2.0)) ** 2
+    gsd, g1, g2 = g[:3]
 
-    hb = build_equivalent_channel_batch(h_sd, h_r1d, h_r2d, l)
-    logdet = logdet_capacity_batch(hb, snr)
+    logdet = logdet_capacity_batch(gsd, g1, g2, snr, l)
     classic_best = _cap((gsd + g1 + g2) * snr)
 
     if conditioned:
-        gsr1 = np.abs(h[3]) ** 2
-        gsr2 = np.abs(h[4]) ** 2
+        gsr1, gsr2 = g[3:]
         mask = (
             (gsr1 >= gsd + g1)
             & (gsr2 >= gsd + g2)

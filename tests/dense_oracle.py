@@ -1,10 +1,13 @@
-"""Dense reference MMSE-SIC, kept as an oracle for the pivot kernel.
+"""Dense references for the gains-only kernels of ``succrelay.mimolinalg``.
 
-Each candidate's SINR is snr * h_k^H (I + snr * sum_{j in A, j != k}
-h_j h_j^H)^-1 h_k, solved afresh from the undetected columns A with
+The log-det oracle factors the (l+1) x (l+1) matrix I + snr H H^H with
+``np.linalg.cholesky``; a second one runs the textbook pivot recurrence of
+the tridiagonal I + snr H^H H in ``mpmath``, where its cancellation is
+harmless.  Each candidate's SIC SINR is snr * h_k^H (I + snr * sum_{j in A,
+j != k} h_j h_j^H)^-1 h_k, solved afresh from the undetected columns A with
 ``np.linalg.solve`` on the (l+1) x (l+1) covariance: O(l^5) per frame,
 independent of the tridiagonal structure the library exploits.  A second
-oracle repeats the same SIC in 60-digit ``mpmath`` arithmetic.
+SIC oracle repeats the same SIC in 60-digit ``mpmath`` arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +15,42 @@ from __future__ import annotations
 import numpy as np
 
 from succrelay.mimolinalg import TIE_RTOL, DetectionOrder
+
+LN2 = np.log(2.0)
+
+
+def gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g_sd, g_r1d, g_r2d) of stacked (n, l+1, l) relay matrices."""
+    r2 = min(1, h.shape[2] - 1)  # at l = 1 no stream is forwarded by R2
+    return np.abs(h[:, 0, 0]) ** 2, np.abs(h[:, 1, 0]) ** 2, np.abs(h[:, r2 + 1, r2]) ** 2
+
+
+def dense_logdet_capacity_batch(h: np.ndarray, snr: float) -> np.ndarray:
+    """log2 det(I + snr * H H^H) of stacked matrices, via Cholesky."""
+    rows = h.shape[1]
+    gram = snr * (h @ h.conj().swapaxes(-1, -2))
+    gram[:, np.arange(rows), np.arange(rows)] += 1.0
+    chol = np.linalg.cholesky(gram)
+    diag = np.real(np.einsum("nii->ni", chol))
+    return 2.0 * np.sum(np.log(diag), axis=1) / LN2
+
+
+def mp_logdet_capacity(
+    g_sd: float, g_r1d: float, g_r2d: float, snr: float, l: int, dps: int = 80
+):
+    """log2 det(I + snr * H^H H) as an mpmath number, from the pivots
+    f_k = 1 + a_0 + a_r(k) - a_0 a_r(k-1) / f_{k-1} in ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a0 = mpmath.mpf(snr) * mpmath.mpf(g_sd)
+        ar = (mpmath.mpf(snr) * mpmath.mpf(g_r1d), mpmath.mpf(snr) * mpmath.mpf(g_r2d))
+        total = mpmath.mpf(0)
+        f = None
+        for k in range(l):
+            f = 1 + a0 + ar[k % 2] - (a0 * ar[(k - 1) % 2] / f if k else 0)
+            total += mpmath.log(f)
+        return total / mpmath.log(2)
 
 
 def dense_mmse_sic_sinrs_batch(

@@ -42,11 +42,11 @@ def test_criterion_1_chain_rule_identity():
         n = 125
         v = rng.standard_normal((2, 3, n))
         h = (v[0] + 1j * v[1]) / np.sqrt(2.0)
-        hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
+        g = np.abs(h) ** 2
         for snr in (0.1, 1.0, 10.0, 1000.0):
-            logdet = logdet_capacity_batch(hb, snr)
+            logdet = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
             for order in DetectionOrder:
-                _, sinr = mmse_sic_sinrs_batch(hb, snr, order)
+                _, sinr = mmse_sic_sinrs_batch(g[0], g[1], g[2], snr, l, order)
                 chain = np.sum(np.log1p(sinr), axis=1) / LN2
                 rel = np.abs(chain - logdet) / np.maximum(np.abs(logdet), 1e-300)
                 assert np.max(rel) < 1e-9, (l, snr, order, float(np.max(rel)))
@@ -82,16 +82,16 @@ def test_criterion_3_jensen_and_sinr_bounds():
     total = 0
     for case, seed in (("I", 1003), ("III", 1004)):
         batch = sample_realizations(preset_geometry(case), np.random.default_rng(seed), 50_000)
-        hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-        logdet = logdet_capacity_batch(hb, snr)
         gsd = np.abs(batch.h_sd) ** 2
         grd = (np.abs(batch.h_r1d) ** 2, np.abs(batch.h_r2d) ** 2)
+        logdet = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)
         combining_sum = sum(
             np.log1p((gsd + grd[i % 2]) * snr) / LN2 for i in range(l)
         )
         assert np.all(combining_sum >= logdet * (1 - 1e-9) - 1e-12)
 
-        _, sinr = mmse_sic_sinrs_batch(hb, snr, DetectionOrder.STRONGEST_FIRST)
+        _, sinr = mmse_sic_sinrs_batch(gsd, *grd, snr, l, DetectionOrder.STRONGEST_FIRST)
+        hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
         bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
         assert np.all(sinr <= bound * (1 + 1e-9) + 1e-12)
         total += len(batch)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from succrelay import InvariantError, experiments
 from succrelay.cli import main as cli_main
 from succrelay.experiments import (
     ConfigError,
@@ -200,6 +201,29 @@ class TestVblastGap:
         rows = vblast_gap_report(cfg)
         assert rows[0].min_gap >= -1e-9
         assert rows[0].mean_gap < 0.05 * rows[0].mean_genie
+
+    def test_vblast_above_genie_raises(self, monkeypatch):
+        cfg = ExperimentConfig(
+            experiment="geometry_sweep",
+            geometry="III",
+            l=3,
+            snr_grid_db=(20.0,),
+            trials=50,
+            seed=12,
+            protocols=("successive_genie", "successive_vblast"),
+        )
+        vblast = experiments.successive_vblast_batch
+
+        def above_genie(batch, snr, l):
+            # draw 7 beats the genie rate by 1e-6
+            _, per_cw, branch = vblast(batch, snr, l)
+            rate = experiments.successive_genie_batch(batch, snr, l)[0].copy()
+            rate[7] += 1e-6
+            return rate, per_cw, branch
+
+        monkeypatch.setattr(experiments, "successive_vblast_batch", above_genie)
+        with pytest.raises(InvariantError, match="exceeded the genie bound"):
+            vblast_gap_report(cfg)
 
     def test_requires_both_successive_schemes(self):
         cfg = ExperimentConfig(**SMALL_SWEEP)

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dense_oracle import dense_mmse_sic_sinrs_batch, mp_mmse_sic_sinrs
+from dense_oracle import (
+    dense_logdet_capacity_batch,
+    dense_mmse_sic_sinrs_batch,
+    gains,
+    mp_logdet_capacity,
+    mp_mmse_sic_sinrs,
+)
 from succrelay.channel import ChannelRealization, sample_realizations, preset_geometry
 from succrelay.mimolinalg import (
     DetectionOrder,
@@ -81,6 +87,21 @@ class TestBuild:
         swapped[3, 2] = 3.0  # stream 2 forwarded by R2
         with pytest.raises(ValueError):
             EquivalentChannel(swapped)
+
+    def test_rejects_non_relay_matrices(self):
+        good = build_equivalent_channel_batch(
+            np.array([1.0 + 1j]), np.array([2.0]), np.array([3.0j]), 4
+        )[0]
+        EquivalentChannel(good)
+        off = good.copy()
+        off[3, 0] = 0.5  # two rows below the diagonal
+        diag = good.copy()
+        diag[2, 2] = 1.0  # direct coefficient not repeated
+        swapped = good.copy()
+        swapped[3, 2] = 3.0j  # stream 2 forwarded by R2
+        for bad in (off, diag, swapped, good[:4, :], good[None]):
+            with pytest.raises(ValueError):
+                EquivalentChannel(bad)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -184,9 +205,9 @@ class TestMmseSic:
             n = 25
             v = rng.standard_normal((2, 3, n))
             h = (v[0] + 1j * v[1]) / np.sqrt(2)
-            hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
-            ld = logdet_capacity_batch(hb, snr)
-            _, sinr = mmse_sic_sinrs_batch(hb, snr, ordering)
+            g = np.abs(h) ** 2
+            ld = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
+            _, sinr = mmse_sic_sinrs_batch(g[0], g[1], g[2], snr, l, ordering)
             chain = np.sum(np.log1p(sinr), axis=1) / LN2
             rel = np.abs(chain - ld) / np.maximum(np.abs(ld), 1e-300)
             assert np.max(rel) < 1e-9
@@ -209,7 +230,7 @@ class TestMmseSic:
             v = rng.standard_normal((2, 3, 200))
             h = (v[0] + 1j * v[1]) / np.sqrt(2)
             hb = build_equivalent_channel_batch(h[0], h[1], h[2], 7)
-            _, sinr = mmse_sic_sinrs_batch(hb, snr)
+            _, sinr = mmse_sic_sinrs_batch(*gains(hb), snr, 7)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             assert np.all(sinr <= bound * (1 + 1e-9) + 1e-12)
 
@@ -217,21 +238,6 @@ class TestMmseSic:
         ch = build_equivalent_channel(ChannelRealization(1, 1, 1, 1, 1, 1), 2)
         with pytest.raises(ValueError):
             mmse_sic_sinrs(ch, -0.5)
-
-    def test_rejects_non_relay_matrices(self):
-        good = build_equivalent_channel_batch(
-            np.array([1.0 + 1j]), np.array([2.0]), np.array([3.0j]), 4
-        )
-        mmse_sic_sinrs_batch(good, 1.0)
-        off = good.copy()
-        off[0, 3, 0] = 0.5  # two rows below the diagonal
-        diag = good.copy()
-        diag[0, 2, 2] = 1.0  # direct coefficient not repeated
-        swapped = good.copy()
-        swapped[0, 3, 2] = 3.0j  # stream 2 forwarded by R2
-        for bad in (off, diag, swapped, good[:, :4, :], good[0]):
-            with pytest.raises(ValueError):
-                mmse_sic_sinrs_batch(bad, 1.0)
 
     def test_sinr_bound_check_raises(self):
         bound = np.array([[1.0, 2.0]])
@@ -259,7 +265,7 @@ class TestAgainstDenseOracle:
             hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
-                orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                orders, sinrs = mmse_sic_sinrs_batch(*gains(hb), snr, l, ordering)
                 want_orders, want_sinrs = dense_mmse_sic_sinrs_batch(hb, snr, ordering)
                 assert np.array_equal(orders, want_orders), (l, ordering)
                 assert np.all(np.abs(sinrs - want_sinrs) <= 1e-9 * bound), (l, ordering)
@@ -277,7 +283,7 @@ class TestAgainstDenseOracle:
             hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
-                orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                orders, sinrs = mmse_sic_sinrs_batch(*gains(hb), snr, l, ordering)
                 dense_orders, dense_sinrs = dense_mmse_sic_sinrs_batch(hb, snr, ordering)
                 differ = np.any(orders != dense_orders, axis=1) | np.any(
                     np.abs(sinrs - dense_sinrs) > 1e-9 * bound, axis=1
@@ -297,14 +303,12 @@ class TestExtremeInputs:
     def test_finite_nonnegative_without_warnings(self, l):
         rng = np.random.default_rng(700 + l)
         corners = np.array(list(itertools.product(self.LEVELS, repeat=3))).T
-        gains = np.concatenate([10.0 ** rng.uniform(-12.0, 12.0, (3, 100)), corners], axis=1)
-        h = np.sqrt(gains) * np.exp(2j * np.pi * rng.uniform(size=gains.shape))
-        hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
+        g = np.concatenate([10.0 ** rng.uniform(-12.0, 12.0, (3, 100)), corners], axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for snr in (0.0, 1e6):
                 for ordering in DetectionOrder:
-                    _, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+                    _, sinrs = mmse_sic_sinrs_batch(*g, snr, l, ordering)
                     assert np.all(np.isfinite(sinrs)) and np.all(sinrs >= 0.0)
                     if snr == 0.0:
                         assert np.all(sinrs == 0.0)
@@ -313,26 +317,55 @@ class TestExtremeInputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for l in (1, 2, 7, 64):
-                hb = np.zeros((3, l + 1, l), dtype=complex)
+                g = np.zeros(3)
                 for snr in (0.0, 1e6):
-                    orders, sinrs = mmse_sic_sinrs_batch(hb, snr)
+                    orders, sinrs = mmse_sic_sinrs_batch(g, g, g, snr, l)
                     assert np.all(sinrs == 0.0)
                     assert np.all(orders == np.arange(l))
 
     def test_extreme_gains_against_mpmath(self):
         pytest.importorskip("mpmath")
         rng = np.random.default_rng(707)
-        gains = 10.0 ** rng.uniform(-12.0, 12.0, (3, 8))
-        h = np.sqrt(gains) * np.exp(2j * np.pi * rng.uniform(size=gains.shape))
+        g = 10.0 ** rng.uniform(-12.0, 12.0, (3, 8))
+        h = np.sqrt(g) * np.exp(2j * np.pi * rng.uniform(size=g.shape))
         hb = build_equivalent_channel_batch(h[0], h[1], h[2], 8)
         snr = 1e6
         bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
         for ordering in DetectionOrder:
-            orders, sinrs = mmse_sic_sinrs_batch(hb, snr, ordering)
+            orders, sinrs = mmse_sic_sinrs_batch(*gains(hb), snr, 8, ordering)
             for i in range(len(hb)):
                 want_order, want_sinrs = mp_mmse_sic_sinrs(hb[i], snr, ordering)
                 assert tuple(orders[i]) == want_order
                 assert np.all(np.abs(sinrs[i] - want_sinrs) <= 1e-13 * bound[i])
+
+
+class TestLogdetExtremes:
+    LEVELS = (0.0, 1e-12, 1e-3, 1.0, 1e3, 1e12)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 8, 64])
+    def test_gain_grid_against_mpmath(self, l):
+        # every gain combination, including a0 >> a_r where the textbook
+        # pivot recurrence cancels; 80-digit pivots are the reference
+        pytest.importorskip("mpmath")
+        g = np.array(list(itertools.product(self.LEVELS, repeat=3))).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr in (0.0, 1.0, 1e6):
+                got = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
+                assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+                want = np.array([float(mp_logdet_capacity(*col, snr, l)) for col in g.T])
+                assert np.all(np.abs(got - want) <= 1e-13 * want), (snr, l)
+
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_matches_dense_cholesky(self, l):
+        rng = np.random.default_rng(900 + l)
+        g = 10.0 ** rng.uniform(-3.0, 3.0, (3, 400))
+        h = np.sqrt(g) * np.exp(2j * np.pi * rng.uniform(size=g.shape))
+        hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
+        for snr in (0.0, 1e-2, 1.0, 1e2, 1e4):
+            got = logdet_capacity_batch(*gains(hb), snr, l)
+            want = dense_logdet_capacity_batch(hb, snr)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(want, 1.0)), (snr, l)
 
 
 class TestBounds:
@@ -340,10 +373,9 @@ class TestBounds:
         # per-codeword single-stream rates sum to at least the log-det bound
         batch = sample_realizations(preset_geometry("III"), np.random.default_rng(9), 3000)
         l, snr = 7, 100.0
-        hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-        ld = logdet_capacity_batch(hb, snr)
         gsd = np.abs(batch.h_sd) ** 2
         grd = [np.abs(batch.h_r1d) ** 2, np.abs(batch.h_r2d) ** 2]
+        ld = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)
         caps = sum(np.log1p((gsd + grd[i % 2]) * snr) / LN2 for i in range(l))
         assert np.all(caps >= ld * (1 - 1e-9) - 1e-12)
 
@@ -354,9 +386,8 @@ class TestBounds:
         v = rng.standard_normal((2, 3, 5000))
         h = (v[0] + 1j * v[1]) / np.sqrt(2)
         g = np.abs(h) ** 2
-        hb = build_equivalent_channel_batch(h[0], h[1], h[2], m)
         for rho in (1.0, 100.0):
-            ld = logdet_capacity_batch(hb, rho / 2.0)
+            ld = logdet_capacity_batch(g[0], g[1], g[2], rho / 2.0, m)
             grd = [g[1] if k % 2 == 0 else g[2] for k in range(m)]
             bound = (rho / 2.0 * g[0]) ** m + np.prod(
                 [1.0 + rho / 2.0 * gr for gr in grd], axis=0

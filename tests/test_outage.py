@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dense_oracle import dense_logdet_capacity_batch
 from succrelay.channel import preset_geometry
 from succrelay.mimolinalg import build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import (
     DmtPoint,
-    _logdet_recurrence,
     dmt_formula,
     estimate_dmt,
     outage_prob_conditioned,
@@ -42,7 +42,7 @@ class TestFormula:
 class TestRecurrence:
     @pytest.mark.parametrize("l", [1, 2, 3, 7, 12])
     def test_matches_dense_factorization(self, l):
-        # recurrence route vs the dense Cholesky route, inside the engine's
+        # gains-only kernel vs the dense Cholesky oracle, inside the engine's
         # operating envelope (unit-variance-scale gains, snr <= 1e4); random
         # phases confirm the log-det depends only on squared magnitudes
         rng = np.random.default_rng(50 + l)
@@ -52,17 +52,15 @@ class TestRecurrence:
         h = mag * phase
         hb = build_equivalent_channel_batch(h[0], h[1], h[2], l)
         for snr in (0.01, 1.0, 100.0, 1e4):
-            dense = logdet_capacity_batch(hb, snr)
-            rec = _logdet_recurrence(
-                snr * mag[0] ** 2, snr * mag[1] ** 2, snr * mag[2] ** 2, l
-            )
+            dense = dense_logdet_capacity_batch(hb, snr)
+            rec = logdet_capacity_batch(mag[0] ** 2, mag[1] ** 2, mag[2] ** 2, snr, l)
             err = np.abs(dense - rec) / np.maximum(np.abs(dense), 1.0)
             assert np.max(err) < 1e-9
 
     def test_rescaling_keeps_finite(self):
         rng = np.random.default_rng(60)
         g = 10.0 ** rng.uniform(0, 3, size=(3, 500))
-        out = _logdet_recurrence(1e6 * g[0], 1e6 * g[1], 1e6 * g[2], 40)
+        out = logdet_capacity_batch(g[0], g[1], g[2], 1e6, 40)
         assert np.all(np.isfinite(out))
         assert out.max() > 300  # determinant far beyond float range
 

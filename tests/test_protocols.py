@@ -11,7 +11,6 @@ from succrelay.mimolinalg import (
     DetectionOrder,
     InvariantError,
     build_equivalent_channel,
-    build_equivalent_channel_batch,
     logdet_capacity,
     mmse_sic_sinrs_batch,
 )
@@ -235,8 +234,8 @@ class TestSuccessiveVblast:
         # log-det bound
         batch = random_batch(8, 4000)
         snr, l = 100.0, 7
-        hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
-        _, sinrs = mmse_sic_sinrs_batch(hb, snr, DetectionOrder.STRONGEST_FIRST)
+        g = [np.abs(h) ** 2 for h in (batch.h_sd, batch.h_r1d, batch.h_r2d)]
+        _, sinrs = mmse_sic_sinrs_batch(*g, snr, l, DetectionOrder.STRONGEST_FIRST)
         stream_caps = np.log1p(sinrs) / LN2
         gsr = (np.abs(batch.h_sr1) ** 2, np.abs(batch.h_sr2) ** 2)
         gint = np.abs(batch.h_r1r2) ** 2
