@@ -303,14 +303,13 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
     """Capacity gain over classic protocol II per (frame length, SNR)."""
     if cfg.experiment != "gain_curve":
         raise ConfigError("experiment", f"expected gain_curve, got {cfg.experiment!r}")
+    snrs = np.array([10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db])
     rows = []
     for li, l in enumerate(cfg.gain_l_values):
-        for snr_db in cfg.snr_grid_db:
-            snr = 10.0 ** (snr_db / 10.0)
-            # common random numbers across the grid: one stream per frame
-            # length keeps the curve smooth for point-to-point comparisons
-            seed = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(li,))
-            gain = capacity_gain_G(snr, l, cfg.trials, seed)
+        # common random numbers across the grid: one draw per frame length
+        # keeps the curve smooth for point-to-point comparisons
+        seed = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(li,))
+        for snr_db, gain in zip(cfg.snr_grid_db, capacity_gain_G(snrs, l, cfg.trials, seed)):
             rows.append({"l": l, "snr_db": float(snr_db), "capacity_gain": float(gain)})
     return rows
 

@@ -8,9 +8,10 @@ per-codeword rate R = (l+1) rbar / l supported by its single-stream
 combining cap, and l*R supported by the equivalent channel's log-det
 bound; outage is the failure of any of these.
 
-The log-det bound comes from `mimolinalg.logdet_capacity_batch`, the
-O(l) pivot recurrence on the three squared link gains that every rate
-path shares; no channel matrix is formed.
+The log-det condition is `mimolinalg.logdet_below`: a pivot lower bound
+settles almost every draw in a few operations, and the O(l) pivot
+recurrence that every rate path shares runs only on the rest, so the
+count is exact.  No channel matrix is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NetworkGeometry
-from .mimolinalg import logdet_capacity_batch
+from .mimolinalg import CHUNK, logdet_below
 
 _SCHEMES = ("successive", "classic2")
 
@@ -65,30 +66,34 @@ def _count_block(
     size: int,
     weights_sampler,
 ) -> int:
+    # no gain in the draws' float range meets a threshold past it: all fail
+    classic = scheme == "classic2"
+    r_cw = 2.0 * rbar if classic else (l + 1) * rbar / l
+    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
+    dtype = np.float32 if classic else np.float64
+    if not threshold < float(np.finfo(dtype).max):
+        return size
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block),))
     )
-    if scheme == "classic2":
+    g = rng.standard_exponential(size=(3, size), dtype=dtype)
+    if weights_sampler is not None:
+        g = g * weights_sampler(rng, size).astype(dtype, copy=False)
+    if classic:
         # Only the three-branch combining cap binds once the relays decode:
         # outage iff 0.5 * C(g3 snr) < rbar.
-        threshold = (2.0 ** (2.0 * rbar) - 1.0) / snr
-        g = rng.standard_exponential(size=(3, size), dtype=np.float32)
-        if weights_sampler is not None:
-            g = g * weights_sampler(rng, size).astype(np.float32)
         return int(np.count_nonzero(g.sum(axis=0) < threshold))
 
-    r_cw = (l + 1) * rbar / l
-    threshold = (2.0 ** r_cw - 1.0) / snr
-    g = rng.standard_exponential(size=(3, size))
-    if weights_sampler is not None:
-        g = g * weights_sampler(rng, size)
-    g0, g1, g2 = g
-    fail = (g0 + g1) < threshold
-    if l >= 2:
-        fail |= (g0 + g2) < threshold
-    logdet = logdet_capacity_batch(g0, g1, g2, snr, l)
-    fail |= logdet < l * r_cw
-    return int(np.count_nonzero(fail))
+    # one pass over cache-sized pieces: the two caps, then the log-det screen
+    events = 0
+    for start in range(0, size, CHUNK):
+        g0, g1, g2 = g[:, start : start + CHUNK]
+        fail = (g0 + g1) < threshold
+        if l >= 2:
+            fail |= (g0 + g2) < threshold
+        fail |= logdet_below(g0, g1, g2, snr, l, l * r_cw)
+        events += int(np.count_nonzero(fail))
+    return events
 
 
 def _outage_events(
@@ -104,36 +109,26 @@ def _outage_events(
 ) -> int:
     weights_sampler = None
     if geom is not None:
-        d = np.array([geom.d_sd, geom.d_r1d, geom.d_r2d])
-        base = d ** (-geom.gamma)
+        base = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]]) ** (-geom.gamma)
         sigma = geom.shadow_sigma_db
 
         def weights_sampler(rng, size, base=base, sigma=sigma):
-            w = np.repeat(base[:, None], size, axis=1)
             if sigma > 0.0:
-                w = w * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
-            return w
+                return base * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
+            return base
 
     blocks = [
         (b, min(block_size, trials - b * block_size))
         for b in range((trials + block_size - 1) // block_size)
     ]
+
+    def count(block: tuple[int, int]) -> int:
+        return _count_block(scheme, snr, rbar, l, seed, *block, weights_sampler)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda args: _count_block(
-                        scheme, snr, rbar, l, seed, args[0], args[1], weights_sampler
-                    ),
-                    blocks,
-                )
-            )
-    else:
-        counts = [
-            _count_block(scheme, snr, rbar, l, seed, b, size, weights_sampler)
-            for b, size in blocks
-        ]
-    return int(sum(counts))
+            return sum(pool.map(count, blocks))
+    return sum(map(count, blocks))
 
 
 def outage_prob_conditioned(

@@ -364,24 +364,26 @@ def apply_adaptive_fallback(
 
 
 def capacity_gain_G(
-    snr: float,
+    snr: float | np.ndarray,
     l: int,
     trials: int,
     seed,
     conditioned: bool = False,
-) -> float:
+) -> float | np.ndarray:
     """Average capacity gain of successive relaying over classic protocol II.
 
     Coefficients are i.i.d. unit-variance complex Gaussians (no pathloss or
     shadowing).  The numerator is the mean per-slot log-det rate of the
     (l+1) x l equivalent channel; the denominator the mean classic-II rate
     with both relays decoding, 0.5 * C((|h_sd|^2+|h_r1d|^2+|h_r2d|^2) snr).
+    A 1-D ``snr`` array gives one gain per SNR, all from the same draws.
 
     With ``conditioned`` set, both means are restricted to draws where each
     protocol attains its best-case rate (source-relay links dominate the
     destination-side combining gains).
     """
-    if snr <= 0.0:
+    snrs = np.asarray(snr, dtype=float)
+    if not np.all(snrs > 0.0):
         raise ValueError(f"snr must be > 0, got {snr}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -390,9 +392,6 @@ def capacity_gain_G(
     v = rng.standard_normal((2, n_links, trials))
     g = np.abs((v[0] + 1j * v[1]) / np.sqrt(2.0)) ** 2
     gsd, g1, g2 = g[:3]
-
-    logdet = logdet_capacity_batch(gsd, g1, g2, snr, l)
-    classic_best = _cap((gsd + g1 + g2) * snr)
 
     if conditioned:
         gsr1, gsr2 = g[3:]
@@ -403,9 +402,11 @@ def capacity_gain_G(
         )
         if not mask.any():
             raise ValueError("no draws satisfy the conditioning event; raise trials")
-        logdet = logdet[mask]
-        classic_best = classic_best[mask]
+        gsd, g1, g2 = gsd[mask], g1[mask], g2[mask]
 
-    num = float(np.mean(logdet)) / (l + 1)
-    den = 0.5 * float(np.mean(classic_best))
-    return num / den
+    gains = []
+    for s in snrs.ravel():
+        num = float(np.mean(logdet_capacity_batch(gsd, g1, g2, s, l))) / (l + 1)
+        den = 0.5 * float(np.mean(_cap((gsd + g1 + g2) * s)))
+        gains.append(num / den)
+    return gains[0] if snrs.ndim == 0 else np.array(gains)

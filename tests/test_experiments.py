@@ -5,6 +5,7 @@ import pytest
 
 from succrelay import InvariantError, experiments
 from succrelay.cli import main as cli_main
+from succrelay.protocols import capacity_gain_G
 from succrelay.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -144,6 +145,22 @@ class TestGainCurve:
         assert len(rows) == 6
         assert {r["l"] for r in rows} == {3, 7}
         assert all(r["capacity_gain"] > 0 for r in rows)
+
+    def test_points_share_one_draw_per_frame_length(self):
+        # common random numbers: each point equals a lone evaluation on the
+        # frame length's stream
+        cfg = ExperimentConfig(
+            experiment="gain_curve",
+            snr_grid_db=(0.0, 15.0, 40.0),
+            trials=2000,
+            seed=8,
+            gain_l_values=(3, 7),
+        )
+        for row in run_gain_curve(cfg):
+            li = cfg.gain_l_values.index(row["l"])
+            seed = np.random.SeedSequence(entropy=8, spawn_key=(li,))
+            snr = 10.0 ** (row["snr_db"] / 10.0)
+            assert row["capacity_gain"] == capacity_gain_G(snr, row["l"], 2000, seed)
 
 
 class TestDmtExperiment:

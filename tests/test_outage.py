@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,7 @@ from succrelay.channel import preset_geometry
 from succrelay.mimolinalg import build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import (
     DmtPoint,
+    _count_block,
     dmt_formula,
     estimate_dmt,
     outage_prob_conditioned,
@@ -65,6 +68,62 @@ class TestRecurrence:
         assert out.max() > 300  # determinant far beyond float range
 
 
+def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler):
+    """The successive block's count with the exact kernel run on every draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    g = rng.standard_exponential(size=(3, size))
+    if weights_sampler is not None:
+        g = g * weights_sampler(rng, size)
+    r_cw = (l + 1) * rbar / l
+    threshold = (2.0**r_cw - 1.0) / snr
+    fail = (g[0] + g[1]) < threshold
+    if l >= 2:
+        fail |= (g[0] + g[2]) < threshold
+    fail |= logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw
+    return int(np.count_nonzero(fail))
+
+
+def shadowed_weights(rng, size):
+    # case III's pathloss on the three destination links, 8 dB shadowing
+    geom = preset_geometry("III")
+    d = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]])
+    return d ** -geom.gamma * 10.0 ** (rng.normal(0.0, 8.0, size=(3, size)) / 10.0)
+
+
+class TestScreenedCount:
+    @pytest.mark.parametrize("weights", [None, shadowed_weights], ids=["unit", "geometry"])
+    @pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 64])
+    def test_matches_unscreened_count(self, l, weights):
+        # 20,000 draws span three cache-sized pieces, the last one partial
+        for snr_db in (0.0, 10.0, 20.0, 30.0):
+            for rbar in (0.5, 1.0, 3.0):
+                snr = 10.0 ** (snr_db / 10.0)
+                args = (snr, rbar, l, 40 + l, 3, 20_000, weights)
+                got = _count_block("successive", *args)
+                assert got == unscreened_count(*args), (snr_db, rbar)
+
+
+class TestHugeTargets:
+    """A threshold past float range is certain outage, counted without warnings."""
+
+    @pytest.mark.parametrize(
+        "scheme,l,rbar",
+        [("classic2", 2, 1000.0), ("classic2", 7, 100.0), ("successive", 7, 1200.0)],
+    )
+    def test_certain_outage(self, scheme, l, rbar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage_prob_conditioned(True, 1e3, rbar, l, 1000, 0, scheme=scheme) == 1.0
+
+    def test_log_det_target_past_float_range(self):
+        # l * r_cw = 1300 bits: 2^1300 overflows, the per-stream 2^20.3 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _count_block("successive", 1e6, 20.0, 64, 7, 0, 20_000, None)
+        assert got == unscreened_count(1e6, 20.0, 64, 7, 0, 20_000, None)
+        assert 0 < got < 20_000
+
+
 class TestOutageProb:
     def test_zero_target_never_in_outage(self):
         assert outage_prob_conditioned(True, 10.0, 0.0, 7, 1000, 0) == 0.0
@@ -83,6 +142,21 @@ class TestOutageProb:
         expected = miso_outage_oracle(snr, rbar)
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(p - expected) < 3 * sigma
+
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0])
+    @pytest.mark.parametrize("l", [2, 3, 7, 8])
+    def test_cap_oracle_beyond_one_codeword(self, l, snr_db):
+        # {g0 + g1 < t} | {g0 + g2 < t} = {g0 + min(g1, g2) < t} with
+        # min(g1, g2) ~ Exp(2), so the caps alone fail with probability
+        # (1 - e^-t)^2.  Draws in outage by the log-det alone add <= 6e-5 at
+        # 10 dB (under 0.6 sigma here) and none were seen at 20 dB
+        snr = 10.0 ** (snr_db / 10.0)
+        trials = 2_000_000
+        t = (2.0 ** ((l + 1) / l) - 1.0) / snr
+        expected = np.expm1(-t) ** 2
+        p = outage_prob_conditioned(True, snr, 1.0, l, trials, 79)
+        sigma = np.sqrt(expected * (1 - expected) / trials)
+        assert abs(p - expected) < 5 * sigma
 
     def test_classic_comparator_gamma3_oracle(self):
         # conditioned classic II outage is Gamma(3, 1) < (2^{2 rbar} - 1)/snr

@@ -326,9 +326,18 @@ class TestCapacityGain:
         g = capacity_gain_G(10.0, 3, 20_000, seed=5, conditioned=True)
         assert np.isfinite(g) and g > 0.0
 
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_snr_array_reuses_the_draws(self, conditioned):
+        snrs = np.array([1.0, 10.0, 1e4])
+        got = capacity_gain_G(snrs, 3, 20_000, seed=6, conditioned=conditioned)
+        want = [capacity_gain_G(s, 3, 20_000, seed=6, conditioned=conditioned) for s in snrs]
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             capacity_gain_G(0.0, 7, 100, seed=0)
+        with pytest.raises(ValueError):
+            capacity_gain_G(np.array([1.0, 0.0]), 7, 100, seed=0)
         with pytest.raises(ValueError):
             capacity_gain_G(1.0, 7, 0, seed=0)
 
