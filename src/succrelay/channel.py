@@ -11,11 +11,20 @@ where ``v`` is a unit-variance circularly-symmetric complex Gaussian
 exponent and ``zeta ~ Normal(0 dB, shadow_sigma_db**2)`` a lognormal
 shadowing term.  Shadowing is redrawn independently per link and per
 realization; the channel is block fading (one realization per frame).
+
+Trial t of seed s draws from numpy's PCG64 stream of
+``SeedSequence(entropy=s, spawn_key=(t,))``.  Numpy's stream-compatibility
+policy freezes both that hash and PCG64's seeding, so `pcg64_states`
+computes the states of many trials in one vectorised pass, and
+`trial_streams` re-states one generator per trial instead of building a
+seed sequence and a bit generator for each.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +37,16 @@ CASE_III_RELAY_SPACING = 0.05
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT3 = np.sqrt(3.0)
+
+# numpy's SeedSequence hash (4-word pool) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_STATE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -70,6 +89,13 @@ class NetworkGeometry:
         return np.array(
             [self.d_sd, self.d_sr1, self.d_sr2, self.d_r1r2, self.d_r1d, self.d_r2d]
         )
+
+    @cached_property
+    def _amplitudes(self) -> np.ndarray:
+        """Read-only (6, 1) path-loss amplitudes d**(-gamma/2), in LINK_NAMES order."""
+        amp = self.link_distances()[:, None] ** (-self.gamma / 2.0)
+        amp.flags.writeable = False
+        return amp
 
 
 def preset_geometry(case_id: str, relay_spacing: float | None = None) -> NetworkGeometry:
@@ -168,25 +194,148 @@ class ChannelBatch:
             h_r2d=np.array([real.h_r2d]),
         )
 
-    @classmethod
-    def concatenate(cls, batches: list["ChannelBatch"]) -> "ChannelBatch":
-        return cls(
-            *(
-                np.concatenate([getattr(b, f.name) for b in batches])
-                for f in fields(cls)
-            )
-        )
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer; 0 is one word."""
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's hash constant before and after each multiplication."""
+    while True:
+        advanced = (init * mult) & _MASK32
+        yield init, advanced
+        init = advanced
+
+
+# Both take Python ints or uint64 arrays of 32-bit values: products of two
+# such values fit 64 bits, and the final mask reduces mod 2**32 either way.
+def _hashmix(value, before: int, after: int):
+    value = ((value ^ before) * after) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], tuple, tuple]:
+    """The hash pool after the seed's words, and the constants that the
+    low and the high word of a key meet next, in pool order."""
+    # a spawn key pads the seed's words with zeros to the pool size
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(constants)) for w in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    for word in run[_POOL_SIZE:]:
+        pool = [_mix(p, _hashmix(word, *next(constants))) for p in pool]
+    low = tuple(next(constants) for _ in range(_POOL_SIZE))
+    high = tuple(next(constants) for _ in range(_POOL_SIZE))
+    return tuple(pool), low, high
+
+
+# generate_state(4, np.uint64): eight words cycling over the pool
+_OUTPUT_CONSTANTS = tuple(
+    c for c, _ in zip(_hash_constants(_INIT_B, _MULT_B), range(2 * _POOL_SIZE))
+)
+
+
+def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of the stream keyed by (seed, key), per key.
+
+    Entry i is the state of
+    ``np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(keys[i],)))``.
+    SeedSequence's pool hash takes the seed's words first, cached per
+    seed, then each key's words, vectorised over the keys (one key runs
+    the same code in Python integers).  Each key then takes O'Neill's
+    setseq initialisation, two LCG steps mod 2**128 (O'Neill,
+    HMC-CS-2014-0905).  Keys must lie in [0, 2**64).
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        raise ValueError("keys must be a 1-D integer array")
+    if keys.size and keys.min() < 0:
+        raise ValueError(f"keys must be >= 0, got {keys.min()}")
+    keys = keys.astype(np.uint64)
+    one = keys.size == 1
+    key = int(keys[0]) if one else keys
+    pool, low_constants, high_constants = _seed_pool(int(seed))
+    low, high = key & _MASK32, key >> 32
+    pool = [_mix(p, _hashmix(low, *c)) for p, c in zip(pool, low_constants)]
+    # keys >= 2**32 carry a second word
+    mixed = [_mix(p, _hashmix(high, *c)) for p, c in zip(pool, high_constants)]
+    if one:
+        pool = mixed if high else pool
+    else:
+        pool = [np.where(high != 0, m, p) for m, p in zip(mixed, pool)]
+    words = [
+        _hashmix(pool[i % _POOL_SIZE], *c) for i, c in enumerate(_OUTPUT_CONSTANTS)
+    ]
+    halves = [words[2 * k] | (words[2 * k + 1] << 32) for k in range(4)]
+    s_hi, s_lo, i_hi, i_lo = ([h] if one else h.tolist() for h in halves)
+    states = []
+    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+        # from state 0: one step, add the start, one more step
+        inc = ((((ih << 64) | il) << 1) | 1) & _MASK128
+        start = (sh << 64) | sl
+        states.append((((start + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zero seed words, for a bit generator whose state is set before use."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+def trial_streams(seed: int, first_trial: int, n: int) -> Iterator[np.random.Generator]:
+    """Yield the stream of trials first_trial, ..., first_trial + n - 1.
+
+    Each yielded generator draws exactly as ``trial_rng(seed, trial)``, but
+    it is one Generator, re-stated before each yield: use it before
+    advancing the iterator.
+    """
+    if not 0 <= first_trial <= first_trial + n <= 2**64:
+        raise ValueError(f"trials must lie in [0, 2**64), got {first_trial} + {n}")
+    bitgen = np.random.PCG64(_Unseeded())
+    gen = np.random.Generator(bitgen)
+    end = first_trial + n
+    # bounded pieces keep the states' Python integers off the peak memory
+    for lo in range(first_trial, end, _STATE_CHUNK):
+        keys = np.arange(lo, min(lo + _STATE_CHUNK, end), dtype=np.uint64)
+        for state, inc in pcg64_states(seed, keys):
+            # no 32-bit half of an earlier draw may carry over
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent random stream for one trial.
 
-    Streams are keyed by (seed, trial) through a splittable seed sequence,
-    so trial t's draws do not depend on execution order or worker count.
+    Streams are keyed by (seed, trial): the generator draws exactly as
+    ``np.random.default_rng(np.random.SeedSequence(entropy=seed,
+    spawn_key=(trial,)))``, so trial t's draws do not depend on execution
+    order or worker count.  Seed and trial must be >= 0, and the trial
+    below 2**64.  The generator holds no seed sequence, so it cannot spawn.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-    )
+    return next(trial_streams(int(seed), int(trial), 1))
 
 
 def sample_realizations(
@@ -199,10 +348,9 @@ def sample_realizations(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = geom.link_distances()
     v = rng.standard_normal((2, 6, n))
     fading = (v[0] + 1j * v[1]) / _SQRT2
-    amp = d[:, None] ** (-geom.gamma / 2.0)
+    amp = geom._amplitudes
     if geom.shadow_sigma_db > 0.0:
         zeta = rng.normal(0.0, geom.shadow_sigma_db, size=(6, n))
         amp = amp * 10.0 ** (zeta / 20.0)

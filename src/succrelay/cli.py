@@ -47,7 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", choices=("none", "a", "b", "c"))
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--workers", type=int)
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="threads for the outage blocks of dmt_slope; other experiments run "
+        "on one thread, and no output depends on it",
+    )
     p.add_argument("--gain-l", type=int, nargs="+", help="frame lengths for the gain curve")
     p.add_argument("--r", type=float, help="multiplexing gain for the DMT experiment")
     p.add_argument("--dmt-scheme", choices=("successive", "classic2"))

@@ -14,7 +14,6 @@ seed) pair produces byte-identical output files for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .channel import (
     preset_geometry,
     sample_realizations,
     trial_rng,
+    trial_streams,
 )
 from .mimolinalg import require
 from .outage import DmtPoint, dmt_formula, estimate_dmt
@@ -60,7 +60,6 @@ _RELAYING = {
     Scheme.SUCCESSIVE_VBLAST.value,
 }
 _GEOMETRY_KEYS = ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2")
-_SAMPLE_BLOCK = 512
 
 
 class ConfigError(ValueError):
@@ -202,29 +201,21 @@ class SweepRow:
             raise ValueError("standard errors must be >= 0")
 
 
-def _sample_trials(
-    geom: NetworkGeometry, seed: int, first_trial: int, n: int, workers: int = 1
-) -> ChannelBatch:
-    """Draw n realizations keyed by global trial index, in trial order."""
+def _sample_trials(geom: NetworkGeometry, seed: int, first_trial: int, n: int) -> ChannelBatch:
+    """Draw n realizations keyed by global trial index, in trial order.
+
+    Trial t equals ``sample_realizations(geom, trial_rng(seed, first_trial + t), 1)``,
+    drawn from one generator that `trial_streams` re-states per trial.
+    """
     out = np.empty((6, n), dtype=complex)
-
-    def fill(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            b = sample_realizations(geom, trial_rng(seed, first_trial + t), 1)
-            out[0, t] = b.h_sd[0]
-            out[1, t] = b.h_sr1[0]
-            out[2, t] = b.h_sr2[0]
-            out[3, t] = b.h_r1r2[0]
-            out[4, t] = b.h_r1d[0]
-            out[5, t] = b.h_r2d[0]
-
-    spans = [(lo, min(lo + _SAMPLE_BLOCK, n)) for lo in range(0, n, _SAMPLE_BLOCK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
-    else:
-        for s in spans:
-            fill(*s)
+    for t, rng in enumerate(trial_streams(seed, first_trial, n)):
+        b = sample_realizations(geom, rng, 1)
+        out[0, t] = b.h_sd[0]
+        out[1, t] = b.h_sr1[0]
+        out[2, t] = b.h_sr2[0]
+        out[3, t] = b.h_r1r2[0]
+        out[4, t] = b.h_r1d[0]
+        out[5, t] = b.h_r2d[0]
     return ChannelBatch(out[0], out[1], out[2], out[3], out[4], out[5])
 
 
@@ -272,7 +263,7 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials, cfg.workers)
+        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials)
         keep = (
             adaptive_keep_batch(batch, rule)
             if rule is not None
@@ -308,8 +299,8 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
     for li, l in enumerate(cfg.gain_l_values):
         # common random numbers across the grid: one draw per frame length
         # keeps the curve smooth for point-to-point comparisons
-        seed = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(li,))
-        for snr_db, gain in zip(cfg.snr_grid_db, capacity_gain_G(snrs, l, cfg.trials, seed)):
+        rng = trial_rng(cfg.seed, li)
+        for snr_db, gain in zip(cfg.snr_grid_db, capacity_gain_G(snrs, l, cfg.trials, rng)):
             rows.append({"l": l, "snr_db": float(snr_db), "capacity_gain": float(gain)})
     return rows
 
@@ -412,7 +403,7 @@ def vblast_gap_report(cfg: ExperimentConfig) -> list[GapRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials, cfg.workers)
+        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials)
         genie = successive_genie_batch(batch, snr, cfg.l)[0]
         vblast = successive_vblast_batch(batch, snr, cfg.l)[0]
         gap = genie - vblast

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkGeometry
+from .channel import NetworkGeometry, trial_rng
 from .mimolinalg import CHUNK, logdet_below
 
 _SCHEMES = ("successive", "classic2")
@@ -73,9 +73,7 @@ def _count_block(
     dtype = np.float32 if classic else np.float64
     if not threshold < float(np.finfo(dtype).max):
         return size
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block),))
-    )
+    rng = trial_rng(seed, block)
     g = rng.standard_exponential(size=(3, size), dtype=dtype)
     if weights_sampler is not None:
         g = g * weights_sampler(rng, size).astype(dtype, copy=False)

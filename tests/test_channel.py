@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from succrelay.channel import (
+    _STATE_CHUNK,
     CASE_III_RELAY_SPACING,
     ChannelRealization,
     NetworkGeometry,
+    pcg64_states,
     preset_geometry,
     sample_realization,
     sample_realizations,
     trial_rng,
+    trial_streams,
 )
+from succrelay.experiments import _sample_trials
 
 
 def flat_geometry(gamma=0.0, shadow=0.0, d=1.0):
@@ -157,6 +163,122 @@ class TestDeterminism:
         single = sample_realization(geom, trial_rng(5, 3))
         again = sample_realizations(geom, trial_rng(5, 3), 1).realization(0)
         assert single == again
+
+
+def numpy_state(seed, key):
+    """The reference: numpy's own seed sequence and PCG64 seeding."""
+    s = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(key,))).state
+    return s["state"]["state"], s["state"]["inc"]
+
+
+def stacked_trials(geom, seed, first, n):
+    """Trials drawn one by one, each from a freshly seeded generator."""
+    batches = [sample_realizations(geom, trial_rng(seed, first + t), 1) for t in range(n)]
+    names = ("h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d")
+    return np.array([[getattr(b, f)[0] for b in batches] for f in names])
+
+
+class TestStreams:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+    KEYS = (0, 1, 2**31, 2**32 - 1, 2**32, 2**40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_numpy_seeding(self, seed):
+        states = pcg64_states(seed, np.array(self.KEYS, dtype=np.uint64))
+        assert states == [numpy_state(seed, k) for k in self.KEYS]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), key=st.integers(0, 2**40 - 1))
+    def test_states_match_numpy_property(self, seed, key):
+        assert pcg64_states(seed, [key]) == [numpy_state(seed, key)]
+
+    def test_seeds_past_the_pool_and_largest_key(self):
+        # run entropy beyond four words is mixed in before the key
+        for seed in (2**127 + 3, 2**128, 7**90):
+            for key in (0, 2**64 - 1):
+                assert pcg64_states(seed, [key]) == [numpy_state(seed, key)]
+
+    def test_trial_rng_draws_like_numpy(self):
+        for seed, trial in ((31, 0), (31, 5), (2**64 - 1, 2**33)):
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+            ours = trial_rng(seed, trial)
+            assert np.array_equal(ours.standard_normal(50), ref.standard_normal(50))
+            assert np.array_equal(
+                ours.standard_exponential(50, dtype=np.float32),
+                ref.standard_exponential(50, dtype=np.float32),
+            )
+
+    def test_generators_cannot_spawn(self):
+        # they hold no seed sequence; children of a stand-in would be wrong
+        with pytest.raises(TypeError):
+            trial_rng(3, 4).spawn(1)
+
+    def test_restated_generator_drops_buffered_half_word(self):
+        streams = trial_streams(17, 4, 2)
+        rng = next(streams)
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        again = next(streams)
+        assert again is rng
+        fresh = trial_rng(17, 5)
+        assert np.array_equal(
+            again.integers(0, 2**32, size=5, dtype=np.uint32),
+            fresh.integers(0, 2**32, size=5, dtype=np.uint32),
+        )
+        assert np.array_equal(again.standard_normal(20), fresh.standard_normal(20))
+
+    def test_streams_across_state_pieces(self):
+        # the states are computed in pieces of _STATE_CHUNK keys
+        n = 2 * _STATE_CHUNK + 5
+        first = 2**32 - _STATE_CHUNK - 2
+        draws = [rng.standard_normal(3) for rng in trial_streams(9, first, n)]
+        assert len(draws) == n
+        for t in (0, _STATE_CHUNK - 1, _STATE_CHUNK, _STATE_CHUNK + 2, n - 1):
+            assert np.array_equal(draws[t], trial_rng(9, first + t).standard_normal(3))
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (0, 2**64)])
+    def test_out_of_range_seed_or_trial_rejected(self, seed, trial):
+        with pytest.raises(ValueError):
+            trial_rng(seed, trial)
+        if trial >= 0:
+            with pytest.raises(ValueError):
+                pcg64_states(seed, [trial])
+
+    def test_negative_keys_rejected(self):
+        with pytest.raises(ValueError):
+            pcg64_states(3, np.array([4, -1]))
+
+
+class TestSampleTrials:
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            preset_geometry("I"),
+            preset_geometry("II"),
+            preset_geometry("III"),
+            # no shadowing: 12 draws per trial, not 18
+            NetworkGeometry(
+                d_sd=1.0, d_sr1=0.4, d_sr2=0.6, d_r1d=0.7, d_r2d=0.5, d_r1r2=0.3,
+                gamma=3.0, shadow_sigma_db=0.0,
+            ),
+        ],
+    )
+    def test_matches_one_fresh_generator_per_trial(self, geom):
+        for seed, first, n in ((12345, 0, 40), (2**64 - 1, 2**32 - 3, 7)):
+            batch = _sample_trials(geom, seed, first, n)
+            got = np.array([batch.h_sd, batch.h_sr1, batch.h_sr2,
+                            batch.h_r1r2, batch.h_r1d, batch.h_r2d])
+            assert got.tobytes() == stacked_trials(geom, seed, first, n).tobytes()
+
+    def test_pathloss_amplitudes_cached_read_only(self):
+        geom = NetworkGeometry(
+            d_sd=1.3, d_sr1=0.37, d_sr2=0.61, d_r1d=0.83, d_r2d=0.29, d_r1r2=0.071,
+            gamma=3.7, shadow_sigma_db=6.0,
+        )
+        amp = geom._amplitudes
+        assert amp is geom._amplitudes and not amp.flags.writeable
+        expected = geom.link_distances()[:, None] ** (-geom.gamma / 2.0)
+        assert amp.tobytes() == expected.tobytes()
 
 
 def test_sample_size_validated():
