@@ -2,15 +2,15 @@
 
 from .channel import (
     CASE_III_RELAY_SPACING,
+    LINK_NAMES,
     ChannelBatch,
-    ChannelRealization,
     NetworkGeometry,
     preset_geometry,
-    sample_realization,
     sample_realizations,
     trial_rng,
 )
 from .experiments import (
+    PROTOCOLS,
     ConfigError,
     ExperimentConfig,
     SweepRow,
@@ -23,70 +23,58 @@ from .experiments import (
 )
 from .mimolinalg import (
     DetectionOrder,
-    EquivalentChannel,
     InvariantError,
-    SinrChain,
-    build_equivalent_channel,
-    logdet_capacity,
-    mmse_sic_sinrs,
+    build_equivalent_channel_batch,
+    logdet_capacity_batch,
+    mmse_sic_sinrs_batch,
 )
 from .outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
 from .protocols import (
     AdaptiveRule,
-    RateReport,
-    Scheme,
-    apply_adaptive_fallback,
-    capacity_fn,
+    adaptive_keep_batch,
     capacity_gain_G,
-    check_interference_free,
-    rate_classic1,
-    rate_classic2,
-    rate_direct,
-    rate_successive_genie,
-    rate_successive_vblast,
-    rate_theorem1,
+    interference_free_batch,
+    rate_classic_batch,
+    rate_direct_batch,
+    successive_genie_batch,
+    successive_vblast_batch,
+    theorem1_rate_batch,
 )
 
 __all__ = [
     "CASE_III_RELAY_SPACING",
+    "LINK_NAMES",
+    "PROTOCOLS",
     "AdaptiveRule",
     "ChannelBatch",
-    "ChannelRealization",
     "ConfigError",
     "DetectionOrder",
     "DmtPoint",
-    "EquivalentChannel",
     "ExperimentConfig",
     "InvariantError",
     "NetworkGeometry",
-    "RateReport",
-    "Scheme",
-    "SinrChain",
     "SweepRow",
-    "apply_adaptive_fallback",
-    "build_equivalent_channel",
-    "capacity_fn",
+    "adaptive_keep_batch",
+    "build_equivalent_channel_batch",
     "capacity_gain_G",
-    "check_interference_free",
     "dmt_formula",
     "estimate_dmt",
-    "logdet_capacity",
-    "mmse_sic_sinrs",
+    "interference_free_batch",
+    "logdet_capacity_batch",
+    "mmse_sic_sinrs_batch",
     "outage_prob_conditioned",
     "preset_geometry",
-    "rate_classic1",
-    "rate_classic2",
-    "rate_direct",
-    "rate_successive_genie",
-    "rate_successive_vblast",
-    "rate_theorem1",
+    "rate_classic_batch",
+    "rate_direct_batch",
     "run_dmt",
     "run_experiment",
     "run_gain_curve",
     "run_geometry_sweep",
     "run_single_realization",
-    "sample_realization",
     "sample_realizations",
+    "successive_genie_batch",
+    "successive_vblast_batch",
+    "theorem1_rate_batch",
     "trial_rng",
     "vblast_gap_report",
 ]

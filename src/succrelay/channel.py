@@ -23,7 +23,7 @@ seed sequence and a bit generator for each.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -36,6 +36,7 @@ LINK_NAMES = ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")
 CASE_III_RELAY_SPACING = 0.05
 
 _SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
 _SQRT3 = np.sqrt(3.0)
 
 # numpy's SeedSequence hash (4-word pool) and PCG64's 128-bit multiplier
@@ -131,68 +132,24 @@ def preset_geometry(case_id: str, relay_spacing: float | None = None) -> Network
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """The six complex link coefficients of one frame."""
-
-    h_sd: complex
-    h_sr1: complex
-    h_sr2: complex
-    h_r1r2: complex
-    h_r1d: complex
-    h_r2d: complex
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise ValueError(f"{f.name} must be finite, got {v}")
-
-    def gains(self) -> dict[str, float]:
-        """Squared magnitudes of all links keyed by LINK_NAMES."""
-        return {
-            "sd": abs(self.h_sd) ** 2,
-            "sr1": abs(self.h_sr1) ** 2,
-            "sr2": abs(self.h_sr2) ** 2,
-            "r1r2": abs(self.h_r1r2) ** 2,
-            "r1d": abs(self.h_r1d) ** 2,
-            "r2d": abs(self.h_r2d) ** 2,
-        }
-
-
-@dataclass(frozen=True)
 class ChannelBatch:
-    """Vectorized stack of realizations; each field is a complex (n,) array."""
+    """Complex coefficients of n frames: ``h`` is (6, n), rows in LINK_NAMES order."""
 
-    h_sd: np.ndarray
-    h_sr1: np.ndarray
-    h_sr2: np.ndarray
-    h_r1r2: np.ndarray
-    h_r1d: np.ndarray
-    h_r2d: np.ndarray
+    h: np.ndarray
 
     def __len__(self) -> int:
-        return self.h_sd.shape[0]
+        return self.h.shape[1]
 
-    def realization(self, i: int) -> ChannelRealization:
-        return ChannelRealization(
-            h_sd=complex(self.h_sd[i]),
-            h_sr1=complex(self.h_sr1[i]),
-            h_sr2=complex(self.h_sr2[i]),
-            h_r1r2=complex(self.h_r1r2[i]),
-            h_r1d=complex(self.h_r1d[i]),
-            h_r2d=complex(self.h_r2d[i]),
-        )
+    def gains(self) -> np.ndarray:
+        """The (6, n) squared link gains |h|**2 that every rate reads.
 
-    @classmethod
-    def from_realization(cls, real: ChannelRealization) -> "ChannelBatch":
-        return cls(
-            h_sd=np.array([real.h_sd]),
-            h_sr1=np.array([real.h_sr1]),
-            h_sr2=np.array([real.h_sr2]),
-            h_r1r2=np.array([real.h_r1r2]),
-            h_r1d=np.array([real.h_r1d]),
-            h_r2d=np.array([real.h_r2d]),
-        )
+        Raises ValueError naming the first link with a non-finite coefficient.
+        """
+        finite = np.isfinite(self.h)
+        if not finite.all():
+            link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
+            raise ValueError(f"h_{link} must be finite")
+        return np.abs(self.h) ** 2
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -344,22 +301,19 @@ def sample_realizations(
     """Draw ``n`` independent channel realizations from one stream.
 
     Draw order is fixed (Gaussian re/im parts, then shadowing) so a given
-    generator state always yields the same batch.
+    generator state always yields the same batch.  Each part is
+    ``(v * (1/sqrt 2)) * amp`` in real arithmetic, the same words as the
+    complex ``(v_re + 1j v_im) / sqrt 2 * amp``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     v = rng.standard_normal((2, 6, n))
-    fading = (v[0] + 1j * v[1]) / _SQRT2
+    v *= _INV_SQRT2
     amp = geom._amplitudes
     if geom.shadow_sigma_db > 0.0:
         zeta = rng.normal(0.0, geom.shadow_sigma_db, size=(6, n))
         amp = amp * 10.0 ** (zeta / 20.0)
-    h = fading * amp
-    return ChannelBatch(h[0], h[1], h[2], h[3], h[4], h[5])
-
-
-def sample_realization(
-    geom: NetworkGeometry, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw a single channel realization (see sample_realizations)."""
-    return sample_realizations(geom, rng, 1).realization(0)
+    h = np.empty((6, n), dtype=complex)
+    np.multiply(v[0], amp, out=h.real)
+    np.multiply(v[1], amp, out=h.imag)
+    return ChannelBatch(h)

@@ -20,7 +20,7 @@ import sys
 
 from .experiments import (
     EXPERIMENTS,
-    PROTOCOL_NAMES,
+    PROTOCOLS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--protocols", nargs="+", choices=PROTOCOL_NAMES)
+    p.add_argument("--protocols", nargs="+", choices=tuple(PROTOCOLS))
     p.add_argument("--adaptive", choices=("none", "a", "b", "c"))
     p.add_argument("--out", help="output file path")
     p.add_argument("--format", choices=("csv", "json"))

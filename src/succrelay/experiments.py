@@ -14,12 +14,14 @@ seed) pair produces byte-identical output files for any worker count.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .channel import (
+    LINK_NAMES,
     ChannelBatch,
     NetworkGeometry,
     preset_geometry,
@@ -28,22 +30,14 @@ from .channel import (
     trial_streams,
 )
 from .mimolinalg import require
-from .outage import DmtPoint, dmt_formula, estimate_dmt
+from .outage import dmt_formula, estimate_dmt
 from .protocols import (
     AdaptiveRule,
-    Scheme,
     adaptive_keep_batch,
-    apply_adaptive_fallback,
     capacity_gain_G,
     interference_free_batch,
-    rate_classic1,
-    rate_classic2,
     rate_classic_batch,
-    rate_direct,
     rate_direct_batch,
-    rate_successive_genie,
-    rate_successive_vblast,
-    rate_theorem1,
     successive_genie_batch,
     successive_vblast_batch,
     theorem1_rate_batch,
@@ -52,12 +46,28 @@ from .protocols import (
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("gain_curve", "geometry_sweep", "dmt_slope", "single_realization")
-PROTOCOL_NAMES = tuple(s.value for s in Scheme)
-_RELAYING = {
-    Scheme.CLASSIC1.value,
-    Scheme.CLASSIC2.value,
-    Scheme.SUCCESSIVE_GENIE.value,
-    Scheme.SUCCESSIVE_VBLAST.value,
+
+
+def _one_codeword(rate: np.ndarray, slots: float):
+    return rate, (slots * rate)[:, None], None
+
+
+# name -> (relaying, kernel).  A kernel maps (gains (6, n), snr, l) to
+# (rate per slot, per-codeword caps (n, k), decode-first branches (n, l-1));
+# the caps are None for the interference-free capacity bound, the branches
+# None for schemes without successive slots.  The adaptive rule replaces
+# only relaying schemes with direct transmission.  Each lambda looks its
+# kernel up in this module at call time, so a patched name takes effect.
+PROTOCOLS = {
+    "direct": (False, lambda g, snr, l: _one_codeword(rate_direct_batch(g, snr), 1.0)),
+    "classic1": (
+        True,
+        lambda g, snr, l: _one_codeword(rate_classic_batch(g, snr, 1.0 / 3.0), 3.0),
+    ),
+    "classic2": (True, lambda g, snr, l: _one_codeword(rate_classic_batch(g, snr, 0.5), 2.0)),
+    "successive_genie": (True, lambda g, snr, l: successive_genie_batch(g, snr, l)[:3]),
+    "successive_vblast": (True, lambda g, snr, l: successive_vblast_batch(g, snr, l)),
+    "theorem1": (False, lambda g, snr, l: (theorem1_rate_batch(g, snr, l), None, None)),
 }
 _GEOMETRY_KEYS = ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2")
 
@@ -81,14 +91,7 @@ class ExperimentConfig:
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     trials: int = 10_000
     seed: int = 12345
-    protocols: tuple[str, ...] = (
-        "direct",
-        "classic1",
-        "classic2",
-        "successive_genie",
-        "successive_vblast",
-        "theorem1",
-    )
+    protocols: tuple[str, ...] = tuple(PROTOCOLS)
     adaptive_rule: str = "a"
     output_path: str | None = None
     output_format: str = "csv"
@@ -102,12 +105,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
         object.__setattr__(self, "protocols", tuple(self.protocols))
+        self.validate()
         object.__setattr__(self, "gain_l_values", tuple(int(x) for x in self.gain_l_values))
         if self.dmt_trials_per_point is not None:
             object.__setattr__(
                 self, "dmt_trials_per_point", tuple(int(x) for x in self.dmt_trials_per_point)
             )
-        self.validate()
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -125,6 +128,17 @@ class ExperimentConfig:
                 raise ConfigError("geometry", f"unknown geometry keys {unknown}")
         else:
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
+        integers = {
+            "l": [self.l],
+            "trials": [self.trials],
+            "seed": [self.seed],
+            "workers": [self.workers],
+            "gain_l_values": self.gain_l_values,
+            "dmt_trials_per_point": self.dmt_trials_per_point or (),
+        }
+        for name, values in integers.items():
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+                raise ConfigError(name, f"must be integers, got {getattr(self, name)!r}")
         if self.l < 1:
             raise ConfigError("l", f"frame length must be >= 1, got {self.l}")
         if not self.snr_grid_db:
@@ -136,7 +150,7 @@ class ExperimentConfig:
         if not self.protocols:
             raise ConfigError("protocols", "select at least one protocol")
         for name in self.protocols:
-            if name not in PROTOCOL_NAMES:
+            if name not in PROTOCOLS:
                 raise ConfigError("protocols", f"unknown protocol {name!r}")
         if self.adaptive_rule not in ("none", "a", "b", "c"):
             raise ConfigError("adaptive_rule", f"must be none/a/b/c, got {self.adaptive_rule!r}")
@@ -209,36 +223,8 @@ def _sample_trials(geom: NetworkGeometry, seed: int, first_trial: int, n: int) -
     """
     out = np.empty((6, n), dtype=complex)
     for t, rng in enumerate(trial_streams(seed, first_trial, n)):
-        b = sample_realizations(geom, rng, 1)
-        out[0, t] = b.h_sd[0]
-        out[1, t] = b.h_sr1[0]
-        out[2, t] = b.h_sr2[0]
-        out[3, t] = b.h_r1r2[0]
-        out[4, t] = b.h_r1d[0]
-        out[5, t] = b.h_r2d[0]
-    return ChannelBatch(out[0], out[1], out[2], out[3], out[4], out[5])
-
-
-def _protocol_rates(
-    batch: ChannelBatch, snr: float, l: int, names: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    rates: dict[str, np.ndarray] = {}
-    for name in names:
-        if name == "direct":
-            rates[name] = rate_direct_batch(batch, snr)
-        elif name == "classic1":
-            rates[name] = rate_classic_batch(batch, snr, 1.0 / 3.0)
-        elif name == "classic2":
-            rates[name] = rate_classic_batch(batch, snr, 0.5)
-        elif name == "successive_genie":
-            rates[name] = successive_genie_batch(batch, snr, l)[0]
-        elif name == "successive_vblast":
-            rates[name] = successive_vblast_batch(batch, snr, l)[0]
-        elif name == "theorem1":
-            rates[name] = theorem1_rate_batch(batch, snr, l)
-        else:
-            raise ConfigError("protocols", f"unknown protocol {name!r}")
-    return rates
+        out[:, t] = sample_realizations(geom, rng, 1).h[:, 0]
+    return ChannelBatch(out)
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -263,18 +249,15 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials)
-        keep = (
-            adaptive_keep_batch(batch, rule)
-            if rule is not None
-            else np.ones(cfg.trials, dtype=bool)
-        )
-        cancel_ok, source_ok = interference_free_batch(batch, snr, cfg.l)
-        direct = rate_direct_batch(batch, snr)
-        raw = _protocol_rates(batch, snr, cfg.l, cfg.protocols)
+        g = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials).gains()
+        keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
+        cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
+        direct = rate_direct_batch(g, snr)
         means, sems = {}, {}
-        for name, values in raw.items():
-            if rule is not None and name in _RELAYING:
+        for name in cfg.protocols:
+            relaying, kernel = PROTOCOLS[name]
+            values = kernel(g, snr, cfg.l)[0]
+            if rule is not None and relaying:
                 values = np.where(keep, values, direct)
             means[name], sems[name] = _mean_sem(values)
         rows.append(
@@ -328,53 +311,49 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
 
 
 def run_single_realization(cfg: ExperimentConfig) -> dict:
-    """Full per-protocol diagnostics of trial 0 across the SNR grid."""
+    """Full per-protocol diagnostics of trial 0 across the SNR grid.
+
+    The n = 1 view of the batched kernels: trial 0 of the sweep's stream,
+    with the decode-first branches, per-codeword caps and flags that the
+    sweep averages away.
+    """
     if cfg.experiment != "single_realization":
         raise ConfigError("experiment", f"expected single_realization, got {cfg.experiment!r}")
-    geom = resolve_geometry(cfg)
-    real = _sample_trials(geom, cfg.seed, 0, 1).realization(0)
+    batch = _sample_trials(resolve_geometry(cfg), cfg.seed, 0, 1)
+    g = batch.gains()
+    # A lone frame's direct rate reads |h_sd|**2 from Python's complex abs,
+    # which differs from numpy's vectorised abs in the last bit on about a
+    # third of draws; the output bytes keep it.
+    h = batch.h[:, 0].tolist()
+    g_direct = g.copy()
+    g_direct[0] = abs(h[0]) ** 2
     rule = None if cfg.adaptive_rule == "none" else AdaptiveRule(cfg.adaptive_rule)
-    coeffs = {
-        name: [getattr(real, name).real, getattr(real, name).imag]
-        for name in ("h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d")
-    }
+    keep = rule is None or bool(adaptive_keep_batch(g, rule)[0])
+    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     entries = []
     for snr_db in cfg.snr_grid_db:
         snr = 10.0 ** (snr_db / 10.0)
+        flags = [bool(f[0]) for f in interference_free_batch(g, snr, cfg.l)]
         for name in cfg.protocols:
-            if name == "direct":
-                report = rate_direct(real, snr)
-            elif name == "classic1":
-                report = rate_classic1(real, snr)
-            elif name == "classic2":
-                report = rate_classic2(real, snr)
-            elif name == "successive_genie":
-                report = rate_successive_genie(real, snr, cfg.l)
-            elif name == "successive_vblast":
-                report = rate_successive_vblast(real, snr, cfg.l)
-            else:
-                entries.append(
-                    {
-                        "snr_db": float(snr_db),
-                        "protocol": name,
-                        "rate_per_slot": rate_theorem1(real, snr, cfg.l),
-                        "fallback_to_direct": False,
-                    }
-                )
+            relaying, kernel = PROTOCOLS[name]
+            rate, per_cw, branch = kernel(g_direct if name == "direct" else g, snr, cfg.l)
+            entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
+            entries.append(entry)
+            if per_cw is None:
+                entry["fallback_to_direct"] = False
                 continue
-            if rule is not None and name in _RELAYING:
-                report = apply_adaptive_fallback(report, real, snr, rule)
-            entries.append(
-                {
-                    "snr_db": float(snr_db),
-                    "protocol": name,
-                    "rate_per_slot": report.rate_per_slot,
-                    "per_codeword_rates": list(report.per_codeword_rates),
-                    "decode_interference_first": list(report.decode_interference_first),
-                    "fallback_to_direct": report.fallback_to_direct,
-                    "interference_free": report.interference_free,
-                    "source_links_strong": report.source_links_strong,
-                }
+            fallback = relaying and not keep
+            decode = [] if branch is None or fallback else branch[0].tolist()
+            if fallback:
+                rate = rate_direct_batch(g_direct, snr)
+                per_cw = rate[:, None]
+            entry.update(
+                rate_per_slot=float(rate[0]),
+                per_codeword_rates=per_cw[0].tolist(),
+                decode_interference_first=decode,
+                fallback_to_direct=fallback,
+                interference_free=None if branch is None else flags[0],
+                source_links_strong=None if branch is None else flags[1],
             )
     return {"realization": coeffs, "entries": entries}
 
@@ -403,9 +382,9 @@ def vblast_gap_report(cfg: ExperimentConfig) -> list[GapRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        batch = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials)
-        genie = successive_genie_batch(batch, snr, cfg.l)[0]
-        vblast = successive_vblast_batch(batch, snr, cfg.l)[0]
+        g = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials).gains()
+        genie = successive_genie_batch(g, snr, cfg.l)[0]
+        vblast = successive_vblast_batch(g, snr, cfg.l)[0]
         gap = genie - vblast
         require(gap >= -1e-9, "V-BLAST rate exceeded the genie bound")
         rows.append(

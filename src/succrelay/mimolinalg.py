@@ -1,11 +1,12 @@
-"""Linear algebra for the equivalent multiple-access MIMO channel.
+"""Gains-only kernels of the equivalent multiple-access MIMO channel.
 
 With L codewords sent over L+1 slots, the destination sees an (L+1) x L
 bidiagonal channel matrix H: column k carries the direct coefficient on
 row k and the forwarding relay's coefficient on row k+1, relays
-alternating R1, R2, R1, ...  This module builds H for inspection; the
-sum-rate log-determinant bound and the per-stream MMSE successive
-interference cancellation (V-BLAST) SINRs never form it.
+alternating R1, R2, R1, ...  Neither the sum-rate log-determinant bound
+nor the per-stream MMSE successive interference cancellation (V-BLAST)
+SINRs form H; `build_equivalent_channel_batch` stacks it for the tests'
+dense oracles.
 
 H^H H is tridiagonal and depends only on g_sd = |h_sd|^2 and the relay
 gains g_r(k) = |h_r1d|^2, |h_r2d|^2, so both kernels take these three
@@ -28,12 +29,9 @@ Dense factorizations of H serve only as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .channel import ChannelRealization
 
 _LN2 = np.log(2.0)
 
@@ -79,26 +77,6 @@ class DetectionOrder(Enum):
 
     STRONGEST_FIRST = "strongest_first"
     NATURAL = "natural"
-
-
-@dataclass(frozen=True, eq=False)
-class EquivalentChannel:
-    """The (L+1) x L bidiagonal matrix of one frame."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        _relay_gains(np.asarray(self.matrix)[None])  # raises unless one relay matrix
-
-    @property
-    def l(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_equivalent_channel(real: ChannelRealization, l: int) -> EquivalentChannel:
-    """Assemble the frame's bidiagonal channel matrix for ``l`` codewords."""
-    coeffs = (np.array([h]) for h in (real.h_sd, real.h_r1d, real.h_r2d))
-    return EquivalentChannel(build_equivalent_channel_batch(*coeffs, l)[0])
 
 
 def build_equivalent_channel_batch(
@@ -198,59 +176,6 @@ def logdet_below(
     return below
 
 
-def logdet_capacity(channel: EquivalentChannel, snr: float) -> float:
-    """Total bits over the frame: log2 det(I + snr * H H^H)."""
-    gains = _relay_gains(channel.matrix[None])
-    return float(logdet_capacity_batch(*gains, snr, channel.l)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class SinrChain:
-    """Per-stream post-detection SINRs of one SIC pass.
-
-    ``order[j]`` is the stream detected at stage j; ``sinr[k]`` is the SINR
-    stream k saw at the stage it was detected (linear power ratio).
-    """
-
-    order: tuple[int, ...]
-    sinr: np.ndarray
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"order must be a permutation, got {self.order}")
-        if np.any(self.sinr < 0.0) or not np.all(np.isfinite(self.sinr)):
-            raise ValueError("sinr values must be finite and >= 0")
-
-    def sum_rate(self) -> float:
-        """Chain-rule sum rate, sum_k log2(1 + sinr_k), in bits."""
-        return float(np.sum(np.log1p(self.sinr)) / _LN2)
-
-
-def _relay_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared gains (g_sd, g_r1d, g_r2d), each (n,), of stacked relay matrices.
-
-    Raises ValueError unless every matrix is the (l+1) x l relay matrix:
-    zero off the two diagonals, the direct coefficient repeated on the main
-    diagonal and the two relay coefficients alternating below it.  At l = 1
-    no stream is forwarded by R2 and g_r2d repeats g_r1d.
-    """
-    if h.ndim != 3 or h.shape[1] != h.shape[2] + 1 or h.shape[2] < 1:
-        raise ValueError(f"expected stacked (l+1) x l matrices, got shape {h.shape}")
-    l = h.shape[2]
-    k = np.arange(l)
-    diag = h[:, k, k]
-    sub = h[:, k + 1, k]
-    off = np.ones(h.shape[1:], dtype=bool)
-    off[k, k] = off[k + 1, k] = False
-    if np.any(h[:, off] != 0.0):
-        raise ValueError("matrix must be zero off the two diagonals")
-    if np.any(diag[:, 1:] != diag[:, :1]):
-        raise ValueError("main diagonal must repeat the direct coefficient")
-    if np.any(sub[:, 2:] != sub[:, :-2]):
-        raise ValueError("relay coefficients must alternate below the diagonal")
-    return np.abs(diag[:, 0]) ** 2, np.abs(sub[:, 0]) ** 2, np.abs(sub[:, min(1, l - 1)]) ** 2
-
-
 def _right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Per-stream c_k / g_{k+1} from the backward pivot recurrence.
 
@@ -323,14 +248,3 @@ def mmse_sic_sinrs_batch(
     # a_k = snr * ||h_k||^2.
     check_sinr_bound(sinrs, a)
     return orders.T, sinrs.T
-
-
-def mmse_sic_sinrs(
-    channel: EquivalentChannel,
-    snr: float,
-    ordering: DetectionOrder = DetectionOrder.STRONGEST_FIRST,
-) -> SinrChain:
-    """MMSE-SIC detection order and per-stream SINRs for one frame."""
-    gains = _relay_gains(channel.matrix[None])
-    orders, sinrs = mmse_sic_sinrs_batch(*gains, snr, channel.l, ordering)
-    return SinrChain(order=tuple(int(k) for k in orders[0]), sinr=sinrs[0])

@@ -61,13 +61,13 @@ def test_criterion_2_interference_free_capacity_equality():
     """Genie rate equals the log-det share when both conditions hold."""
     t0 = time.perf_counter()
     snr, l = 100.0, 7
-    batch = sample_realizations(preset_geometry("III"), np.random.default_rng(1002), 10_000)
-    cancel_ok, source_ok = interference_free_batch(batch, snr, l)
+    g = sample_realizations(preset_geometry("III"), np.random.default_rng(1002), 10_000).gains()
+    cancel_ok, source_ok = interference_free_batch(g, snr, l)
     mask = cancel_ok & source_ok
     qualifying = int(mask.sum())
     assert qualifying >= 500
-    genie = successive_genie_batch(batch, snr, l)[0]
-    bound = theorem1_rate_batch(batch, snr, l)
+    genie = successive_genie_batch(g, snr, l)[0]
+    bound = theorem1_rate_batch(g, snr, l)
     rel = np.abs(genie[mask] - bound[mask]) / np.maximum(bound[mask], 1e-300)
     assert np.max(rel) <= 1e-9
     elapsed = time.perf_counter() - t0
@@ -82,8 +82,8 @@ def test_criterion_3_jensen_and_sinr_bounds():
     total = 0
     for case, seed in (("I", 1003), ("III", 1004)):
         batch = sample_realizations(preset_geometry(case), np.random.default_rng(seed), 50_000)
-        gsd = np.abs(batch.h_sd) ** 2
-        grd = (np.abs(batch.h_r1d) ** 2, np.abs(batch.h_r2d) ** 2)
+        g = batch.gains()
+        gsd, grd = g[0], (g[4], g[5])
         logdet = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)
         combining_sum = sum(
             np.log1p((gsd + grd[i % 2]) * snr) / LN2 for i in range(l)
@@ -91,7 +91,7 @@ def test_criterion_3_jensen_and_sinr_bounds():
         assert np.all(combining_sum >= logdet * (1 - 1e-9) - 1e-12)
 
         _, sinr = mmse_sic_sinrs_batch(gsd, *grd, snr, l, DetectionOrder.STRONGEST_FIRST)
-        hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
+        hb = build_equivalent_channel_batch(batch.h[0], batch.h[4], batch.h[5], l)
         bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
         assert np.all(sinr <= bound * (1 + 1e-9) + 1e-12)
         total += len(batch)

@@ -7,11 +7,11 @@ from scipy import integrate, stats
 from succrelay.channel import (
     _STATE_CHUNK,
     CASE_III_RELAY_SPACING,
-    ChannelRealization,
+    LINK_NAMES,
+    ChannelBatch,
     NetworkGeometry,
     pcg64_states,
     preset_geometry,
-    sample_realization,
     sample_realizations,
     trial_rng,
     trial_streams,
@@ -81,28 +81,45 @@ class TestGeometryValidation:
 
 class TestRealization:
     def test_nonfinite_coefficient_rejected(self):
+        h = np.ones((6, 3), dtype=complex)
+        h[0, 2] = complex("nan")
         with pytest.raises(ValueError, match="h_sd"):
-            ChannelRealization(complex("nan"), 1.0, 1.0, 1.0, 1.0, 1.0)
+            ChannelBatch(h).gains()
 
     def test_gains_are_squared_magnitudes(self):
-        real = ChannelRealization(1 + 1j, 2.0, 0.5j, 1.0, 3.0, 1.0)
-        g = real.gains()
-        assert g["sd"] == pytest.approx(2.0)
-        assert g["sr2"] == pytest.approx(0.25)
-        assert all(v >= 0.0 for v in g.values())
+        batch = ChannelBatch(np.array([[1 + 1j], [2.0], [0.5j], [1.0], [3.0], [1.0]]))
+        g = batch.gains()
+        assert len(batch) == 1 and g.shape == (6, 1) and g.dtype == np.float64
+        assert g[LINK_NAMES.index("sd"), 0] == pytest.approx(2.0)
+        assert g[LINK_NAMES.index("sr2"), 0] == pytest.approx(0.25)
+        assert np.all(g >= 0.0)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_real_arithmetic_matches_complex_formula(self, case, n):
+        # (v * (1/sqrt 2)) * amp per part gives the words of the complex
+        # (v_re + 1j v_im) / sqrt 2 * amp, draw for draw
+        geom = preset_geometry(case)
+        for seed in range(30):
+            got = sample_realizations(geom, np.random.default_rng(seed), n).h
+            rng = np.random.default_rng(seed)
+            v = rng.standard_normal((2, 6, n))
+            amp = geom._amplitudes * 10.0 ** (rng.normal(0.0, 8.0, size=(6, n)) / 20.0)
+            want = (v[0] + 1j * v[1]) / np.sqrt(2.0) * amp
+            assert got.tobytes() == want.tobytes(), seed
 
 
 class TestMoments:
     def test_unit_variance_degenerate_model(self):
         # shadowing off, pathloss off: coefficients are pure CN(0, 1)
         batch = sample_realizations(flat_geometry(), np.random.default_rng(101), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h_sd) ** 2)
+        mean_gain = np.mean(np.abs(batch.h[0]) ** 2)
         assert mean_gain == pytest.approx(1.0, abs=0.01)
 
     def test_pathloss_only_moment(self):
         geom = flat_geometry(gamma=4.0, d=0.5)
         batch = sample_realizations(geom, np.random.default_rng(102), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h_r1r2) ** 2)
+        mean_gain = np.mean(np.abs(batch.h[3]) ** 2)
         assert mean_gain == pytest.approx(16.0, rel=0.01)
 
     def test_lognormal_shadowing_moment(self):
@@ -118,51 +135,48 @@ class TestMoments:
 
         geom = flat_geometry(shadow=sigma)
         batch = sample_realizations(geom, np.random.default_rng(103), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h_sd) ** 2)
+        mean_gain = np.mean(np.abs(batch.h[0]) ** 2)
         assert mean_gain == pytest.approx(oracle, rel=0.03)
 
 
 class TestDistributionShape:
     def test_link_magnitudes_uncorrelated(self):
         batch = sample_realizations(preset_geometry("I"), np.random.default_rng(104), 100_000)
-        mags = np.stack([np.abs(getattr(batch, f"h_{k}")) for k in
-                         ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")])
-        corr = np.corrcoef(mags)
+        corr = np.corrcoef(np.abs(batch.h))
         off = corr[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) < 0.02
 
     def test_phase_uniform_chi_square(self):
         batch = sample_realizations(preset_geometry("II"), np.random.default_rng(105), 100_000)
-        phases = np.angle(batch.h_sd)
+        phases = np.angle(batch.h[0])
         counts, _ = np.histogram(phases, bins=16, range=(-np.pi, np.pi))
         _, pvalue = stats.chisquare(counts)
         assert pvalue > 0.001
 
 
+def one_trial(geom, seed, trial):
+    return sample_realizations(geom, trial_rng(seed, trial), 1).h
+
+
 class TestDeterminism:
     def test_same_trial_key_bit_identical(self):
         geom = preset_geometry("III")
-        a = sample_realization(geom, trial_rng(99, 7))
-        b = sample_realization(geom, trial_rng(99, 7))
-        assert a == b
+        a = one_trial(geom, 99, 7)
+        b = one_trial(geom, 99, 7)
+        assert a.tobytes() == b.tobytes()
 
     def test_different_trials_differ(self):
         geom = preset_geometry("III")
-        a = sample_realization(geom, trial_rng(99, 7))
-        b = sample_realization(geom, trial_rng(99, 8))
-        assert a != b
+        assert not np.array_equal(one_trial(geom, 99, 7), one_trial(geom, 99, 8))
 
     def test_different_seeds_differ(self):
         geom = preset_geometry("I")
-        a = sample_realization(geom, trial_rng(1, 0))
-        b = sample_realization(geom, trial_rng(2, 0))
-        assert a != b
+        assert not np.array_equal(one_trial(geom, 1, 0), one_trial(geom, 2, 0))
 
     def test_batch_element_matches_scalar_path(self):
         geom = preset_geometry("II")
-        single = sample_realization(geom, trial_rng(5, 3))
-        again = sample_realizations(geom, trial_rng(5, 3), 1).realization(0)
-        assert single == again
+        single = _sample_trials(geom, 5, 3, 1).h
+        assert single.tobytes() == one_trial(geom, 5, 3).tobytes()
 
 
 def numpy_state(seed, key):
@@ -173,9 +187,7 @@ def numpy_state(seed, key):
 
 def stacked_trials(geom, seed, first, n):
     """Trials drawn one by one, each from a freshly seeded generator."""
-    batches = [sample_realizations(geom, trial_rng(seed, first + t), 1) for t in range(n)]
-    names = ("h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d")
-    return np.array([[getattr(b, f)[0] for b in batches] for f in names])
+    return np.concatenate([one_trial(geom, seed, first + t) for t in range(n)], axis=1)
 
 
 class TestStreams:
@@ -265,9 +277,7 @@ class TestSampleTrials:
     )
     def test_matches_one_fresh_generator_per_trial(self, geom):
         for seed, first, n in ((12345, 0, 40), (2**64 - 1, 2**32 - 3, 7)):
-            batch = _sample_trials(geom, seed, first, n)
-            got = np.array([batch.h_sd, batch.h_sr1, batch.h_sr2,
-                            batch.h_r1r2, batch.h_r1d, batch.h_r2d])
+            got = _sample_trials(geom, seed, first, n).h
             assert got.tobytes() == stacked_trials(geom, seed, first, n).tobytes()
 
     def test_pathloss_amplitudes_cached_read_only(self):

@@ -53,6 +53,14 @@ class TestConfig:
             (dict(dmt_scheme="direct"), "dmt_scheme"),
             (dict(dmt_r=-0.5), "dmt_r"),
             (dict(dmt_trials_per_point=(5, 5)), "dmt_trials_per_point"),
+            (dict(l=7.0), "l"),
+            (dict(l=True), "l"),
+            (dict(trials=10.5), "trials"),
+            (dict(seed=1.5), "seed"),
+            (dict(workers=2.0), "workers"),
+            (dict(gain_l_values=(3.7,)), "gain_l_values"),
+            (dict(gain_l_values=(3, False)), "gain_l_values"),
+            (dict(dmt_trials_per_point=(10, 10.5, 10)), "dmt_trials_per_point"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -203,6 +211,29 @@ class TestSingleRealization:
             "h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d"
         }
 
+    def test_fallback_entries_carry_the_direct_rate(self):
+        # relaying schemes that fail the rule report the direct rate, with
+        # no decode-first branches; successive schemes keep their flags
+        fallbacks = 0
+        for seed in range(20):
+            cfg = ExperimentConfig(
+                experiment="single_realization", geometry="I", l=3,
+                snr_grid_db=(0.0, 20.0), trials=1, seed=seed, adaptive_rule="c",
+            )
+            entries = run_single_realization(cfg)["entries"]
+            direct = {e["snr_db"]: e["rate_per_slot"] for e in entries if e["protocol"] == "direct"}
+            for e in entries:
+                if e["protocol"] in ("direct", "theorem1"):
+                    assert not e["fallback_to_direct"]
+                elif e["fallback_to_direct"]:
+                    fallbacks += 1
+                    assert e["rate_per_slot"] == direct[e["snr_db"]]
+                    assert e["per_codeword_rates"] == [e["rate_per_slot"]]
+                    assert e["decode_interference_first"] == []
+                    successive = e["protocol"].startswith("successive")
+                    assert isinstance(e["interference_free"], bool) == successive
+        assert fallbacks > 0
+
 
 class TestVblastGap:
     def test_case3_gap_small_and_nonnegative(self):
@@ -231,10 +262,10 @@ class TestVblastGap:
         )
         vblast = experiments.successive_vblast_batch
 
-        def above_genie(batch, snr, l):
+        def above_genie(g, snr, l):
             # draw 7 beats the genie rate by 1e-6
-            _, per_cw, branch = vblast(batch, snr, l)
-            rate = experiments.successive_genie_batch(batch, snr, l)[0].copy()
+            _, per_cw, branch = vblast(g, snr, l)
+            rate = experiments.successive_genie_batch(g, snr, l)[0].copy()
             rate[7] += 1e-6
             return rate, per_cw, branch
 
@@ -335,6 +366,12 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["--experiment", "geometry_sweep", "--l", "0"])
         assert rc == 2
+        assert "config field 'l'" in capsys.readouterr().err
+
+    def test_non_integer_config_file_value_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_SWEEP, "l": 7.5}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
         assert "config field 'l'" in capsys.readouterr().err
 
     def test_gain_curve_via_cli(self, capsys):

@@ -11,28 +11,44 @@ from dense_oracle import (
     mp_logdet_capacity,
     mp_mmse_sic_sinrs,
 )
-from succrelay.channel import ChannelRealization, sample_realizations, preset_geometry
+from succrelay.channel import sample_realizations, preset_geometry
 from succrelay.mimolinalg import (
     DetectionOrder,
-    EquivalentChannel,
     InvariantError,
-    SinrChain,
-    build_equivalent_channel,
     build_equivalent_channel_batch,
     check_sinr_bound,
-    logdet_capacity,
     logdet_below,
     logdet_capacity_batch,
-    mmse_sic_sinrs,
     mmse_sic_sinrs_batch,
 )
 
 LN2 = np.log(2.0)
 
 
-def random_realization(rng) -> ChannelRealization:
+def random_frame(rng) -> tuple[complex, complex, complex]:
+    """(h_sd, h_r1d, h_r2d) of one frame."""
     v = (rng.standard_normal(12) + 1j * rng.standard_normal(12))[:6] / np.sqrt(2)
-    return ChannelRealization(*v)
+    return v[0], v[4], v[5]
+
+
+def matrix(frame, l: int) -> np.ndarray:
+    """The (l+1) x l relay matrix of one frame."""
+    return build_equivalent_channel_batch(*(np.array([h], dtype=complex) for h in frame), l)[0]
+
+
+def one(frame) -> tuple[np.ndarray, ...]:
+    """The frame's squared gains as (1,) arrays, for the batched kernels."""
+    return tuple(np.array([abs(h) ** 2], dtype=float) for h in frame)
+
+
+def logdet(frame, snr: float, l: int) -> float:
+    return float(logdet_capacity_batch(*one(frame), snr, l)[0])
+
+
+def sic(frame, snr: float, l: int, ordering=DetectionOrder.STRONGEST_FIRST):
+    """One frame's (detection order, per-stream SINRs)."""
+    orders, sinrs = mmse_sic_sinrs_batch(*one(frame), snr, l, ordering)
+    return tuple(int(k) for k in orders[0]), sinrs[0]
 
 
 def cofactor_det(m: np.ndarray) -> complex:
@@ -50,81 +66,41 @@ def cofactor_det(m: np.ndarray) -> complex:
 
 class TestBuild:
     def test_smallest_frame(self):
-        real = ChannelRealization(1 + 2j, 1.0, 1.0, 1.0, 3 - 1j, 5.0)
-        ch = build_equivalent_channel(real, 1)
-        assert ch.matrix.shape == (2, 1)
-        assert ch.matrix[0, 0] == 1 + 2j
-        assert ch.matrix[1, 0] == 3 - 1j
+        m = matrix((1 + 2j, 3 - 1j, 5.0), 1)
+        assert m.shape == (2, 1)
+        assert m[0, 0] == 1 + 2j
+        assert m[1, 0] == 3 - 1j
 
     def test_relay_alternation_l3(self):
-        real = ChannelRealization(1.0, 1.0, 1.0, 1.0, 10.0, 20.0)
-        ch = build_equivalent_channel(real, 3)
-        sub = [ch.matrix[k + 1, k] for k in range(3)]
+        m = matrix((1.0, 10.0, 20.0), 3)
+        sub = [m[k + 1, k] for k in range(3)]
         assert sub == [10.0, 20.0, 10.0]
-        assert all(ch.matrix[k, k] == 1.0 for k in range(3))
+        assert all(m[k, k] == 1.0 for k in range(3))
 
     def test_zero_links_give_zero_matrix(self):
-        real = ChannelRealization(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        ch = build_equivalent_channel(real, 2)
-        assert np.all(ch.matrix == 0.0)
+        assert np.all(matrix((0.0, 0.0, 0.0), 2) == 0.0)
 
     def test_rejects_empty_frame(self):
-        real = ChannelRealization(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            build_equivalent_channel(real, 0)
-
-    def test_structure_validation(self):
-        bad = np.ones((3, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            EquivalentChannel(bad)
-        mixed = np.zeros((3, 2), dtype=complex)
-        mixed[0, 0] = 1.0
-        mixed[1, 1] = 2.0  # direct coefficient must repeat
-        mixed[1, 0] = 1.0
-        mixed[2, 1] = 1.0
-        with pytest.raises(ValueError):
-            EquivalentChannel(mixed)
-        swapped = build_equivalent_channel(ChannelRealization(1, 1, 1, 1, 2, 3), 3).matrix
-        swapped[3, 2] = 3.0  # stream 2 forwarded by R2
-        with pytest.raises(ValueError):
-            EquivalentChannel(swapped)
-
-    def test_rejects_non_relay_matrices(self):
-        good = build_equivalent_channel_batch(
-            np.array([1.0 + 1j]), np.array([2.0]), np.array([3.0j]), 4
-        )[0]
-        EquivalentChannel(good)
-        off = good.copy()
-        off[3, 0] = 0.5  # two rows below the diagonal
-        diag = good.copy()
-        diag[2, 2] = 1.0  # direct coefficient not repeated
-        swapped = good.copy()
-        swapped[3, 2] = 3.0j  # stream 2 forwarded by R2
-        for bad in (off, diag, swapped, good[:4, :], good[None]):
-            with pytest.raises(ValueError):
-                EquivalentChannel(bad)
+            matrix((1.0, 1.0, 1.0), 0)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
-        real = random_realization(rng)
-        hb = build_equivalent_channel_batch(
-            np.array([real.h_sd]), np.array([real.h_r1d]), np.array([real.h_r2d]), 4
-        )
-        assert np.array_equal(hb[0], build_equivalent_channel(real, 4).matrix)
+        frames = [random_frame(rng) for _ in range(3)]
+        hb = build_equivalent_channel_batch(*(np.array(h) for h in zip(*frames)), 4)
+        for i, frame in enumerate(frames):
+            assert np.array_equal(hb[i], matrix(frame, 4))
 
 
 class TestLogdet:
     def test_zero_snr(self):
-        real = ChannelRealization(2.0, 1.0, 1.0, 1.0, 3.0, 4.0)
-        assert logdet_capacity(build_equivalent_channel(real, 3), 0.0) == 0.0
+        assert logdet((2.0, 3.0, 4.0), 0.0, 3) == 0.0
 
     def test_two_by_one_vector_channel(self):
         # det(I + snr h h^H) for a column h expands to 1 + snr ||h||^2;
         # checked against the explicit 2x2 determinant.
         a, b = 1.0, np.sqrt(3.0)
-        real = ChannelRealization(a, 1.0, 1.0, 1.0, b, 1.0)
-        ch = build_equivalent_channel(real, 1)
-        got = logdet_capacity(ch, 1.0)
+        got = logdet((a, b, 1.0), 1.0, 1)
         h = np.array([[a], [b]])
         g = np.eye(2) + h @ h.conj().T
         explicit = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
@@ -135,68 +111,57 @@ class TestLogdet:
     @pytest.mark.parametrize("l", [1, 2, 4, 7])
     def test_matches_cofactor_determinant(self, l):
         rng = np.random.default_rng(10 + l)
-        real = random_realization(rng)
-        ch = build_equivalent_channel(real, l)
+        frame = random_frame(rng)
+        m = matrix(frame, l)
         snr = 100.0
-        gram = np.eye(l + 1) + snr * ch.matrix @ ch.matrix.conj().T
+        gram = np.eye(l + 1) + snr * m @ m.conj().T
         oracle = cofactor_det(gram)
         assert abs(oracle.imag) < 1e-9 * abs(oracle.real)
-        assert logdet_capacity(ch, snr) == pytest.approx(
-            np.log2(oracle.real), rel=1e-9
-        )
+        assert logdet(frame, snr, l) == pytest.approx(np.log2(oracle.real), rel=1e-9)
 
     def test_monotone_in_snr(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            ch = build_equivalent_channel(random_realization(rng), 5)
+            frame = random_frame(rng)
             snrs = np.sort(rng.uniform(0.0, 500.0, size=4))
-            values = [logdet_capacity(ch, s) for s in snrs]
+            values = [logdet(frame, s, 5) for s in snrs]
             assert np.all(np.diff(values) >= -1e-12)
 
     def test_negative_snr_rejected(self):
-        ch = build_equivalent_channel(ChannelRealization(1, 1, 1, 1, 1, 1), 1)
         with pytest.raises(ValueError):
-            logdet_capacity(ch, -1.0)
+            logdet((1.0, 1.0, 1.0), -1.0, 1)
 
 
 class TestMmseSic:
     def test_single_stream_no_interference(self):
-        real = ChannelRealization(1 + 1j, 1.0, 1.0, 1.0, 2.0, 1.0)
-        chain = mmse_sic_sinrs(build_equivalent_channel(real, 1), 3.0)
-        assert chain.order == (0,)
-        assert chain.sinr[0] == pytest.approx(3.0 * (2.0 + 4.0), rel=1e-12)
+        order, sinr = sic((1 + 1j, 2.0, 1.0), 3.0, 1)
+        assert order == (0,)
+        assert sinr[0] == pytest.approx(3.0 * (2.0 + 4.0), rel=1e-12)
 
     def test_all_zero_channel(self):
-        real = ChannelRealization(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        chain = mmse_sic_sinrs(build_equivalent_channel(real, 3), 10.0)
-        assert np.all(chain.sinr == 0.0)
+        _, sinr = sic((0.0, 0.0, 0.0), 10.0, 3)
+        assert np.all(sinr == 0.0)
 
     def test_tie_breaks_to_lowest_index(self):
         # orthogonal equal-norm columns: exact SINR tie at the first stage
-        real = ChannelRealization(0.0, 1.0, 1.0, 1.0, 2.0, 2.0)
-        chain = mmse_sic_sinrs(build_equivalent_channel(real, 2), 1.0)
-        assert chain.sinr[0] == chain.sinr[1]
-        assert chain.order[0] == 0
+        order, sinr = sic((0.0, 2.0, 2.0), 1.0, 2)
+        assert sinr[0] == sinr[1]
+        assert order[0] == 0
 
     def test_near_tie_within_tolerance_goes_to_lowest_index(self):
         # orthogonal columns, stream 1 stronger by 2e-12 relative: a tie
-        real = ChannelRealization(0.0, 1.0, 1.0, 1.0, 2.0, 2.0 * (1.0 + 1e-12))
-        chain = mmse_sic_sinrs(build_equivalent_channel(real, 2), 1.0)
-        assert chain.sinr[1] > chain.sinr[0]
-        assert chain.order == (0, 1)
+        order, sinr = sic((0.0, 2.0, 2.0 * (1.0 + 1e-12)), 1.0, 2)
+        assert sinr[1] > sinr[0]
+        assert order == (0, 1)
 
     def test_gap_beyond_tolerance_is_not_a_tie(self):
-        real = ChannelRealization(0.0, 1.0, 1.0, 1.0, 2.0, 2.0 * (1.0 + 1e-8))
-        chain = mmse_sic_sinrs(build_equivalent_channel(real, 2), 1.0)
-        assert chain.order == (1, 0)
+        order, _ = sic((0.0, 2.0, 2.0 * (1.0 + 1e-8)), 1.0, 2)
+        assert order == (1, 0)
 
     def test_natural_order_is_time_order(self):
         rng = np.random.default_rng(8)
-        real = random_realization(rng)
-        chain = mmse_sic_sinrs(
-            build_equivalent_channel(real, 5), 10.0, DetectionOrder.NATURAL
-        )
-        assert chain.order == (0, 1, 2, 3, 4)
+        order, _ = sic(random_frame(rng), 10.0, 5, DetectionOrder.NATURAL)
+        assert order == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("ordering", list(DetectionOrder))
     @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 1000.0])
@@ -216,14 +181,14 @@ class TestMmseSic:
     def test_orderings_same_sum_different_streams(self):
         # second stream has by far the strongest column, so strongest-first
         # departs from time order
-        real = ChannelRealization(1.0, 1.0, 1.0, 1.0, 0.1, 10.0)
-        ch = build_equivalent_channel(real, 3)
-        strongest = mmse_sic_sinrs(ch, 50.0, DetectionOrder.STRONGEST_FIRST)
-        natural = mmse_sic_sinrs(ch, 50.0, DetectionOrder.NATURAL)
-        assert strongest.order[0] == 1
-        assert strongest.order != natural.order
-        assert strongest.sum_rate() == pytest.approx(natural.sum_rate(), rel=1e-9)
-        assert not np.allclose(strongest.sinr, natural.sinr)
+        frame = (1.0, 0.1, 10.0)
+        strongest = sic(frame, 50.0, 3, DetectionOrder.STRONGEST_FIRST)
+        natural = sic(frame, 50.0, 3, DetectionOrder.NATURAL)
+        assert strongest[0][0] == 1
+        assert strongest[0] != natural[0]
+        sum_rate = [np.sum(np.log1p(sinr)) / LN2 for _, sinr in (strongest, natural)]
+        assert sum_rate[0] == pytest.approx(sum_rate[1], rel=1e-9)
+        assert not np.allclose(strongest[1], natural[1])
 
     def test_per_stream_sinr_bound(self):
         rng = np.random.default_rng(31)
@@ -236,9 +201,8 @@ class TestMmseSic:
             assert np.all(sinr <= bound * (1 + 1e-9) + 1e-12)
 
     def test_negative_snr_rejected(self):
-        ch = build_equivalent_channel(ChannelRealization(1, 1, 1, 1, 1, 1), 2)
         with pytest.raises(ValueError):
-            mmse_sic_sinrs(ch, -0.5)
+            sic((1.0, 1.0, 1.0), -0.5, 2)
 
     def test_sinr_bound_check_raises(self):
         bound = np.array([[1.0, 2.0]])
@@ -246,12 +210,6 @@ class TestMmseSic:
         for sinrs in ([[1.0, 2.1]], [[np.nan, 0.0]]):
             with pytest.raises(InvariantError, match="column-norm bound"):
                 check_sinr_bound(np.array(sinrs), bound)
-
-    def test_sinr_chain_validation(self):
-        with pytest.raises(ValueError):
-            SinrChain(order=(0, 0), sinr=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SinrChain(order=(0, 1), sinr=np.array([1.0, -2.0]))
 
 
 class TestAgainstDenseOracle:
@@ -262,8 +220,8 @@ class TestAgainstDenseOracle:
         snr = 10.0 ** (snr_db / 10.0)
         rng = np.random.default_rng(500 + int(snr_db))
         for l in range(1, 9):
-            batch = sample_realizations(preset_geometry(case), rng, 200)
-            hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
+            h = sample_realizations(preset_geometry(case), rng, 200).h
+            hb = build_equivalent_channel_batch(h[0], h[4], h[5], l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
                 orders, sinrs = mmse_sic_sinrs_batch(*gains(hb), snr, l, ordering)
@@ -280,8 +238,8 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(600)
         checked = 0
         for l in (3, 5, 7, 8):
-            batch = sample_realizations(preset_geometry(case), rng, 200)
-            hb = build_equivalent_channel_batch(batch.h_sd, batch.h_r1d, batch.h_r2d, l)
+            h = sample_realizations(preset_geometry(case), rng, 200).h
+            hb = build_equivalent_channel_batch(h[0], h[4], h[5], l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
                 orders, sinrs = mmse_sic_sinrs_batch(*gains(hb), snr, l, ordering)
@@ -376,8 +334,7 @@ class TestLogdetBelow:
     def test_matches_exact_comparison(self, case):
         rng = np.random.default_rng(1100)
         for l in range(1, 9):
-            batch = sample_realizations(preset_geometry(case), rng, 2000)
-            g = [np.abs(h) ** 2 for h in (batch.h_sd, batch.h_r1d, batch.h_r2d)]
+            g = sample_realizations(preset_geometry(case), rng, 2000).gains()[[0, 4, 5]]
             for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 exact = logdet_capacity_batch(*g, snr, l)
@@ -424,10 +381,9 @@ class TestLogdetBelow:
 class TestBounds:
     def test_jensen_bound_on_sampled_realizations(self):
         # per-codeword single-stream rates sum to at least the log-det bound
-        batch = sample_realizations(preset_geometry("III"), np.random.default_rng(9), 3000)
+        g = sample_realizations(preset_geometry("III"), np.random.default_rng(9), 3000).gains()
         l, snr = 7, 100.0
-        gsd = np.abs(batch.h_sd) ** 2
-        grd = [np.abs(batch.h_r1d) ** 2, np.abs(batch.h_r2d) ** 2]
+        gsd, grd = g[0], [g[4], g[5]]
         ld = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)
         caps = sum(np.log1p((gsd + grd[i % 2]) * snr) / LN2 for i in range(l))
         assert np.all(caps >= ld * (1 - 1e-9) - 1e-12)
