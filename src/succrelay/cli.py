@@ -27,7 +27,12 @@ from .experiments import (
 )
 
 
+def _geometry(text: str):
+    return json.loads(text) if text.lstrip().startswith("{") else text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag stores its value under the ExperimentConfig field it overrides."""
     p = argparse.ArgumentParser(
         prog="simulate",
         description="Rate and outage experiments for the two-relay successive-relaying network.",
@@ -36,56 +41,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", "-e", choices=EXPERIMENTS)
     p.add_argument(
         "--geometry",
+        type=_geometry,
         help="I, II, III, or a custom JSON distance object "
         '(e.g. \'{"d_sd": 1, "d_sr1": 0.5, ...}\')',
     )
     p.add_argument("--l", type=int, help="codewords per frame")
-    p.add_argument("--snr", type=float, nargs="+", help="SNR grid in dB")
+    p.add_argument(
+        "--snr", dest="snr_grid_db", metavar="SNR", type=float, nargs="+", help="SNR grid in dB"
+    )
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--protocols", nargs="+", choices=tuple(PROTOCOLS))
-    p.add_argument("--adaptive", choices=("none", "a", "b", "c"))
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--adaptive", dest="adaptive_rule", choices=("none", "a", "b", "c"))
+    p.add_argument("--out", dest="output_path", metavar="OUT", help="output file path")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
     p.add_argument(
         "--workers",
         type=int,
         help="threads for the outage blocks of dmt_slope; other experiments run "
         "on one thread, and no output depends on it",
     )
-    p.add_argument("--gain-l", type=int, nargs="+", help="frame lengths for the gain curve")
-    p.add_argument("--r", type=float, help="multiplexing gain for the DMT experiment")
+    p.add_argument(
+        "--gain-l",
+        dest="gain_l_values",
+        metavar="GAIN_L",
+        type=int,
+        nargs="+",
+        help="frame lengths for the gain curve",
+    )
+    p.add_argument(
+        "--r", dest="dmt_r", metavar="R", type=float, help="multiplexing gain for the DMT experiment"
+    )
     p.add_argument("--dmt-scheme", choices=("successive", "classic2"))
-    p.add_argument("--dmt-trials", type=int, nargs="+", help="per-grid-point trial counts")
+    p.add_argument(
+        "--dmt-trials",
+        dest="dmt_trials_per_point",
+        metavar="DMT_TRIALS",
+        type=int,
+        nargs="+",
+        help="per-grid-point trial counts",
+    )
     return p
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data: dict = {}
-    if args.config:
-        cfg = ExperimentConfig.from_json_file(args.config)
-        data = cfg.to_dict()
-    geometry = args.geometry
-    if geometry and geometry.lstrip().startswith("{"):
-        geometry = json.loads(geometry)
-    overrides = {
-        "experiment": args.experiment,
-        "geometry": geometry,
-        "l": args.l,
-        "snr_grid_db": args.snr,
-        "trials": args.trials,
-        "seed": args.seed,
-        "protocols": args.protocols,
-        "adaptive_rule": args.adaptive,
-        "output_path": args.out,
-        "output_format": args.format,
-        "workers": args.workers,
-        "gain_l_values": args.gain_l,
-        "dmt_r": args.r,
-        "dmt_scheme": args.dmt_scheme,
-        "dmt_trials_per_point": args.dmt_trials,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
+    data.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
     return ExperimentConfig.from_dict(data)
 
 

@@ -14,6 +14,7 @@ seed) pair produces byte-identical output files for any worker count.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -106,6 +107,8 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
         object.__setattr__(self, "protocols", tuple(self.protocols))
         self.validate()
+        if isinstance(self.geometry, dict):
+            object.__setattr__(self, "geometry", {k: float(v) for k, v in self.geometry.items()})
         object.__setattr__(self, "gain_l_values", tuple(int(x) for x in self.gain_l_values))
         if self.dmt_trials_per_point is not None:
             object.__setattr__(
@@ -115,10 +118,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        if isinstance(self.geometry, str):
-            if self.geometry.strip().upper() not in ("I", "II", "III"):
-                raise ConfigError("geometry", f"unknown preset {self.geometry!r}")
-        elif isinstance(self.geometry, dict):
+        if isinstance(self.geometry, dict):
             missing = [k for k in _GEOMETRY_KEYS if k not in self.geometry]
             if missing:
                 raise ConfigError("geometry", f"custom geometry missing {missing}")
@@ -126,8 +126,12 @@ class ExperimentConfig:
             unknown = sorted(set(self.geometry) - allowed)
             if unknown:
                 raise ConfigError("geometry", f"unknown geometry keys {unknown}")
-        else:
+        elif not isinstance(self.geometry, str):
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
+        try:
+            resolve_geometry(self)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("geometry", str(exc)) from exc
         integers = {
             "l": [self.l],
             "trials": [self.trials],
@@ -143,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("l", f"frame length must be >= 1, got {self.l}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "grid must be nonempty")
+        if not all(math.isfinite(x) for x in self.snr_grid_db):
+            raise ConfigError("snr_grid_db", f"entries must be finite, got {self.snr_grid_db}")
         if self.trials < 1:
             raise ConfigError("trials", f"must be >= 1, got {self.trials}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -162,12 +168,15 @@ class ExperimentConfig:
             raise ConfigError("gain_l_values", "gain curve needs at least one frame length")
         if self.dmt_scheme not in ("successive", "classic2"):
             raise ConfigError("dmt_scheme", f"must be successive or classic2, got {self.dmt_scheme!r}")
-        if self.dmt_r < 0:
-            raise ConfigError("dmt_r", f"must be >= 0, got {self.dmt_r}")
-        if self.dmt_trials_per_point is not None and len(self.dmt_trials_per_point) != len(
-            self.snr_grid_db
-        ):
-            raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
+        if not 0.0 <= self.dmt_r < math.inf:
+            raise ConfigError("dmt_r", f"must be finite and >= 0, got {self.dmt_r}")
+        if not 0.0 <= self.dmt_fixed_rate < math.inf:
+            raise ConfigError("dmt_fixed_rate", f"must be finite and >= 0, got {self.dmt_fixed_rate}")
+        if self.dmt_trials_per_point is not None:
+            if len(self.dmt_trials_per_point) != len(self.snr_grid_db):
+                raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
+            if min(self.dmt_trials_per_point) < 1:
+                raise ConfigError("dmt_trials_per_point", "every entry must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -175,9 +184,6 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
-        if isinstance(data.get("geometry"), dict):
-            data = dict(data)
-            data["geometry"] = {k: float(v) for k, v in data["geometry"].items()}
         return cls(**data)
 
     @classmethod
@@ -252,11 +258,12 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         g = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials).gains()
         keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
         cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
-        direct = rate_direct_batch(g, snr)
+        # the fallback's direct rate doubles as the direct column
+        direct = None if rule is None else rate_direct_batch(g, snr)
         means, sems = {}, {}
         for name in cfg.protocols:
             relaying, kernel = PROTOCOLS[name]
-            values = kernel(g, snr, cfg.l)[0]
+            values = direct if name == "direct" and direct is not None else kernel(g, snr, cfg.l)[0]
             if rule is not None and relaying:
                 values = np.where(keep, values, direct)
             means[name], sems[name] = _mean_sem(values)
@@ -321,12 +328,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
         raise ConfigError("experiment", f"expected single_realization, got {cfg.experiment!r}")
     batch = _sample_trials(resolve_geometry(cfg), cfg.seed, 0, 1)
     g = batch.gains()
-    # A lone frame's direct rate reads |h_sd|**2 from Python's complex abs,
-    # which differs from numpy's vectorised abs in the last bit on about a
-    # third of draws; the output bytes keep it.
     h = batch.h[:, 0].tolist()
-    g_direct = g.copy()
-    g_direct[0] = abs(h[0]) ** 2
     rule = None if cfg.adaptive_rule == "none" else AdaptiveRule(cfg.adaptive_rule)
     keep = rule is None or bool(adaptive_keep_batch(g, rule)[0])
     coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
@@ -336,7 +338,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
         flags = [bool(f[0]) for f in interference_free_batch(g, snr, cfg.l)]
         for name in cfg.protocols:
             relaying, kernel = PROTOCOLS[name]
-            rate, per_cw, branch = kernel(g_direct if name == "direct" else g, snr, cfg.l)
+            rate, per_cw, branch = kernel(g, snr, cfg.l)
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
             if per_cw is None:
@@ -345,7 +347,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
             fallback = relaying and not keep
             decode = [] if branch is None or fallback else branch[0].tolist()
             if fallback:
-                rate = rate_direct_batch(g_direct, snr)
+                rate = rate_direct_batch(g, snr)
                 per_cw = rate[:, None]
             entry.update(
                 rate_per_slot=float(rate[0]),

@@ -12,6 +12,10 @@ The log-det condition is `mimolinalg.logdet_below`: a pivot lower bound
 settles almost every draw in a few operations, and the O(l) pivot
 recurrence that every rate path shares runs only on the rest, so the
 count is exact.  No channel matrix is formed.
+
+Both entry points call one validated count, `_outage_events`.  It draws
+the trials in (seed, block) streams of BLOCK_SIZE, so a count depends on
+that constant but not on the worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from .channel import NetworkGeometry, trial_rng
 from .mimolinalg import CHUNK, logdet_below
 
 _SCHEMES = ("successive", "classic2")
+# Trials per (seed, block) stream.  Counts depend on it through the streams,
+# so it is part of the determinism contract, not a caller's choice.
+BLOCK_SIZE = 1 << 22
+# Grid points with fewer outage events are flagged and left out of the fits.
+MIN_EVENTS = 20
 
 
 def dmt_formula(r: float, l: int) -> float:
@@ -64,7 +73,7 @@ def _count_block(
     seed: int,
     block: int,
     size: int,
-    weights_sampler,
+    geom: NetworkGeometry | None,
 ) -> int:
     # no gain in the draws' float range meets a threshold past it: all fail
     classic = scheme == "classic2"
@@ -75,8 +84,13 @@ def _count_block(
         return size
     rng = trial_rng(seed, block)
     g = rng.standard_exponential(size=(3, size), dtype=dtype)
-    if weights_sampler is not None:
-        g = g * weights_sampler(rng, size).astype(dtype, copy=False)
+    if geom is not None:
+        # pathloss on the three destination links, broadcast from (3, 1)
+        w = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]]) ** (-geom.gamma)
+        sigma = geom.shadow_sigma_db
+        if sigma > 0.0:
+            w = w * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
+        g = g * w.astype(dtype, copy=False)
     if classic:
         # Only the three-branch combining cap binds once the relays decode:
         # outage iff 0.5 * C(g3 snr) < rbar.
@@ -103,25 +117,25 @@ def _outage_events(
     seed: int,
     geom: NetworkGeometry | None,
     workers: int,
-    block_size: int,
 ) -> int:
-    weights_sampler = None
-    if geom is not None:
-        base = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]]) ** (-geom.gamma)
-        sigma = geom.shadow_sigma_db
-
-        def weights_sampler(rng, size, base=base, sigma=sigma):
-            if sigma > 0.0:
-                return base * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
-            return base
-
-    blocks = [
-        (b, min(block_size, trials - b * block_size))
-        for b in range((trials + block_size - 1) // block_size)
-    ]
+    """Outage events among ``trials`` draws, in (seed, block) streams of BLOCK_SIZE."""
+    if not snr > 0.0:
+        raise ValueError(f"snr must be > 0, got {snr}")
+    if not 0.0 <= rbar < np.inf:
+        raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
+    if l < 1:
+        raise ValueError(f"frame length l must be >= 1, got {l}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if rbar == 0.0:
+        return 0
+    size = BLOCK_SIZE
+    blocks = [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
 
     def count(block: tuple[int, int]) -> int:
-        return _count_block(scheme, snr, rbar, l, seed, *block, weights_sampler)
+        return _count_block(scheme, snr, rbar, l, seed, *block, geom)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -130,7 +144,6 @@ def _outage_events(
 
 
 def outage_prob_conditioned(
-    geom_free: bool,
     snr: float,
     rate_per_slot_target: float,
     l: int,
@@ -140,35 +153,16 @@ def outage_prob_conditioned(
     scheme: str = "successive",
     geom: NetworkGeometry | None = None,
     workers: int = 1,
-    block_size: int = 1 << 22,
 ) -> float:
     """Monte Carlo outage frequency of the conditioned relay channel.
 
-    ``geom_free`` selects i.i.d. unit-variance links; with it False a
-    ``geom`` must supply pathloss/shadowing weights for the three
-    destination-side links.  ``scheme`` picks the successive frame model or
-    the classic-II comparator.  Block-seeded counting makes the result
-    independent of worker count and execution order.
+    The three destination-side links are i.i.d. unit-variance Rayleigh, or
+    carry ``geom``'s pathloss and shadowing weights when one is given.
+    ``scheme`` picks the successive frame model or the classic-II
+    comparator.  Block-seeded counting makes the result independent of
+    worker count and execution order.
     """
-    if snr <= 0.0:
-        raise ValueError(f"snr must be > 0, got {snr}")
-    if rate_per_slot_target < 0.0:
-        raise ValueError(f"target rate must be >= 0, got {rate_per_slot_target}")
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if geom_free:
-        geom = None
-    elif geom is None:
-        raise ValueError("geom_free=False requires a geometry")
-    if rate_per_slot_target == 0.0:
-        return 0.0
-    events = _outage_events(
-        scheme, snr, rate_per_slot_target, l, trials, seed, geom, workers, block_size
-    )
+    events = _outage_events(scheme, snr, rate_per_slot_target, l, trials, seed, geom, workers)
     return events / trials
 
 
@@ -181,19 +175,19 @@ def estimate_dmt(
     *,
     scheme: str = "successive",
     fixed_rate_bits: float = 1.0,
-    min_events: int = 20,
     workers: int = 1,
-    block_size: int = 1 << 22,
 ) -> DmtPoint:
     """Fit an empirical diversity slope over a high-SNR grid.
 
     The per-slot target at each grid point is r * log2(snr), or
     ``fixed_rate_bits`` when r = 0.  Grid points with fewer than
-    ``min_events`` outage events are flagged statistically unusable and
+    MIN_EVENTS outage events are flagged statistically unusable and
     excluded from the fits.  The primary slope uses the two highest usable
     points (the asymptotic ones); a full least-squares slope over all
     usable points is reported as a diagnostic.
     """
+    if not 0.0 <= r < np.inf:
+        raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
     grid = [float(x) for x in snr_grid_db]
     if len(grid) < 3:
         raise ValueError("snr grid needs at least 3 points")
@@ -207,21 +201,17 @@ def estimate_dmt(
         trial_counts = [int(t) for t in trials_per_point]
         if len(trial_counts) != len(grid):
             raise ValueError("trials_per_point must match the grid length")
-    if any(t < 1 for t in trial_counts):
-        raise ValueError("every grid point needs trials >= 1")
 
     probs, events, targets = [], [], []
     for point, (snr_db, trials) in enumerate(zip(grid, trial_counts)):
         snr = 10.0 ** (snr_db / 10.0)
         rbar = fixed_rate_bits if r == 0.0 else r * np.log2(snr)
-        count = _outage_events(
-            scheme, snr, rbar, l, trials, seed + point, None, workers, block_size
-        )
+        count = _outage_events(scheme, snr, rbar, l, trials, seed + point, None, workers)
         probs.append(count / trials)
         events.append(count)
         targets.append(float(rbar))
 
-    usable = [i for i, c in enumerate(events) if c >= min_events]
+    usable = [i for i, c in enumerate(events) if c >= MIN_EVENTS]
     if len(usable) >= 2:
         decades = np.array([grid[i] / 10.0 for i in usable])
         neglog = -np.log10([probs[i] for i in usable])
@@ -242,7 +232,7 @@ def estimate_dmt(
         diversity_lstsq=lstsq,
         events=tuple(events),
         trials=tuple(trial_counts),
-        low_event_flags=tuple(c < min_events for c in events),
+        low_event_flags=tuple(c < MIN_EVENTS for c in events),
         target_rates_per_slot=tuple(targets),
         scheme=scheme,
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from succrelay import outage
 from succrelay.channel import preset_geometry, sample_realizations
 from succrelay.experiments import ExperimentConfig, run_gain_curve, run_geometry_sweep
 from succrelay.mimolinalg import (
@@ -110,7 +111,7 @@ def test_criterion_4_miso_outage_oracle():
         x = (2.0 ** (2.0 * rbar) - 1.0) / snr
         expected = 1.0 - np.exp(-x) * (1.0 + x)
         assert expected == pytest.approx(float(stats.gamma.cdf(x, a=2)), rel=1e-12)
-        p = outage_prob_conditioned(True, snr, rbar, 1, trials, 1005 + i)
+        p = outage_prob_conditioned(snr, rbar, 1, trials, 1005 + i)
         sigma = np.sqrt(expected * (1.0 - expected) / trials)
         assert abs(p - expected) < 3.0 * sigma, (snr_db, rbar, p, expected)
     elapsed = time.perf_counter() - t0
@@ -218,7 +219,7 @@ def test_criterion_7_geometry_sweeps():
     report(7, "case III ordering at 20 dB; cases I/II relaying >= direct to 15 dB", elapsed)
 
 
-def test_criterion_8_determinism():
+def test_criterion_8_determinism(monkeypatch):
     """Fixed seed gives byte-identical outputs across runs and workers."""
     import tempfile
     from pathlib import Path
@@ -240,8 +241,9 @@ def test_criterion_8_determinism():
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    p1 = outage_prob_conditioned(True, 10.0, 1.0, 7, 500_000, 1012, workers=1, block_size=1 << 14)
-    p4 = outage_prob_conditioned(True, 10.0, 1.0, 7, 500_000, 1012, workers=4, block_size=1 << 14)
+    monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+    p1 = outage_prob_conditioned(10.0, 1.0, 7, 500_000, 1012, workers=1)
+    p4 = outage_prob_conditioned(10.0, 1.0, 7, 500_000, 1012, workers=4)
     assert p1 == p4
     elapsed = time.perf_counter() - t0
     report(8, "sweep bytes and outage counts identical for 1 vs N workers", elapsed)

@@ -5,7 +5,8 @@ import pytest
 
 from succrelay import InvariantError, experiments
 from succrelay.cli import main as cli_main
-from succrelay.protocols import capacity_gain_G
+from succrelay.channel import preset_geometry
+from succrelay.protocols import capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -28,6 +29,7 @@ SMALL_SWEEP = dict(
     protocols=("direct", "classic2", "successive_genie"),
     adaptive_rule="a",
 )
+CUSTOM_GEOMETRY = dict(d_sd=1.0, d_sr1=0.5, d_sr2=0.5, d_r1d=0.5, d_r2d=0.5, d_r1r2=0.1)
 
 
 class TestConfig:
@@ -61,6 +63,18 @@ class TestConfig:
             (dict(gain_l_values=(3.7,)), "gain_l_values"),
             (dict(gain_l_values=(3, False)), "gain_l_values"),
             (dict(dmt_trials_per_point=(10, 10.5, 10)), "dmt_trials_per_point"),
+            (dict(dmt_trials_per_point=(0, 100, 100)), "dmt_trials_per_point"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": -1.0}), "geometry"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "gamma": 0.0}), "geometry"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": None}), "geometry"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "d_r1d": "near"}), "geometry"),
+            (dict(snr_grid_db=(0.0, float("nan"))), "snr_grid_db"),
+            (dict(snr_grid_db=(float("inf"),)), "snr_grid_db"),
+            (dict(dmt_r=float("nan")), "dmt_r"),
+            (dict(dmt_r=float("inf")), "dmt_r"),
+            (dict(dmt_fixed_rate=-1.0), "dmt_fixed_rate"),
+            (dict(dmt_fixed_rate=float("nan")), "dmt_fixed_rate"),
+            (dict(dmt_fixed_rate=float("inf")), "dmt_fixed_rate"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -210,6 +224,19 @@ class TestSingleRealization:
         assert set(result["realization"]) == {
             "h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d"
         }
+
+    def test_direct_rate_is_the_sweep_kernel_on_trial_0(self):
+        # trial 0 is the first trial of the sweep's first SNR point, and its
+        # direct rate comes from the sweep's own gain array, bit for bit
+        for seed in range(20):
+            cfg = ExperimentConfig(
+                experiment="single_realization", geometry="II", l=2,
+                snr_grid_db=(0.0, 10.0, 30.0), trials=1, seed=seed, protocols=("direct",),
+            )
+            g = experiments._sample_trials(preset_geometry("II"), seed, 0, 50).gains()
+            for e in run_single_realization(cfg)["entries"]:
+                snr = 10.0 ** (e["snr_db"] / 10.0)
+                assert e["rate_per_slot"] == float(rate_direct_batch(g, snr)[0])
 
     def test_fallback_entries_carry_the_direct_rate(self):
         # relaying schemes that fail the rule report the direct rate, with
@@ -373,6 +400,11 @@ class TestCli:
         cfg_path.write_text(json.dumps({**SMALL_SWEEP, "l": 7.5}))
         assert cli_main(["--config", str(cfg_path)]) == 2
         assert "config field 'l'" in capsys.readouterr().err
+
+    def test_invalid_custom_geometry_exit_code(self, capsys):
+        geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})
+        assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2
+        assert "config field 'geometry'" in capsys.readouterr().err
 
     def test_gain_curve_via_cli(self, capsys):
         rc = cli_main(

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from dense_oracle import dense_logdet_capacity_batch
+from succrelay import outage
 from succrelay.channel import preset_geometry
 from succrelay.mimolinalg import build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import (
@@ -91,16 +92,20 @@ def shadowed_weights(rng, size):
 
 
 class TestScreenedCount:
-    @pytest.mark.parametrize("weights", [None, shadowed_weights], ids=["unit", "geometry"])
+    @pytest.mark.parametrize(
+        "geom,weights",
+        [(None, None), (preset_geometry("III"), shadowed_weights)],
+        ids=["unit", "geometry"],
+    )
     @pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 64])
-    def test_matches_unscreened_count(self, l, weights):
+    def test_matches_unscreened_count(self, l, geom, weights):
         # 20,000 draws span three cache-sized pieces, the last one partial
         for snr_db in (0.0, 10.0, 20.0, 30.0):
             for rbar in (0.5, 1.0, 3.0):
                 snr = 10.0 ** (snr_db / 10.0)
-                args = (snr, rbar, l, 40 + l, 3, 20_000, weights)
-                got = _count_block("successive", *args)
-                assert got == unscreened_count(*args), (snr_db, rbar)
+                args = (snr, rbar, l, 40 + l, 3, 20_000)
+                got = _count_block("successive", *args, geom)
+                assert got == unscreened_count(*args, weights), (snr_db, rbar)
 
 
 class TestHugeTargets:
@@ -113,7 +118,7 @@ class TestHugeTargets:
     def test_certain_outage(self, scheme, l, rbar):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert outage_prob_conditioned(True, 1e3, rbar, l, 1000, 0, scheme=scheme) == 1.0
+            assert outage_prob_conditioned(1e3, rbar, l, 1000, 0, scheme=scheme) == 1.0
 
     def test_log_det_target_past_float_range(self):
         # l * r_cw = 1300 bits: 2^1300 overflows, the per-stream 2^20.3 does not
@@ -126,10 +131,10 @@ class TestHugeTargets:
 
 class TestOutageProb:
     def test_zero_target_never_in_outage(self):
-        assert outage_prob_conditioned(True, 10.0, 0.0, 7, 1000, 0) == 0.0
+        assert outage_prob_conditioned(10.0, 0.0, 7, 1000, 0) == 0.0
 
     def test_vanishing_snr_always_in_outage(self):
-        p = outage_prob_conditioned(True, 1e-9, 1.0, 7, 2000, 0)
+        p = outage_prob_conditioned(1e-9, 1.0, 7, 2000, 0)
         assert p == 1.0
 
     @pytest.mark.parametrize(
@@ -138,7 +143,7 @@ class TestOutageProb:
     def test_miso_oracle_agreement(self, snr_db, rbar):
         snr = 10.0 ** (snr_db / 10.0)
         trials = 100_000
-        p = outage_prob_conditioned(True, snr, rbar, 1, trials, 77)
+        p = outage_prob_conditioned(snr, rbar, 1, trials, 77)
         expected = miso_outage_oracle(snr, rbar)
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(p - expected) < 3 * sigma
@@ -154,14 +159,14 @@ class TestOutageProb:
         trials = 2_000_000
         t = (2.0 ** ((l + 1) / l) - 1.0) / snr
         expected = np.expm1(-t) ** 2
-        p = outage_prob_conditioned(True, snr, 1.0, l, trials, 79)
+        p = outage_prob_conditioned(snr, 1.0, l, trials, 79)
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(p - expected) < 5 * sigma
 
     def test_classic_comparator_gamma3_oracle(self):
         # conditioned classic II outage is Gamma(3, 1) < (2^{2 rbar} - 1)/snr
         snr, rbar, trials = 10.0, 1.0, 1_000_000
-        p = outage_prob_conditioned(True, snr, rbar, 7, trials, 78, scheme="classic2")
+        p = outage_prob_conditioned(snr, rbar, 7, trials, 78, scheme="classic2")
         x = (2.0 ** (2.0 * rbar) - 1.0) / snr
         expected = float(stats.gamma.cdf(x, a=3))
         sigma = np.sqrt(expected * (1 - expected) / trials)
@@ -169,44 +174,41 @@ class TestOutageProb:
 
     def test_monotone_in_snr(self):
         probs = [
-            outage_prob_conditioned(True, 10.0 ** (db / 10.0), 1.0, 4, 200_000, 5)
+            outage_prob_conditioned(10.0 ** (db / 10.0), 1.0, 4, 200_000, 5)
             for db in (0.0, 5.0, 10.0, 15.0)
         ]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_monotone_in_target_rate(self):
         probs = [
-            outage_prob_conditioned(True, 10.0, rbar, 4, 200_000, 6)
+            outage_prob_conditioned(10.0, rbar, 4, 200_000, 6)
             for rbar in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a <= b for a, b in zip(probs, probs[1:]))
 
-    def test_worker_count_invariance(self):
-        kwargs = dict(scheme="successive", block_size=1 << 14)
-        p1 = outage_prob_conditioned(True, 3.0, 1.0, 3, 300_000, 9, workers=1, **kwargs)
-        p3 = outage_prob_conditioned(True, 3.0, 1.0, 3, 300_000, 9, workers=3, **kwargs)
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        kwargs = dict(scheme="successive")
+        p1 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=1, **kwargs)
+        p3 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=3, **kwargs)
         assert p1 == p3
 
     def test_geometry_weighted_variant(self):
         geom = preset_geometry("III")
-        p_weighted = outage_prob_conditioned(False, 10.0, 1.0, 7, 200_000, 11, geom=geom)
-        p_unit = outage_prob_conditioned(True, 10.0, 1.0, 7, 200_000, 11)
+        p_weighted = outage_prob_conditioned(10.0, 1.0, 7, 200_000, 11, geom=geom)
+        p_unit = outage_prob_conditioned(10.0, 1.0, 7, 200_000, 11)
         # case III relay-destination links are ~16x stronger on average
         assert p_weighted < p_unit
 
-    def test_geometry_required_when_not_geom_free(self):
-        with pytest.raises(ValueError):
-            outage_prob_conditioned(False, 10.0, 1.0, 7, 100, 0)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            outage_prob_conditioned(True, 0.0, 1.0, 7, 100, 0)
+            outage_prob_conditioned(0.0, 1.0, 7, 100, 0)
         with pytest.raises(ValueError):
-            outage_prob_conditioned(True, 1.0, 1.0, 0, 100, 0)
+            outage_prob_conditioned(1.0, 1.0, 0, 100, 0)
         with pytest.raises(ValueError):
-            outage_prob_conditioned(True, 1.0, 1.0, 7, 0, 0)
+            outage_prob_conditioned(1.0, 1.0, 7, 0, 0)
         with pytest.raises(ValueError):
-            outage_prob_conditioned(True, 1.0, 1.0, 7, 100, 0, scheme="alamouti")
+            outage_prob_conditioned(1.0, 1.0, 7, 100, 0, scheme="alamouti")
 
 
 class TestEstimateDmt:
@@ -221,6 +223,22 @@ class TestEstimateDmt:
             estimate_dmt(0.0, 7, [20.0, 40.0, 30.0], 1000, 0)  # not increasing
         with pytest.raises(ValueError):
             estimate_dmt(0.0, 7, [20.0, 30.0, 40.0], [1000, 1000], 0)  # count mismatch
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(scheme="alamouti"),
+            dict(l=0),
+            dict(r=-0.5),
+            dict(r=float("nan")),
+            dict(fixed_rate_bits=-1.0),
+        ],
+        ids=["scheme", "l", "negative_r", "nan_r", "negative_fixed_rate"],
+    )
+    def test_invalid_arguments(self, kwargs):
+        args = dict(r=0.0, l=7, snr_grid_db=[20.0, 30.0, 40.0], trials_per_point=100, seed=0)
+        with pytest.raises(ValueError):
+            estimate_dmt(**{**args, **kwargs})
 
     def test_low_event_points_flagged_and_excluded(self):
         point = estimate_dmt(0.0, 1, [20.0, 30.0, 40.0], [300_000, 20_000_000, 1000], 13)
