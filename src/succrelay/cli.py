@@ -58,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="threads for the outage blocks of dmt_slope; other experiments run "
-        "on one thread, and no output depends on it",
+        help="threads for the outage blocks of dmt_slope, at most one per block: "
+        "two overlap on a multi-block point; other experiments run on one "
+        "thread, and no output depends on it",
     )
     p.add_argument(
         "--gain-l",

@@ -104,9 +104,10 @@ class ExperimentConfig:
     dmt_trials_per_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
+        object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
         object.__setattr__(self, "protocols", tuple(self.protocols))
         self.validate()
+        object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
         if isinstance(self.geometry, dict):
             object.__setattr__(self, "geometry", {k: float(v) for k, v in self.geometry.items()})
         object.__setattr__(self, "gain_l_values", tuple(int(x) for x in self.gain_l_values))
@@ -118,6 +119,23 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        real, integer = numbers.Real, numbers.Integral
+        typed = {
+            "geometry": (real, self.geometry.values() if isinstance(self.geometry, dict) else ()),
+            "snr_grid_db": (real, self.snr_grid_db),
+            "dmt_r": (real, [self.dmt_r]),
+            "dmt_fixed_rate": (real, [self.dmt_fixed_rate]),
+            "l": (integer, [self.l]),
+            "trials": (integer, [self.trials]),
+            "seed": (integer, [self.seed]),
+            "workers": (integer, [self.workers]),
+            "gain_l_values": (integer, self.gain_l_values),
+            "dmt_trials_per_point": (integer, self.dmt_trials_per_point or ()),
+        }
+        for name, (kind, values) in typed.items():
+            if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
+                noun = "integers" if kind is integer else "real numbers"
+                raise ConfigError(name, f"must be {noun}, got {getattr(self, name)!r}")
         if isinstance(self.geometry, dict):
             missing = [k for k in _GEOMETRY_KEYS if k not in self.geometry]
             if missing:
@@ -132,17 +150,6 @@ class ExperimentConfig:
             resolve_geometry(self)
         except (TypeError, ValueError) as exc:
             raise ConfigError("geometry", str(exc)) from exc
-        integers = {
-            "l": [self.l],
-            "trials": [self.trials],
-            "seed": [self.seed],
-            "workers": [self.workers],
-            "gain_l_values": self.gain_l_values,
-            "dmt_trials_per_point": self.dmt_trials_per_point or (),
-        }
-        for name, values in integers.items():
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-                raise ConfigError(name, f"must be integers, got {getattr(self, name)!r}")
         if self.l < 1:
             raise ConfigError("l", f"frame length must be >= 1, got {self.l}")
         if not self.snr_grid_db:
@@ -475,33 +482,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         header = ["schema_version", "l", "snr_db", "capacity_gain"]
         table = [[SCHEMA_VERSION, r["l"], r["snr_db"], r["capacity_gain"]] for r in rows]
     elif cfg.experiment == "dmt_slope":
-        result = run_dmt(cfg)
-        payload["result"] = result
-        header = [
-            "schema_version",
-            "snr_db",
-            "target_rate_per_slot",
-            "trials",
-            "events",
-            "outage_prob",
-            "low_event_flag",
-            "diversity_estimate",
-            "diversity_lstsq",
-            "dmt_formula",
-        ]
+        result = payload["result"] = run_dmt(cfg)
+        columns = {  # CSV column -> per-grid-point field
+            "snr_db": "snr_grid_db",
+            "target_rate_per_slot": "target_rates_per_slot",
+            "trials": "trials",
+            "events": "events",
+            "outage_prob": "outage_prob",
+            "low_event_flag": "low_event_flags",
+        }
+        fits = ["diversity_estimate", "diversity_lstsq", "dmt_formula"]
+        header = ["schema_version", *columns, *fits]
         table = [
-            [
-                SCHEMA_VERSION,
-                result["snr_grid_db"][i],
-                result["target_rates_per_slot"][i],
-                result["trials"][i],
-                result["events"][i],
-                result["outage_prob"][i],
-                result["low_event_flags"][i],
-                result["diversity_estimate"],
-                result["diversity_lstsq"],
-                result["dmt_formula"],
-            ]
+            [SCHEMA_VERSION, *(result[f][i] for f in columns.values()), *(result[f] for f in fits)]
             for i in range(len(result["snr_grid_db"]))
         ]
     else:

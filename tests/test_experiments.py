@@ -75,6 +75,17 @@ class TestConfig:
             (dict(dmt_fixed_rate=-1.0), "dmt_fixed_rate"),
             (dict(dmt_fixed_rate=float("nan")), "dmt_fixed_rate"),
             (dict(dmt_fixed_rate=float("inf")), "dmt_fixed_rate"),
+            (dict(dmt_r="half"), "dmt_r"),
+            (dict(dmt_r=True), "dmt_r"),
+            (dict(dmt_r=None), "dmt_r"),
+            (dict(dmt_fixed_rate="1"), "dmt_fixed_rate"),
+            (dict(dmt_fixed_rate=[1.0]), "dmt_fixed_rate"),
+            (dict(snr_grid_db=("ten",)), "snr_grid_db"),
+            (dict(snr_grid_db=(0.0, True)), "snr_grid_db"),
+            (dict(snr_grid_db=(0.0, None)), "snr_grid_db"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "gamma": True}), "geometry"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": [1.0]}), "geometry"),
+            (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": "8"}), "geometry"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -400,6 +411,17 @@ class TestCli:
         cfg_path.write_text(json.dumps({**SMALL_SWEEP, "l": 7.5}))
         assert cli_main(["--config", str(cfg_path)]) == 2
         assert "config field 'l'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [(dict(dmt_r="half"), "dmt_r"), (dict(snr_grid_db=["ten", 30, 40]), "snr_grid_db")],
+    )
+    def test_non_numeric_config_file_value_exit_code(self, tmp_path, capsys, overrides, field):
+        cfg_path = tmp_path / "cfg.json"
+        dmt = dict(experiment="dmt_slope", snr_grid_db=[20, 30, 40], trials=10)
+        cfg_path.write_text(json.dumps({**dmt, **overrides}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dense_oracle import dense_logdet_capacity_batch
@@ -42,6 +44,11 @@ class TestFormula:
         with pytest.raises(ValueError):
             dmt_formula(-0.1, 7)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError):
+            dmt_formula(r, 7)
+
 
 class TestRecurrence:
     @pytest.mark.parametrize("l", [1, 2, 3, 7, 12])
@@ -69,19 +76,22 @@ class TestRecurrence:
         assert out.max() > 300  # determinant far beyond float range
 
 
+def exact_outage(g, snr, l, r_cw):
+    """Per-draw (threshold, cap failures, outage) with the exact kernel on every draw."""
+    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
+    caps = (g[0] + g[1]) < threshold
+    if l >= 2:
+        caps |= (g[0] + g[2]) < threshold
+    return threshold, caps, caps | (logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw)
+
+
 def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler):
     """The successive block's count with the exact kernel run on every draw."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     g = rng.standard_exponential(size=(3, size))
     if weights_sampler is not None:
         g = g * weights_sampler(rng, size)
-    r_cw = (l + 1) * rbar / l
-    threshold = (2.0**r_cw - 1.0) / snr
-    fail = (g[0] + g[1]) < threshold
-    if l >= 2:
-        fail |= (g[0] + g[2]) < threshold
-    fail |= logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw
-    return int(np.count_nonzero(fail))
+    return int(np.count_nonzero(exact_outage(g, snr, l, (l + 1) * rbar / l)[2]))
 
 
 def shadowed_weights(rng, size):
@@ -100,12 +110,109 @@ class TestScreenedCount:
     @pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 64])
     def test_matches_unscreened_count(self, l, geom, weights):
         # 20,000 draws span three cache-sized pieces, the last one partial
-        for snr_db in (0.0, 10.0, 20.0, 30.0):
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
             for rbar in (0.5, 1.0, 3.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 args = (snr, rbar, l, 40 + l, 3, 20_000)
                 got = _count_block("successive", *args, geom)
                 assert got == unscreened_count(*args, weights), (snr_db, rbar)
+
+
+    @pytest.mark.parametrize(
+        "geom,weights",
+        [(None, None), (preset_geometry("III"), shadowed_weights)],
+        ids=["unit", "geometry"],
+    )
+    def test_two_workers_match_unscreened_blocks(self, monkeypatch, geom, weights):
+        # four blocks, the last one partial, counted on a two-thread pool
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        sizes = [1 << 14] * 3 + [1000]
+        for snr_db in (0.0, 20.0, 40.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            got = outage._outage_events("successive", snr, 1.0, 7, sum(sizes), 23, geom, 2)
+            expected = sum(
+                unscreened_count(snr, 1.0, 7, 23, block, size, weights)
+                for block, size in enumerate(sizes)
+            )
+            assert got == expected, snr_db
+
+
+def check_screen(g, snr, l, r_cw):
+    """The candidate mask holds every exact event, and its cap part is the caps."""
+    threshold, caps, events = exact_outage(g, snr, l, r_cw)
+    cap, cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
+    missed = np.flatnonzero(events & ~cand)
+    assert not missed.size, (snr, l, r_cw, g[:, missed[:3]].T.tolist())
+    assert np.array_equal(cap, caps)
+
+
+def own_logdet_targets(g, snr, l):
+    """Per-draw r_cw values at and next to each draw's own log-det."""
+    logdet = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
+    for bits in logdet:
+        for target in (bits - 1e-12, bits, np.nextafter(bits, np.inf), bits + 1e-12):
+            if target > 0.0:
+                yield target / l
+
+
+screen_gain = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+screen_gains = st.lists(st.tuples(*[screen_gain] * 3), min_size=1, max_size=8).map(
+    lambda draws: np.array(draws, dtype=float).T
+)
+screen_lengths = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64])
+screen_snrs = st.floats(0.0, 60.0).map(lambda db: 10.0 ** (db / 10.0))
+
+
+class TestCandidateScreen:
+    """`_candidates` keeps a superset of the exact outage events, and few others.
+
+    Gains are log-uniform in [1e-12, 1e12] or exactly zero, at 0-60 dB and
+    l = 1..8 and 64; targets are (l+1) rbar bits and each draw's own log-det.
+    """
+
+    @settings(deadline=None)
+    @given(g=screen_gains, snr=screen_snrs, l=screen_lengths)
+    def test_superset_of_events(self, g, snr, l):
+        for rbar in (0.5, 1.0, 4.0):
+            check_screen(g, snr, l, (l + 1) * rbar / l)
+        for r_cw in own_logdet_targets(g, snr, l):
+            check_screen(g, snr, l, r_cw)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_superset_on_grid(self, l):
+        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 2.0)])
+        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            for rbar in (0.5, 1.0, 4.0):
+                check_screen(g, snr, l, (l + 1) * rbar / l)
+            few = g[:, :: 37]
+            for r_cw in own_logdet_targets(few, snr, l):
+                check_screen(few, snr, l, r_cw)
+
+    @pytest.mark.parametrize("l", [1, 2, 7, 64])
+    @pytest.mark.parametrize("r_cw", [20.3125, 500.0, 1000.0, 1023.99, 1024.0, 5000.0])
+    def test_huge_targets_without_warnings(self, l, r_cw):
+        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 3.0)])
+        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr in (1.0, 1e6):
+                check_screen(g, snr, l, r_cw)
+
+    def test_keeps_few_draws_at_high_snr(self):
+        # l = 7, 1 bit/slot, 20 dB: the caps fail with probability (1 - e^-t)^2
+        # and both relay gains fall below their limits with probability
+        # (1 - e^-lim1)(1 - e^-lim2), lim1 = 3 / snr and lim2 = (2^(8/3) - 1) / snr
+        l, snr, n = 7, 100.0, 1_000_000
+        g = np.random.default_rng(31).standard_exponential((3, n))
+        t = (2.0 ** (8 / 7) - 1.0) / snr
+        lims = np.array([2.0 ** (8 / 4) - 1.0, 2.0 ** (8 / 3) - 1.0]) / snr
+        p_caps, p_lims = np.expm1(-t) ** 2, np.prod(-np.expm1(-lims))
+        cap, cand = outage._candidates(g, l, t, outage._screen_limits(snr, l, 8 / 7))
+        sigma = np.sqrt((p_caps + p_lims) / n)
+        assert p_lims - 5 * sigma < np.mean(cand) < p_caps + p_lims + 5 * sigma
+        assert np.mean(cap) == pytest.approx(p_caps, abs=5 * np.sqrt(p_caps / n))
 
 
 class TestHugeTargets:
@@ -192,6 +299,40 @@ class TestOutageProb:
         p1 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=1, **kwargs)
         p3 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=3, **kwargs)
         assert p1 == p3
+
+    def test_pool_sized_to_the_blocks(self, monkeypatch):
+        # a stand-in pool records its size and maps serially: no thread starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(outage, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        args = ("successive", 3.0, 1.0, 3)
+        single = {outage._outage_events(*args, 1 << 14, 9, None, w) for w in (1, 2, 10**6)}
+        assert len(single) == 1 and sizes == []
+        four = {outage._outage_events(*args, 3 * (1 << 14) + 5, 9, None, w) for w in (1, 2, 3, 10**6)}
+        assert len(four) == 1 and sizes == [2, 3, 4]
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    def test_counts_identical_for_one_to_three_workers(self, monkeypatch, scheme):
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        counts = {
+            outage._outage_events(scheme, 3.0, 1.0, 3, 5 * (1 << 14) + 7, 10, None, w)
+            for w in (1, 2, 3)
+        }
+        assert len(counts) == 1
 
     def test_geometry_weighted_variant(self):
         geom = preset_geometry("III")
