@@ -214,10 +214,9 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     Entry i is the state of
     ``np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(keys[i],)))``.
     SeedSequence's pool hash takes the seed's words first, cached per
-    seed, then each key's words, vectorised over the keys (one key runs
-    the same code in Python integers).  Each key then takes O'Neill's
-    setseq initialisation, two LCG steps mod 2**128 (O'Neill,
-    HMC-CS-2014-0905).  Keys must lie in [0, 2**64).
+    seed, then each key's words, vectorised over the keys.  Each key then
+    takes O'Neill's setseq initialisation, two LCG steps mod 2**128
+    (O'Neill, HMC-CS-2014-0905).  Keys must lie in [0, 2**64).
     """
     keys = np.asarray(keys)
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
@@ -225,22 +224,15 @@ def pcg64_states(seed: int, keys) -> list[tuple[int, int]]:
     if keys.size and keys.min() < 0:
         raise ValueError(f"keys must be >= 0, got {keys.min()}")
     keys = keys.astype(np.uint64)
-    one = keys.size == 1
-    key = int(keys[0]) if one else keys
     pool, low_constants, high_constants = _seed_pool(int(seed))
-    low, high = key & _MASK32, key >> 32
+    low, high = keys & _MASK32, keys >> 32
     pool = [_mix(p, _hashmix(low, *c)) for p, c in zip(pool, low_constants)]
     # keys >= 2**32 carry a second word
     mixed = [_mix(p, _hashmix(high, *c)) for p, c in zip(pool, high_constants)]
-    if one:
-        pool = mixed if high else pool
-    else:
-        pool = [np.where(high != 0, m, p) for m, p in zip(mixed, pool)]
-    words = [
-        _hashmix(pool[i % _POOL_SIZE], *c) for i, c in enumerate(_OUTPUT_CONSTANTS)
-    ]
+    pool = [np.where(high != 0, m, p) for m, p in zip(mixed, pool)]
+    words = [_hashmix(pool[i % _POOL_SIZE], *c) for i, c in enumerate(_OUTPUT_CONSTANTS)]
     halves = [words[2 * k] | (words[2 * k + 1] << 32) for k in range(4)]
-    s_hi, s_lo, i_hi, i_lo = ([h] if one else h.tolist() for h in halves)
+    s_hi, s_lo, i_hi, i_lo = (h.tolist() for h in halves)
     states = []
     for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
         # from state 0: one step, add the start, one more step
@@ -286,13 +278,14 @@ def trial_streams(seed: int, first_trial: int, n: int) -> Iterator[np.random.Gen
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent random stream for one trial.
 
-    Streams are keyed by (seed, trial): the generator draws exactly as
-    ``np.random.default_rng(np.random.SeedSequence(entropy=seed,
-    spawn_key=(trial,)))``, so trial t's draws do not depend on execution
-    order or worker count.  Seed and trial must be >= 0, and the trial
-    below 2**64.  The generator holds no seed sequence, so it cannot spawn.
+    Streams are keyed by (seed, trial): numpy's
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``, so
+    trial t's draws do not depend on execution order or worker count.  Seed
+    and trial must be >= 0, and the trial below 2**64, as in `trial_streams`.
     """
-    return next(trial_streams(int(seed), int(trial), 1))
+    if not 0 <= trial < 2**64:
+        raise ValueError(f"trial must lie in [0, 2**64), got {trial}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
 def sample_realizations(

@@ -117,10 +117,14 @@ class ExperimentConfig:
             )
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        real, integer = numbers.Real, numbers.Integral
+        real, integer, text, path = numbers.Real, numbers.Integral, str, (str, type(None))
         typed = {
+            "experiment": (text, [self.experiment]),
+            "protocols": (text, self.protocols),
+            "adaptive_rule": (text, [self.adaptive_rule]),
+            "output_format": (text, [self.output_format]),
+            "dmt_scheme": (text, [self.dmt_scheme]),
+            "output_path": (path, [self.output_path]),
             "geometry": (real, self.geometry.values() if isinstance(self.geometry, dict) else ()),
             "snr_grid_db": (real, self.snr_grid_db),
             "dmt_r": (real, [self.dmt_r]),
@@ -132,10 +136,12 @@ class ExperimentConfig:
             "gain_l_values": (integer, self.gain_l_values),
             "dmt_trials_per_point": (integer, self.dmt_trials_per_point or ()),
         }
+        nouns = {real: "real numbers", integer: "integers", text: "strings", path: "str or null"}
         for name, (kind, values) in typed.items():
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
-                noun = "integers" if kind is integer else "real numbers"
-                raise ConfigError(name, f"must be {noun}, got {getattr(self, name)!r}")
+                raise ConfigError(name, f"must be {nouns[kind]}, got {getattr(self, name)!r}")
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if isinstance(self.geometry, dict):
             missing = [k for k in _GEOMETRY_KEYS if k not in self.geometry]
             if missing:
@@ -318,7 +324,9 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
             workers=cfg.workers,
         )
     except ValueError as exc:
-        raise ConfigError("snr_grid_db", str(exc)) from exc
+        # estimate_dmt words every error about r as "multiplexing gain ..."
+        field = "dmt_r" if str(exc).startswith("multiplexing gain") else "snr_grid_db"
+        raise ConfigError(field, str(exc)) from exc
     result = asdict(point)
     result["dmt_formula"] = dmt_formula(cfg.dmt_r, cfg.l)
     return result

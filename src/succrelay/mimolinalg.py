@@ -13,15 +13,14 @@ gains g_r(k) = |h_r1d|^2, |h_r2d|^2, so both kernels take these three
 squared-gain arrays: with a_k = snr (g_sd + g_r(k)) and
 c_k = snr^2 g_sd g_r(k), I + snr H^H H has diagonal 1 + a_k and squared
 off-diagonal moduli c_k.  The log-det sums the log pivots without
-cancellation (`logdet_capacity_batch`); `logdet_below` compares it with a
-target, settling most draws by a lower bound on the pivots.  Detecting a
-stream deletes its row and column, which zeroes the couplings next to it.
-The MMSE-SIC SINR 1/[(I + snr H_A^H H_A)^-1]_kk - 1 of an undetected
-stream (Tse & Viswanath, Fundamentals of Wireless Communication, ch. 8)
-is then a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1}, where f and g are the
-forward and backward pivots of the tridiagonal matrix (the diagonal of a
-tridiagonal inverse: Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992;
-Usmani, Linear Algebra Appl. 212/213, 1994).  The pivots are >= 1, so no
+cancellation (`logdet_capacity_batch`).  Detecting a stream deletes its
+row and column, which zeroes the couplings next to it.  The MMSE-SIC SINR
+1/[(I + snr H_A^H H_A)^-1]_kk - 1 of an undetected stream (Tse &
+Viswanath, Fundamentals of Wireless Communication, ch. 8) is then
+a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1}, where f and g are the forward and
+backward pivots of the tridiagonal matrix (the diagonal of a tridiagonal
+inverse: Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992; Usmani,
+Linear Algebra Appl. 212/213, 1994).  The pivots are >= 1, so no
 division can fail.  The log-det costs O(l) per frame, a SIC stage O(l):
 O(l^2) for strongest-first order and O(l) in total for natural order.
 Dense factorizations of H serve only as test oracles.
@@ -49,8 +48,6 @@ _PRODUCT_LIMIT = 1e150
 # Draws per piece of the log-det kernel and the outage count: 64 KB arrays
 # stay in a core's cache (a 4M-draw outage block ran ~2.5x faster).
 CHUNK = 8192
-# Relative margin of `logdet_below`'s bound over its target.
-_SCREEN_RTOL = 1e-9
 
 
 class InvariantError(ArithmeticError):
@@ -148,32 +145,6 @@ def _log_pivot_product(a0: np.ndarray, ar: tuple[np.ndarray, ...], l: int) -> np
             scale = scale + np.where(big, np.log1p(q), 0.0)
             q[big] = 0.0
     return np.log1p(q) + scale
-
-
-def logdet_below(
-    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, l: int, bits: float
-) -> np.ndarray:
-    """Elementwise ``logdet_capacity_batch(g_sd, g_r1d, g_r2d, snr, l) < bits``.
-
-    Every pivot f_k = 1 + v_k + a_r(k) is >= 1 + a_r(k) as v_k >= 0, and
-    f_0 = 1 + a_0 + a_1, so log2 det >= B = log2(1 + a_0 + a_1)
-    + floor((l-1)/2) log2(1 + a_1) + floor(l/2) log2(1 + a_2).  Where B
-    clears ``bits`` by `_SCREEN_RTOL` (1 + |bits|), with `_SCREEN_RTOL` =
-    1e-9 far above the kernel's <= 1e-13 relative error against an 80-digit
-    reference, the kernel cannot fall below ``bits``; only the other draws
-    run it.  Being a sum of logs, B overflows for no gain and no bits.
-    """
-    _check_kernel_args(snr, l)
-    bound = np.log2(1.0 + snr * (g_sd + g_r1d))
-    for g, m in ((g_r1d, (l - 1) // 2), (g_r2d, l // 2)):
-        if m:
-            bound += m * np.log2(1.0 + snr * g)
-    undecided = np.flatnonzero(bound < bits + _SCREEN_RTOL * (1.0 + abs(bits)))
-    below = np.zeros(len(bound), dtype=bool)
-    if undecided.size:
-        gains = (g[undecided] for g in (g_sd, g_r1d, g_r2d))
-        below[undecided] = logdet_capacity_batch(*gains, snr, l) < bits
-    return below
 
 
 def _right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -8,11 +8,11 @@ per-codeword rate R = (l+1) rbar / l supported by its single-stream
 combining cap, and l*R supported by the equivalent channel's log-det
 bound; outage is the failure of any of these.
 
-A few vector operations mask the candidate draws (`_candidates`), a
-superset of the outage events kept at ~0.2 % of draws at 20 dB (l = 7,
-1 bit/slot).  Only they run the exact test: the caps, then
-`mimolinalg.logdet_below`, whose pivot lower bound leaves the O(l) pivot
-recurrence to a few.  So the count is exact; no channel matrix is formed.
+A few vector operations per cache-sized piece mask the candidates
+(`_candidates`), a superset of the outage events: ~0.2 % of draws at
+20 dB, l = 7, 1 bit/slot.  A block's candidates, or the whole block if
+most of it is candidates, run the exact test once: the caps and the O(l)
+pivot recurrence.  So the count is exact; no channel matrix is formed.
 
 Both entry points call one validated count, `_outage_events`.  It draws
 the trials in (seed, block) streams of BLOCK_SIZE, so a count depends on
@@ -21,13 +21,14 @@ that constant but not on the worker count.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import NetworkGeometry, trial_rng
-from .mimolinalg import CHUNK, logdet_below
+from .mimolinalg import CHUNK, logdet_capacity_batch
 
 _SCHEMES = ("successive", "classic2")
 # Trials per (seed, block) stream.  Counts depend on it through the streams,
@@ -37,12 +38,16 @@ BLOCK_SIZE = 1 << 22
 MIN_EVENTS = 20
 
 
+def _check_frame_length(l) -> None:
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
+        raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
+
+
 def dmt_formula(r: float, l: int) -> float:
     """Diversity gain of the successive scheme at multiplexing gain r."""
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
+    _check_frame_length(l)
     return 2.0 * max(0.0, 1.0 - (l + 1) * r / l)
 
 
@@ -97,26 +102,26 @@ def _count_block(
         # outage iff 0.5 * C(g3 snr) < rbar.
         return int(np.count_nonzero(g.sum(axis=0) < threshold))
 
-    # the exact test on each piece's candidates, or on the whole piece if most are
+    # mask each cache-sized piece; the exact test runs once, on the candidates
+    # or, if they are most of the block, on the whole block
     lims = _screen_limits(snr, l, r_cw)
-    events = 0
-    for start in range(0, size, CHUNK):
-        piece = g[:, start : start + CHUNK]
-        cap, cand = _candidates(piece, l, threshold, lims)
-        kept = np.count_nonzero(cand)
-        if kept:
-            keep = np.flatnonzero(cand) if 2 * kept <= cand.size else slice(None)
-            below = logdet_below(*piece[:, keep], snr, l, l * r_cw)
-            events += int(np.count_nonzero(cap[keep] | below))
-    return events
+    starts = range(0, size, CHUNK)
+    masks = (_candidates(g[:, s : s + CHUNK], l, threshold, lims) for s in starts)
+    keep = np.concatenate([s + np.flatnonzero(m) for s, m in zip(starts, masks)])
+    if 2 * keep.size <= size:
+        g = g[:, keep]
+    events = _caps_fail(g, l, threshold) | (logdet_capacity_batch(*g, snr, l) < l * r_cw)
+    return int(np.count_nonzero(events))
 
 
 def _screen_limits(snr: float, l: int, r_cw: float) -> np.ndarray:
     """Gain limits (lim1, lim2) below which the log-det may miss l r_cw bits.
 
-    `logdet_below`'s bound is >= (1 + (l-1)//2) log2(1 + snr g1) and
-    >= (l//2) log2(1 + snr g2).  The target carries 1e-6 relative slack, far
-    above rounding; a limit past float range, or with l//2 = 0, is inf, and
+    Every pivot f_k = 1 + v_k + snr g_r(k) of `logdet_capacity_batch` is
+    >= 1 + snr g_r(k), and f_0 = 1 + snr (g0 + g1), so the log-det is
+    >= (1 + (l-1)//2) log2(1 + snr g1) and >= (l//2) log2(1 + snr g2).  The
+    target carries 1e-6 relative slack, far above the kernel's <= 1e-13
+    relative error; a limit past float range, or with l//2 = 0, is inf, and
     none is below the smallest normal float, so underflowing gains stay in.
     """
     shares = np.array([1 + (l - 1) // 2, l // 2])
@@ -125,15 +130,16 @@ def _screen_limits(snr: float, l: int, r_cw: float) -> np.ndarray:
     return np.maximum(lims, np.finfo(float).tiny)
 
 
-def _candidates(g: np.ndarray, l: int, threshold: float, lims) -> tuple[np.ndarray, np.ndarray]:
-    """(cap, candidates) of (3, n) gains: cap failures, and a superset of outage.
-
-    Rounding is monotone, so g0 + min(g1, g2) < threshold is exactly one of
-    the caps failing; a log-det outage needs both gains below `_screen_limits`.
-    """
+def _caps_fail(g: np.ndarray, l: int, threshold: float) -> np.ndarray:
+    """Cap failures of (3, n) gains: g0 + g1 or (l >= 2) g0 + g2 below threshold."""
     g0, g1, g2 = g
-    cap = g0 + (np.minimum(g1, g2) if l > 1 else g1) < threshold
-    return cap, cap | ((g1 < lims[0]) & (g2 < lims[1]))
+    # rounding is monotone, so the sum with min(g1, g2) fails iff one of those does
+    return g0 + (np.minimum(g1, g2) if l > 1 else g1) < threshold
+
+
+def _candidates(g: np.ndarray, l: int, threshold: float, lims) -> np.ndarray:
+    """Outage superset of (3, n) gains: caps fail, or both relay gains are below lims."""
+    return _caps_fail(g, l, threshold) | ((g[1] < lims[0]) & (g[2] < lims[1]))
 
 
 def _outage_events(
@@ -151,8 +157,7 @@ def _outage_events(
         raise ValueError(f"snr must be > 0, got {snr}")
     if not 0.0 <= rbar < np.inf:
         raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
+    _check_frame_length(l)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if scheme not in _SCHEMES:
@@ -231,14 +236,16 @@ def estimate_dmt(
         if len(trial_counts) != len(grid):
             raise ValueError("trials_per_point must match the grid length")
 
-    probs, events, targets = [], [], []
-    for point, (snr_db, trials) in enumerate(zip(grid, trial_counts)):
-        snr = 10.0 ** (snr_db / 10.0)
-        rbar = fixed_rate_bits if r == 0.0 else r * np.log2(snr)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
+    # a product of Python floats overflows to inf without a warning
+    targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
+    if r > 0.0 and not max(targets) < np.inf:
+        raise ValueError(f"multiplexing gain {r} puts r * log2(snr) past float range")
+    probs, events = [], []
+    for point, (snr, rbar, trials) in enumerate(zip(snrs, targets, trial_counts)):
         count = _outage_events(scheme, snr, rbar, l, trials, seed + point, None, workers)
         probs.append(count / trials)
         events.append(count)
-        targets.append(float(rbar))
 
     usable = [i for i, c in enumerate(events) if c >= MIN_EVENTS]
     if len(usable) >= 2:
@@ -262,6 +269,6 @@ def estimate_dmt(
         events=tuple(events),
         trials=tuple(trial_counts),
         low_event_flags=tuple(c < MIN_EVENTS for c in events),
-        target_rates_per_slot=tuple(targets),
+        target_rates_per_slot=tuple(float(t) for t in targets),
         scheme=scheme,
     )

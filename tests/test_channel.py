@@ -220,10 +220,10 @@ class TestStreams:
                 ref.standard_exponential(50, dtype=np.float32),
             )
 
-    def test_generators_cannot_spawn(self):
-        # they hold no seed sequence; children of a stand-in would be wrong
-        with pytest.raises(TypeError):
-            trial_rng(3, 4).spawn(1)
+    def test_children_draw_like_numpy_children(self):
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(4,)))
+        for ours, theirs in zip(trial_rng(3, 4).spawn(2), ref.spawn(2), strict=True):
+            assert np.array_equal(ours.standard_normal(50), theirs.standard_normal(50))
 
     def test_restated_generator_drops_buffered_half_word(self):
         streams = trial_streams(17, 4, 2)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestConfig:
             (dict(geometry={**CUSTOM_GEOMETRY, "gamma": True}), "geometry"),
             (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": [1.0]}), "geometry"),
             (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": "8"}), "geometry"),
+            (dict(experiment=5), "experiment"),
+            (dict(experiment=["geometry_sweep"]), "experiment"),
+            (dict(protocols=(["direct"],)), "protocols"),
+            (dict(protocols=("direct", 5)), "protocols"),
+            (dict(adaptive_rule=["a"]), "adaptive_rule"),
+            (dict(output_format=None), "output_format"),
+            (dict(dmt_scheme=["successive"]), "dmt_scheme"),
+            (dict(output_path=5), "output_path"),
+            (dict(output_path=["out.csv"]), "output_path"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -422,6 +432,24 @@ class TestCli:
         cfg_path.write_text(json.dumps({**dmt, **overrides}))
         assert cli_main(["--config", str(cfg_path)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [(dict(protocols=[["direct"]]), "protocols"), (dict(output_path=5), "output_path")],
+    )
+    def test_non_string_config_file_value_exit_code(self, tmp_path, capsys, overrides, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_SWEEP, **overrides}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_overflowing_dmt_target_names_dmt_r(self, capsys):
+        argv = ["--experiment", "dmt_slope", "--r", "1e308", "--snr", "20", "30", "40"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([*argv, "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'dmt_r'" in err and "Warning" not in err
 
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})

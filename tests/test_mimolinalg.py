@@ -17,7 +17,6 @@ from succrelay.mimolinalg import (
     InvariantError,
     build_equivalent_channel_batch,
     check_sinr_bound,
-    logdet_below,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
 )
@@ -325,57 +324,6 @@ class TestLogdetExtremes:
             got = logdet_capacity_batch(*gains(hb), snr, l)
             want = dense_logdet_capacity_batch(hb, snr)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(want, 1.0)), (snr, l)
-
-
-class TestLogdetBelow:
-    """The screened comparison equals the exact kernel's, draw by draw."""
-
-    @pytest.mark.parametrize("case", ["I", "II", "III"])
-    def test_matches_exact_comparison(self, case):
-        rng = np.random.default_rng(1100)
-        for l in range(1, 9):
-            g = sample_realizations(preset_geometry(case), rng, 2000).gains()[[0, 4, 5]]
-            for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
-                snr = 10.0 ** (snr_db / 10.0)
-                exact = logdet_capacity_batch(*g, snr, l)
-                # per-slot targets, plus targets amid the draws' own log-dets
-                targets = [(l + 1) * r for r in (0.0, 0.5, 1.0, 4.0)]
-                for bits in targets + list(np.quantile(exact, [0.01, 0.5, 0.99])):
-                    below = logdet_below(*g, snr, l, bits)
-                    assert np.array_equal(below, exact < bits), (case, l, snr_db, bits)
-
-    @pytest.mark.parametrize("l", range(1, 9))
-    def test_targets_within_1e12_of_the_log_det(self, l):
-        # with g_sd = 0 every pivot equals its bound, so the screen's bound is
-        # the log-det itself up to rounding; the other draws are generic
-        rng = np.random.default_rng(1200 + l)
-        g = 10.0 ** rng.uniform(-2.0, 2.0, (3, 40))
-        g[0, :20] = 0.0
-        for snr in (1.0, 100.0):
-            exact = logdet_capacity_batch(*g, snr, l)
-            for i, value in enumerate(exact):
-                for bits in (value - 1e-12, value + 1e-12):
-                    below = logdet_below(*g[:, i : i + 1], snr, l, bits)
-                    assert below[0] == (value < bits), (l, snr, i, bits - value)
-            assert not logdet_below(*g, snr, l, -1e-12).any()
-
-    @pytest.mark.parametrize("l", [1, 2, 64])
-    def test_extreme_grid_without_warnings(self, l):
-        g = np.array(list(itertools.product(TestExtremeInputs.LEVELS, repeat=3))).T
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for snr in (0.0, 1.0, 1e6):
-                exact = logdet_capacity_batch(*g, snr, l)
-                # 2000 and 1e5 bits put 2^bits far past float range
-                for bits in [0.0, 1.0, 100.0, 2000.0, 1e5, *exact]:
-                    assert np.array_equal(logdet_below(*g, snr, l, bits), exact < bits)
-
-    def test_invalid_arguments(self):
-        g = np.ones(3)
-        with pytest.raises(ValueError):
-            logdet_below(g, g, g, -1.0, 7, 1.0)
-        with pytest.raises(ValueError):
-            logdet_below(g, g, g, 1.0, 0, 1.0)
 
 
 class TestBounds:

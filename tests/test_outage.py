@@ -44,6 +44,14 @@ class TestFormula:
         with pytest.raises(ValueError):
             dmt_formula(-0.1, 7)
 
+    @pytest.mark.parametrize("l", [0, 2.5, 7.0, True])
+    def test_non_integer_or_small_l_rejected(self, l):
+        with pytest.raises(ValueError):
+            dmt_formula(0.5, l)
+
+    def test_numpy_integer_l_accepted(self):
+        assert dmt_formula(0.4375, np.int64(7)) == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("r", [float("nan"), float("inf")])
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(ValueError):
@@ -85,9 +93,13 @@ def exact_outage(g, snr, l, r_cw):
     return threshold, caps, caps | (logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw)
 
 
+def block_rng(seed, block):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+
+
 def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler):
     """The successive block's count with the exact kernel run on every draw."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    rng = block_rng(seed, block)
     g = rng.standard_exponential(size=(3, size))
     if weights_sampler is not None:
         g = g * weights_sampler(rng, size)
@@ -136,11 +148,66 @@ class TestScreenedCount:
             )
             assert got == expected, snr_db
 
+    @pytest.mark.parametrize("l", [1, 2, 7])
+    def test_targets_on_drawn_log_dets(self, l):
+        # a draw whose log-det equals l * r_cw exactly is not in outage by it
+        n, seed = 20_000, 61
+        g = block_rng(seed, 0).standard_exponential(size=(3, n))
+        boundary = 0
+        for snr in (1.0, 100.0):
+            logdet = logdet_capacity_batch(*g, snr, l)
+            for i in np.argsort(logdet)[:40]:
+                # per-slot targets next to bits / (l + 1), rounded as the count does
+                bits = logdet[i]
+                for rbar in rbars_near(bits / (l + 1)):
+                    if l * ((l + 1) * rbar / l) == bits:
+                        break
+                else:
+                    continue
+                got = _count_block("successive", snr, rbar, l, seed, 0, n, None)
+                assert got == unscreened_count(snr, rbar, l, seed, 0, n, None), (snr, i)
+                _, caps, _ = exact_outage(g[:, i : i + 1], snr, l, (l + 1) * rbar / l)
+                boundary += not caps[0]
+        # some targets sit on a draw that only `<` leaves out of the count
+        assert boundary >= 3
+
+    def test_exact_test_runs_on_candidates_unless_most_are(self, monkeypatch):
+        sizes = []
+        kernel = outage.logdet_capacity_batch
+
+        def recording(g_sd, *args):
+            sizes.append(len(g_sd))
+            return kernel(g_sd, *args)
+
+        monkeypatch.setattr(outage, "logdet_capacity_batch", recording)
+        l, r_cw, n = 7, 8 / 7, 20_000
+        g = block_rng(5, 0).standard_exponential(size=(3, n))
+        for snr_db, most in ((0.0, True), (20.0, False)):
+            snr = 10.0 ** (snr_db / 10.0)
+            threshold = (2.0**r_cw - 1.0) / snr
+            cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
+            kept = np.count_nonzero(cand)
+            assert (2 * kept > n) == most
+            sizes.clear()
+            _count_block("successive", snr, 1.0, l, 5, 0, n, None)
+            assert sizes == [n if most else kept], snr_db
+
+
+def rbars_near(x, ulps=8):
+    """x and its nearest floats, up to ``ulps`` steps either way."""
+    yield x
+    up = down = x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        yield up
+        yield down
+
 
 def check_screen(g, snr, l, r_cw):
     """The candidate mask holds every exact event, and its cap part is the caps."""
     threshold, caps, events = exact_outage(g, snr, l, r_cw)
-    cap, cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
+    cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
+    cap = outage._caps_fail(g, l, threshold)
     missed = np.flatnonzero(events & ~cand)
     assert not missed.size, (snr, l, r_cw, g[:, missed[:3]].T.tolist())
     assert np.array_equal(cap, caps)
@@ -209,7 +276,8 @@ class TestCandidateScreen:
         t = (2.0 ** (8 / 7) - 1.0) / snr
         lims = np.array([2.0 ** (8 / 4) - 1.0, 2.0 ** (8 / 3) - 1.0]) / snr
         p_caps, p_lims = np.expm1(-t) ** 2, np.prod(-np.expm1(-lims))
-        cap, cand = outage._candidates(g, l, t, outage._screen_limits(snr, l, 8 / 7))
+        cand = outage._candidates(g, l, t, outage._screen_limits(snr, l, 8 / 7))
+        cap = outage._caps_fail(g, l, t)
         sigma = np.sqrt((p_caps + p_lims) / n)
         assert p_lims - 5 * sigma < np.mean(cand) < p_caps + p_lims + 5 * sigma
         assert np.mean(cap) == pytest.approx(p_caps, abs=5 * np.sqrt(p_caps / n))
@@ -350,6 +418,13 @@ class TestOutageProb:
             outage_prob_conditioned(1.0, 1.0, 7, 0, 0)
         with pytest.raises(ValueError):
             outage_prob_conditioned(1.0, 1.0, 7, 100, 0, scheme="alamouti")
+        for l in (2.5, 7.0, True):
+            with pytest.raises(ValueError):
+                outage_prob_conditioned(1e4, 1.0, l, 100, 1)
+
+    def test_numpy_integer_l_accepted(self):
+        p = outage_prob_conditioned(10.0, 1.0, np.int64(3), 20_000, 9)
+        assert p == outage_prob_conditioned(10.0, 1.0, 3, 20_000, 9)
 
 
 class TestEstimateDmt:
@@ -370,11 +445,25 @@ class TestEstimateDmt:
         [
             dict(scheme="alamouti"),
             dict(l=0),
+            dict(l=2.5),
+            dict(l=7.0),
+            dict(l=True),
             dict(r=-0.5),
             dict(r=float("nan")),
+            dict(r=1e308),
             dict(fixed_rate_bits=-1.0),
         ],
-        ids=["scheme", "l", "negative_r", "nan_r", "negative_fixed_rate"],
+        ids=[
+            "scheme",
+            "l",
+            "fractional_l",
+            "float_l",
+            "bool_l",
+            "negative_r",
+            "nan_r",
+            "overflowing_r",
+            "negative_fixed_rate",
+        ],
     )
     def test_invalid_arguments(self, kwargs):
         args = dict(r=0.0, l=7, snr_grid_db=[20.0, 30.0, 40.0], trials_per_point=100, seed=0)
