@@ -59,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         help="threads for the outage blocks of dmt_slope, at most one per block: "
-        "two overlap on a multi-block point; other experiments run on one "
-        "thread, and no output depends on it",
+        "they run the blocks of all grid points on one pool; other experiments "
+        "run on one thread, and no output depends on it",
     )
     p.add_argument(
         "--gain-l",

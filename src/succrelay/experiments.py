@@ -104,6 +104,11 @@ class ExperimentConfig:
     dmt_trials_per_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("snr_grid_db", "protocols", "gain_l_values", "dmt_trials_per_point"):
+            value = getattr(self, name)
+            listed = hasattr(value, "__iter__") and not isinstance(value, str)
+            if not (listed or value is None and name == "dmt_trials_per_point"):
+                raise ConfigError(name, f"must be a list, got {value!r}")
         object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
         object.__setattr__(self, "protocols", tuple(self.protocols))
         self.validate()

@@ -8,20 +8,22 @@ per-codeword rate R = (l+1) rbar / l supported by its single-stream
 combining cap, and l*R supported by the equivalent channel's log-det
 bound; outage is the failure of any of these.
 
-A few vector operations per cache-sized piece mask the candidates
-(`_candidates`), a superset of the outage events: ~0.2 % of draws at
-20 dB, l = 7, 1 bit/slot.  A block's candidates, or the whole block if
-most of it is candidates, run the exact test once: the caps and the O(l)
-pivot recurrence.  So the count is exact; no channel matrix is formed.
+A few vector operations per cache-sized piece fill one block mask of
+candidates (`_candidates`), a superset of the outage events: ~0.2 % of
+draws at 20 dB, l = 7, 1 bit/slot.  A block's candidates, or the whole
+block if most of it is candidates, run the exact test once: the caps and
+the O(l) pivot recurrence.  So the count is exact; no channel matrix is formed.
 
-Both entry points call one validated count, `_outage_events`.  It draws
-the trials in (seed, block) streams of BLOCK_SIZE, so a count depends on
-that constant but not on the worker count.
+Both entry points call one validated count over grid points, `_outage_events`.
+It runs the (seed, block) streams of BLOCK_SIZE of all points, largest first,
+on one pool of at most `workers` threads, each drawing into one buffer kept
+for the call, so a count depends on BLOCK_SIZE but not on the worker count.
 """
 
 from __future__ import annotations
 
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,6 +82,7 @@ def _count_block(
     block: int,
     size: int,
     geom: NetworkGeometry | None,
+    buf: np.ndarray | None = None,
 ) -> int:
     # no gain in the draws' float range meets a threshold past it: all fail
     classic = scheme == "classic2"
@@ -89,25 +92,30 @@ def _count_block(
     if not threshold < float(np.finfo(dtype).max):
         return size
     rng = trial_rng(seed, block)
-    g = rng.standard_exponential(size=(3, size), dtype=dtype)
+    # a byte buffer, reused across blocks, of 25 bytes per draw: the (3, size)
+    # draws in their dtype up front, the successive block mask after 24 each
+    buf = np.empty(25 * size, np.uint8) if buf is None else buf
+    g = buf[: 24 * size].view(dtype)[: 3 * size].reshape(3, size)
+    rng.standard_exponential(dtype=dtype, out=g)
     if geom is not None:
         # pathloss on the three destination links, broadcast from (3, 1)
         w = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]]) ** (-geom.gamma)
         sigma = geom.shadow_sigma_db
         if sigma > 0.0:
             w = w * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
-        g = g * w.astype(dtype, copy=False)
+        g *= w.astype(dtype, copy=False)
     if classic:
         # Only the three-branch combining cap binds once the relays decode:
         # outage iff 0.5 * C(g3 snr) < rbar.
         return int(np.count_nonzero(g.sum(axis=0) < threshold))
 
-    # mask each cache-sized piece; the exact test runs once, on the candidates
-    # or, if they are most of the block, on the whole block
+    # mask each cache-sized piece into one block mask; the exact test runs
+    # once, on the candidates or, if they are most of the block, on all of it
     lims = _screen_limits(snr, l, r_cw)
-    starts = range(0, size, CHUNK)
-    masks = (_candidates(g[:, s : s + CHUNK], l, threshold, lims) for s in starts)
-    keep = np.concatenate([s + np.flatnonzero(m) for s, m in zip(starts, masks)])
+    mask = buf[24 * size : 25 * size].view(bool)
+    for s in range(0, size, CHUNK):
+        mask[s : s + CHUNK] = _candidates(g[:, s : s + CHUNK], l, threshold, lims)
+    keep = np.flatnonzero(mask)
     if 2 * keep.size <= size:
         g = g[:, keep]
     events = _caps_fail(g, l, threshold) | (logdet_capacity_batch(*g, snr, l) < l * r_cw)
@@ -143,38 +151,44 @@ def _candidates(g: np.ndarray, l: int, threshold: float, lims) -> np.ndarray:
 
 
 def _outage_events(
-    scheme: str,
-    snr: float,
-    rbar: float,
-    l: int,
-    trials: int,
-    seed: int,
-    geom: NetworkGeometry | None,
-    workers: int,
-) -> int:
-    """Outage events among ``trials`` draws, in (seed, block) streams of BLOCK_SIZE."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be > 0, got {snr}")
-    if not 0.0 <= rbar < np.inf:
-        raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
+    scheme: str, points: list[tuple], l: int, geom: NetworkGeometry | None, workers: int
+) -> list[int]:
+    """Outage events of each (snr, rbar, trials, seed) point, all checked before any draw."""
     _check_frame_length(l)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if rbar == 0.0:
-        return 0
-    size = BLOCK_SIZE
-    blocks = [(b, min(size, trials - b * size)) for b in range(-(-trials // size))]
+    for snr, rbar, trials, _ in points:
+        if not snr > 0.0:
+            raise ValueError(f"snr must be > 0, got {snr}")
+        if not 0.0 <= rbar < np.inf:
+            raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+    tasks = [
+        (min(BLOCK_SIZE, trials - start), point, start // BLOCK_SIZE)
+        for point, (_, rbar, trials, _) in enumerate(points) if rbar > 0.0
+        for start in range(0, trials, BLOCK_SIZE)
+    ]
+    tasks.sort(reverse=True)  # (size, point, block): largest blocks first
+    local = threading.local()
 
-    def count(block: tuple[int, int]) -> int:
-        return _count_block(scheme, snr, rbar, l, seed, *block, geom)
+    def count(task: tuple[int, int, int]) -> int:
+        size, point, block = task
+        snr, rbar, _, seed = points[point]
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(25 * tasks[0][0], np.uint8)  # see _count_block
+        return _count_block(scheme, snr, rbar, l, seed, block, size, geom, local.buf)
 
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(count, blocks))
-    return sum(map(count, blocks))
+            results = list(pool.map(count, tasks))
+    else:
+        results = map(count, tasks)
+    counts = [0] * len(points)
+    for (_, point, _), events in zip(tasks, results):
+        counts[point] += events
+    return counts
 
 
 def outage_prob_conditioned(
@@ -196,8 +210,8 @@ def outage_prob_conditioned(
     comparator.  Block-seeded counting makes the result independent of
     worker count and execution order.
     """
-    events = _outage_events(scheme, snr, rate_per_slot_target, l, trials, seed, geom, workers)
-    return events / trials
+    point = (snr, rate_per_slot_target, trials, seed)
+    return _outage_events(scheme, [point], l, geom, workers)[0] / trials
 
 
 def estimate_dmt(
@@ -241,11 +255,9 @@ def estimate_dmt(
     targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
     if r > 0.0 and not max(targets) < np.inf:
         raise ValueError(f"multiplexing gain {r} puts r * log2(snr) past float range")
-    probs, events = [], []
-    for point, (snr, rbar, trials) in enumerate(zip(snrs, targets, trial_counts)):
-        count = _outage_events(scheme, snr, rbar, l, trials, seed + point, None, workers)
-        probs.append(count / trials)
-        events.append(count)
+    points = [(*p, seed + i) for i, p in enumerate(zip(snrs, targets, trial_counts))]
+    events = _outage_events(scheme, points, l, None, workers)
+    probs = [count / trials for count, trials in zip(events, trial_counts)]
 
     usable = [i for i, c in enumerate(events) if c >= MIN_EVENTS]
     if len(usable) >= 2:

@@ -96,6 +96,15 @@ class TestConfig:
             (dict(dmt_scheme=["successive"]), "dmt_scheme"),
             (dict(output_path=5), "output_path"),
             (dict(output_path=["out.csv"]), "output_path"),
+            (dict(snr_grid_db=20), "snr_grid_db"),
+            (dict(snr_grid_db="20"), "snr_grid_db"),
+            (dict(snr_grid_db=None), "snr_grid_db"),
+            (dict(protocols="direct"), "protocols"),
+            (dict(protocols=None), "protocols"),
+            (dict(gain_l_values=3), "gain_l_values"),
+            (dict(gain_l_values="37"), "gain_l_values"),
+            (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
+            (dict(dmt_trials_per_point="555"), "dmt_trials_per_point"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -442,6 +451,23 @@ class TestCli:
         cfg_path.write_text(json.dumps({**SMALL_SWEEP, **overrides}))
         assert cli_main(["--config", str(cfg_path)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(snr_grid_db=20), "snr_grid_db"),
+            (dict(protocols="direct"), "protocols"),
+            (dict(gain_l_values=3), "gain_l_values"),
+            (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
+        ],
+    )
+    def test_scalar_config_file_list_exit_code(self, tmp_path, capsys, overrides, field):
+        cfg_path = tmp_path / "cfg.json"
+        dmt = dict(experiment="dmt_slope", snr_grid_db=[20, 30, 40], trials=10)
+        cfg_path.write_text(json.dumps({**dmt, **overrides}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}': must be a list" in err
 
     def test_overflowing_dmt_target_names_dmt_r(self, capsys):
         argv = ["--experiment", "dmt_slope", "--r", "1e308", "--snr", "20", "30", "40"]

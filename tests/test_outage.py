@@ -97,12 +97,15 @@ def block_rng(seed, block):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler):
-    """The successive block's count with the exact kernel run on every draw."""
+def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler, scheme="successive"):
+    """The block's count from a fresh draw, with the exact test run on every draw."""
     rng = block_rng(seed, block)
-    g = rng.standard_exponential(size=(3, size))
+    dtype = np.float32 if scheme == "classic2" else np.float64
+    g = rng.standard_exponential(size=(3, size), dtype=dtype)
     if weights_sampler is not None:
-        g = g * weights_sampler(rng, size)
+        g = g * weights_sampler(rng, size).astype(dtype)
+    if scheme == "classic2":
+        return int(np.count_nonzero(g.sum(axis=0) < (2.0 ** (2.0 * rbar) - 1.0) / snr))
     return int(np.count_nonzero(exact_outage(g, snr, l, (l + 1) * rbar / l)[2]))
 
 
@@ -141,12 +144,12 @@ class TestScreenedCount:
         sizes = [1 << 14] * 3 + [1000]
         for snr_db in (0.0, 20.0, 40.0):
             snr = 10.0 ** (snr_db / 10.0)
-            got = outage._outage_events("successive", snr, 1.0, 7, sum(sizes), 23, geom, 2)
+            got = outage._outage_events("successive", [(snr, 1.0, sum(sizes), 23)], 7, geom, 2)
             expected = sum(
                 unscreened_count(snr, 1.0, 7, 23, block, size, weights)
                 for block, size in enumerate(sizes)
             )
-            assert got == expected, snr_db
+            assert got == [expected], snr_db
 
     @pytest.mark.parametrize("l", [1, 2, 7])
     def test_targets_on_drawn_log_dets(self, l):
@@ -304,6 +307,107 @@ class TestHugeTargets:
         assert 0 < got < 20_000
 
 
+def recording_pools(monkeypatch):
+    """Swap in a stand-in pool that records its size and tasks and maps serially."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.tasks = list(items)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(outage, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+# one-block, four-block (last partial) and six-block points at 1 << 14 per block
+GRID_DB = [20.0, 30.0, 40.0]
+GRID_TRIALS = [1 << 14, 3 * (1 << 14) + 5, 6 * (1 << 14)]
+
+
+class TestGridPool:
+    """`estimate_dmt` counts the blocks of all its grid points on one pool."""
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    def test_grid_counts_match_per_point_counts(self, monkeypatch, scheme):
+        # r = 0.5 keeps events at every point: ~1e-2 at 20 dB, ~4e-4 at 40 dB
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        args = (0.5, 7, GRID_DB, GRID_TRIALS, 17)
+        points = {w: estimate_dmt(*args, scheme=scheme, workers=w) for w in (1, 2, 3)}
+        assert points[1] == points[2] == points[3]
+        dmt = points[2]
+        assert all(count > 0 for count in dmt.events)
+        for i, (rbar, trials) in enumerate(zip(dmt.target_rates_per_slot, GRID_TRIALS)):
+            snr = 10.0 ** (GRID_DB[i] / 10.0)
+            p = outage_prob_conditioned(snr, rbar, 7, trials, 17 + i, scheme=scheme)
+            assert dmt.outage_prob[i] == p
+            assert dmt.events[i] == round(p * trials)
+
+    def test_one_pool_per_call_largest_blocks_first(self, monkeypatch):
+        pools = recording_pools(monkeypatch)
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        for workers in (1, 2, 3, 10**6):
+            estimate_dmt(0.5, 7, GRID_DB, GRID_TRIALS, 17, workers=workers)
+        # 1 + 4 + 6 blocks; one worker runs them inline
+        assert [p.max_workers for p in pools] == [2, 3, 11]
+        for pool in pools:
+            sizes = [size for size, _, _ in pool.tasks]
+            assert len(sizes) == 11 and sizes == sorted(sizes, reverse=True)
+            assert sizes[-1] == 5
+
+    @pytest.mark.parametrize(
+        "scheme,geom,weights",
+        [
+            ("successive", None, None),
+            ("classic2", None, None),
+            ("successive", preset_geometry("III"), shadowed_weights),
+            ("classic2", preset_geometry("III"), shadowed_weights),
+        ],
+        ids=["successive", "classic2", "successive-geometry", "classic2-geometry"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_buffers_match_fresh_draws(self, monkeypatch, scheme, geom, weights, workers):
+        # each worker's buffer serves full and partial blocks of several points
+        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        points = [
+            (1.0, 1.0, 3 * (1 << 14) + 1000, 23),
+            (100.0, 1.0, 1000, 24),
+            (1e4, 6.0, 2 * (1 << 14) + 1, 25),
+            (10.0, 1.0, 5, 26),
+        ]
+        got = outage._outage_events(scheme, points, 7, geom, workers)
+        expected = []
+        for snr, rbar, trials, seed in points:
+            sizes = [min(1 << 14, trials - start) for start in range(0, trials, 1 << 14)]
+            expected.append(
+                sum(
+                    unscreened_count(snr, rbar, 7, seed, block, size, weights, scheme)
+                    for block, size in enumerate(sizes)
+                )
+            )
+        assert got == expected
+        assert 0 < sum(expected) < sum(p[2] for p in points)
+
+    def test_invalid_point_rejected_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(outage, "trial_rng", lambda *key: drawn.append(key))
+        good = (100.0, 1.0, 1000, 1)
+        for bad in ((0.0, 1.0, 1000, 2), (100.0, -1.0, 1000, 2), (100.0, 1.0, 0, 2)):
+            with pytest.raises(ValueError):
+                outage._outage_events("successive", [good, bad], 7, None, 2)
+        assert drawn == []
+
+
 class TestOutageProb:
     def test_zero_target_never_in_outage(self):
         assert outage_prob_conditioned(10.0, 0.0, 7, 1000, 0) == 0.0
@@ -369,35 +473,22 @@ class TestOutageProb:
         assert p1 == p3
 
     def test_pool_sized_to_the_blocks(self, monkeypatch):
-        # a stand-in pool records its size and maps serially: no thread starts
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(outage, "ThreadPoolExecutor", RecordingPool)
+        pools = recording_pools(monkeypatch)
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        args = ("successive", 3.0, 1.0, 3)
-        single = {outage._outage_events(*args, 1 << 14, 9, None, w) for w in (1, 2, 10**6)}
-        assert len(single) == 1 and sizes == []
-        four = {outage._outage_events(*args, 3 * (1 << 14) + 5, 9, None, w) for w in (1, 2, 3, 10**6)}
-        assert len(four) == 1 and sizes == [2, 3, 4]
+
+        def count(trials, workers):
+            return outage._outage_events("successive", [(3.0, 1.0, trials, 9)], 3, None, workers)
+
+        single = {tuple(count(1 << 14, w)) for w in (1, 2, 10**6)}
+        assert len(single) == 1 and pools == []
+        four = {tuple(count(3 * (1 << 14) + 5, w)) for w in (1, 2, 3, 10**6)}
+        assert len(four) == 1 and [p.max_workers for p in pools] == [2, 3, 4]
 
     @pytest.mark.parametrize("scheme", ["successive", "classic2"])
     def test_counts_identical_for_one_to_three_workers(self, monkeypatch, scheme):
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
         counts = {
-            outage._outage_events(scheme, 3.0, 1.0, 3, 5 * (1 << 14) + 7, 10, None, w)
+            tuple(outage._outage_events(scheme, [(3.0, 1.0, 5 * (1 << 14) + 7, 10)], 3, None, w))
             for w in (1, 2, 3)
         }
         assert len(counts) == 1
