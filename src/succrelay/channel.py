@@ -275,17 +275,21 @@ def trial_streams(seed: int, first_trial: int, n: int) -> Iterator[np.random.Gen
             yield gen
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent random stream for one trial.
+def trial_rng(seed: int, trial) -> np.random.Generator:
+    """Independent random stream for one trial, or for a tuple key.
 
     Streams are keyed by (seed, trial): numpy's
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``, so
-    trial t's draws do not depend on execution order or worker count.  Seed
-    and trial must be >= 0, and the trial below 2**64, as in `trial_streams`.
+    trial t's draws do not depend on execution order or worker count.  A
+    tuple of integers is the whole spawn key instead: the outage count keys
+    its streams by (seed, (point, block)).  Seed and every key must be >= 0,
+    and each key below 2**64, as in `trial_streams`.
     """
-    if not 0 <= trial < 2**64:
-        raise ValueError(f"trial must lie in [0, 2**64), got {trial}")
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    key = trial if isinstance(trial, tuple) else (trial,)
+    for k in key:
+        if not 0 <= k < 2**64:
+            raise ValueError(f"trial must lie in [0, 2**64), got {k}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def sample_realizations(

@@ -58,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="threads for the outage blocks of dmt_slope, at most one per block: "
-        "they run the blocks of all grid points on one pool; other experiments "
-        "run on one thread, and no output depends on it",
+        help="accepted for older configs and scripts: every experiment runs on "
+        "one thread, and no output depends on it",
     )
     p.add_argument(
         "--gain-l",

@@ -1,41 +1,50 @@
 """Outage probabilities and diversity-multiplexing slopes.
 
 The outage model conditions on the relays decoding correctly, so only the
-direct and the two relay-to-destination links stay random; by default they
-are i.i.d. unit-variance Rayleigh (squared magnitudes ~ Exp(1)).  A frame
+direct and the two relay-to-destination links stay random: i.i.d.
+unit-variance Rayleigh, with squared gains g0, g1, g2 ~ Exp(1).  A frame
 carrying l codewords at a per-slot target of rbar bits needs every
 per-codeword rate R = (l+1) rbar / l supported by its single-stream
 combining cap, and l*R supported by the equivalent channel's log-det
 bound; outage is the failure of any of these.
 
-A few vector operations per cache-sized piece fill one block mask of
-candidates (`_candidates`), a superset of the outage events: ~0.2 % of
-draws at 20 dB, l = 7, 1 bit/slot.  A block's candidates, or the whole
-block if most of it is candidates, run the exact test once: the caps and
-the O(l) pivot recurrence.  So the count is exact; no channel matrix is formed.
-
-Both entry points call one validated count over grid points, `_outage_events`.
-It runs the (seed, block) streams of BLOCK_SIZE of all points, largest first,
-on one pool of at most `workers` threads, each drawing into one buffer kept
-for the call, so a count depends on BLOCK_SIZE but not on the worker count.
+The outage event is a down-set: the caps and the classic-II test are sums,
+and the log-det never falls as a gain rises.  So one fixed grid of cells
+covers (g1, g2), and `_staircase` gives each cell a g0 below which all its
+events lie.  Each (seed, point, block) stream makes one multinomial draw of
+the block's trials over the cells and a rest that holds no event, draws the
+candidates' gains by inverting the truncated Exp(1) (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. 2) in pieces of CHUNK, and runs the
+exact test on them: the caps and the O(l) pivot recurrence.  Where the
+cells hold most of the mass (low SNR), the block draws every trial raw
+instead, which is cheaper.  The count is Binomial(trials, p_out), as for
+drawing every trial; only the stream differs, and it depends on BLOCK_SIZE
+but on nothing else.
 """
 
 from __future__ import annotations
 
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NetworkGeometry, trial_rng
+from .channel import trial_rng
 from .mimolinalg import CHUNK, logdet_capacity_batch
 
 _SCHEMES = ("successive", "classic2")
-# Trials per (seed, block) stream.  Counts depend on it through the streams,
-# so it is part of the determinism contract, not a caller's choice.
-BLOCK_SIZE = 1 << 22
+# Trials per (seed, point, block) stream.  Counts depend on it through the
+# streams, so it is part of the determinism contract, not a caller's choice.
+BLOCK_SIZE = 1 << 40
+# Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
+# and the Exp(1) mass of each interval, e^-a (1 - e^-(b - a)).
+_EDGES = np.concatenate([[0.0], 2.0 ** (np.arange(-60, 13) / 2.0), [np.inf]])
+_MASS = np.exp(-_EDGES[:-1]) * -np.expm1(_EDGES[:-1] - _EDGES[1:])
+# Relative slack on each cell's target, steps of the log-det root's
+# bisection, and a g0 past every Exp(1) draw (e^-1024 underflows to 0).
+_SLACK = 1e-6
+_BISECTIONS = 12
+_G0_MAX = 1024.0
 # Grid points with fewer outage events are flagged and left out of the fits.
 MIN_EVENTS = 20
 
@@ -73,69 +82,55 @@ class DmtPoint:
             raise ValueError("outage probabilities must lie in [0, 1]")
 
 
-def _count_block(
-    scheme: str,
-    snr: float,
-    rbar: float,
-    l: int,
-    seed: int,
-    block: int,
-    size: int,
-    geom: NetworkGeometry | None,
-    buf: np.ndarray | None = None,
-) -> int:
-    # no gain in the draws' float range meets a threshold past it: all fail
-    classic = scheme == "classic2"
-    r_cw = 2.0 * rbar if classic else (l + 1) * rbar / l
-    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
-    dtype = np.float32 if classic else np.float64
-    if not threshold < float(np.finfo(dtype).max):
-        return size
-    rng = trial_rng(seed, block)
-    # a byte buffer, reused across blocks, of 25 bytes per draw: the (3, size)
-    # draws in their dtype up front, the successive block mask after 24 each
-    buf = np.empty(25 * size, np.uint8) if buf is None else buf
-    g = buf[: 24 * size].view(dtype)[: 3 * size].reshape(3, size)
-    rng.standard_exponential(dtype=dtype, out=g)
-    if geom is not None:
-        # pathloss on the three destination links, broadcast from (3, 1)
-        w = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]]) ** (-geom.gamma)
-        sigma = geom.shadow_sigma_db
-        if sigma > 0.0:
-            w = w * 10.0 ** (rng.normal(0.0, sigma, size=(3, size)) / 10.0)
-        g *= w.astype(dtype, copy=False)
-    if classic:
-        # Only the three-branch combining cap binds once the relays decode:
-        # outage iff 0.5 * C(g3 snr) < rbar.
-        return int(np.count_nonzero(g.sum(axis=0) < threshold))
+def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c1, c2):
+    """Per cell with lower corner (c1, c2), a g0 above which it holds no event.
 
-    # mask each cache-sized piece into one block mask; the exact test runs
-    # once, on the candidates or, if they are most of the block, on all of it
-    lims = _screen_limits(snr, l, r_cw)
-    mask = buf[24 * size : 25 * size].view(bool)
-    for s in range(0, size, CHUNK):
-        mask[s : s + CHUNK] = _candidates(g[:, s : s + CHUNK], l, threshold, lims)
-    keep = np.flatnonzero(mask)
-    if 2 * keep.size <= size:
-        g = g[:, keep]
-    events = _caps_fail(g, l, threshold) | (logdet_capacity_batch(*g, snr, l) < l * r_cw)
-    return int(np.count_nonzero(events))
-
-
-def _screen_limits(snr: float, l: int, r_cw: float) -> np.ndarray:
-    """Gain limits (lim1, lim2) below which the log-det may miss l r_cw bits.
-
-    Every pivot f_k = 1 + v_k + snr g_r(k) of `logdet_capacity_batch` is
-    >= 1 + snr g_r(k), and f_0 = 1 + snr (g0 + g1), so the log-det is
-    >= (1 + (l-1)//2) log2(1 + snr g1) and >= (l//2) log2(1 + snr g2).  The
-    target carries 1e-6 relative slack, far above the kernel's <= 1e-13
-    relative error; a limit past float range, or with l//2 = 0, is inf, and
-    none is below the smallest normal float, so underflowing gains stay in.
+    The value is the largest g0 at which the corner is still an event: the
+    cap root, the threshold less the corner's gains in the cap, or past it
+    the log-det root, bisected against the target.  Both carry 1e-6
+    relative slack on the target, far above rounding and the kernel's
+    <= ~5e-16 relative fall as one gain rises.  A corner still an event at
+    g0 = _G0_MAX gets inf: no Exp(1) draw is cut off there.
     """
-    shares = np.array([1 + (l - 1) // 2, l // 2])
-    with np.errstate(divide="ignore", over="ignore"):
-        lims = np.expm1(l * r_cw * (1.0 + 1e-6) * np.log(2.0) / shares) / snr
-    return np.maximum(lims, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        reach = threshold * (1.0 + _SLACK)
+        # l log2(1 + snr g0) <= log-det: the log-det root lies below this, and
+        # it is >= reach, since x ln 2 >= 1 - 2^-x
+        bound = min(np.expm1(r_cw * (1.0 + 2.0 * _SLACK) * np.log(2.0)) / snr, _G0_MAX)
+    cap = c1 + c2 if scheme == "classic2" else (np.minimum(c1, c2) if l > 1 else c1)
+    tau = np.minimum(np.maximum(reach - cap, 0.0), _G0_MAX)
+    if scheme == "successive":
+        # corners still below the log-det target at the cap root
+        target = l * r_cw * (1.0 + _SLACK)
+        todo = np.flatnonzero(logdet_capacity_batch(tau, c1, c2, snr, l) < target)
+        tau[todo] = _logdet_root(tau[todo], bound, c1[todo], c2[todo], snr, l, target)
+    tau[tau >= _G0_MAX] = np.inf
+    return tau
+
+
+def _logdet_root(lo, hi: float, c1, c2, snr: float, l: int, target: float) -> np.ndarray:
+    """Bisect g0 from lo, below the target, to hi; inf where hi is below too."""
+    hi = np.full(lo.size, hi)
+    for _ in range(_BISECTIONS):
+        mid = lo + 0.5 * (hi - lo)
+        below = logdet_capacity_batch(mid, c1, c2, snr, l) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    hi[logdet_capacity_batch(hi, c1, c2, snr, l) < target] = np.inf
+    return hi
+
+
+def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
+    """The cells of positive mass, ascending by mass: (masses, (3, n) lower
+    edges and (3, n) expm1(lower - upper) of g0, g1, g2)."""
+    i, j = (a.ravel() for a in np.indices((_MASS.size, _MASS.size)))
+    tau = _staircase(scheme, snr, l, r_cw, threshold, _EDGES[i], _EDGES[j])
+    mass = _MASS[i] * _MASS[j] * -np.expm1(-tau)
+    # the largest masses last keep numpy's running remainder far from 0
+    cells = np.flatnonzero(mass)[np.argsort(mass[mass > 0.0], kind="stable")]
+    i, j = i[cells], j[cells]
+    lower = np.array([np.zeros(cells.size), _EDGES[i], _EDGES[j]])
+    span = np.expm1(np.array([-tau[cells], _EDGES[i] - _EDGES[i + 1], _EDGES[j] - _EDGES[j + 1]]))
+    return mass[cells], lower, span
 
 
 def _caps_fail(g: np.ndarray, l: int, threshold: float) -> np.ndarray:
@@ -145,50 +140,57 @@ def _caps_fail(g: np.ndarray, l: int, threshold: float) -> np.ndarray:
     return g0 + (np.minimum(g1, g2) if l > 1 else g1) < threshold
 
 
-def _candidates(g: np.ndarray, l: int, threshold: float, lims) -> np.ndarray:
-    """Outage superset of (3, n) gains: caps fail, or both relay gains are below lims."""
-    return _caps_fail(g, l, threshold) | ((g[1] < lims[0]) & (g[2] < lims[1]))
+def _block_gains(rng, size: int, mass, lower, span):
+    """(3, <= CHUNK) gains of a block's candidates, or of all its trials when
+    most are candidates: raw Exp(1) draws then cost less than the inversion."""
+    if 2.0 * mass.sum() > 1.0:
+        for first in range(0, size, CHUNK):
+            yield rng.standard_exponential((3, min(CHUNK, size - first)))
+        return
+    ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
+    for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
+        cell = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
+        yield lower[:, cell] - np.log1p(rng.random((3, cell.size)) * span[:, cell])
 
 
-def _outage_events(
-    scheme: str, points: list[tuple], l: int, geom: NetworkGeometry | None, workers: int
-) -> list[int]:
-    """Outage events of each (snr, rbar, trials, seed) point, all checked before any draw."""
+def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[int]:
+    """Outage events of each (snr, rbar, trials) point, all checked before any draw."""
     _check_frame_length(l)
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    for snr, rbar, trials, _ in points:
-        if not snr > 0.0:
-            raise ValueError(f"snr must be > 0, got {snr}")
+    for snr, rbar, trials in points:
+        if not 0.0 < snr < np.inf:
+            raise ValueError(f"snr must be finite and > 0, got {snr}")
         if not 0.0 <= rbar < np.inf:
             raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-    tasks = [
-        (min(BLOCK_SIZE, trials - start), point, start // BLOCK_SIZE)
-        for point, (_, rbar, trials, _) in enumerate(points) if rbar > 0.0
-        for start in range(0, trials, BLOCK_SIZE)
-    ]
-    tasks.sort(reverse=True)  # (size, point, block): largest blocks first
-    local = threading.local()
+    return [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
 
-    def count(task: tuple[int, int, int]) -> int:
-        size, point, block = task
-        snr, rbar, _, seed = points[point]
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(25 * tasks[0][0], np.uint8)  # see _count_block
-        return _count_block(scheme, snr, rbar, l, seed, block, size, geom, local.buf)
 
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(count, tasks))
-    else:
-        results = map(count, tasks)
-    counts = [0] * len(points)
-    for (_, point, _), events in zip(tasks, results):
-        counts[point] += events
-    return counts
+def _point_events(
+    scheme: str, l: int, seed: int, point: int, snr: float, rbar: float, trials: int
+) -> int:
+    """Events of grid point ``point`` on its (seed, point, block) streams."""
+    if rbar == 0.0:
+        return 0
+    r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
+    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
+    if not threshold < np.finfo(float).max:
+        return trials  # no gain in float range meets a threshold past it
+    cells = _cells(scheme, snr, l, r_cw, threshold)
+    events = 0
+    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
+        rng = trial_rng(seed, (point, block))
+        for g in _block_gains(rng, min(BLOCK_SIZE, trials - start), *cells):
+            if scheme == "classic2":
+                # only the three-branch combining cap binds once the relays decode
+                failed = g.sum(axis=0) < threshold
+            else:
+                logdet = logdet_capacity_batch(*g, snr, l)
+                failed = _caps_fail(g, l, threshold) | (logdet < l * r_cw)
+            events += int(np.count_nonzero(failed))
+    return events
 
 
 def outage_prob_conditioned(
@@ -199,19 +201,16 @@ def outage_prob_conditioned(
     seed: int,
     *,
     scheme: str = "successive",
-    geom: NetworkGeometry | None = None,
     workers: int = 1,
 ) -> float:
     """Monte Carlo outage frequency of the conditioned relay channel.
 
-    The three destination-side links are i.i.d. unit-variance Rayleigh, or
-    carry ``geom``'s pathloss and shadowing weights when one is given.
+    The three destination-side links are i.i.d. unit-variance Rayleigh.
     ``scheme`` picks the successive frame model or the classic-II
-    comparator.  Block-seeded counting makes the result independent of
-    worker count and execution order.
+    comparator.  The count is keyed by (seed, 0, block) streams, so
+    ``workers`` is accepted for the callers' sake and has no effect.
     """
-    point = (snr, rate_per_slot_target, trials, seed)
-    return _outage_events(scheme, [point], l, geom, workers)[0] / trials
+    return _outage_events(scheme, [(snr, rate_per_slot_target, trials)], l, seed)[0] / trials
 
 
 def estimate_dmt(
@@ -232,7 +231,8 @@ def estimate_dmt(
     MIN_EVENTS outage events are flagged statistically unusable and
     excluded from the fits.  The primary slope uses the two highest usable
     points (the asymptotic ones); a full least-squares slope over all
-    usable points is reported as a diagnostic.
+    usable points is reported as a diagnostic.  Grid point i counts on the
+    (seed, i, block) streams; ``workers`` has no effect.
     """
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
@@ -255,8 +255,7 @@ def estimate_dmt(
     targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
     if r > 0.0 and not max(targets) < np.inf:
         raise ValueError(f"multiplexing gain {r} puts r * log2(snr) past float range")
-    points = [(*p, seed + i) for i, p in enumerate(zip(snrs, targets, trial_counts))]
-    events = _outage_events(scheme, points, l, None, workers)
+    events = _outage_events(scheme, list(zip(snrs, targets, trial_counts)), l, seed)
     probs = [count / trials for count, trials in zip(events, trial_counts)]
 
     usable = [i for i, c in enumerate(events) if c >= MIN_EVENTS]

@@ -8,13 +8,17 @@ j != k} h_j h_j^H)^-1 h_k, solved afresh from the undetected columns A with
 ``np.linalg.solve`` on the (l+1) x (l+1) covariance: O(l^5) per frame,
 independent of the tridiagonal structure the library exploits.  A second
 SIC oracle repeats the same SIC in 60-digit ``mpmath`` arithmetic.
+
+The outage oracle is the full-draw count that ``succrelay.outage`` draws
+sparsely: every trial's three Exp(1) gains are drawn and run through the
+exact test, so its count is Binomial(trials, p_out), as the sampler's is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from succrelay.mimolinalg import TIE_RTOL, DetectionOrder
+from succrelay.mimolinalg import TIE_RTOL, DetectionOrder, logdet_capacity_batch
 
 LN2 = np.log(2.0)
 
@@ -127,3 +131,27 @@ def mp_mmse_sic_sinrs(
             sinrs[active[p]] = cand[p]
             del active[p]
         return tuple(order), np.array([float(v) for v in sinrs])
+
+
+def exact_outage(g: np.ndarray, snr: float, l: int, r_cw: float):
+    """Per-draw (threshold, cap failures, outage) of (3, n) successive-scheme
+    gains, with the exact log-det kernel run on every draw."""
+    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
+    caps = (g[0] + g[1]) < threshold
+    if l >= 2:
+        caps |= (g[0] + g[2]) < threshold
+    return threshold, caps, caps | (logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw)
+
+
+def full_draw_count(scheme: str, snr: float, rbar: float, l: int, trials: int, seed: int) -> int:
+    """Outage events among ``trials`` fresh Exp(1) draws of the (seed, 0)
+    stream, every draw run through the exact test, in pieces of 2**18."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    events = 0
+    for start in range(0, trials, 1 << 18):
+        g = rng.standard_exponential((3, min(1 << 18, trials - start)))
+        if scheme == "classic2":
+            events += np.count_nonzero(g.sum(axis=0) < (2.0 ** (2.0 * rbar) - 1.0) / snr)
+        else:
+            events += np.count_nonzero(exact_outage(g, snr, l, (l + 1) * rbar / l)[2])
+    return int(events)

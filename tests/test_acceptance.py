@@ -2,7 +2,8 @@
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The Monte Carlo criteria use frozen seeds; tolerances are stated inline.
-The heavy criterion (empirical diversity slopes) takes a few minutes.
+The outage count draws only the trials that can be in outage, so even the
+8e9-trial diversity slope (criterion 5) takes well under a minute.
 """
 
 import time
@@ -125,9 +126,10 @@ def test_criterion_5_dmt_slopes():
     Grid {20, 30, 40} dB at r = 0 (1 bit/slot target).  Trial counts per
     point are sized so the 20 and 30 dB points clear the 20-event usability
     threshold; at 40 dB the outage probabilities (~1.5e-8 successive,
-    ~4.5e-12 classic) are beyond affordable raw Monte Carlo, so that point
-    runs at the minimum 1e6+ trials and is flagged unusable, leaving the
-    slope to the two highest usable points.
+    ~4.5e-12 classic) need far more trials than the other two points, so
+    that point runs at the minimum 1e6+ trials and is flagged unusable,
+    leaving the slope to the two highest usable points.  The wall-time
+    bound fails a count that draws every trial again.
     """
     t0 = time.perf_counter()
     succ = estimate_dmt(
@@ -146,7 +148,7 @@ def test_criterion_5_dmt_slopes():
     assert not classic.low_event_flags[0] and not classic.low_event_flags[1]
     assert classic.diversity_estimate == pytest.approx(3.0, abs=0.4)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 600.0
+    assert elapsed < 60.0
     report(
         5,
         f"successive slope {succ.diversity_estimate:.3f}, "

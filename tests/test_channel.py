@@ -220,6 +220,20 @@ class TestStreams:
                 ref.standard_exponential(50, dtype=np.float32),
             )
 
+    def test_tuple_keys_draw_like_numpy(self):
+        for seed, key in ((31, (0, 0)), (31, (1, 0)), (2**64 - 1, (3, 2**64 - 1))):
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+            assert np.array_equal(trial_rng(seed, key).random(50), ref.random(50))
+        # a one-element tuple is the integer key; (point, block) keys differ
+        assert np.array_equal(trial_rng(5, (7,)).random(5), trial_rng(5, 7).random(5))
+        later, first = trial_rng(920, (1, 0)), trial_rng(921, (0, 0))
+        assert not np.array_equal(later.random(5), first.random(5))
+
+    @pytest.mark.parametrize("key", [(0, -1), (2**64, 0), (-1,)])
+    def test_out_of_range_tuple_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            trial_rng(3, key)
+
     def test_children_draw_like_numpy_children(self):
         ref = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(4,)))
         for ours, theirs in zip(trial_rng(3, 4).spawn(2), ref.spawn(2), strict=True):

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -6,17 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dense_oracle import dense_logdet_capacity_batch
+from dense_oracle import dense_logdet_capacity_batch, exact_outage, full_draw_count
 from succrelay import outage
-from succrelay.channel import preset_geometry
-from succrelay.mimolinalg import build_equivalent_channel_batch, logdet_capacity_batch
-from succrelay.outage import (
-    DmtPoint,
-    _count_block,
-    dmt_formula,
-    estimate_dmt,
-    outage_prob_conditioned,
-)
+from succrelay.mimolinalg import CHUNK, build_equivalent_channel_batch, logdet_capacity_batch
+from succrelay.outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
 
 
 def miso_outage_oracle(snr: float, rbar: float) -> float:
@@ -84,76 +78,188 @@ class TestRecurrence:
         assert out.max() > 300  # determinant far beyond float range
 
 
-def exact_outage(g, snr, l, r_cw):
-    """Per-draw (threshold, cap failures, outage) with the exact kernel on every draw."""
-    threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
-    caps = (g[0] + g[1]) < threshold
-    if l >= 2:
-        caps |= (g[0] + g[2]) < threshold
-    return threshold, caps, caps | (logdet_capacity_batch(g[0], g[1], g[2], snr, l) < l * r_cw)
+def limits_of_cells(g, scheme, snr, l, r_cw, threshold):
+    """The staircase value of the cell that each draw's (g1, g2) lies in."""
+    i = np.searchsorted(outage._EDGES, g[1], side="right") - 1
+    j = np.searchsorted(outage._EDGES, g[2], side="right") - 1
+    return outage._staircase(scheme, snr, l, r_cw, threshold, outage._EDGES[i], outage._EDGES[j])
 
 
-def block_rng(seed, block):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-
-
-def unscreened_count(snr, rbar, l, seed, block, size, weights_sampler, scheme="successive"):
-    """The block's count from a fresh draw, with the exact test run on every draw."""
-    rng = block_rng(seed, block)
-    dtype = np.float32 if scheme == "classic2" else np.float64
-    g = rng.standard_exponential(size=(3, size), dtype=dtype)
-    if weights_sampler is not None:
-        g = g * weights_sampler(rng, size).astype(dtype)
+def check_screen(g, snr, l, r_cw, scheme="successive"):
+    """Every exact event of (3, n) gains lies below its cell's staircase value;
+    a target past float range needs no staircase, as every draw is an event."""
+    threshold, caps, events = exact_outage(g, snr, l, r_cw)
     if scheme == "classic2":
-        return int(np.count_nonzero(g.sum(axis=0) < (2.0 ** (2.0 * rbar) - 1.0) / snr))
-    return int(np.count_nonzero(exact_outage(g, snr, l, (l + 1) * rbar / l)[2]))
+        events = g.sum(axis=0) < threshold
+    assert np.array_equal(outage._caps_fail(g, l, threshold), caps)
+    if not threshold < np.finfo(float).max:
+        assert events.all()
+        return
+    if events.any():
+        tau = limits_of_cells(g[:, events], scheme, snr, l, r_cw, threshold)
+        missed = np.flatnonzero(g[0, events] >= tau)
+        assert not missed.size, (scheme, snr, l, r_cw, g[:, events][:, missed[:3]].T.tolist())
 
 
-def shadowed_weights(rng, size):
-    # case III's pathloss on the three destination links, 8 dB shadowing
-    geom = preset_geometry("III")
-    d = np.array([[geom.d_sd], [geom.d_r1d], [geom.d_r2d]])
-    return d ** -geom.gamma * 10.0 ** (rng.normal(0.0, 8.0, size=(3, size)) / 10.0)
+def rbars_near(x, ulps=8):
+    """x and its nearest floats, up to ``ulps`` steps either way."""
+    yield x
+    up = down = x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        yield up
+        yield down
+
+
+def own_logdet_targets(g, snr, l):
+    """Per-draw r_cw values at and next to each draw's own log-det."""
+    logdet = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
+    for bits in logdet:
+        for target in (bits - 1e-12, bits, np.nextafter(bits, np.inf), bits + 1e-12):
+            if target > 0.0:
+                yield target / l
+
+
+def sigmas_apart(a, n_a, b, n_b):
+    """|a/n_a - b/n_b| in binomial standard errors of the pooled frequency."""
+    p = (a + b) / (n_a + n_b)
+    se = np.sqrt(max(p * (1.0 - p), 1.0 / (n_a + n_b)) * (1.0 / n_a + 1.0 / n_b))
+    return abs(a / n_a - b / n_b) / se
+
+
+screen_gain = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+screen_gains = st.lists(st.tuples(*[screen_gain] * 3), min_size=1, max_size=8).map(
+    lambda draws: np.array(draws, dtype=float).T
+)
+screen_lengths = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64])
+screen_snrs = st.floats(0.0, 60.0).map(lambda db: 10.0 ** (db / 10.0))
+
+
+class TestCandidateScreen:
+    """The staircase keeps a superset of the exact outage events, and few others.
+
+    Each cell of the (g1, g2) grid may hold events only below its staircase
+    value of g0.  Gains are log-uniform in [1e-12, 1e12] or exactly zero, at
+    0-60 dB and l = 1..8 and 64; targets are (l+1) rbar bits and each
+    draw's own log-det.
+    """
+
+    @settings(deadline=None)
+    @given(g=screen_gains, snr=screen_snrs, l=screen_lengths)
+    def test_superset_of_events(self, g, snr, l):
+        for rbar in (0.5, 1.0, 4.0):
+            check_screen(g, snr, l, (l + 1) * rbar / l)
+            check_screen(g, snr, l, 2.0 * rbar, "classic2")
+        for r_cw in own_logdet_targets(g[:, :2], snr, l):
+            check_screen(g, snr, l, r_cw)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_superset_on_grid(self, l):
+        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 2.0)])
+        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            for rbar in (0.5, 1.0, 4.0):
+                check_screen(g, snr, l, (l + 1) * rbar / l)
+                check_screen(g, snr, l, 2.0 * rbar, "classic2")
+            # the staircase costs O(l) kernel calls per target: a few targets
+            few = g[:, :: 37 * (15 if l == 64 else 5)]
+            for r_cw in own_logdet_targets(few, snr, l):
+                check_screen(g, snr, l, r_cw)
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    def test_cap_events_at_cell_corners(self, scheme):
+        # (g1, g2) on a cell's lower corner and g0 the largest float whose cap
+        # still fails: rounding can put it at threshold - corner or above, so
+        # only the slack on the cap root keeps it below the staircase value
+        corners = outage._EDGES[1:-1]
+        for l, snr in ((1, 1.0), (2, 100.0), (7, 1e4)):
+            r_cw = 2.0 if scheme == "classic2" else (l + 1) / l
+            t = (2.0**r_cw - 1.0) / snr
+            cap = 2.0 * corners if scheme == "classic2" else corners
+            c = corners[cap < t / 2.0]
+            fails = (lambda x: x + c + c < t) if scheme == "classic2" else (lambda x: x + c < t)
+            g0 = t - (c + c if scheme == "classic2" else c)
+            for _ in range(8):
+                up = np.nextafter(g0, np.inf)
+                g0 = np.where(fails(up), up, g0)
+            for _ in range(8):
+                g0 = np.where(fails(g0), g0, np.nextafter(g0, -np.inf))
+            assert fails(g0).all() and not fails(np.nextafter(g0, np.inf)).any()
+            check_screen(np.array([g0, c, c]), snr, l, r_cw, scheme)
+
+    @pytest.mark.parametrize("l", [1, 2, 7, 64])
+    @pytest.mark.parametrize("r_cw", [20.3125, 500.0, 1000.0, 1023.99, 1024.0, 5000.0])
+    def test_huge_targets_without_warnings(self, l, r_cw):
+        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 3.0)])
+        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr in (1.0, 1e6):
+                check_screen(g, snr, l, r_cw)
+                check_screen(g, snr, l, r_cw, "classic2")
+
+    def test_keeps_few_draws_at_high_snr(self):
+        # l = 7, 1 bit/slot: the caps alone fail with probability (1 - e^-t)^2,
+        # at most p_out, so cells of mass up to 1.3 times that keep few draws
+        l, r_cw = 7, 8 / 7
+        for snr_db in (20.0, 40.0, 60.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            t = (2.0**r_cw - 1.0) / snr
+            mass = outage._cells("successive", snr, l, r_cw, t)[0]
+            assert np.expm1(-t) ** 2 <= mass.sum() < 1.3 * np.expm1(-t) ** 2, snr_db
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    @pytest.mark.parametrize("l", [1, 2, 7, 64])
+    def test_cell_masses_sum_to_at_most_one(self, scheme, l):
+        # numpy's multinomial takes the cells' sum up to 1 + 1e-12 and gives
+        # the rest the remainder; at -10 dB and 12 bits nearly all is cells
+        for snr_db, rbar in ((-10.0, 12.0), (0.0, 1.0), (20.0, 1.0), (60.0, 0.5)):
+            snr = 10.0 ** (snr_db / 10.0)
+            r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
+            mass, lower, span = outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+            assert np.all(mass > 0.0) and np.all(np.diff(mass) >= 0.0)
+            assert mass.sum() <= 1.0 + 1e-12, (snr_db, mass.sum())
+            assert np.all((span >= -1.0) & (span < 0.0)) and np.all(lower >= 0.0)
 
 
 class TestScreenedCount:
-    @pytest.mark.parametrize(
-        "geom,weights",
-        [(None, None), (preset_geometry("III"), shadowed_weights)],
-        ids=["unit", "geometry"],
-    )
+    """The sparse count agrees with the count of every draw, within binomial error."""
+
+    # unit-variance links: the count has no geometry-weighted path
+    @pytest.mark.parametrize("links", ["unit"])
     @pytest.mark.parametrize("l", [1, 2, 3, 7, 8, 64])
-    def test_matches_unscreened_count(self, l, geom, weights):
-        # 20,000 draws span three cache-sized pieces, the last one partial
+    def test_matches_unscreened_count(self, l, links):
+        # 20,000 trials per (SNR, rate), four standard errors apart at most
+        n = 20_000
         for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
             for rbar in (0.5, 1.0, 3.0):
                 snr = 10.0 ** (snr_db / 10.0)
-                args = (snr, rbar, l, 40 + l, 3, 20_000)
-                got = _count_block("successive", *args, geom)
-                assert got == unscreened_count(*args, weights), (snr_db, rbar)
+                got = outage._outage_events("successive", [(snr, rbar, n)], l, 40 + l)[0]
+                full = full_draw_count("successive", snr, rbar, l, n, 40 + l)
+                assert sigmas_apart(got, n, full, n) < 4.0, (snr_db, rbar, got, full)
 
-
-    @pytest.mark.parametrize(
-        "geom,weights",
-        [(None, None), (preset_geometry("III"), shadowed_weights)],
-        ids=["unit", "geometry"],
-    )
-    def test_two_workers_match_unscreened_blocks(self, monkeypatch, geom, weights):
-        # four blocks, the last one partial, counted on a two-thread pool
+    @pytest.mark.parametrize("links", ["unit"])
+    def test_two_workers_match_unscreened_blocks(self, monkeypatch, links):
+        # four blocks, the last one partial, each on its own (seed, 0, block) stream
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        sizes = [1 << 14] * 3 + [1000]
+        keys = []
+        rng = outage.trial_rng
+        monkeypatch.setattr(outage, "trial_rng", lambda *key: keys.append(key) or rng(*key))
+        n = 3 * (1 << 14) + 1000
         for snr_db in (0.0, 20.0, 40.0):
             snr = 10.0 ** (snr_db / 10.0)
-            got = outage._outage_events("successive", [(snr, 1.0, sum(sizes), 23)], 7, geom, 2)
-            expected = sum(
-                unscreened_count(snr, 1.0, 7, 23, block, size, weights)
-                for block, size in enumerate(sizes)
-            )
-            assert got == [expected], snr_db
+            keys.clear()
+            got = {outage_prob_conditioned(snr, 1.0, 7, n, 23, workers=w) for w in (1, 2)}
+            assert keys == [(23, (0, block)) for block in range(4)] * 2
+            assert len(got) == 1
+            full = full_draw_count("successive", snr, 1.0, 7, n, 23)
+            assert sigmas_apart(round(got.pop() * n), n, full, n) < 4.0, snr_db
 
     @pytest.mark.parametrize("l", [1, 2, 7])
     def test_targets_on_drawn_log_dets(self, l):
-        # a draw whose log-det equals l * r_cw exactly is not in outage by it
+        # a draw whose log-det equals l * r_cw exactly is not in outage by it;
+        # the draws next to it still lie below their cells' staircase values
         n, seed = 20_000, 61
         g = block_rng(seed, 0).standard_exponential(size=(3, n))
         boundary = 0
@@ -167,8 +273,7 @@ class TestScreenedCount:
                         break
                 else:
                     continue
-                got = _count_block("successive", snr, rbar, l, seed, 0, n, None)
-                assert got == unscreened_count(snr, rbar, l, seed, 0, n, None), (snr, i)
+                check_screen(g, snr, l, (l + 1) * rbar / l)
                 _, caps, _ = exact_outage(g[:, i : i + 1], snr, l, (l + 1) * rbar / l)
                 boundary += not caps[0]
         # some targets sit on a draw that only `<` leaves out of the count
@@ -176,114 +281,75 @@ class TestScreenedCount:
 
     def test_exact_test_runs_on_candidates_unless_most_are(self, monkeypatch):
         sizes = []
-        kernel = outage.logdet_capacity_batch
+        caps_fail = outage._caps_fail
 
-        def recording(g_sd, *args):
-            sizes.append(len(g_sd))
-            return kernel(g_sd, *args)
+        def recording(g, *args):
+            sizes.append(g.shape[1])
+            return caps_fail(g, *args)
 
-        monkeypatch.setattr(outage, "logdet_capacity_batch", recording)
-        l, r_cw, n = 7, 8 / 7, 20_000
-        g = block_rng(5, 0).standard_exponential(size=(3, n))
-        for snr_db, most in ((0.0, True), (20.0, False)):
+        monkeypatch.setattr(outage, "_caps_fail", recording)
+        # 0 dB: the cells hold ~0.54 of the mass, so every trial is drawn raw;
+        # 20 dB: ~1.7e-4 of the trials are candidates, drawn in one short piece
+        l, r_cw = 7, 8 / 7
+        for snr_db, trials, most in ((0.0, 100_000, True), (20.0, 10**6, False)):
             snr = 10.0 ** (snr_db / 10.0)
-            threshold = (2.0**r_cw - 1.0) / snr
-            cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
-            kept = np.count_nonzero(cand)
-            assert (2 * kept > n) == most
+            mass = outage._cells("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)[0]
+            assert (2.0 * mass.sum() > 1.0) == most
             sizes.clear()
-            _count_block("successive", snr, 1.0, l, 5, 0, n, None)
-            assert sizes == [n if most else kept], snr_db
+            outage_prob_conditioned(snr, 1.0, l, trials, 5)
+            assert max(sizes) <= CHUNK and all(s == CHUNK for s in sizes[:-1])
+            if most:
+                assert sum(sizes) == trials
+            else:
+                assert 1e-4 * trials < sum(sizes) < 3e-4 * trials
 
 
-def rbars_near(x, ulps=8):
-    """x and its nearest floats, up to ``ulps`` steps either way."""
-    yield x
-    up = down = x
-    for _ in range(ulps):
-        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-        yield up
-        yield down
+def block_rng(seed, block):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def check_screen(g, snr, l, r_cw):
-    """The candidate mask holds every exact event, and its cap part is the caps."""
-    threshold, caps, events = exact_outage(g, snr, l, r_cw)
-    cand = outage._candidates(g, l, threshold, outage._screen_limits(snr, l, r_cw))
-    cap = outage._caps_fail(g, l, threshold)
-    missed = np.flatnonzero(events & ~cand)
-    assert not missed.size, (snr, l, r_cw, g[:, missed[:3]].T.tolist())
-    assert np.array_equal(cap, caps)
+class TestDistribution:
+    """The sparse count against the full-draw count and the closed forms."""
 
+    @pytest.mark.parametrize(
+        "scheme,l,snr_db,rbar",
+        [
+            ("successive", 1, 10.0, 1.0),
+            ("successive", 2, 0.0, 1.0),
+            ("successive", 3, 10.0, 1.0),
+            ("successive", 7, 0.0, 2.0),
+            ("successive", 7, 10.0, 1.0),
+            ("successive", 8, 20.0, 3.0),
+            ("classic2", 7, 10.0, 1.0),
+        ],
+    )
+    def test_mean_count_over_seeds_matches_full_draws(self, scheme, l, snr_db, rbar):
+        # 40 seeds of 50,000 sparse trials against 400,000 full draws
+        snr = 10.0 ** (snr_db / 10.0)
+        sparse = sum(
+            outage._outage_events(scheme, [(snr, rbar, 50_000)], l, seed)[0] for seed in range(40)
+        )
+        full = full_draw_count(scheme, snr, rbar, l, 400_000, 99)
+        assert full > 500
+        assert sigmas_apart(sparse, 40 * 50_000, full, 400_000) < 4.0, (sparse, full)
 
-def own_logdet_targets(g, snr, l):
-    """Per-draw r_cw values at and next to each draw's own log-det."""
-    logdet = logdet_capacity_batch(g[0], g[1], g[2], snr, l)
-    for bits in logdet:
-        for target in (bits - 1e-12, bits, np.nextafter(bits, np.inf), bits + 1e-12):
-            if target > 0.0:
-                yield target / l
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
+    def test_classic_matches_gamma3_cdf(self, snr_db):
+        # ~2,000 expected events at each SNR: trials up to ~4e11, drawn sparsely
+        snr, rbar = 10.0 ** (snr_db / 10.0), 1.0
+        p = float(stats.gamma.cdf((2.0 ** (2.0 * rbar) - 1.0) / snr, a=3))
+        trials = round(2000 / p)
+        got = outage._outage_events("classic2", [(snr, rbar, trials)], 7, 81)[0]
+        assert abs(got - p * trials) < 4.0 * np.sqrt(p * (1.0 - p) * trials), (got, p * trials)
 
-
-screen_gain = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
-screen_gains = st.lists(st.tuples(*[screen_gain] * 3), min_size=1, max_size=8).map(
-    lambda draws: np.array(draws, dtype=float).T
-)
-screen_lengths = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64])
-screen_snrs = st.floats(0.0, 60.0).map(lambda db: 10.0 ** (db / 10.0))
-
-
-class TestCandidateScreen:
-    """`_candidates` keeps a superset of the exact outage events, and few others.
-
-    Gains are log-uniform in [1e-12, 1e12] or exactly zero, at 0-60 dB and
-    l = 1..8 and 64; targets are (l+1) rbar bits and each draw's own log-det.
-    """
-
-    @settings(deadline=None)
-    @given(g=screen_gains, snr=screen_snrs, l=screen_lengths)
-    def test_superset_of_events(self, g, snr, l):
-        for rbar in (0.5, 1.0, 4.0):
-            check_screen(g, snr, l, (l + 1) * rbar / l)
-        for r_cw in own_logdet_targets(g, snr, l):
-            check_screen(g, snr, l, r_cw)
-
-    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 64])
-    def test_superset_on_grid(self, l):
-        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 2.0)])
-        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
-        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
-            snr = 10.0 ** (snr_db / 10.0)
-            for rbar in (0.5, 1.0, 4.0):
-                check_screen(g, snr, l, (l + 1) * rbar / l)
-            few = g[:, :: 37]
-            for r_cw in own_logdet_targets(few, snr, l):
-                check_screen(few, snr, l, r_cw)
-
-    @pytest.mark.parametrize("l", [1, 2, 7, 64])
-    @pytest.mark.parametrize("r_cw", [20.3125, 500.0, 1000.0, 1023.99, 1024.0, 5000.0])
-    def test_huge_targets_without_warnings(self, l, r_cw):
-        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 3.0)])
-        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for snr in (1.0, 1e6):
-                check_screen(g, snr, l, r_cw)
-
-    def test_keeps_few_draws_at_high_snr(self):
-        # l = 7, 1 bit/slot, 20 dB: the caps fail with probability (1 - e^-t)^2
-        # and both relay gains fall below their limits with probability
-        # (1 - e^-lim1)(1 - e^-lim2), lim1 = 3 / snr and lim2 = (2^(8/3) - 1) / snr
-        l, snr, n = 7, 100.0, 1_000_000
-        g = np.random.default_rng(31).standard_exponential((3, n))
-        t = (2.0 ** (8 / 7) - 1.0) / snr
-        lims = np.array([2.0 ** (8 / 4) - 1.0, 2.0 ** (8 / 3) - 1.0]) / snr
-        p_caps, p_lims = np.expm1(-t) ** 2, np.prod(-np.expm1(-lims))
-        cand = outage._candidates(g, l, t, outage._screen_limits(snr, l, 8 / 7))
-        cap = outage._caps_fail(g, l, t)
-        sigma = np.sqrt((p_caps + p_lims) / n)
-        assert p_lims - 5 * sigma < np.mean(cand) < p_caps + p_lims + 5 * sigma
-        assert np.mean(cap) == pytest.approx(p_caps, abs=5 * np.sqrt(p_caps / n))
+    @pytest.mark.parametrize("snr_db", [20.0, 30.0, 40.0])
+    def test_single_codeword_matches_gamma2_cdf(self, snr_db):
+        # the gain sum is Gamma(2, 1), as in miso_outage_oracle
+        snr, rbar = 10.0 ** (snr_db / 10.0), 1.0
+        p = float(stats.gamma.cdf((2.0 ** (2.0 * rbar) - 1.0) / snr, a=2))
+        trials = round(2000 / p)
+        got = outage._outage_events("successive", [(snr, rbar, trials)], 1, 82)[0]
+        assert abs(got - p * trials) < 4.0 * np.sqrt(p * (1.0 - p) * trials), (got, p * trials)
 
 
 class TestHugeTargets:
@@ -302,32 +368,10 @@ class TestHugeTargets:
         # l * r_cw = 1300 bits: 2^1300 overflows, the per-stream 2^20.3 does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _count_block("successive", 1e6, 20.0, 64, 7, 0, 20_000, None)
-        assert got == unscreened_count(1e6, 20.0, 64, 7, 0, 20_000, None)
+            got = outage._outage_events("successive", [(1e6, 20.0, 20_000)], 64, 7)[0]
         assert 0 < got < 20_000
-
-
-def recording_pools(monkeypatch):
-    """Swap in a stand-in pool that records its size and tasks and maps serially."""
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.tasks = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            self.tasks = list(items)
-            return map(fn, self.tasks)
-
-    monkeypatch.setattr(outage, "ThreadPoolExecutor", RecordingPool)
-    return pools
+        full = full_draw_count("successive", 1e6, 20.0, 64, 20_000, 7)
+        assert sigmas_apart(got, 20_000, full, 20_000) < 4.0
 
 
 # one-block, four-block (last partial) and six-block points at 1 << 14 per block
@@ -336,7 +380,7 @@ GRID_TRIALS = [1 << 14, 3 * (1 << 14) + 5, 6 * (1 << 14)]
 
 
 class TestGridPool:
-    """`estimate_dmt` counts the blocks of all its grid points on one pool."""
+    """`estimate_dmt` counts grid point i on the (seed, i, block) streams."""
 
     @pytest.mark.parametrize("scheme", ["successive", "classic2"])
     def test_grid_counts_match_per_point_counts(self, monkeypatch, scheme):
@@ -349,62 +393,54 @@ class TestGridPool:
         assert all(count > 0 for count in dmt.events)
         for i, (rbar, trials) in enumerate(zip(dmt.target_rates_per_slot, GRID_TRIALS)):
             snr = 10.0 ** (GRID_DB[i] / 10.0)
-            p = outage_prob_conditioned(snr, rbar, 7, trials, 17 + i, scheme=scheme)
-            assert dmt.outage_prob[i] == p
-            assert dmt.events[i] == round(p * trials)
+            count = outage._point_events(scheme, 7, 17, i, snr, rbar, trials)
+            assert dmt.events[i] == count and dmt.outage_prob[i] == count / trials
 
-    def test_one_pool_per_call_largest_blocks_first(self, monkeypatch):
-        pools = recording_pools(monkeypatch)
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        for workers in (1, 2, 3, 10**6):
-            estimate_dmt(0.5, 7, GRID_DB, GRID_TRIALS, 17, workers=workers)
-        # 1 + 4 + 6 blocks; one worker runs them inline
-        assert [p.max_workers for p in pools] == [2, 3, 11]
-        for pool in pools:
-            sizes = [size for size, _, _ in pool.tasks]
-            assert len(sizes) == 11 and sizes == sorted(sizes, reverse=True)
-            assert sizes[-1] == 5
-
-    @pytest.mark.parametrize(
-        "scheme,geom,weights",
-        [
-            ("successive", None, None),
-            ("classic2", None, None),
-            ("successive", preset_geometry("III"), shadowed_weights),
-            ("classic2", preset_geometry("III"), shadowed_weights),
-        ],
-        ids=["successive", "classic2", "successive-geometry", "classic2-geometry"],
-    )
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_reused_buffers_match_fresh_draws(self, monkeypatch, scheme, geom, weights, workers):
-        # each worker's buffer serves full and partial blocks of several points
+    def test_reused_buffers_match_fresh_draws(self, monkeypatch, scheme, workers):
+        # no draw buffer is kept between blocks any more: each point's count,
+        # over full and partial blocks, is the sum of fresh one-block counts,
+        # each on its own (seed, point, block) stream; 0 dB draws every trial
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        points = [
-            (1.0, 1.0, 3 * (1 << 14) + 1000, 23),
-            (100.0, 1.0, 1000, 24),
-            (1e4, 6.0, 2 * (1 << 14) + 1, 25),
-            (10.0, 1.0, 5, 26),
+        trials = [3 * (1 << 14) + 1000, 1000, 2 * (1 << 14) + 1]
+        dmt = estimate_dmt(0.5, 7, GRID_DB, trials, 25, scheme=scheme, workers=workers)
+        low = outage_prob_conditioned(1.0, 1.0, 7, trials[0], 26, scheme=scheme, workers=workers)
+        points = [(26, 0, 1.0, 1.0, trials[0])]
+        points += [
+            (25, i, 10.0 ** (db / 10.0), rbar, n)
+            for i, (db, rbar, n) in enumerate(zip(GRID_DB, dmt.target_rates_per_slot, trials))
         ]
-        got = outage._outage_events(scheme, points, 7, geom, workers)
+        rng = outage.trial_rng
         expected = []
-        for snr, rbar, trials, seed in points:
-            sizes = [min(1 << 14, trials - start) for start in range(0, trials, 1 << 14)]
-            expected.append(
-                sum(
-                    unscreened_count(snr, rbar, 7, seed, block, size, weights, scheme)
-                    for block, size in enumerate(sizes)
-                )
-            )
-        assert got == expected
-        assert 0 < sum(expected) < sum(p[2] for p in points)
+        for seed, point, snr, rbar, n in points:
+            count = 0
+            for block, start in enumerate(range(0, n, 1 << 14)):
+                with monkeypatch.context() as m:
+                    m.setattr(outage, "trial_rng", lambda s, key: rng(s, (point, block)))
+                    size = min(1 << 14, n - start)
+                    count += outage._point_events(scheme, 7, seed, point, snr, rbar, size)
+            expected.append(count)
+        assert [round(low * trials[0]), *dmt.events] == expected
+        assert all(0 < count < n for count, (*_, n) in zip(expected, points))
+
+    def test_consecutive_seeds_draw_different_streams(self, monkeypatch):
+        # point 1 of seed S and point 0 of seed S + 1 once shared a stream
+        keys = []
+        rng = outage.trial_rng
+        monkeypatch.setattr(outage, "trial_rng", lambda *key: keys.append(key) or rng(*key))
+        estimate_dmt(0.5, 7, GRID_DB, 1000, 920)
+        assert keys == [(920, (0, 0)), (920, (1, 0)), (920, (2, 0))]
+        later, first = rng(920, (1, 0)), rng(921, (0, 0))
+        assert not np.array_equal(later.random(8), first.random(8))
 
     def test_invalid_point_rejected_before_any_draw(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(outage, "trial_rng", lambda *key: drawn.append(key))
-        good = (100.0, 1.0, 1000, 1)
-        for bad in ((0.0, 1.0, 1000, 2), (100.0, -1.0, 1000, 2), (100.0, 1.0, 0, 2)):
+        good = (100.0, 1.0, 1000)
+        for bad in ((0.0, 1.0, 1000), (100.0, -1.0, 1000), (100.0, 1.0, 0)):
             with pytest.raises(ValueError):
-                outage._outage_events("successive", [good, bad], 7, None, 2)
+                outage._outage_events("successive", [good, bad], 7, 2)
         assert drawn == []
 
 
@@ -473,36 +509,55 @@ class TestOutageProb:
         assert p1 == p3
 
     def test_pool_sized_to_the_blocks(self, monkeypatch):
-        pools = recording_pools(monkeypatch)
+        # no thread pool is left to size: any worker count counts inline, and
+        # each block draws exactly its own trials, raw or over the cells
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
+        blocks = []
+        rng = outage.trial_rng
+
+        class RecordingRng:
+            def __init__(self, *key):
+                self.rng, self.trials = rng(*key), 0
+                blocks.append(self)
+
+            def multinomial(self, n, pvals):
+                self.trials += n
+                return self.rng.multinomial(n, pvals)
+
+            def standard_exponential(self, size):
+                self.trials += size[1]
+                return self.rng.standard_exponential(size)
+
+            def random(self, size):
+                return self.rng.random(size)
+
+        monkeypatch.setattr(outage, "trial_rng", RecordingRng)
+        threads = threading.active_count()
 
         def count(trials, workers):
-            return outage._outage_events("successive", [(3.0, 1.0, trials, 9)], 3, None, workers)
+            blocks.clear()
+            p = outage_prob_conditioned(3.0, 1.0, 3, trials, 9, workers=workers)
+            return p, [b.trials for b in blocks]
 
-        single = {tuple(count(1 << 14, w)) for w in (1, 2, 10**6)}
-        assert len(single) == 1 and pools == []
-        four = {tuple(count(3 * (1 << 14) + 5, w)) for w in (1, 2, 3, 10**6)}
-        assert len(four) == 1 and [p.max_workers for p in pools] == [2, 3, 4]
+        for trials, sizes in ((1 << 14, [1 << 14]), (3 * (1 << 14) + 5, [1 << 14] * 3 + [5])):
+            counts = {count(trials, w)[0] for w in (1, 2, 3, 10**6)}
+            assert len(counts) == 1 and count(trials, 10**6)[1] == sizes
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("scheme", ["successive", "classic2"])
     def test_counts_identical_for_one_to_three_workers(self, monkeypatch, scheme):
         monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
         counts = {
-            tuple(outage._outage_events(scheme, [(3.0, 1.0, 5 * (1 << 14) + 7, 10)], 3, None, w))
+            outage_prob_conditioned(3.0, 1.0, 3, 5 * (1 << 14) + 7, 10, scheme=scheme, workers=w)
             for w in (1, 2, 3)
         }
         assert len(counts) == 1
 
-    def test_geometry_weighted_variant(self):
-        geom = preset_geometry("III")
-        p_weighted = outage_prob_conditioned(10.0, 1.0, 7, 200_000, 11, geom=geom)
-        p_unit = outage_prob_conditioned(10.0, 1.0, 7, 200_000, 11)
-        # case III relay-destination links are ~16x stronger on average
-        assert p_weighted < p_unit
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             outage_prob_conditioned(0.0, 1.0, 7, 100, 0)
+        with pytest.raises(ValueError):
+            outage_prob_conditioned(np.inf, 1.0, 7, 100, 0)
         with pytest.raises(ValueError):
             outage_prob_conditioned(1.0, 1.0, 0, 100, 0)
         with pytest.raises(ValueError):

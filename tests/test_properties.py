@@ -67,6 +67,32 @@ def test_classic2_never_below_classic1(g, snr):
     assert np.all(rate_classic_batch(g, snr, 0.5) >= rate_classic_batch(g, snr, 1.0 / 3.0))
 
 
+# the outage count's staircase (`succrelay.outage`) assumes the log-det never
+# falls as one gain rises; rounding lets it fall by ~5e-16 relative (measured
+# at l = 64), far below the 1e-6 slack the staircase puts on its targets
+MONOTONE_RTOL = 2e-15
+wide_gain = st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+wide_gains = st.lists(st.tuples(*[wide_gain] * 3), min_size=1, max_size=8).map(
+    lambda draws: np.array(draws, dtype=float).T
+)
+rises = st.tuples(st.floats(0.0, 6.0), st.one_of(st.just(0.0), wide_gain))
+
+
+@PROPERTY
+@given(
+    g=wide_gains,
+    rise=rises,
+    snr=snrs,
+    l=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 64]),
+)
+def test_logdet_never_falls_as_one_gain_rises(g, rise, snr, l):
+    base = logdet_capacity_batch(*g, snr, l)
+    for k in range(3):
+        raised = g.copy()
+        raised[k] = np.nextafter(g[k] * 10.0 ** rise[0] + rise[1], np.inf)
+        assert np.all(logdet_capacity_batch(*raised, snr, l) >= base * (1.0 - MONOTONE_RTOL)), k
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
