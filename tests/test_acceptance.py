@@ -110,7 +110,7 @@ def test_criterion_4_miso_outage_oracle():
     for i, (snr_db, rbar) in enumerate(pairs):
         snr = 10.0 ** (snr_db / 10.0)
         x = (2.0 ** (2.0 * rbar) - 1.0) / snr
-        expected = 1.0 - np.exp(-x) * (1.0 + x)
+        expected = -np.expm1(-x) - x * np.exp(-x)  # Gamma(2, 1) CDF, no cancellation
         assert expected == pytest.approx(float(stats.gamma.cdf(x, a=2)), rel=1e-12)
         p = outage_prob_conditioned(snr, rbar, 1, trials, 1005 + i)
         sigma = np.sqrt(expected * (1.0 - expected) / trials)

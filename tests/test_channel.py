@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from succrelay.channel import (
-    _STATE_CHUNK,
     CASE_III_RELAY_SPACING,
     LINK_NAMES,
     ChannelBatch,
     NetworkGeometry,
-    pcg64_states,
     preset_geometry,
     sample_realizations,
     trial_rng,
-    trial_streams,
 )
 from succrelay.experiments import _sample_trials
 
@@ -27,6 +24,18 @@ def flat_geometry(gamma=0.0, shadow=0.0, d=1.0):
         d_sd=d, d_sr1=d, d_sr2=d, d_r1d=d, d_r2d=d, d_r1r2=d,
         gamma=g, shadow_sigma_db=shadow,
     )
+
+
+GEOMETRIES = [
+    preset_geometry("I"),
+    preset_geometry("II"),
+    preset_geometry("III"),
+    # no shadowing: 12 draws per trial, not 18
+    NetworkGeometry(
+        d_sd=1.0, d_sr1=0.4, d_sr2=0.6, d_r1d=0.7, d_r2d=0.5, d_r1r2=0.3,
+        gamma=3.0, shadow_sigma_db=0.0,
+    ),
+]
 
 
 class TestPresets:
@@ -97,16 +106,28 @@ class TestRealization:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("n", [1, 7, 5000])
     def test_real_arithmetic_matches_complex_formula(self, case, n):
-        # (v * (1/sqrt 2)) * amp per part gives the words of the complex
-        # (v_re + 1j v_im) / sqrt 2 * amp, draw for draw
+        # one trial-major (n, 3, 6) draw: trial t's real parts, imaginary
+        # parts and shadowing.  Multiplying each part by the real amplitude
+        # gives the words of the complex (v_re + 1j v_im) * amp, draw for draw
         geom = preset_geometry(case)
         for seed in range(30):
             got = sample_realizations(geom, np.random.default_rng(seed), n).h
-            rng = np.random.default_rng(seed)
-            v = rng.standard_normal((2, 6, n))
-            amp = geom._amplitudes * 10.0 ** (rng.normal(0.0, 8.0, size=(6, n)) / 20.0)
-            want = (v[0] + 1j * v[1]) / np.sqrt(2.0) * amp
+            v = np.random.default_rng(seed).standard_normal((n, 3, 6))
+            amp = np.exp(geom._log_amplitudes + v[:, 2] * (8.0 * (np.log(10.0) / 20.0)))
+            want = ((v[:, 0] + 1j * v[:, 1]) * amp).T
             assert got.tobytes() == want.tobytes(), seed
+            # the amplitude is the model's d**(-gamma/2) * 10**(zeta/20) / sqrt 2
+            model = geom.link_distances() ** -2.0 * 10.0 ** (8.0 * v[:, 2] / 20.0) / np.sqrt(2.0)
+            np.testing.assert_allclose(amp, model, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_one_block_draw_equals_consecutive_single_draws(self, geom, n):
+        block = sample_realizations(geom, trial_rng(41, 2), n).h
+        rng = trial_rng(41, 2)
+        singles = np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
+        assert block.shape == (6, n)
+        assert block.tobytes() == singles.tobytes()
 
 
 class TestMoments:
@@ -174,9 +195,12 @@ class TestDeterminism:
         assert not np.array_equal(one_trial(geom, 1, 0), one_trial(geom, 2, 0))
 
     def test_batch_element_matches_scalar_path(self):
+        # trial t of SNR point 3 is the (t + 1)-th one-trial draw of stream (5, 3)
         geom = preset_geometry("II")
-        single = _sample_trials(geom, 5, 3, 1).h
-        assert single.tobytes() == one_trial(geom, 5, 3).tobytes()
+        batch = _sample_trials(geom, 5, 3, 4).h
+        rng = trial_rng(5, 3)
+        for t in range(4):
+            assert batch[:, t:t + 1].tobytes() == sample_realizations(geom, rng, 1).h.tobytes()
 
 
 def numpy_state(seed, key):
@@ -185,9 +209,10 @@ def numpy_state(seed, key):
     return s["state"]["state"], s["state"]["inc"]
 
 
-def stacked_trials(geom, seed, first, n):
-    """Trials drawn one by one, each from a freshly seeded generator."""
-    return np.concatenate([one_trial(geom, seed, first + t) for t in range(n)], axis=1)
+def stream_state(seed, key):
+    s = trial_rng(seed, key).bit_generator.state
+    assert s["bit_generator"] == "PCG64"
+    return s["state"]["state"], s["state"]["inc"]
 
 
 class TestStreams:
@@ -196,19 +221,20 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_match_numpy_seeding(self, seed):
-        states = pcg64_states(seed, np.array(self.KEYS, dtype=np.uint64))
-        assert states == [numpy_state(seed, k) for k in self.KEYS]
+        assert [stream_state(seed, k) for k in self.KEYS] == [
+            numpy_state(seed, k) for k in self.KEYS
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), key=st.integers(0, 2**40 - 1))
     def test_states_match_numpy_property(self, seed, key):
-        assert pcg64_states(seed, [key]) == [numpy_state(seed, key)]
+        assert stream_state(seed, key) == numpy_state(seed, key)
 
     def test_seeds_past_the_pool_and_largest_key(self):
         # run entropy beyond four words is mixed in before the key
         for seed in (2**127 + 3, 2**128, 7**90):
             for key in (0, 2**64 - 1):
-                assert pcg64_states(seed, [key]) == [numpy_state(seed, key)]
+                assert stream_state(seed, key) == numpy_state(seed, key)
 
     def test_trial_rng_draws_like_numpy(self):
         for seed, trial in ((31, 0), (31, 5), (2**64 - 1, 2**33)):
@@ -239,70 +265,36 @@ class TestStreams:
         for ours, theirs in zip(trial_rng(3, 4).spawn(2), ref.spawn(2), strict=True):
             assert np.array_equal(ours.standard_normal(50), theirs.standard_normal(50))
 
-    def test_restated_generator_drops_buffered_half_word(self):
-        streams = trial_streams(17, 4, 2)
-        rng = next(streams)
-        rng.integers(0, 2**32, size=3, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        again = next(streams)
-        assert again is rng
-        fresh = trial_rng(17, 5)
-        assert np.array_equal(
-            again.integers(0, 2**32, size=5, dtype=np.uint32),
-            fresh.integers(0, 2**32, size=5, dtype=np.uint32),
-        )
-        assert np.array_equal(again.standard_normal(20), fresh.standard_normal(20))
-
-    def test_streams_across_state_pieces(self):
-        # the states are computed in pieces of _STATE_CHUNK keys
-        n = 2 * _STATE_CHUNK + 5
-        first = 2**32 - _STATE_CHUNK - 2
-        draws = [rng.standard_normal(3) for rng in trial_streams(9, first, n)]
-        assert len(draws) == n
-        for t in (0, _STATE_CHUNK - 1, _STATE_CHUNK, _STATE_CHUNK + 2, n - 1):
-            assert np.array_equal(draws[t], trial_rng(9, first + t).standard_normal(3))
-
     @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (0, 2**64)])
     def test_out_of_range_seed_or_trial_rejected(self, seed, trial):
         with pytest.raises(ValueError):
             trial_rng(seed, trial)
-        if trial >= 0:
-            with pytest.raises(ValueError):
-                pcg64_states(seed, [trial])
 
     def test_negative_keys_rejected(self):
-        with pytest.raises(ValueError):
-            pcg64_states(3, np.array([4, -1]))
+        for key in (-1, (4, -1), (-1, 4)):
+            with pytest.raises(ValueError):
+                trial_rng(3, key)
 
 
 class TestSampleTrials:
-    @pytest.mark.parametrize(
-        "geom",
-        [
-            preset_geometry("I"),
-            preset_geometry("II"),
-            preset_geometry("III"),
-            # no shadowing: 12 draws per trial, not 18
-            NetworkGeometry(
-                d_sd=1.0, d_sr1=0.4, d_sr2=0.6, d_r1d=0.7, d_r2d=0.5, d_r1r2=0.3,
-                gamma=3.0, shadow_sigma_db=0.0,
-            ),
-        ],
-    )
-    def test_matches_one_fresh_generator_per_trial(self, geom):
-        for seed, first, n in ((12345, 0, 40), (2**64 - 1, 2**32 - 3, 7)):
-            got = _sample_trials(geom, seed, first, n).h
-            assert got.tobytes() == stacked_trials(geom, seed, first, n).tobytes()
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_equals_one_block_draw_of_the_stream(self, geom):
+        for seed, snr_idx, n in ((12345, 0, 40), (2**64 - 1, 2**32 - 3, 7)):
+            got = _sample_trials(geom, seed, snr_idx, n).h
+            want = sample_realizations(geom, trial_rng(seed, snr_idx), n).h
+            assert got.tobytes() == want.tobytes()
 
     def test_pathloss_amplitudes_cached_read_only(self):
         geom = NetworkGeometry(
             d_sd=1.3, d_sr1=0.37, d_sr2=0.61, d_r1d=0.83, d_r2d=0.29, d_r1r2=0.071,
             gamma=3.7, shadow_sigma_db=6.0,
         )
-        amp = geom._amplitudes
-        assert amp is geom._amplitudes and not amp.flags.writeable
-        expected = geom.link_distances()[:, None] ** (-geom.gamma / 2.0)
-        assert amp.tobytes() == expected.tobytes()
+        log_amp = geom._log_amplitudes
+        assert log_amp is geom._log_amplitudes and not log_amp.flags.writeable
+        # the log of d**(-gamma/2) / sqrt 2, the unit-variance complex Gaussian's scale
+        expected = geom.link_distances() ** (-geom.gamma / 2.0) / np.sqrt(2.0)
+        assert log_amp.shape == (6,)
+        np.testing.assert_allclose(np.exp(log_amp), expected, rtol=1e-14, atol=0.0)
 
 
 def test_sample_size_validated():

@@ -6,7 +6,7 @@ import pytest
 
 from succrelay import InvariantError, experiments
 from succrelay.cli import main as cli_main
-from succrelay.channel import preset_geometry
+from succrelay.channel import NetworkGeometry, preset_geometry
 from succrelay.protocols import capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
     ConfigError,
@@ -182,6 +182,31 @@ class TestGeometrySweep:
         cfg3 = ExperimentConfig(**{**SMALL_SWEEP, "workers": 3})
         r1, r3 = run_geometry_sweep(cfg1), run_geometry_sweep(cfg3)
         assert r1 == r3
+
+
+class TestSampleTrials:
+    GEOMETRIES = [
+        preset_geometry("I"),
+        preset_geometry("II"),
+        preset_geometry("III"),
+        NetworkGeometry(**CUSTOM_GEOMETRY, shadow_sigma_db=0.0),
+    ]
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_more_trials_extend_the_stream(self, geom):
+        # trials 0..n-1 of an SNR point are the first n columns of a longer run
+        for seed, snr_idx, n, m in ((3, 0, 1, 40), (3, 2, 17, 300), (2**64 - 1, 5, 250, 251)):
+            short = experiments._sample_trials(geom, seed, snr_idx, n).h
+            long = experiments._sample_trials(geom, seed, snr_idx, m).h
+            assert short.tobytes() == long[:, :n].tobytes()
+
+    def test_snr_indices_and_seeds_draw_different_trials(self):
+        geom = preset_geometry("III")
+        base = experiments._sample_trials(geom, 7, 0, 30).h
+        for seed, snr_idx in ((7, 1), (7, 2), (8, 0)):
+            other = experiments._sample_trials(geom, seed, snr_idx, 30).h
+            # no coefficient of any trial is shared
+            assert not np.isin(base, other).any(), (seed, snr_idx)
 
 
 class TestGainCurve:

@@ -16,9 +16,10 @@ from succrelay.outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_co
 def miso_outage_oracle(snr: float, rbar: float) -> float:
     # l=1 reduces to a two-branch MISO outage: both the per-codeword cap and
     # the log-det bound collapse to |h0|^2 + |h1|^2 < (2^R - 1)/snr with the
-    # per-codeword rate R = 2 rbar; the gain sum is Gamma(2, 1)
+    # per-codeword rate R = 2 rbar; the gain sum is Gamma(2, 1).  Its CDF
+    # 1 - e^-x (1 + x), written so that nothing cancels at small x
     x = (2.0 ** (2.0 * rbar) - 1.0) / snr
-    closed = 1.0 - np.exp(-x) * (1.0 + x)
+    closed = -np.expm1(-x) - x * np.exp(-x)
     assert closed == pytest.approx(float(stats.gamma.cdf(x, a=2)), rel=1e-12, abs=1e-300)
     return closed
 
@@ -462,6 +463,13 @@ class TestOutageProb:
         expected = miso_outage_oracle(snr, rbar)
         sigma = np.sqrt(expected * (1 - expected) / trials)
         assert abs(p - expected) < 3 * sigma
+
+    @pytest.mark.parametrize("snr_db", [30.0, 40.0])
+    def test_miso_oracle_matches_scipy_at_high_snr(self, snr_db):
+        # small x: 1 - e^-x (1 + x) loses ~1e-10 relative to cancellation here
+        snr = 10.0 ** (snr_db / 10.0)
+        want = float(stats.gamma.cdf(3.0 / snr, a=2))
+        assert miso_outage_oracle(snr, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("snr_db", [10.0, 20.0])
     @pytest.mark.parametrize("l", [2, 3, 7, 8])
