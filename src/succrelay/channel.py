@@ -147,13 +147,13 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     """Independent random stream keyed by (seed, trial).
 
     numpy's ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``,
-    so a stream's draws do not depend on execution order or worker count.
-    A geometry sweep keys one stream per (seed, SNR index) and draws its
-    trials from it in order, trial-major: a run with more trials extends
-    the stream without changing earlier trials.  A tuple of integers is the
-    whole spawn key instead: the outage count keys its streams by
-    (seed, (point, block)).  Seed and every key must be >= 0, and each key
-    below 2**64.
+    so a stream's draws do not depend on execution order.  A geometry
+    sweep keys one stream per (seed, SNR index) and draws its trials from
+    it in order, trial-major: a run with more trials extends the stream
+    without changing earlier trials.  A tuple of integers is the whole
+    spawn key instead: the outage count draws grid point i from
+    (seed, (i, 0)).  Seed and every key must be >= 0, and each key below
+    2**64.
     """
     key = trial if isinstance(trial, tuple) else (trial,)
     for k in key:

@@ -58,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="accepted for older configs and scripts: every experiment runs on "
-        "one thread, and no output depends on it",
+        help="ignored; accepted so that older scripts still parse: every "
+        "experiment runs on one thread",
     )
     p.add_argument(
         "--gain-l",
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
-    data.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
+    ignored = ("config", "workers")
+    data.update({k: v for k, v in vars(args).items() if k not in ignored and v is not None})
     return ExperimentConfig.from_dict(data)
 
 

@@ -10,7 +10,8 @@ stream per (seed, SNR index), trial-major, so a run with more trials
 extends it without changing earlier trials.  Per-trial results are
 assembled in trial order before any aggregation, and Monte Carlo counters
 are integers, so a fixed (config, seed) pair produces byte-identical
-output files for any worker count.
+output files.  The DMT count draws grid point i from the (seed, (i, 0))
+stream; every experiment runs on one thread.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class ExperimentConfig:
     adaptive_rule: str = "a"
     output_path: str | None = None
     output_format: str = "csv"
-    workers: int = 1
     gain_l_values: tuple[int, ...] = (3, 7)
     dmt_r: float = 0.0
     dmt_fixed_rate: float = 1.0
@@ -138,7 +138,6 @@ class ExperimentConfig:
             "l": (integer, [self.l]),
             "trials": (integer, [self.trials]),
             "seed": (integer, [self.seed]),
-            "workers": (integer, [self.workers]),
             "gain_l_values": (integer, self.gain_l_values),
             "dmt_trials_per_point": (integer, self.dmt_trials_per_point or ()),
         }
@@ -168,8 +167,8 @@ class ExperimentConfig:
             raise ConfigError("snr_grid_db", "grid must be nonempty")
         if not all(math.isfinite(x) for x in self.snr_grid_db):
             raise ConfigError("snr_grid_db", f"entries must be finite, got {self.snr_grid_db}")
-        if self.trials < 1:
-            raise ConfigError("trials", f"must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < 2**63:
+            raise ConfigError("trials", f"must lie in [1, 2**63), got {self.trials}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed", "must fit an unsigned 64-bit integer")
         if not self.protocols:
@@ -181,10 +180,10 @@ class ExperimentConfig:
             raise ConfigError("adaptive_rule", f"must be none/a/b/c, got {self.adaptive_rule!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format", f"must be csv or json, got {self.output_format!r}")
-        if self.workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {self.workers}")
         if self.experiment == "gain_curve" and not self.gain_l_values:
             raise ConfigError("gain_l_values", "gain curve needs at least one frame length")
+        if any(x < 1 for x in self.gain_l_values):
+            raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
         if self.dmt_scheme not in ("successive", "classic2"):
             raise ConfigError("dmt_scheme", f"must be successive or classic2, got {self.dmt_scheme!r}")
         if not 0.0 <= self.dmt_r < math.inf:
@@ -194,8 +193,8 @@ class ExperimentConfig:
         if self.dmt_trials_per_point is not None:
             if len(self.dmt_trials_per_point) != len(self.snr_grid_db):
                 raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
-            if min(self.dmt_trials_per_point) < 1:
-                raise ConfigError("dmt_trials_per_point", "every entry must be >= 1")
+            if not all(1 <= x < 2**63 for x in self.dmt_trials_per_point):
+                raise ConfigError("dmt_trials_per_point", "every entry must lie in [1, 2**63)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -329,7 +328,6 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
             cfg.seed,
             scheme=cfg.dmt_scheme,
             fixed_rate_bits=cfg.dmt_fixed_rate,
-            workers=cfg.workers,
         )
     except ValueError as exc:
         # estimate_dmt words every error about r as "multiplexing gain ..."

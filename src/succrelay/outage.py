@@ -11,15 +11,15 @@ bound; outage is the failure of any of these.
 The outage event is a down-set: the caps and the classic-II test are sums,
 and the log-det never falls as a gain rises.  So one fixed grid of cells
 covers (g1, g2), and `_staircase` gives each cell a g0 below which all its
-events lie.  Each (seed, point, block) stream makes one multinomial draw of
-the block's trials over the cells and a rest that holds no event, draws the
-candidates' gains by inverting the truncated Exp(1) (Devroye, Non-Uniform
-Random Variate Generation, 1986, ch. 2) in pieces of CHUNK, and runs the
-exact test on them: the caps and the O(l) pivot recurrence.  Where the
-cells hold most of the mass (low SNR), the block draws every trial raw
-instead, which is cheaper.  The count is Binomial(trials, p_out), as for
-drawing every trial; only the stream differs, and it depends on BLOCK_SIZE
-but on nothing else.
+events lie.  Each grid point's one (seed, (point, 0)) stream makes one
+multinomial draw of its trials over the cells and a rest that holds no
+event, draws the candidates' gains by inverting the truncated Exp(1)
+(Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of
+CHUNK, and runs the exact test on them: the caps and the O(l) pivot
+recurrence.  Where the cells hold most of the mass (low SNR), the point
+draws every trial raw instead, which is cheaper.  The count is
+Binomial(trials, p_out), as for drawing every trial; only the stream
+differs.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .channel import trial_rng
 from .mimolinalg import CHUNK, logdet_capacity_batch
 
 _SCHEMES = ("successive", "classic2")
-# Trials per (seed, point, block) stream.  Counts depend on it through the
-# streams, so it is part of the determinism contract, not a caller's choice.
-BLOCK_SIZE = 1 << 40
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # and the Exp(1) mass of each interval, e^-a (1 - e^-(b - a)).
 _EDGES = np.concatenate([[0.0], 2.0 ** (np.arange(-60, 13) / 2.0), [np.inf]])
@@ -140,8 +137,8 @@ def _caps_fail(g: np.ndarray, l: int, threshold: float) -> np.ndarray:
     return g0 + (np.minimum(g1, g2) if l > 1 else g1) < threshold
 
 
-def _block_gains(rng, size: int, mass, lower, span):
-    """(3, <= CHUNK) gains of a block's candidates, or of all its trials when
+def _candidate_gains(rng, size: int, mass, lower, span):
+    """(3, <= CHUNK) gains of a point's candidates, or of all its trials when
     most are candidates: raw Exp(1) draws then cost less than the inversion."""
     if 2.0 * mass.sum() > 1.0:
         for first in range(0, size, CHUNK):
@@ -163,33 +160,32 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
             raise ValueError(f"snr must be finite and > 0, got {snr}")
         if not 0.0 <= rbar < np.inf:
             raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not 1 <= trials < 2**63:  # numpy's multinomial takes int64 counts
+            raise ValueError(f"trials must lie in [1, 2**63), got {trials}")
     return [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
 
 
 def _point_events(
     scheme: str, l: int, seed: int, point: int, snr: float, rbar: float, trials: int
 ) -> int:
-    """Events of grid point ``point`` on its (seed, point, block) streams."""
+    """Events of grid point ``point``, all drawn from one stream."""
     if rbar == 0.0:
         return 0
     r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
     threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
     if not threshold < np.finfo(float).max:
         return trials  # no gain in float range meets a threshold past it
-    cells = _cells(scheme, snr, l, r_cw, threshold)
+    # the two-element key keeps these streams apart from the sweeps' (snr_idx,)
+    rng = trial_rng(seed, (point, 0))
     events = 0
-    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
-        rng = trial_rng(seed, (point, block))
-        for g in _block_gains(rng, min(BLOCK_SIZE, trials - start), *cells):
-            if scheme == "classic2":
-                # only the three-branch combining cap binds once the relays decode
-                failed = g.sum(axis=0) < threshold
-            else:
-                logdet = logdet_capacity_batch(*g, snr, l)
-                failed = _caps_fail(g, l, threshold) | (logdet < l * r_cw)
-            events += int(np.count_nonzero(failed))
+    for g in _candidate_gains(rng, trials, *_cells(scheme, snr, l, r_cw, threshold)):
+        if scheme == "classic2":
+            # only the three-branch combining cap binds once the relays decode
+            failed = g.sum(axis=0) < threshold
+        else:
+            logdet = logdet_capacity_batch(*g, snr, l)
+            failed = _caps_fail(g, l, threshold) | (logdet < l * r_cw)
+        events += int(np.count_nonzero(failed))
     return events
 
 
@@ -201,14 +197,12 @@ def outage_prob_conditioned(
     seed: int,
     *,
     scheme: str = "successive",
-    workers: int = 1,
 ) -> float:
     """Monte Carlo outage frequency of the conditioned relay channel.
 
     The three destination-side links are i.i.d. unit-variance Rayleigh.
     ``scheme`` picks the successive frame model or the classic-II
-    comparator.  The count is keyed by (seed, 0, block) streams, so
-    ``workers`` is accepted for the callers' sake and has no effect.
+    comparator.  The count draws from the (seed, (0, 0)) stream.
     """
     return _outage_events(scheme, [(snr, rate_per_slot_target, trials)], l, seed)[0] / trials
 
@@ -222,7 +216,6 @@ def estimate_dmt(
     *,
     scheme: str = "successive",
     fixed_rate_bits: float = 1.0,
-    workers: int = 1,
 ) -> DmtPoint:
     """Fit an empirical diversity slope over a high-SNR grid.
 
@@ -232,7 +225,7 @@ def estimate_dmt(
     excluded from the fits.  The primary slope uses the two highest usable
     points (the asymptotic ones); a full least-squares slope over all
     usable points is reported as a diagnostic.  Grid point i counts on the
-    (seed, i, block) streams; ``workers`` has no effect.
+    (seed, (i, 0)) stream.
     """
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")

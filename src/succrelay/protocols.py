@@ -201,13 +201,7 @@ def adaptive_keep_batch(g: np.ndarray, rule: AdaptiveRule) -> np.ndarray:
     raise ValueError(f"unknown adaptive rule {rule!r}")
 
 
-def capacity_gain_G(
-    snr: float | np.ndarray,
-    l: int,
-    trials: int,
-    seed,
-    conditioned: bool = False,
-) -> float | np.ndarray:
+def capacity_gain_G(snr: float | np.ndarray, l: int, trials: int, seed) -> float | np.ndarray:
     """Average capacity gain of successive relaying over classic protocol II.
 
     Coefficients are i.i.d. unit-variance complex Gaussians (no pathloss or
@@ -215,32 +209,14 @@ def capacity_gain_G(
     (l+1) x l equivalent channel; the denominator the mean classic-II rate
     with both relays decoding, 0.5 * C((|h_sd|^2+|h_r1d|^2+|h_r2d|^2) snr).
     A 1-D ``snr`` array gives one gain per SNR, all from the same draws.
-
-    With ``conditioned`` set, both means are restricted to draws where each
-    protocol attains its best-case rate (source-relay links dominate the
-    destination-side combining gains).
     """
     snrs = np.asarray(snr, dtype=float)
     if not np.all(snrs > 0.0):
         raise ValueError(f"snr must be > 0, got {snr}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    n_links = 5 if conditioned else 3
-    v = rng.standard_normal((2, n_links, trials))
-    g = np.abs((v[0] + 1j * v[1]) / np.sqrt(2.0)) ** 2
-    gsd, g1, g2 = g[:3]
-
-    if conditioned:
-        gsr1, gsr2 = g[3:]
-        mask = (
-            (gsr1 >= gsd + g1)
-            & (gsr2 >= gsd + g2)
-            & (np.minimum(gsr1, gsr2) >= gsd + g1 + g2)
-        )
-        if not mask.any():
-            raise ValueError("no draws satisfy the conditioning event; raise trials")
-        gsd, g1, g2 = gsd[mask], g1[mask], g2[mask]
+    v = np.random.default_rng(seed).standard_normal((2, 3, trials))
+    gsd, g1, g2 = np.abs((v[0] + 1j * v[1]) / np.sqrt(2.0)) ** 2
 
     gains = []
     for s in snrs.ravel():

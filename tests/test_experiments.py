@@ -52,7 +52,7 @@ class TestConfig:
             (dict(protocols=("direct", "alamouti")), "protocols"),
             (dict(adaptive_rule="d"), "adaptive_rule"),
             (dict(output_format="yaml"), "output_format"),
-            (dict(workers=0), "workers"),
+            (dict(trials=2**63), "trials"),
             (dict(dmt_scheme="direct"), "dmt_scheme"),
             (dict(dmt_r=-0.5), "dmt_r"),
             (dict(dmt_trials_per_point=(5, 5)), "dmt_trials_per_point"),
@@ -60,7 +60,7 @@ class TestConfig:
             (dict(l=True), "l"),
             (dict(trials=10.5), "trials"),
             (dict(seed=1.5), "seed"),
-            (dict(workers=2.0), "workers"),
+            (dict(gain_l_values=(0, 3)), "gain_l_values"),
             (dict(gain_l_values=(3.7,)), "gain_l_values"),
             (dict(gain_l_values=(3, False)), "gain_l_values"),
             (dict(dmt_trials_per_point=(10, 10.5, 10)), "dmt_trials_per_point"),
@@ -105,6 +105,7 @@ class TestConfig:
             (dict(gain_l_values="37"), "gain_l_values"),
             (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
             (dict(dmt_trials_per_point="555"), "dmt_trials_per_point"),
+            (dict(dmt_trials_per_point=(10, 2**63, 10)), "dmt_trials_per_point"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -176,12 +177,6 @@ class TestGeometrySweep:
         large = run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "trials": 1600}))
         ratio = small[1].stderrs["direct"] / large[1].stderrs["direct"]
         assert ratio == pytest.approx(2.0, rel=0.3)
-
-    def test_worker_count_invariance(self):
-        cfg1 = ExperimentConfig(**{**SMALL_SWEEP, "workers": 1})
-        cfg3 = ExperimentConfig(**{**SMALL_SWEEP, "workers": 3})
-        r1, r3 = run_geometry_sweep(cfg1), run_geometry_sweep(cfg3)
-        assert r1 == r3
 
 
 class TestSampleTrials:
@@ -380,13 +375,14 @@ class TestOutput:
         ]
 
     def test_csv_byte_identical_across_runs_and_workers(self, tmp_path):
+        # --workers is ignored: the command line accepts it for older scripts
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SWEEP))
         outputs = []
         for run, workers in ((0, 1), (1, 1), (2, 3)):
             path = tmp_path / f"sweep{run}.csv"
-            cfg = ExperimentConfig(
-                **{**SMALL_SWEEP, "output_path": str(path), "workers": workers}
-            )
-            run_experiment(cfg)
+            argv = ["--config", str(cfg_path), "--workers", str(workers), "--out", str(path)]
+            assert cli_main(argv) == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -501,6 +497,26 @@ class TestCli:
             assert cli_main([*argv, "--trials", "10"]) == 2
         err = capsys.readouterr().err
         assert "config field 'dmt_r'" in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["--experiment", "gain_curve", "--gain-l", "0", "3"], "gain_l_values"),
+            (
+                ["--experiment", "dmt_slope", "--dmt-trials", "100", str(2**64), "100"],
+                "dmt_trials_per_point",
+            ),
+        ],
+    )
+    def test_out_of_range_list_entry_exit_code(self, capsys, argv, field):
+        assert cli_main([*argv, "--snr", "20", "30", "40", "--trials", "10"]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_json_config_naming_workers_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_SWEEP, "workers": 2}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        assert "config field 'workers': unknown configuration key" in capsys.readouterr().err
 
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})

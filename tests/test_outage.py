@@ -1,4 +1,3 @@
-import threading
 import warnings
 
 import numpy as np
@@ -240,23 +239,6 @@ class TestScreenedCount:
                 full = full_draw_count("successive", snr, rbar, l, n, 40 + l)
                 assert sigmas_apart(got, n, full, n) < 4.0, (snr_db, rbar, got, full)
 
-    @pytest.mark.parametrize("links", ["unit"])
-    def test_two_workers_match_unscreened_blocks(self, monkeypatch, links):
-        # four blocks, the last one partial, each on its own (seed, 0, block) stream
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        keys = []
-        rng = outage.trial_rng
-        monkeypatch.setattr(outage, "trial_rng", lambda *key: keys.append(key) or rng(*key))
-        n = 3 * (1 << 14) + 1000
-        for snr_db in (0.0, 20.0, 40.0):
-            snr = 10.0 ** (snr_db / 10.0)
-            keys.clear()
-            got = {outage_prob_conditioned(snr, 1.0, 7, n, 23, workers=w) for w in (1, 2)}
-            assert keys == [(23, (0, block)) for block in range(4)] * 2
-            assert len(got) == 1
-            full = full_draw_count("successive", snr, 1.0, 7, n, 23)
-            assert sigmas_apart(round(got.pop() * n), n, full, n) < 4.0, snr_db
-
     @pytest.mark.parametrize("l", [1, 2, 7])
     def test_targets_on_drawn_log_dets(self, l):
         # a draw whose log-det equals l * r_cw exactly is not in outage by it;
@@ -375,55 +357,22 @@ class TestHugeTargets:
         assert sigmas_apart(got, 20_000, full, 20_000) < 4.0
 
 
-# one-block, four-block (last partial) and six-block points at 1 << 14 per block
 GRID_DB = [20.0, 30.0, 40.0]
 GRID_TRIALS = [1 << 14, 3 * (1 << 14) + 5, 6 * (1 << 14)]
 
 
 class TestGridPool:
-    """`estimate_dmt` counts grid point i on the (seed, i, block) streams."""
+    """`estimate_dmt` counts grid point i on the one (seed, (i, 0)) stream."""
 
     @pytest.mark.parametrize("scheme", ["successive", "classic2"])
-    def test_grid_counts_match_per_point_counts(self, monkeypatch, scheme):
+    def test_grid_counts_match_per_point_counts(self, scheme):
         # r = 0.5 keeps events at every point: ~1e-2 at 20 dB, ~4e-4 at 40 dB
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        args = (0.5, 7, GRID_DB, GRID_TRIALS, 17)
-        points = {w: estimate_dmt(*args, scheme=scheme, workers=w) for w in (1, 2, 3)}
-        assert points[1] == points[2] == points[3]
-        dmt = points[2]
+        dmt = estimate_dmt(0.5, 7, GRID_DB, GRID_TRIALS, 17, scheme=scheme)
         assert all(count > 0 for count in dmt.events)
         for i, (rbar, trials) in enumerate(zip(dmt.target_rates_per_slot, GRID_TRIALS)):
             snr = 10.0 ** (GRID_DB[i] / 10.0)
             count = outage._point_events(scheme, 7, 17, i, snr, rbar, trials)
             assert dmt.events[i] == count and dmt.outage_prob[i] == count / trials
-
-    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reused_buffers_match_fresh_draws(self, monkeypatch, scheme, workers):
-        # no draw buffer is kept between blocks any more: each point's count,
-        # over full and partial blocks, is the sum of fresh one-block counts,
-        # each on its own (seed, point, block) stream; 0 dB draws every trial
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        trials = [3 * (1 << 14) + 1000, 1000, 2 * (1 << 14) + 1]
-        dmt = estimate_dmt(0.5, 7, GRID_DB, trials, 25, scheme=scheme, workers=workers)
-        low = outage_prob_conditioned(1.0, 1.0, 7, trials[0], 26, scheme=scheme, workers=workers)
-        points = [(26, 0, 1.0, 1.0, trials[0])]
-        points += [
-            (25, i, 10.0 ** (db / 10.0), rbar, n)
-            for i, (db, rbar, n) in enumerate(zip(GRID_DB, dmt.target_rates_per_slot, trials))
-        ]
-        rng = outage.trial_rng
-        expected = []
-        for seed, point, snr, rbar, n in points:
-            count = 0
-            for block, start in enumerate(range(0, n, 1 << 14)):
-                with monkeypatch.context() as m:
-                    m.setattr(outage, "trial_rng", lambda s, key: rng(s, (point, block)))
-                    size = min(1 << 14, n - start)
-                    count += outage._point_events(scheme, 7, seed, point, snr, rbar, size)
-            expected.append(count)
-        assert [round(low * trials[0]), *dmt.events] == expected
-        assert all(0 < count < n for count, (*_, n) in zip(expected, points))
 
     def test_consecutive_seeds_draw_different_streams(self, monkeypatch):
         # point 1 of seed S and point 0 of seed S + 1 once shared a stream
@@ -439,10 +388,59 @@ class TestGridPool:
         drawn = []
         monkeypatch.setattr(outage, "trial_rng", lambda *key: drawn.append(key))
         good = (100.0, 1.0, 1000)
-        for bad in ((0.0, 1.0, 1000), (100.0, -1.0, 1000), (100.0, 1.0, 0)):
+        for bad in ((0.0, 1.0, 1000), (100.0, -1.0, 1000), (100.0, 1.0, 0), (100.0, 1.0, 2**63)):
             with pytest.raises(ValueError):
                 outage._outage_events("successive", [good, bad], 7, 2)
         assert drawn == []
+
+    def test_each_point_draws_its_own_trials(self, monkeypatch):
+        # 0 dB draws all 100,000 trials raw; 20 dB spreads its trials over
+        # the cells in one multinomial draw
+        streams = record_streams(monkeypatch)
+        outage._outage_events("successive", [(1.0, 1.0, 100_000), (100.0, 1.0, 3 * 10**6)], 7, 9)
+        assert [s.key for s in streams] == [(9, (0, 0)), (9, (1, 0))]
+        assert [s.raw for s in streams] == [100_000, 0]
+        assert [s.multinomials for s in streams] == [[], [3 * 10**6]]
+
+    def test_point_past_2_40_trials_counts_on_one_stream(self, monkeypatch):
+        # l = 7 at 1 bit/slot: p_out ~1.5e-10 at 50 dB and ~1.5e-12 at 60 dB,
+        # so the points hold ~2.6e3 and ~1.6e3 events and the binomial sigma
+        # of the slope is ~0.015; 0.1 is more than six of them
+        streams = record_streams(monkeypatch)
+        trials = [1 << 44, 1 << 50]
+        points = [(10.0 ** (db / 10.0), 1.0, n) for db, n in zip((50.0, 60.0), trials)]
+        events = outage._outage_events("successive", points, 7, 31)
+        assert [s.key for s in streams] == [(31, (0, 0)), (31, (1, 0))]
+        assert [s.multinomials for s in streams] == [[n] for n in trials]
+        assert min(events) > 1000
+        slope = np.log10((events[0] / trials[0]) / (events[1] / trials[1]))
+        assert slope == pytest.approx(2.0, abs=0.1), events
+
+
+def record_streams(monkeypatch) -> list:
+    """Patch outage.trial_rng to record, per stream, its key, the trials it
+    draws raw and the trial count of each multinomial draw."""
+    streams = []
+    rng = outage.trial_rng
+
+    class Recording:
+        def __init__(self, *key):
+            self.key, self.rng, self.raw, self.multinomials = key, rng(*key), 0, []
+            streams.append(self)
+
+        def multinomial(self, n, pvals):
+            self.multinomials.append(n)
+            return self.rng.multinomial(n, pvals)
+
+        def standard_exponential(self, size):
+            self.raw += size[1]
+            return self.rng.standard_exponential(size)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    monkeypatch.setattr(outage, "trial_rng", Recording)
+    return streams
 
 
 class TestOutageProb:
@@ -508,58 +506,6 @@ class TestOutageProb:
             for rbar in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a <= b for a, b in zip(probs, probs[1:]))
-
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        kwargs = dict(scheme="successive")
-        p1 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=1, **kwargs)
-        p3 = outage_prob_conditioned(3.0, 1.0, 3, 300_000, 9, workers=3, **kwargs)
-        assert p1 == p3
-
-    def test_pool_sized_to_the_blocks(self, monkeypatch):
-        # no thread pool is left to size: any worker count counts inline, and
-        # each block draws exactly its own trials, raw or over the cells
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        blocks = []
-        rng = outage.trial_rng
-
-        class RecordingRng:
-            def __init__(self, *key):
-                self.rng, self.trials = rng(*key), 0
-                blocks.append(self)
-
-            def multinomial(self, n, pvals):
-                self.trials += n
-                return self.rng.multinomial(n, pvals)
-
-            def standard_exponential(self, size):
-                self.trials += size[1]
-                return self.rng.standard_exponential(size)
-
-            def random(self, size):
-                return self.rng.random(size)
-
-        monkeypatch.setattr(outage, "trial_rng", RecordingRng)
-        threads = threading.active_count()
-
-        def count(trials, workers):
-            blocks.clear()
-            p = outage_prob_conditioned(3.0, 1.0, 3, trials, 9, workers=workers)
-            return p, [b.trials for b in blocks]
-
-        for trials, sizes in ((1 << 14, [1 << 14]), (3 * (1 << 14) + 5, [1 << 14] * 3 + [5])):
-            counts = {count(trials, w)[0] for w in (1, 2, 3, 10**6)}
-            assert len(counts) == 1 and count(trials, 10**6)[1] == sizes
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
-    def test_counts_identical_for_one_to_three_workers(self, monkeypatch, scheme):
-        monkeypatch.setattr(outage, "BLOCK_SIZE", 1 << 14)
-        counts = {
-            outage_prob_conditioned(3.0, 1.0, 3, 5 * (1 << 14) + 7, 10, scheme=scheme, workers=w)
-            for w in (1, 2, 3)
-        }
-        assert len(counts) == 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
