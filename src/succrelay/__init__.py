@@ -19,7 +19,6 @@ from .experiments import (
     run_gain_curve,
     run_geometry_sweep,
     run_single_realization,
-    vblast_gap_report,
 )
 from .mimolinalg import (
     DetectionOrder,
@@ -76,7 +75,6 @@ __all__ = [
     "successive_vblast_batch",
     "theorem1_rate_batch",
     "trial_rng",
-    "vblast_gap_report",
 ]
 
 __version__ = "0.1.0"

@@ -11,10 +11,6 @@ where ``v`` is a unit-variance circularly-symmetric complex Gaussian
 exponent and ``zeta ~ Normal(0 dB, shadow_sigma_db**2)`` a lognormal
 shadowing term.  Shadowing is redrawn independently per link and per
 realization; the channel is block fading (one realization per frame).
-
-Each geometry-sweep SNR point draws from one stream, `trial_rng(seed,
-snr_idx)`, trial-major: trial t takes the t-th run of Gaussian draws, so a
-run with more trials extends the stream without changing earlier trials.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ class NetworkGeometry:
         return log_amp
 
 
-def preset_geometry(case_id: str, relay_spacing: float | None = None) -> NetworkGeometry:
+def preset_geometry(case_id: str) -> NetworkGeometry:
     """Return one of the three canonical network geometries.
 
     Case I:   relays at unit distance from both endpoints; the inter-relay
@@ -98,8 +94,7 @@ def preset_geometry(case_id: str, relay_spacing: float | None = None) -> Network
     Case II:  unit inter-relay distance, source/destination at 1/sqrt(2)
               from each relay.
     Case III: relays midway between the endpoints (d = 1/2) and nearly
-              co-located (inter-relay spacing CASE_III_RELAY_SPACING,
-              overridable via ``relay_spacing``).
+              co-located (inter-relay spacing CASE_III_RELAY_SPACING).
 
     All presets use gamma = 4 and 8 dB shadowing.
     """
@@ -115,8 +110,6 @@ def preset_geometry(case_id: str, relay_spacing: float | None = None) -> Network
         d_rr = CASE_III_RELAY_SPACING
     else:
         raise ValueError(f"unknown geometry case {case_id!r}; expected I, II or III")
-    if relay_spacing is not None:
-        d_rr = float(relay_spacing)
     return NetworkGeometry(
         d_sd=1.0, d_sr1=d_sr, d_sr2=d_sr, d_r1d=d_rd, d_r2d=d_rd, d_r1r2=d_rr
     )
@@ -146,14 +139,14 @@ class ChannelBatch:
 def trial_rng(seed: int, trial) -> np.random.Generator:
     """Independent random stream keyed by (seed, trial).
 
-    numpy's ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``,
-    so a stream's draws do not depend on execution order.  A geometry
-    sweep keys one stream per (seed, SNR index) and draws its trials from
-    it in order, trial-major: a run with more trials extends the stream
-    without changing earlier trials.  A tuple of integers is the whole
-    spawn key instead: the outage count draws grid point i from
-    (seed, (i, 0)).  Seed and every key must be >= 0, and each key below
-    2**64.
+    numpy's ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``, so
+    a stream's draws do not depend on execution order; an integer trial is
+    the key (trial,).  The experiments key their streams apart: a geometry
+    sweep draws SNR point i's trials from (i,), trial-major, so more trials
+    extend the stream without changing earlier ones; the outage count
+    draws DMT grid point i from (i, 0), and the gain curve frame length
+    i's Exp(1) gains from (i, 1).  Seed and every key must be >= 0, and
+    each key below 2**64.
     """
     key = trial if isinstance(trial, tuple) else (trial,)
     for k in key:

@@ -207,6 +207,17 @@ def outage_prob_conditioned(
     return _outage_events(scheme, [(snr, rate_per_slot_target, trials)], l, seed)[0] / trials
 
 
+def snr_from_db(snr_db: float) -> float:
+    """10 ** (snr_db / 10), raising ValueError unless it is a positive finite float."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = np.inf
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr {snr_db} dB has no positive finite linear value")
+    return snr
+
+
 def estimate_dmt(
     r: float,
     l: int,
@@ -243,7 +254,7 @@ def estimate_dmt(
         if len(trial_counts) != len(grid):
             raise ValueError("trials_per_point must match the grid length")
 
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in grid]
+    snrs = [snr_from_db(snr_db) for snr_db in grid]
     # a product of Python floats overflows to inf without a warning
     targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
     if r > 0.0 and not max(targets) < np.inf:

@@ -10,7 +10,8 @@ Every rate, interference flag and fallback rule depends only on the six
 squared link gains, so every kernel here takes one (6, n) float array ``g``
 of them, rows in ``channel.LINK_NAMES`` order (`ChannelBatch.gains`), and
 returns one value per frame.  A caller computes ``g`` once per batch of
-draws; a single realization is the n = 1 case.
+draws; a single realization is the n = 1 case.  The capacity gain reads
+only the three destination gains and takes those rows.
 
 Rate bookkeeping for the successive scheme walks the frame slot by slot:
 the first slot only constrains the source-to-relay rate of codeword 1; in
@@ -201,26 +202,23 @@ def adaptive_keep_batch(g: np.ndarray, rule: AdaptiveRule) -> np.ndarray:
     raise ValueError(f"unknown adaptive rule {rule!r}")
 
 
-def capacity_gain_G(snr: float | np.ndarray, l: int, trials: int, seed) -> float | np.ndarray:
+def capacity_gain_G(
+    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snrs: np.ndarray, l: int
+) -> np.ndarray:
     """Average capacity gain of successive relaying over classic protocol II.
 
-    Coefficients are i.i.d. unit-variance complex Gaussians (no pathloss or
-    shadowing).  The numerator is the mean per-slot log-det rate of the
-    (l+1) x l equivalent channel; the denominator the mean classic-II rate
-    with both relays decoding, 0.5 * C((|h_sd|^2+|h_r1d|^2+|h_r2d|^2) snr).
-    A 1-D ``snr`` array gives one gain per SNR, all from the same draws.
+    Takes the (n,) squared destination gains of n draws, like
+    `logdet_capacity_batch`, and returns one gain per entry of the 1-D
+    ``snrs``, all from the same draws.  The numerator is the mean per-slot
+    log-det rate of the (l+1) x l equivalent channel; the denominator the
+    mean classic-II rate with both relays decoding,
+    0.5 * C((g_sd + g_r1d + g_r2d) snr).
     """
-    snrs = np.asarray(snr, dtype=float)
-    if not np.all(snrs > 0.0):
-        raise ValueError(f"snr must be > 0, got {snr}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    v = np.random.default_rng(seed).standard_normal((2, 3, trials))
-    gsd, g1, g2 = np.abs((v[0] + 1j * v[1]) / np.sqrt(2.0)) ** 2
-
-    gains = []
-    for s in snrs.ravel():
-        num = float(np.mean(logdet_capacity_batch(gsd, g1, g2, s, l))) / (l + 1)
-        den = 0.5 * float(np.mean(_cap((gsd + g1 + g2) * s)))
-        gains.append(num / den)
-    return gains[0] if snrs.ndim == 0 else np.array(gains)
+    snrs = np.asarray(snrs, dtype=float)
+    if snrs.ndim != 1 or not np.all((snrs > 0.0) & (snrs < np.inf)):
+        raise ValueError(f"snrs must be a 1-D array of finite values > 0, got {snrs}")
+    if np.size(g_sd) == 0:
+        raise ValueError("capacity gain needs at least one draw")
+    num = [np.mean(logdet_capacity_batch(g_sd, g_r1d, g_r2d, s, l)) / (l + 1) for s in snrs]
+    den = [0.5 * np.mean(_cap((g_sd + g_r1d + g_r2d) * s)) for s in snrs]
+    return np.array(num) / np.array(den)

@@ -62,10 +62,6 @@ class TestPresets:
             assert g.gamma == 4.0
             assert g.shadow_sigma_db == 8.0
 
-    def test_relay_spacing_override(self):
-        g = preset_geometry("III", relay_spacing=0.08)
-        assert g.d_r1r2 == 0.08
-
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             preset_geometry("IV")

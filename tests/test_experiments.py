@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from succrelay import InvariantError, experiments
+from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
-from succrelay.channel import NetworkGeometry, preset_geometry
+from succrelay.channel import NetworkGeometry, preset_geometry, trial_rng
 from succrelay.protocols import capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
     ConfigError,
@@ -17,7 +17,6 @@ from succrelay.experiments import (
     run_geometry_sweep,
     run_single_realization,
     sweep_csv_table,
-    vblast_gap_report,
 )
 
 SMALL_SWEEP = dict(
@@ -106,6 +105,9 @@ class TestConfig:
             (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
             (dict(dmt_trials_per_point="555"), "dmt_trials_per_point"),
             (dict(dmt_trials_per_point=(10, 2**63, 10)), "dmt_trials_per_point"),
+            (dict(snr_grid_db=(0.0, 4000.0)), "snr_grid_db"),
+            (dict(snr_grid_db=(-4000.0, 0.0)), "snr_grid_db"),
+            (dict(snr_grid_db=(10**400,)), "snr_grid_db"),
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -230,9 +232,29 @@ class TestGainCurve:
         )
         for row in run_gain_curve(cfg):
             li = cfg.gain_l_values.index(row["l"])
-            seed = np.random.SeedSequence(entropy=8, spawn_key=(li,))
+            g = trial_rng(8, (li, 1)).standard_exponential((3, 2000))
             snr = 10.0 ** (row["snr_db"] / 10.0)
-            assert row["capacity_gain"] == capacity_gain_G(snr, row["l"], 2000, seed)
+            assert row["capacity_gain"] == capacity_gain_G(*g, [snr], row["l"])[0]
+
+    def test_streams_share_no_key_with_a_sweep_or_dmt_grid(self, monkeypatch):
+        keys = []
+
+        def record(seed, trial):
+            keys[-1].add(trial if isinstance(trial, tuple) else (trial,))
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(experiments, "trial_rng", record)
+        monkeypatch.setattr(outage, "trial_rng", record)
+        for cfg in (
+            dict(experiment="gain_curve", snr_grid_db=(0.0, 20.0, 40.0), gain_l_values=(3, 7, 2)),
+            dict(experiment="geometry_sweep", snr_grid_db=(0.0, 10.0, 20.0), l=3),
+            dict(experiment="dmt_slope", snr_grid_db=(20.0, 30.0, 40.0)),
+        ):
+            keys.append(set())
+            run_experiment(ExperimentConfig(**cfg, trials=20, seed=8))
+        gain, sweep, dmt = keys
+        assert gain == {(0, 1), (1, 1), (2, 1)} and sweep and dmt
+        assert not gain & sweep and not gain & dmt and not sweep & dmt
 
 
 class TestDmtExperiment:
@@ -310,50 +332,6 @@ class TestSingleRealization:
                     successive = e["protocol"].startswith("successive")
                     assert isinstance(e["interference_free"], bool) == successive
         assert fallbacks > 0
-
-
-class TestVblastGap:
-    def test_case3_gap_small_and_nonnegative(self):
-        cfg = ExperimentConfig(
-            experiment="geometry_sweep",
-            geometry="III",
-            l=7,
-            snr_grid_db=(20.0,),
-            trials=2000,
-            seed=11,
-            protocols=("successive_genie", "successive_vblast"),
-        )
-        rows = vblast_gap_report(cfg)
-        assert rows[0].min_gap >= -1e-9
-        assert rows[0].mean_gap < 0.05 * rows[0].mean_genie
-
-    def test_vblast_above_genie_raises(self, monkeypatch):
-        cfg = ExperimentConfig(
-            experiment="geometry_sweep",
-            geometry="III",
-            l=3,
-            snr_grid_db=(20.0,),
-            trials=50,
-            seed=12,
-            protocols=("successive_genie", "successive_vblast"),
-        )
-        vblast = experiments.successive_vblast_batch
-
-        def above_genie(g, snr, l):
-            # draw 7 beats the genie rate by 1e-6
-            _, per_cw, branch = vblast(g, snr, l)
-            rate = experiments.successive_genie_batch(g, snr, l)[0].copy()
-            rate[7] += 1e-6
-            return rate, per_cw, branch
-
-        monkeypatch.setattr(experiments, "successive_vblast_batch", above_genie)
-        with pytest.raises(InvariantError, match="exceeded the genie bound"):
-            vblast_gap_report(cfg)
-
-    def test_requires_both_successive_schemes(self):
-        cfg = ExperimentConfig(**SMALL_SWEEP)
-        with pytest.raises(ConfigError):
-            vblast_gap_report(cfg)
 
 
 class TestOutput:
@@ -511,6 +489,12 @@ class TestCli:
     def test_out_of_range_list_entry_exit_code(self, capsys, argv, field):
         assert cli_main([*argv, "--snr", "20", "30", "40", "--trials", "10"]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    @pytest.mark.parametrize("snr", [["20", "30", "4000"], ["-4000", "0"]])
+    def test_snr_without_a_finite_linear_value_exit_code(self, capsys, experiment, snr):
+        assert cli_main(["--experiment", experiment, "--snr", *snr, "--trials", "10"]) == 2
+        assert "config field 'snr_grid_db'" in capsys.readouterr().err
 
     def test_json_config_naming_workers_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

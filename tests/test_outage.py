@@ -552,6 +552,8 @@ class TestEstimateDmt:
             dict(r=float("nan")),
             dict(r=1e308),
             dict(fixed_rate_bits=-1.0),
+            dict(snr_grid_db=[20.0, 30.0, 4000.0]),
+            dict(snr_grid_db=[20.0, 30.0, float("inf")]),
         ],
         ids=[
             "scheme",
@@ -563,6 +565,8 @@ class TestEstimateDmt:
             "nan_r",
             "overflowing_r",
             "negative_fixed_rate",
+            "overflowing_snr",
+            "infinite_snr",
         ],
     )
     def test_invalid_arguments(self, kwargs):

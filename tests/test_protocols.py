@@ -267,25 +267,47 @@ class TestAdaptiveFallback:
         assert classic2(g, 2.0)[0] == pytest.approx(0.5 * np.log2(1 + 3.0 * 2.0))
 
 
+def exp_gains(seed, n):
+    """Three rows of n i.i.d. Exp(1) squared gains, as the gain curve draws them."""
+    return np.random.default_rng(seed).standard_exponential((3, n))
+
+
 class TestCapacityGain:
     def test_low_snr_limit(self):
         l = 7
-        g = capacity_gain_G(1e-6, l, 40_000, seed=0)
+        g = capacity_gain_G(*exp_gains(0, 40_000), [1e-6], l)[0]
         assert g == pytest.approx(4 * l / (3 * (l + 1)), rel=0.02)
 
     def test_deterministic_in_seed(self):
-        assert capacity_gain_G(10.0, 3, 5000, seed=4) == capacity_gain_G(10.0, 3, 5000, seed=4)
+        first = capacity_gain_G(*exp_gains(4, 5000), [10.0], 3)
+        assert first.tolist() == capacity_gain_G(*exp_gains(4, 5000), [10.0], 3).tolist()
 
     def test_snr_array_reuses_the_draws(self):
         snrs = np.array([1.0, 10.0, 1e4])
-        got = capacity_gain_G(snrs, 3, 20_000, seed=6)
-        want = [capacity_gain_G(s, 3, 20_000, seed=6) for s in snrs]
+        g = exp_gains(6, 20_000)
+        got = capacity_gain_G(*g, snrs, 3)
+        want = [capacity_gain_G(*g, [s], 3)[0] for s in snrs]
         assert isinstance(got, np.ndarray) and got.tolist() == want
 
     def test_invalid_arguments(self):
+        g = exp_gains(0, 100)
         with pytest.raises(ValueError):
-            capacity_gain_G(0.0, 7, 100, seed=0)
+            capacity_gain_G(*g, [0.0], 7)
         with pytest.raises(ValueError):
-            capacity_gain_G(np.array([1.0, 0.0]), 7, 100, seed=0)
-        with pytest.raises(ValueError):
-            capacity_gain_G(1.0, 7, 0, seed=0)
+            capacity_gain_G(*g, np.array([1.0, 0.0]), 7)
+        with pytest.raises(ValueError, match="at least one draw"):
+            capacity_gain_G(*exp_gains(0, 0), [1.0], 7)
+
+    @pytest.mark.parametrize(
+        "snrs,match",
+        [
+            (1.0, "1-D"),
+            ([[1.0, 10.0]], "1-D"),
+            ([1.0, -1.0], "> 0"),
+            ([1.0, np.inf], "finite"),
+            ([np.nan], "finite"),
+        ],
+    )
+    def test_snrs_errors_are_named(self, snrs, match):
+        with pytest.raises(ValueError, match=match):
+            capacity_gain_G(*exp_gains(1, 10), snrs, 3)
