@@ -18,13 +18,7 @@ import argparse
 import json
 import sys
 
-from .experiments import (
-    EXPERIMENTS,
-    PROTOCOLS,
-    ConfigError,
-    ExperimentConfig,
-    run_experiment,
-)
+from .experiments import CHOICES, ConfigError, ExperimentConfig, run_experiment
 
 
 def _geometry(text: str):
@@ -38,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate and outage experiments for the two-relay successive-relaying network.",
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--experiment", "-e", choices=EXPERIMENTS)
+    p.add_argument("--experiment", "-e", choices=CHOICES["experiment"])
     p.add_argument(
         "--geometry",
         type=_geometry,
@@ -51,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--protocols", nargs="+", choices=tuple(PROTOCOLS))
-    p.add_argument("--adaptive", dest="adaptive_rule", choices=("none", "a", "b", "c"))
+    p.add_argument("--protocols", nargs="+", choices=CHOICES["protocols"])
+    p.add_argument("--adaptive", dest="adaptive_rule", choices=CHOICES["adaptive_rule"])
     p.add_argument("--out", dest="output_path", metavar="OUT", help="output file path")
-    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
+    p.add_argument("--format", dest="output_format", choices=CHOICES["output_format"])
     p.add_argument(
         "--workers",
         type=int,
@@ -72,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--r", dest="dmt_r", metavar="R", type=float, help="multiplexing gain for the DMT experiment"
     )
-    p.add_argument("--dmt-scheme", choices=("successive", "classic2"))
+    p.add_argument("--dmt-scheme", choices=CHOICES["dmt_scheme"])
     p.add_argument(
         "--dmt-trials",
         dest="dmt_trials_per_point",

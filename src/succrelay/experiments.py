@@ -32,7 +32,7 @@ from .channel import (
     sample_realizations,
     trial_rng,
 )
-from .outage import dmt_formula, estimate_dmt, snr_from_db
+from .outage import SCHEMES, estimate_dmt, snr_from_db
 from .protocols import (
     AdaptiveRule,
     adaptive_keep_batch,
@@ -48,6 +48,7 @@ from .protocols import (
 SCHEMA_VERSION = 1
 
 EXPERIMENTS = ("gain_curve", "geometry_sweep", "dmt_slope", "single_realization")
+OUTPUT_FORMATS = ("csv", "json")
 
 
 def _one_codeword(rate: np.ndarray, slots: float):
@@ -72,6 +73,14 @@ PROTOCOLS = {
     "theorem1": (False, lambda g, snr, l: (theorem1_rate_batch(g, snr, l), None, None)),
 }
 _GEOMETRY_KEYS = ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2")
+# config field -> the values it may take; `simulate` offers the same choices
+CHOICES = {
+    "experiment": EXPERIMENTS,
+    "protocols": tuple(PROTOCOLS),
+    "adaptive_rule": ("none", *(rule.value for rule in AdaptiveRule)),
+    "output_format": OUTPUT_FORMATS,
+    "dmt_scheme": tuple(SCHEMES),
+}
 
 
 class ConfigError(ValueError):
@@ -144,8 +153,10 @@ class ExperimentConfig:
         for name, (kind, values) in typed.items():
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
                 raise ConfigError(name, f"must be {nouns[kind]}, got {getattr(self, name)!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        for name, allowed in CHOICES.items():
+            for value in typed[name][1]:
+                if value not in allowed:
+                    raise ConfigError(name, f"must be one of {allowed}, got {value!r}")
         if isinstance(self.geometry, dict):
             missing = [k for k in _GEOMETRY_KEYS if k not in self.geometry]
             if missing:
@@ -174,19 +185,10 @@ class ExperimentConfig:
             raise ConfigError("seed", "must fit an unsigned 64-bit integer")
         if not self.protocols:
             raise ConfigError("protocols", "select at least one protocol")
-        for name in self.protocols:
-            if name not in PROTOCOLS:
-                raise ConfigError("protocols", f"unknown protocol {name!r}")
-        if self.adaptive_rule not in ("none", "a", "b", "c"):
-            raise ConfigError("adaptive_rule", f"must be none/a/b/c, got {self.adaptive_rule!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError("output_format", f"must be csv or json, got {self.output_format!r}")
         if self.experiment == "gain_curve" and not self.gain_l_values:
             raise ConfigError("gain_l_values", "gain curve needs at least one frame length")
         if any(x < 1 for x in self.gain_l_values):
             raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
-        if self.dmt_scheme not in ("successive", "classic2"):
-            raise ConfigError("dmt_scheme", f"must be successive or classic2, got {self.dmt_scheme!r}")
         if not 0.0 <= self.dmt_r < math.inf:
             raise ConfigError("dmt_r", f"must be finite and >= 0, got {self.dmt_r}")
         if not 0.0 <= self.dmt_fixed_rate < math.inf:
@@ -317,7 +319,7 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_dmt(cfg: ExperimentConfig) -> dict:
-    """Empirical diversity slope plus the closed-form tradeoff value."""
+    """Empirical diversity slope plus the measured scheme's closed-form tradeoff."""
     if cfg.experiment != "dmt_slope":
         raise ConfigError("experiment", f"expected dmt_slope, got {cfg.experiment!r}")
     try:
@@ -334,9 +336,7 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
         # estimate_dmt words every error about r as "multiplexing gain ..."
         field = "dmt_r" if str(exc).startswith("multiplexing gain") else "snr_grid_db"
         raise ConfigError(field, str(exc)) from exc
-    result = asdict(point)
-    result["dmt_formula"] = dmt_formula(cfg.dmt_r, cfg.l)
-    return result
+    return {**asdict(point), "dmt_formula": SCHEMES[cfg.dmt_scheme][3](cfg.dmt_r, cfg.l)}
 
 
 def run_single_realization(cfg: ExperimentConfig) -> dict:

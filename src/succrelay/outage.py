@@ -2,24 +2,20 @@
 
 The outage model conditions on the relays decoding correctly, so only the
 direct and the two relay-to-destination links stay random: i.i.d.
-unit-variance Rayleigh, with squared gains g0, g1, g2 ~ Exp(1).  A frame
-carrying l codewords at a per-slot target of rbar bits needs every
-per-codeword rate R = (l+1) rbar / l supported by its single-stream
-combining cap, and l*R supported by the equivalent channel's log-det
-bound; outage is the failure of any of these.
+unit-variance Rayleigh, with squared gains g0, g1, g2 ~ Exp(1).  Each
+scheme's row of `SCHEMES` spells out its outage event, the failure of its
+weakest single-stream cap or of the log-det bound, and its tradeoff.
 
-The outage event is a down-set: the caps and the classic-II test are sums,
-and the log-det never falls as a gain rises.  So one fixed grid of cells
-covers (g1, g2), and `_staircase` gives each cell a g0 below which all its
-events lie.  Each grid point's one (seed, (point, 0)) stream makes one
-multinomial draw of its trials over the cells and a rest that holds no
-event, draws the candidates' gains by inverting the truncated Exp(1)
-(Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of
-CHUNK, and runs the exact test on them: the caps and the O(l) pivot
-recurrence.  Where the cells hold most of the mass (low SNR), the point
-draws every trial raw instead, which is cheaper.  The count is
-Binomial(trials, p_out), as for drawing every trial; only the stream
-differs.
+The outage event is a down-set: the caps are sums, and the log-det never
+falls as a gain rises.  So one fixed grid of cells covers (g1, g2), and
+`_staircase` gives each cell a g0 below which all its events lie.  Each
+grid point's one (seed, (point, 0)) stream makes one multinomial draw of
+its trials over the cells and a rest that holds no event, draws the
+candidates' gains by inverting the truncated Exp(1) (Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of CHUNK,
+and runs the exact test on them: the cap and, where the row asks, the
+O(l) pivot recurrence.  The count is Binomial(trials, p_out), as for
+drawing every trial; only the stream differs.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import numpy as np
 from .channel import trial_rng
 from .mimolinalg import CHUNK, logdet_capacity_batch
 
-_SCHEMES = ("successive", "classic2")
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # and the Exp(1) mass of each interval, e^-a (1 - e^-(b - a)).
 _EDGES = np.concatenate([[0.0], 2.0 ** (np.arange(-60, 13) / 2.0), [np.inf]])
@@ -51,12 +46,34 @@ def _check_frame_length(l) -> None:
         raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
 
 
+# name -> (per-codeword rate r_cw(rbar, l), relay gains cap(g1, g2, l) that
+# the weakest single-stream cap adds to g0, whether the log-det must also
+# carry l * r_cw, tradeoff d(r, l)).  Successive: l codewords in l + 1 slots,
+# each capped by g0 plus one relay (the first sees only relay 1), so by
+# monotone rounding g0 + min(g1, g2) fails iff g0 + g1 or g0 + g2 does.
+# Classic protocol II: one codeword in two slots, over all three branches.
+SCHEMES = {
+    "successive": (
+        lambda rbar, l: (l + 1) * rbar / l,
+        lambda g1, g2, l: np.minimum(g1, g2) if l > 1 else g1,
+        True,
+        lambda r, l: 2.0 * max(0.0, 1.0 - (l + 1) * r / l),
+    ),
+    "classic2": (
+        lambda rbar, l: 2.0 * rbar,
+        lambda g1, g2, l: g1 + g2,
+        False,
+        lambda r, l: 3.0 * max(0.0, 1.0 - 2.0 * r),
+    ),
+}
+
+
 def dmt_formula(r: float, l: int) -> float:
     """Diversity gain of the successive scheme at multiplexing gain r."""
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
     _check_frame_length(l)
-    return 2.0 * max(0.0, 1.0 - (l + 1) * r / l)
+    return SCHEMES["successive"][3](r, l)
 
 
 @dataclass(frozen=True)
@@ -94,9 +111,9 @@ def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c
         # l log2(1 + snr g0) <= log-det: the log-det root lies below this, and
         # it is >= reach, since x ln 2 >= 1 - 2^-x
         bound = min(np.expm1(r_cw * (1.0 + 2.0 * _SLACK) * np.log(2.0)) / snr, _G0_MAX)
-    cap = c1 + c2 if scheme == "classic2" else (np.minimum(c1, c2) if l > 1 else c1)
-    tau = np.minimum(np.maximum(reach - cap, 0.0), _G0_MAX)
-    if scheme == "successive":
+    _, cap, logdet, _ = SCHEMES[scheme]
+    tau = np.minimum(np.maximum(reach - cap(c1, c2, l), 0.0), _G0_MAX)
+    if logdet:
         # corners still below the log-det target at the cap root
         target = l * r_cw * (1.0 + _SLACK)
         todo = np.flatnonzero(logdet_capacity_batch(tau, c1, c2, snr, l) < target)
@@ -130,20 +147,8 @@ def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
     return mass[cells], lower, span
 
 
-def _caps_fail(g: np.ndarray, l: int, threshold: float) -> np.ndarray:
-    """Cap failures of (3, n) gains: g0 + g1 or (l >= 2) g0 + g2 below threshold."""
-    g0, g1, g2 = g
-    # rounding is monotone, so the sum with min(g1, g2) fails iff one of those does
-    return g0 + (np.minimum(g1, g2) if l > 1 else g1) < threshold
-
-
 def _candidate_gains(rng, size: int, mass, lower, span):
-    """(3, <= CHUNK) gains of a point's candidates, or of all its trials when
-    most are candidates: raw Exp(1) draws then cost less than the inversion."""
-    if 2.0 * mass.sum() > 1.0:
-        for first in range(0, size, CHUNK):
-            yield rng.standard_exponential((3, min(CHUNK, size - first)))
-        return
+    """(3, <= CHUNK) gains of the trials that the multinomial draw puts in a cell."""
     ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
     for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
         cell = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
@@ -153,8 +158,8 @@ def _candidate_gains(rng, size: int, mass, lower, span):
 def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[int]:
     """Outage events of each (snr, rbar, trials) point, all checked before any draw."""
     _check_frame_length(l)
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     for snr, rbar, trials in points:
         if not 0.0 < snr < np.inf:
             raise ValueError(f"snr must be finite and > 0, got {snr}")
@@ -171,7 +176,8 @@ def _point_events(
     """Events of grid point ``point``, all drawn from one stream."""
     if rbar == 0.0:
         return 0
-    r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
+    codeword_rate, cap, logdet, _ = SCHEMES[scheme]
+    r_cw = codeword_rate(rbar, l)
     threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
     if not threshold < np.finfo(float).max:
         return trials  # no gain in float range meets a threshold past it
@@ -179,12 +185,9 @@ def _point_events(
     rng = trial_rng(seed, (point, 0))
     events = 0
     for g in _candidate_gains(rng, trials, *_cells(scheme, snr, l, r_cw, threshold)):
-        if scheme == "classic2":
-            # only the three-branch combining cap binds once the relays decode
-            failed = g.sum(axis=0) < threshold
-        else:
-            logdet = logdet_capacity_batch(*g, snr, l)
-            failed = _caps_fail(g, l, threshold) | (logdet < l * r_cw)
+        failed = g[0] + cap(g[1], g[2], l) < threshold
+        if logdet:
+            failed |= logdet_capacity_batch(*g, snr, l) < l * r_cw
         events += int(np.count_nonzero(failed))
     return events
 
@@ -201,8 +204,8 @@ def outage_prob_conditioned(
     """Monte Carlo outage frequency of the conditioned relay channel.
 
     The three destination-side links are i.i.d. unit-variance Rayleigh.
-    ``scheme`` picks the successive frame model or the classic-II
-    comparator.  The count draws from the (seed, (0, 0)) stream.
+    ``scheme`` names a row of `SCHEMES`: the successive frame model or the
+    classic-II comparator.  The count draws from the (seed, (0, 0)) stream.
     """
     return _outage_events(scheme, [(snr, rate_per_slot_target, trials)], l, seed)[0] / trials
 
@@ -240,7 +243,9 @@ def estimate_dmt(
     """
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
-    grid = [float(x) for x in snr_grid_db]
+    grid = list(snr_grid_db)
+    snrs = [snr_from_db(x) for x in grid]  # ValueError where float(x) would overflow
+    grid = [float(x) for x in grid]
     if len(grid) < 3:
         raise ValueError("snr grid needs at least 3 points")
     if min(grid) < 20.0 or max(grid) - min(grid) < 20.0:
@@ -254,7 +259,6 @@ def estimate_dmt(
         if len(trial_counts) != len(grid):
             raise ValueError("trials_per_point must match the grid length")
 
-    snrs = [snr_from_db(snr_db) for snr_db in grid]
     # a product of Python floats overflows to inf without a warning
     targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
     if r > 0.0 and not max(targets) < np.inf:
@@ -263,6 +267,7 @@ def estimate_dmt(
     probs = [count / trials for count, trials in zip(events, trial_counts)]
 
     usable = [i for i, c in enumerate(events) if c >= MIN_EVENTS]
+    primary = lstsq = float("nan")
     if len(usable) >= 2:
         decades = np.array([grid[i] / 10.0 for i in usable])
         neglog = -np.log10([probs[i] for i in usable])
@@ -271,9 +276,6 @@ def estimate_dmt(
             (np.log10(probs[a]) - np.log10(probs[b])) / ((grid[b] - grid[a]) / 10.0)
         )
         lstsq = float(np.polyfit(decades, neglog, 1)[0])
-    else:
-        primary = float("nan")
-        lstsq = float("nan")
 
     return DmtPoint(
         multiplexing_r=float(r),

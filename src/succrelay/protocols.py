@@ -169,7 +169,10 @@ def interference_free_batch(
     The flags are a screen, not a guarantee: with both set, the genie rate
     can still fall short of the log-det share ``theorem1_rate_batch`` when
     g_r1r2 < g_sr2 makes the recursion treat the interference as noise
-    (tests/test_properties.py pins such a point at l = 2 and 0 dB).
+    (tests/test_properties.py pins such a point at l = 2 and 0 dB).  The
+    first flag's loop also tests slot l - 1, which has no next codeword and
+    which the recursion never reaches, so it tests the same two conditions
+    for every l >= 2.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")

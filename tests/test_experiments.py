@@ -533,6 +533,37 @@ class TestCli:
         assert rc == 0
         assert "diversity estimate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "scheme,r,formula",
+        [
+            ("successive", 0.0, 2.0),
+            ("successive", 0.2, 2.0 * (1.0 - 8.0 / 7.0 * 0.2)),
+            ("classic2", 0.0, 3.0),
+            ("classic2", 0.2, 1.8),
+        ],
+    )
+    def test_dmt_formula_is_the_measured_schemes(self, tmp_path, capsys, scheme, r, formula):
+        # d(r) = 2(1 - (l+1) r / l)+ for successive relaying, 3(1 - 2r)+ for classic II
+        out = tmp_path / "dmt.json"
+        rc = cli_main(
+            [
+                "--experiment", "dmt_slope",
+                "--snr", "20", "30", "40",
+                "--trials", "1000",
+                "--seed", "4",
+                "--l", "7",
+                "--r", str(r),
+                "--dmt-scheme", scheme,
+                "--out", str(out),
+                "--format", "json",
+            ]
+        )
+        assert rc == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["scheme"] == scheme
+        assert result["dmt_formula"] == pytest.approx(formula, rel=1e-12)
+        assert f"formula={formula:.3f}" in capsys.readouterr().out
+
     def test_custom_geometry_json_flag(self, capsys):
         geometry = (
             '{"d_sd": 1.0, "d_sr1": 0.5, "d_sr2": 0.5,'

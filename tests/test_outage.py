@@ -86,12 +86,16 @@ def limits_of_cells(g, scheme, snr, l, r_cw, threshold):
 
 
 def check_screen(g, snr, l, r_cw, scheme="successive"):
-    """Every exact event of (3, n) gains lies below its cell's staircase value;
-    a target past float range needs no staircase, as every draw is an event."""
+    """Every exact event of (3, n) gains, by the oracle and by the scheme's row
+    of `SCHEMES`, lies below its cell's staircase value; a target past float
+    range needs no staircase, as every draw is an event."""
     threshold, caps, events = exact_outage(g, snr, l, r_cw)
+    row_caps = g[0] + outage.SCHEMES[scheme][1](g[1], g[2], l) < threshold
     if scheme == "classic2":
         events = g.sum(axis=0) < threshold
-    assert np.array_equal(outage._caps_fail(g, l, threshold), caps)
+    else:
+        assert np.array_equal(row_caps, caps)
+    events = events | row_caps
     if not threshold < np.finfo(float).max:
         assert events.all()
         return
@@ -262,29 +266,21 @@ class TestScreenedCount:
         # some targets sit on a draw that only `<` leaves out of the count
         assert boundary >= 3
 
-    def test_exact_test_runs_on_candidates_unless_most_are(self, monkeypatch):
-        sizes = []
-        caps_fail = outage._caps_fail
-
-        def recording(g, *args):
-            sizes.append(g.shape[1])
-            return caps_fail(g, *args)
-
-        monkeypatch.setattr(outage, "_caps_fail", recording)
-        # 0 dB: the cells hold ~0.54 of the mass, so every trial is drawn raw;
-        # 20 dB: ~1.7e-4 of the trials are candidates, drawn in one short piece
+    def test_exact_test_runs_on_candidates_only(self, monkeypatch):
+        # 0 dB: the cells hold ~0.54 of the mass, so most trials are candidates;
+        # 20 dB: ~1.7e-4 are.  Either way the exact test sees the candidates
+        # alone, about mass * trials of them, in full pieces but the last
+        sizes = record_candidates(monkeypatch)
         l, r_cw = 7, 8 / 7
         for snr_db, trials, most in ((0.0, 100_000, True), (20.0, 10**6, False)):
             snr = 10.0 ** (snr_db / 10.0)
-            mass = outage._cells("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)[0]
-            assert (2.0 * mass.sum() > 1.0) == most
+            mass = outage._cells("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)[0].sum()
+            assert (mass > 0.5) == most
             sizes.clear()
             outage_prob_conditioned(snr, 1.0, l, trials, 5)
             assert max(sizes) <= CHUNK and all(s == CHUNK for s in sizes[:-1])
-            if most:
-                assert sum(sizes) == trials
-            else:
-                assert 1e-4 * trials < sum(sizes) < 3e-4 * trials
+            sigma = np.sqrt(mass * (1.0 - mass) * trials)
+            assert abs(sum(sizes) - mass * trials) < 4.0 * sigma, (snr_db, sum(sizes))
 
 
 def block_rng(seed, block):
@@ -394,13 +390,13 @@ class TestGridPool:
         assert drawn == []
 
     def test_each_point_draws_its_own_trials(self, monkeypatch):
-        # 0 dB draws all 100,000 trials raw; 20 dB spreads its trials over
-        # the cells in one multinomial draw
+        # 0 dB, where most trials are candidates, and 20 dB each spread their
+        # trials over the cells in one multinomial draw; no trial is drawn raw
         streams = record_streams(monkeypatch)
         outage._outage_events("successive", [(1.0, 1.0, 100_000), (100.0, 1.0, 3 * 10**6)], 7, 9)
         assert [s.key for s in streams] == [(9, (0, 0)), (9, (1, 0))]
-        assert [s.raw for s in streams] == [100_000, 0]
-        assert [s.multinomials for s in streams] == [[], [3 * 10**6]]
+        assert [s.raw for s in streams] == [0, 0]
+        assert [s.multinomials for s in streams] == [[100_000], [3 * 10**6]]
 
     def test_point_past_2_40_trials_counts_on_one_stream(self, monkeypatch):
         # l = 7 at 1 bit/slot: p_out ~1.5e-10 at 50 dB and ~1.5e-12 at 60 dB,
@@ -415,6 +411,20 @@ class TestGridPool:
         assert min(events) > 1000
         slope = np.log10((events[0] / trials[0]) / (events[1] / trials[1]))
         assert slope == pytest.approx(2.0, abs=0.1), events
+
+
+def record_candidates(monkeypatch) -> list:
+    """Patch outage._candidate_gains to record the size of each piece it yields."""
+    sizes = []
+    candidate_gains = outage._candidate_gains
+
+    def recording(*args):
+        for g in candidate_gains(*args):
+            sizes.append(g.shape[1])
+            yield g
+
+    monkeypatch.setattr(outage, "_candidate_gains", recording)
+    return sizes
 
 
 def record_streams(monkeypatch) -> list:
@@ -450,6 +460,17 @@ class TestOutageProb:
     def test_vanishing_snr_always_in_outage(self):
         p = outage_prob_conditioned(1e-9, 1.0, 7, 2000, 0)
         assert p == 1.0
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    @pytest.mark.parametrize("l", [1, 7, 64])
+    def test_certain_outage_counts_every_trial_as_a_candidate(self, monkeypatch, scheme, l):
+        # at snr 1e-9 every cell holds events up to g0 = inf, so the cells'
+        # masses sum to 1 and the one multinomial draw leaves no trial out
+        streams = record_streams(monkeypatch)
+        sizes = record_candidates(monkeypatch)
+        assert outage_prob_conditioned(1e-9, 1.0, l, 20_000, 3, scheme=scheme) == 1.0
+        assert [(s.raw, s.multinomials) for s in streams] == [(0, [20_000])]
+        assert sum(sizes) == 20_000
 
     @pytest.mark.parametrize(
         "snr_db,rbar", [(0.0, 1.0), (10.0, 1.0), (10.0, 2.0)]
@@ -554,6 +575,7 @@ class TestEstimateDmt:
             dict(fixed_rate_bits=-1.0),
             dict(snr_grid_db=[20.0, 30.0, 4000.0]),
             dict(snr_grid_db=[20.0, 30.0, float("inf")]),
+            dict(snr_grid_db=[20, 30, 10**400]),
         ],
         ids=[
             "scheme",
@@ -567,6 +589,7 @@ class TestEstimateDmt:
             "negative_fixed_rate",
             "overflowing_snr",
             "infinite_snr",
+            "int_snr_past_float_range",
         ],
     )
     def test_invalid_arguments(self, kwargs):
