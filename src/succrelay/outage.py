@@ -8,13 +8,13 @@ weakest single-stream cap or of the log-det bound, and its tradeoff.
 
 The outage event is a down-set: the caps are sums, and the log-det never
 falls as a gain rises.  So one fixed grid of cells covers (g1, g2), and
-`_staircase` gives each cell a g0 below which all its events lie.  Each
-grid point's one (seed, (point, 0)) stream makes one multinomial draw of
-its trials over the cells and a rest that holds no event, draws the
-candidates' gains by inverting the truncated Exp(1) (Devroye,
-Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of CHUNK,
-and runs the exact test on them: the cap and, where the row asks, the
-O(l) pivot recurrence.  The count is Binomial(trials, p_out), as for
+`_staircase` gives each cell, in closed form, a g0 below which all its
+events lie.  Each grid point's one (seed, (point, 0)) stream makes one
+multinomial draw of its trials over the cells and a rest that holds no
+event, draws the candidates' gains by inverting the truncated Exp(1)
+(Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of
+CHUNK, and runs the exact test on them: the cap and, where the row asks,
+the O(l) pivot recurrence.  The count is Binomial(trials, p_out), as for
 drawing every trial; only the stream differs.
 """
 
@@ -32,10 +32,9 @@ from .mimolinalg import CHUNK, logdet_capacity_batch
 # and the Exp(1) mass of each interval, e^-a (1 - e^-(b - a)).
 _EDGES = np.concatenate([[0.0], 2.0 ** (np.arange(-60, 13) / 2.0), [np.inf]])
 _MASS = np.exp(-_EDGES[:-1]) * -np.expm1(_EDGES[:-1] - _EDGES[1:])
-# Relative slack on each cell's target, steps of the log-det root's
-# bisection, and a g0 past every Exp(1) draw (e^-1024 underflows to 0).
+# Relative slack on each cell's target, and a g0 past every Exp(1) draw
+# (e^-1024 underflows to 0).
 _SLACK = 1e-6
-_BISECTIONS = 12
 _G0_MAX = 1024.0
 # Grid points with fewer outage events are flagged and left out of the fits.
 MIN_EVENTS = 20
@@ -101,10 +100,12 @@ def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c
 
     The value is the largest g0 at which the corner is still an event: the
     cap root, the threshold less the corner's gains in the cap, or past it
-    the log-det root, bisected against the target.  Both carry 1e-6
-    relative slack on the target, far above rounding and the kernel's
-    <= ~5e-16 relative fall as one gain rises.  A corner still an event at
-    g0 = _G0_MAX gets inf: no Exp(1) draw is cut off there.
+    the root of a pivot lower bound B <= log-det, at or above the log-det's
+    root; one kernel call certifies it, and a corner that rounding leaves
+    below the target there gets inf.  Both roots carry 1e-6 relative slack
+    on the target, far above rounding and the kernel's <= ~5e-16 relative
+    fall as one gain rises.  A corner still an event at g0 = _G0_MAX gets
+    inf: no Exp(1) draw is cut off there.
     """
     with np.errstate(over="ignore"):
         reach = threshold * (1.0 + _SLACK)
@@ -117,20 +118,17 @@ def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c
         # corners still below the log-det target at the cap root
         target = l * r_cw * (1.0 + _SLACK)
         todo = np.flatnonzero(logdet_capacity_batch(tau, c1, c2, snr, l) < target)
-        tau[todo] = _logdet_root(tau[todo], bound, c1[todo], c2[todo], snr, l, target)
+        c1, c2 = c1[todo], c2[todo]
+        a1, a2 = snr * c1, snr * c2
+        # B = log2(1 + a0 + a1) + (l-1)//2 log2(1 + a1) + l//2 log2(1 + a2), a0 = snr g0,
+        # meets the target at a0 = e^rest - 1 - a1, rest in nats
+        rest = target * np.log(2.0) - (l - 1) // 2 * np.log1p(a1) - l // 2 * np.log1p(a2)
+        with np.errstate(over="ignore"):
+            hi = np.maximum(tau[todo], np.minimum((np.expm1(rest) - a1) / snr, bound))
+        hi[logdet_capacity_batch(hi, c1, c2, snr, l) < target] = np.inf
+        tau[todo] = hi
     tau[tau >= _G0_MAX] = np.inf
     return tau
-
-
-def _logdet_root(lo, hi: float, c1, c2, snr: float, l: int, target: float) -> np.ndarray:
-    """Bisect g0 from lo, below the target, to hi; inf where hi is below too."""
-    hi = np.full(lo.size, hi)
-    for _ in range(_BISECTIONS):
-        mid = lo + 0.5 * (hi - lo)
-        below = logdet_capacity_batch(mid, c1, c2, snr, l) < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    hi[logdet_capacity_batch(hi, c1, c2, snr, l) < target] = np.inf
-    return hi
 
 
 def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):

@@ -4,9 +4,12 @@
 recorded; a refactor that keeps the random streams and the arithmetic
 must reproduce them.  Integers, booleans and strings compare exactly,
 floats within a relative 1e-12.  A change that alters the streams on
-purpose re-records the file and says so:
+purpose re-records the cases it changes, or with no names all of them, and
+says so:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+The other entries keep their recorded bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +105,20 @@ def test_matches_golden(name, golden):
     _assert_matches(_result(name), golden[name], name)
 
 
+def _recorded(names: list[str]) -> dict:
+    """Every case's payload: run afresh for ``names`` (all cases if none),
+    the others as ``golden.json`` holds them."""
+    fresh = names or sorted(CASES)
+    unknown = sorted(set(fresh) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases {unknown}; known: {sorted(CASES)}")
+    old = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if names else {}
+    missing = sorted(set(CASES) - set(old) - set(fresh))
+    if missing:
+        raise SystemExit(f"cases {missing} were never recorded; name them too")
+    return {name: _result(name) if name in fresh else old[name] for name in sorted(CASES)}
+
+
 if __name__ == "__main__":
-    recorded = {name: _result(name) for name in sorted(CASES)}
+    recorded = _recorded(sys.argv[1:])
     GOLDEN_PATH.write_text(json.dumps(recorded, separators=(",", ":")) + "\n", encoding="utf-8")

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dense_oracle import dense_logdet_capacity_batch, exact_outage, full_draw_count
+from dense_oracle import (
+    bisected_staircase,
+    dense_logdet_capacity_batch,
+    exact_outage,
+    full_draw_count,
+)
 from succrelay import outage
 from succrelay.mimolinalg import CHUNK, build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
@@ -166,7 +171,7 @@ class TestCandidateScreen:
             for rbar in (0.5, 1.0, 4.0):
                 check_screen(g, snr, l, (l + 1) * rbar / l)
                 check_screen(g, snr, l, 2.0 * rbar, "classic2")
-            # the staircase costs O(l) kernel calls per target: a few targets
+            # each target costs two O(l) kernel calls on the grid: a few targets
             few = g[:, :: 37 * (15 if l == 64 else 5)]
             for r_cw in own_logdet_targets(few, snr, l):
                 check_screen(g, snr, l, r_cw)
@@ -225,6 +230,88 @@ class TestCandidateScreen:
             assert np.all(mass > 0.0) and np.all(np.diff(mass) >= 0.0)
             assert mass.sum() <= 1.0 + 1e-12, (snr_db, mass.sum())
             assert np.all((span >= -1.0) & (span < 0.0)) and np.all(lower >= 0.0)
+
+
+def pivot_bound(g0, g1, g2, snr, l):
+    """B = log2(1 + a0 + a1) + floor((l-1)/2) log2(1 + a1) + floor(l/2) log2(1 + a2):
+    every pivot of I + snr H^H H is >= 1 + a_r(k), the first is 1 + a0 + a1."""
+    a0, a1, a2 = snr * g0, snr * g1, snr * g2
+    return (np.log1p(a0 + a1) + (l - 1) // 2 * np.log1p(a1) + l // 2 * np.log1p(a2)) / np.log(2.0)
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Patch outage.logdet_capacity_batch to record each call's size."""
+    sizes = []
+    kernel = outage.logdet_capacity_batch
+
+    def counting(g0, *args):
+        sizes.append(g0.size)
+        return kernel(g0, *args)
+
+    monkeypatch.setattr(outage, "logdet_capacity_batch", counting)
+    return sizes
+
+
+class TestStaircaseRoot:
+    """Past the cap root, each cell's staircase value is the closed-form root
+    in g0 of the pivot bound B <= log-det, certified by one kernel call."""
+
+    @settings(deadline=None)
+    @given(g=screen_gains, snr=screen_snrs, l=screen_lengths)
+    def test_bound_below_log_det(self, g, snr, l):
+        # the kernel is exact to <= 1e-13 relative
+        logdet = logdet_capacity_batch(*g, snr, l)
+        assert np.all(pivot_bound(*g, snr, l) <= logdet * (1.0 + 1e-13))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_bound_below_log_det_on_grid(self, l):
+        levels = np.concatenate([[0.0], 10.0 ** np.arange(-12.0, 13.0, 2.0)])
+        g = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1)
+        for snr_db in (0.0, 20.0, 40.0, 60.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            logdet = logdet_capacity_batch(*g, snr, l)
+            assert np.all(pivot_bound(*g, snr, l) <= logdet * (1.0 + 1e-13)), snr_db
+
+    @settings(deadline=None)
+    @given(g=screen_gains, snr=screen_snrs, l=screen_lengths)
+    def test_bound_exact_for_one_codeword_or_no_direct_gain(self, g, snr, l):
+        # one pivot, 1 + a0 + a1; or a0 = 0, where every pivot is 1 + a_r(k)
+        for g0, length in ((g[0], 1), (np.zeros_like(g[0]), l)):
+            want = logdet_capacity_batch(g0, g[1], g[2], snr, length)
+            got = pivot_bound(g0, g[1], g[2], snr, length)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("l", [1, 7, 64])
+    def test_two_kernel_calls_per_point(self, monkeypatch, l):
+        # one call finds the corners past their cap root, one certifies their
+        # roots; classic II has no log-det test
+        sizes = count_kernel_calls(monkeypatch)
+        for snr_db in (-10.0, 0.0, 20.0, 40.0, 60.0):
+            for rbar in (0.5, 1.0, 12.0):
+                snr = 10.0 ** (snr_db / 10.0)
+                for scheme, calls in (("successive", 2), ("classic2", 0)):
+                    r_cw = outage.SCHEMES[scheme][0](rbar, l)
+                    sizes.clear()
+                    outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+                    assert len(sizes) <= calls, (scheme, snr_db, rbar, sizes)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
+    def test_tight_against_bisected_root(self, l):
+        # the largest mass ratio to the 70-step bisection over this grid is
+        # 1.087 (l = 16, 10 dB, rbar 2), and no root is inf where the
+        # bisection's is finite
+        i, j = (a.ravel() for a in np.indices((outage._MASS.size,) * 2))
+        c1, c2, cell = outage._EDGES[i], outage._EDGES[j], outage._MASS[i] * outage._MASS[j]
+        for snr_db in range(-10, 61, 10):
+            snr = 10.0 ** (snr_db / 10.0)
+            for rbar in (0.25, 0.5, 1.0, 2.0, 4.0, 12.0):
+                r_cw = (l + 1) * rbar / l
+                args = ("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr, c1, c2)
+                tau, root = outage._staircase(*args), bisected_staircase(*args)
+                assert np.all(tau >= root), (snr_db, rbar)
+                assert not np.any(np.isinf(tau) & np.isfinite(root)), (snr_db, rbar)
+                mass, exact = (np.sum(cell * -np.expm1(-t)) for t in (tau, root))
+                assert mass <= 1.10 * exact, (snr_db, rbar, mass / exact)
 
 
 class TestScreenedCount:
