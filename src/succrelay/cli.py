@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .experiments import CHOICES, ConfigError, ExperimentConfig, run_experiment
+from .experiments import CHOICES, EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
 
 
 def _geometry(text: str):
@@ -94,28 +94,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.experiment == "geometry_sweep":
-        for row in payload["rows"]:
-            rates = "  ".join(f"{k}={v:.4f}" for k, v in row["rates"].items())
-            print(f"snr={row['snr_db']:g} dB  {rates}")
-    elif cfg.experiment == "gain_curve":
-        for row in payload["rows"]:
-            print(f"l={row['l']}  snr={row['snr_db']:g} dB  G={row['capacity_gain']:.4f}")
-    elif cfg.experiment == "dmt_slope":
-        res = payload["result"]
-        for i, db in enumerate(res["snr_grid_db"]):
-            flag = "  (low events)" if res["low_event_flags"][i] else ""
-            print(
-                f"snr={db:g} dB  p_out={res['outage_prob'][i]:.4g}  "
-                f"events={res['events'][i]}{flag}"
-            )
-        print(
-            f"diversity estimate={res['diversity_estimate']:.3f}  "
-            f"lstsq={res['diversity_lstsq']:.3f}  formula={res['dmt_formula']:.3f}"
-        )
-    else:
-        for e in payload["result"]["entries"]:
-            print(f"snr={e['snr_db']:g} dB  {e['protocol']}: {e['rate_per_slot']:.4f} bits/slot")
+    key, _, _, lines = EXPERIMENTS[cfg.experiment]
+    for line in lines(payload[key]):
+        print(line)
     if cfg.output_path:
         print(f"wrote {cfg.output_path}")
     return 0

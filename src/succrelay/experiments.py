@@ -1,9 +1,9 @@
 """Configuration-driven experiment runner.
 
-Reproduces the headline experiments at desk scale: the capacity-gain curve
-over classic protocol II, the per-geometry rate sweeps, the empirical
-diversity-multiplexing slope, and single-realization diagnostics.  Output
-is data only (CSV or JSON); plotting is left to external tools.
+Reproduces the headline experiments at desk scale, one `EXPERIMENTS` row
+each: the capacity-gain curve over classic protocol II, the per-geometry
+rate sweeps, the empirical DMT slope and single-realization diagnostics.
+Output is data only (CSV or JSON); plotting is left to external tools.
 
 Determinism contract: each experiment draws from its own `trial_rng`
 streams, keyed apart as that function states, on one thread.  A sweep
@@ -47,9 +47,6 @@ from .protocols import (
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("gain_curve", "geometry_sweep", "dmt_slope", "single_realization")
-OUTPUT_FORMATS = ("csv", "json")
-
 
 def _one_codeword(rate: np.ndarray, slots: float):
     return rate, (slots * rate)[:, None], None
@@ -72,15 +69,8 @@ PROTOCOLS = {
     "successive_vblast": (True, lambda g, snr, l: successive_vblast_batch(g, snr, l)),
     "theorem1": (False, lambda g, snr, l: (theorem1_rate_batch(g, snr, l), None, None)),
 }
-_GEOMETRY_KEYS = ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2")
-# config field -> the values it may take; `simulate` offers the same choices
-CHOICES = {
-    "experiment": EXPERIMENTS,
-    "protocols": tuple(PROTOCOLS),
-    "adaptive_rule": ("none", *(rule.value for rule in AdaptiveRule)),
-    "output_format": OUTPUT_FORMATS,
-    "dmt_scheme": tuple(SCHEMES),
-}
+# config adaptive_rule -> the rule it names; under "none" every draw relays
+ADAPTIVE_RULES = {"none": None, **{rule.value: rule for rule in AdaptiveRule}}
 
 
 class ConfigError(ValueError):
@@ -157,17 +147,9 @@ class ExperimentConfig:
             for value in typed[name][1]:
                 if value not in allowed:
                     raise ConfigError(name, f"must be one of {allowed}, got {value!r}")
-        if isinstance(self.geometry, dict):
-            missing = [k for k in _GEOMETRY_KEYS if k not in self.geometry]
-            if missing:
-                raise ConfigError("geometry", f"custom geometry missing {missing}")
-            allowed = set(_GEOMETRY_KEYS) | {"gamma", "shadow_sigma_db"}
-            unknown = sorted(set(self.geometry) - allowed)
-            if unknown:
-                raise ConfigError("geometry", f"unknown geometry keys {unknown}")
-        elif not isinstance(self.geometry, str):
+        if not isinstance(self.geometry, (str, dict)):
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
-        try:
+        try:  # a custom geometry's keys are NetworkGeometry's fields
             resolve_geometry(self)
         except (TypeError, ValueError) as exc:
             raise ConfigError("geometry", str(exc)) from exc
@@ -209,8 +191,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"{path} holds a {type(data).__name__}, not a JSON object")
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,9 +207,7 @@ class ExperimentConfig:
 def resolve_geometry(cfg: ExperimentConfig) -> NetworkGeometry:
     if isinstance(cfg.geometry, str):
         return preset_geometry(cfg.geometry)
-    extra = {k: float(v) for k, v in cfg.geometry.items() if k not in _GEOMETRY_KEYS}
-    dists = {k: float(cfg.geometry[k]) for k in _GEOMETRY_KEYS}
-    return NetworkGeometry(**dists, **extra)
+    return NetworkGeometry(**{k: float(v) for k, v in cfg.geometry.items()})
 
 
 @dataclass(frozen=True)
@@ -271,10 +257,8 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     relaying scheme's rate with the direct rate on failing draws.  The
     interference-free capacity bound is reported unadapted.
     """
-    if cfg.experiment != "geometry_sweep":
-        raise ConfigError("experiment", f"expected geometry_sweep, got {cfg.experiment!r}")
     geom = resolve_geometry(cfg)
-    rule = None if cfg.adaptive_rule == "none" else AdaptiveRule(cfg.adaptive_rule)
+    rule = ADAPTIVE_RULES[cfg.adaptive_rule]
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = snr_from_db(snr_db)
@@ -305,8 +289,6 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
     """Capacity gain over classic protocol II per (frame length, SNR)."""
-    if cfg.experiment != "gain_curve":
-        raise ConfigError("experiment", f"expected gain_curve, got {cfg.experiment!r}")
     snrs = np.array([snr_from_db(snr_db) for snr_db in cfg.snr_grid_db])
     rows = []
     for li, l in enumerate(cfg.gain_l_values):
@@ -320,8 +302,6 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
 
 def run_dmt(cfg: ExperimentConfig) -> dict:
     """Empirical diversity slope plus the measured scheme's closed-form tradeoff."""
-    if cfg.experiment != "dmt_slope":
-        raise ConfigError("experiment", f"expected dmt_slope, got {cfg.experiment!r}")
     try:
         point = estimate_dmt(
             cfg.dmt_r,
@@ -346,12 +326,10 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     point, the first draw of stream (seed, 0), with the decode-first
     branches, per-codeword caps and flags that the sweep averages away.
     """
-    if cfg.experiment != "single_realization":
-        raise ConfigError("experiment", f"expected single_realization, got {cfg.experiment!r}")
     batch = _sample_trials(resolve_geometry(cfg), cfg.seed, 0, 1)
     g = batch.gains()
     h = batch.h[:, 0].tolist()
-    rule = None if cfg.adaptive_rule == "none" else AdaptiveRule(cfg.adaptive_rule)
+    rule = ADAPTIVE_RULES[cfg.adaptive_rule]
     keep = rule is None or bool(adaptive_keep_batch(g, rule)[0])
     coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     entries = []
@@ -413,27 +391,103 @@ def write_json(path: str | Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _table(records: list[dict], columns: list[str]) -> tuple[list[str], list[list]]:
+    """CSV header and rows: the schema version, then the named columns of each record."""
+    rows = [[SCHEMA_VERSION, *(record[c] for c in columns)] for record in records]
+    return ["schema_version", *columns], rows
+
+
 def sweep_csv_table(cfg: ExperimentConfig, rows: list[SweepRow]) -> tuple[list[str], list[list]]:
-    header = ["schema_version", "snr_db"]
-    for name in cfg.protocols:
-        header += [f"mean_{name}", f"stderr_{name}"]
-    header += [
-        "fallback_fraction",
-        "interference_free_fraction",
-        "source_links_strong_fraction",
+    stats = [f"{stat}_{name}" for name in cfg.protocols for stat in ("mean", "stderr")]
+    fractions = ["fallback_fraction", "interference_free_fraction", "source_links_strong_fraction"]
+    records = [
+        {
+            **asdict(row),
+            **{f"mean_{name}": rate for name, rate in row.rates.items()},
+            **{f"stderr_{name}": sem for name, sem in row.stderrs.items()},
+        }
+        for row in rows
     ]
-    table = []
-    for row in rows:
-        values: list = [SCHEMA_VERSION, row.snr_db]
-        for name in cfg.protocols:
-            values += [row.rates[name], row.stderrs[name]]
-        values += [
-            row.fallback_fraction,
-            row.interference_free_fraction,
-            row.source_links_strong_fraction,
-        ]
-        table.append(values)
-    return header, table
+    return _table(records, ["snr_db", *stats, *fractions])
+
+
+# dmt_slope CSV column -> the result's per-grid-point field; the fits follow
+_DMT_COLUMNS = dict(
+    snr_db="snr_grid_db", target_rate_per_slot="target_rates_per_slot", trials="trials",
+    events="events", outage_prob="outage_prob", low_event_flag="low_event_flags",
+)
+_DMT_FITS = ["diversity_estimate", "diversity_lstsq", "dmt_formula"]
+
+
+def _dmt_points(result: dict) -> list[dict]:
+    """One record per grid point: its own columns, then the fits of the whole grid."""
+    fits = {name: result[name] for name in _DMT_FITS}
+    return [
+        {**{column: result[field][i] for column, field in _DMT_COLUMNS.items()}, **fits}
+        for i in range(len(result["snr_grid_db"]))
+    ]
+
+
+def _dmt_lines(result: dict) -> list[str]:
+    lines = [
+        f"snr={p['snr_db']:g} dB  p_out={p['outage_prob']:.4g}  events={p['events']}"
+        + ("  (low events)" if p["low_event_flag"] else "")
+        for p in _dmt_points(result)
+    ]
+    return [
+        *lines,
+        f"diversity estimate={result['diversity_estimate']:.3f}  "
+        f"lstsq={result['diversity_lstsq']:.3f}  formula={result['dmt_formula']:.3f}",
+    ]
+
+
+# name -> (payload key, runner, CSV table, console lines).  The runner returns the
+# JSON-ready entry that the payload holds under its key; the CSV table maps (config,
+# entry) to a header and rows, and `simulate` prints the entry's console lines.
+EXPERIMENTS = {
+    "gain_curve": (
+        "rows",
+        run_gain_curve,
+        lambda cfg, rows: _table(rows, ["l", "snr_db", "capacity_gain"]),
+        lambda rows: [
+            f"l={r['l']}  snr={r['snr_db']:g} dB  G={r['capacity_gain']:.4f}" for r in rows
+        ],
+    ),
+    "geometry_sweep": (
+        "rows",
+        lambda cfg: [asdict(row) for row in run_geometry_sweep(cfg)],
+        lambda cfg, rows: sweep_csv_table(cfg, [SweepRow(**row) for row in rows]),
+        lambda rows: [
+            f"snr={r['snr_db']:g} dB  " + "  ".join(f"{k}={v:.4f}" for k, v in r["rates"].items())
+            for r in rows
+        ],
+    ),
+    "dmt_slope": (
+        "result",
+        run_dmt,
+        lambda cfg, result: _table(_dmt_points(result), [*_DMT_COLUMNS, *_DMT_FITS]),
+        _dmt_lines,
+    ),
+    "single_realization": (
+        "result",
+        run_single_realization,
+        lambda cfg, result: _table(
+            result["entries"], ["snr_db", "protocol", "rate_per_slot", "fallback_to_direct"]
+        ),
+        lambda result: [
+            f"snr={e['snr_db']:g} dB  {e['protocol']}: {e['rate_per_slot']:.4f} bits/slot"
+            for e in result["entries"]
+        ],
+    ),
+}
+# config field -> the values it may take; `simulate` offers the same choices
+CHOICES = {
+    "experiment": tuple(EXPERIMENTS),
+    "protocols": tuple(PROTOCOLS),
+    "adaptive_rule": tuple(ADAPTIVE_RULES),
+    "output_format": ("csv", "json"),
+    "dmt_scheme": tuple(SCHEMES),
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -442,48 +496,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Returns a JSON-ready payload; when ``cfg.output_path`` is set the
     payload (json) or its tabular form (csv) is also written there.
     """
-    payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "config": cfg.to_dict(),
-    }
-    if cfg.experiment == "geometry_sweep":
-        rows = run_geometry_sweep(cfg)
-        payload["rows"] = [asdict(r) for r in rows]
-        header, table = sweep_csv_table(cfg, rows)
-    elif cfg.experiment == "gain_curve":
-        rows = run_gain_curve(cfg)
-        payload["rows"] = rows
-        header = ["schema_version", "l", "snr_db", "capacity_gain"]
-        table = [[SCHEMA_VERSION, r["l"], r["snr_db"], r["capacity_gain"]] for r in rows]
-    elif cfg.experiment == "dmt_slope":
-        result = payload["result"] = run_dmt(cfg)
-        columns = {  # CSV column -> per-grid-point field
-            "snr_db": "snr_grid_db",
-            "target_rate_per_slot": "target_rates_per_slot",
-            "trials": "trials",
-            "events": "events",
-            "outage_prob": "outage_prob",
-            "low_event_flag": "low_event_flags",
-        }
-        fits = ["diversity_estimate", "diversity_lstsq", "dmt_formula"]
-        header = ["schema_version", *columns, *fits]
-        table = [
-            [SCHEMA_VERSION, *(result[f][i] for f in columns.values()), *(result[f] for f in fits)]
-            for i in range(len(result["snr_grid_db"]))
-        ]
-    else:
-        result = run_single_realization(cfg)
-        payload["result"] = result
-        header = ["schema_version", "snr_db", "protocol", "rate_per_slot", "fallback_to_direct"]
-        table = [
-            [SCHEMA_VERSION, e["snr_db"], e["protocol"], e["rate_per_slot"], e["fallback_to_direct"]]
-            for e in result["entries"]
-        ]
-
-    if cfg.output_path:
-        if cfg.output_format == "csv":
-            write_csv(cfg.output_path, header, table)
-        else:
-            write_json(cfg.output_path, payload)
+    key, run, csv_table, _ = EXPERIMENTS[cfg.experiment]
+    payload = dict(schema_version=SCHEMA_VERSION, experiment=cfg.experiment, config=cfg.to_dict())
+    payload[key] = run(cfg)
+    if cfg.output_path and cfg.output_format == "csv":
+        write_csv(cfg.output_path, *csv_table(cfg, payload[key]))
+    elif cfg.output_path:
+        write_json(cfg.output_path, payload)
     return payload

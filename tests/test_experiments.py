@@ -507,6 +507,43 @@ class TestCli:
         assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2
         assert "config field 'geometry'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "geometry,named",
+        [
+            (
+                {k: CUSTOM_GEOMETRY[k] for k in ("d_sd", "d_sr1", "d_sr2", "d_r1d")},
+                ["d_r2d", "d_r1r2"],
+            ),
+            ({**CUSTOM_GEOMETRY, "pathloss": 4.0}, ["pathloss"]),
+        ],
+    )
+    def test_custom_geometry_key_errors_exit_code(self, capsys, geometry, named):
+        # a custom geometry's keys are NetworkGeometry's fields: one missing or
+        # unknown is a geometry error that names the key
+        argv = ["--geometry", json.dumps(geometry), "--snr", "10", "--trials", "10"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config field 'geometry'" in err and all(f"'{k}'" in err for k in named)
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("[1, 2]", "holds a list, not a JSON object"),
+            ('"III"', "holds a str, not a JSON object"),
+            ('{"l": 3,', "cannot read"),
+            (None, "No such file or directory"),
+        ],
+        ids=["list", "string", "malformed", "missing"],
+    )
+    def test_config_file_without_a_json_object_exit_code(self, tmp_path, capsys, text, reason):
+        cfg_path = tmp_path / "run.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(cfg_path) in err and reason in err
+
     def test_gain_curve_via_cli(self, capsys):
         rc = cli_main(
             [
