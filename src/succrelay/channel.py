@@ -61,12 +61,10 @@ class NetworkGeometry:
         for name in ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.shadow_sigma_db < 0.0:
-            raise ValueError(
-                f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}"
-            )
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 <= self.shadow_sigma_db < np.inf:
+            raise ValueError(f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db}")
 
     def link_distances(self) -> np.ndarray:
         """Distances of the six links, in LINK_NAMES order."""

@@ -8,8 +8,9 @@ Usage examples:
 
     simulate --config run.json --out sweep.json --format json
 
-A JSON config file mirrors ExperimentConfig; explicit flags override the
-file's values.
+A JSON config file mirrors ExperimentConfig.  Explicit flags replace the
+file's values before any check, and the merged values build the one config
+of the run, so a file value that a flag replaces is never checked.
 """
 
 from __future__ import annotations
@@ -79,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    data = ExperimentConfig.from_json_file(args.config).to_dict() if args.config else {}
+    """The one config of a run: the set flags laid over the ``--config`` file's values."""
     ignored = ("config", "workers")
-    data.update({k: v for k, v in vars(args).items() if k not in ignored and v is not None})
-    return ExperimentConfig.from_dict(data)
+    flags = {k: v for k, v in vars(args).items() if k not in ignored and v is not None}
+    if args.config:
+        return ExperimentConfig.from_json_file(args.config, flags)
+    return ExperimentConfig.from_dict(flags)
 
 
 def main(argv: list[str] | None = None) -> int:

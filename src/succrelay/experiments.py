@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,6 @@ class ExperimentConfig:
     output_format: str = "csv"
     gain_l_values: tuple[int, ...] = (3, 7)
     dmt_r: float = 0.0
-    dmt_fixed_rate: float = 1.0
     dmt_scheme: str = "successive"
     dmt_trials_per_point: tuple[int, ...] | None = None
 
@@ -132,7 +132,6 @@ class ExperimentConfig:
             "geometry": (real, self.geometry.values() if isinstance(self.geometry, dict) else ()),
             "snr_grid_db": (real, self.snr_grid_db),
             "dmt_r": (real, [self.dmt_r]),
-            "dmt_fixed_rate": (real, [self.dmt_fixed_rate]),
             "l": (integer, [self.l]),
             "trials": (integer, [self.trials]),
             "seed": (integer, [self.seed]),
@@ -149,8 +148,8 @@ class ExperimentConfig:
                     raise ConfigError(name, f"must be one of {allowed}, got {value!r}")
         if not isinstance(self.geometry, (str, dict)):
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
-        try:  # a custom geometry's keys are NetworkGeometry's fields
-            resolve_geometry(self)
+        try:  # builds `network` for the runners; a custom geometry's keys are its fields
+            self.network
         except (TypeError, ValueError) as exc:
             raise ConfigError("geometry", str(exc)) from exc
         if self.l < 1:
@@ -173,8 +172,6 @@ class ExperimentConfig:
             raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
         if not 0.0 <= self.dmt_r < math.inf:
             raise ConfigError("dmt_r", f"must be finite and >= 0, got {self.dmt_r}")
-        if not 0.0 <= self.dmt_fixed_rate < math.inf:
-            raise ConfigError("dmt_fixed_rate", f"must be finite and >= 0, got {self.dmt_fixed_rate}")
         if self.dmt_trials_per_point is not None:
             if len(self.dmt_trials_per_point) != len(self.snr_grid_db):
                 raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
@@ -190,7 +187,8 @@ class ExperimentConfig:
         return cls(**data)
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
+    def from_json_file(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
+        """The file's JSON object, with ``overrides`` replacing its values, as one config."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -198,16 +196,14 @@ class ExperimentConfig:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config", f"{path} holds a {type(data).__name__}, not a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **(overrides or {})})
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def resolve_geometry(cfg: ExperimentConfig) -> NetworkGeometry:
-    if isinstance(cfg.geometry, str):
-        return preset_geometry(cfg.geometry)
-    return NetworkGeometry(**{k: float(v) for k, v in cfg.geometry.items()})
+    @cached_property
+    def network(self) -> NetworkGeometry:
+        """The geometry that ``geometry`` names, preset or custom; the check builds it."""
+        if isinstance(self.geometry, str):
+            return preset_geometry(self.geometry)
+        return NetworkGeometry(**{k: float(v) for k, v in self.geometry.items()})
 
 
 @dataclass(frozen=True)
@@ -257,12 +253,11 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     relaying scheme's rate with the direct rate on failing draws.  The
     interference-free capacity bound is reported unadapted.
     """
-    geom = resolve_geometry(cfg)
     rule = ADAPTIVE_RULES[cfg.adaptive_rule]
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = snr_from_db(snr_db)
-        g = _sample_trials(geom, cfg.seed, snr_idx, cfg.trials).gains()
+        g = _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials).gains()
         keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
         cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
         # the fallback's direct rate doubles as the direct column
@@ -310,7 +305,6 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
             cfg.dmt_trials_per_point if cfg.dmt_trials_per_point is not None else cfg.trials,
             cfg.seed,
             scheme=cfg.dmt_scheme,
-            fixed_rate_bits=cfg.dmt_fixed_rate,
         )
     except ValueError as exc:
         # estimate_dmt words every error about r as "multiplexing gain ..."
@@ -326,7 +320,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     point, the first draw of stream (seed, 0), with the decode-first
     branches, per-codeword caps and flags that the sweep averages away.
     """
-    batch = _sample_trials(resolve_geometry(cfg), cfg.seed, 0, 1)
+    batch = _sample_trials(cfg.network, cfg.seed, 0, 1)
     g = batch.gains()
     h = batch.h[:, 0].tolist()
     rule = ADAPTIVE_RULES[cfg.adaptive_rule]
@@ -376,9 +370,12 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("output_path", f"cannot write {path}: {exc}") from exc
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
@@ -497,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     payload (json) or its tabular form (csv) is also written there.
     """
     key, run, csv_table, _ = EXPERIMENTS[cfg.experiment]
-    payload = dict(schema_version=SCHEMA_VERSION, experiment=cfg.experiment, config=cfg.to_dict())
+    payload = dict(schema_version=SCHEMA_VERSION, experiment=cfg.experiment, config=asdict(cfg))
     payload[key] = run(cfg)
     if cfg.output_path and cfg.output_format == "csv":
         write_csv(cfg.output_path, *csv_table(cfg, payload[key]))

@@ -38,6 +38,8 @@ _SLACK = 1e-6
 _G0_MAX = 1024.0
 # Grid points with fewer outage events are flagged and left out of the fits.
 MIN_EVENTS = 20
+# Per-slot target of every grid point at r = 0, in bits: the diversity at a fixed rate.
+FIXED_RATE_BITS = 1.0
 
 
 def _check_frame_length(l) -> None:
@@ -227,12 +229,11 @@ def estimate_dmt(
     seed: int,
     *,
     scheme: str = "successive",
-    fixed_rate_bits: float = 1.0,
 ) -> DmtPoint:
     """Fit an empirical diversity slope over a high-SNR grid.
 
     The per-slot target at each grid point is r * log2(snr), or
-    ``fixed_rate_bits`` when r = 0.  Grid points with fewer than
+    FIXED_RATE_BITS when r = 0.  Grid points with fewer than
     MIN_EVENTS outage events are flagged statistically unusable and
     excluded from the fits.  The primary slope uses the two highest usable
     points (the asymptotic ones); a full least-squares slope over all
@@ -258,7 +259,7 @@ def estimate_dmt(
             raise ValueError("trials_per_point must match the grid length")
 
     # a product of Python floats overflows to inf without a warning
-    targets = [fixed_rate_bits if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
+    targets = [FIXED_RATE_BITS if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]
     if r > 0.0 and not max(targets) < np.inf:
         raise ValueError(f"multiplexing gain {r} puts r * log2(snr) past float range")
     events = _outage_events(scheme, list(zip(snrs, targets, trial_counts)), l, seed)

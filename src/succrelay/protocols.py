@@ -169,10 +169,9 @@ def interference_free_batch(
     The flags are a screen, not a guarantee: with both set, the genie rate
     can still fall short of the log-det share ``theorem1_rate_batch`` when
     g_r1r2 < g_sr2 makes the recursion treat the interference as noise
-    (tests/test_properties.py pins such a point at l = 2 and 0 dB).  The
-    first flag's loop also tests slot l - 1, which has no next codeword and
-    which the recursion never reaches, so it tests the same two conditions
-    for every l >= 2.
+    (tests/test_properties.py pins such a point at l = 2 and 0 dB).  Each
+    slot's condition depends only on its parity, so the first flag tests
+    slots 0 and 1 alone: the same two conditions for every l >= 2.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
@@ -181,7 +180,7 @@ def interference_free_batch(
     grd = (gr1d, gr2d)
 
     cancel_ok = np.ones(g.shape[1], dtype=bool)
-    for i0 in range(l):
+    for i0 in range(min(l, 2)):
         g_next = gsr[(i0 + 1) % 2]
         lhs = gr1r2 * snr / (1.0 + g_next * snr)
         rhs = np.minimum(gsr[i0 % 2] * snr, (gsd + grd[i0 % 2]) * snr)

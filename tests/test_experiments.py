@@ -32,6 +32,80 @@ SMALL_SWEEP = dict(
 CUSTOM_GEOMETRY = dict(d_sd=1.0, d_sr1=0.5, d_sr2=0.5, d_r1d=0.5, d_r2d=0.5, d_r1r2=0.1)
 
 
+# (overrides, the field its ConfigError names).  Row i's test id is
+# overrides<ROW_NUMBERS[i]>-<field>: the numbers 32-34 and 38-39 belonged to
+# rows of a removed config field and stay unused, so no other row's id changes.
+INVALID_OVERRIDES = [
+    (dict(experiment="plot"), "experiment"),
+    (dict(geometry="IV"), "geometry"),
+    (dict(geometry={"d_sd": 1.0}), "geometry"),
+    (dict(l=0), "l"),
+    (dict(snr_grid_db=()), "snr_grid_db"),
+    (dict(trials=0), "trials"),
+    (dict(seed=-1), "seed"),
+    (dict(protocols=()), "protocols"),
+    (dict(protocols=("direct", "alamouti")), "protocols"),
+    (dict(adaptive_rule="d"), "adaptive_rule"),
+    (dict(output_format="yaml"), "output_format"),
+    (dict(trials=2**63), "trials"),
+    (dict(dmt_scheme="direct"), "dmt_scheme"),
+    (dict(dmt_r=-0.5), "dmt_r"),
+    (dict(dmt_trials_per_point=(5, 5)), "dmt_trials_per_point"),
+    (dict(l=7.0), "l"),
+    (dict(l=True), "l"),
+    (dict(trials=10.5), "trials"),
+    (dict(seed=1.5), "seed"),
+    (dict(gain_l_values=(0, 3)), "gain_l_values"),
+    (dict(gain_l_values=(3.7,)), "gain_l_values"),
+    (dict(gain_l_values=(3, False)), "gain_l_values"),
+    (dict(dmt_trials_per_point=(10, 10.5, 10)), "dmt_trials_per_point"),
+    (dict(dmt_trials_per_point=(0, 100, 100)), "dmt_trials_per_point"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": -1.0}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "gamma": 0.0}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": None}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "d_r1d": "near"}), "geometry"),
+    (dict(snr_grid_db=(0.0, float("nan"))), "snr_grid_db"),
+    (dict(snr_grid_db=(float("inf"),)), "snr_grid_db"),
+    (dict(dmt_r=float("nan")), "dmt_r"),
+    (dict(dmt_r=float("inf")), "dmt_r"),
+    (dict(dmt_r="half"), "dmt_r"),
+    (dict(dmt_r=True), "dmt_r"),
+    (dict(dmt_r=None), "dmt_r"),
+    (dict(snr_grid_db=("ten",)), "snr_grid_db"),
+    (dict(snr_grid_db=(0.0, True)), "snr_grid_db"),
+    (dict(snr_grid_db=(0.0, None)), "snr_grid_db"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "gamma": True}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": [1.0]}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": "8"}), "geometry"),
+    (dict(experiment=5), "experiment"),
+    (dict(experiment=["geometry_sweep"]), "experiment"),
+    (dict(protocols=(["direct"],)), "protocols"),
+    (dict(protocols=("direct", 5)), "protocols"),
+    (dict(adaptive_rule=["a"]), "adaptive_rule"),
+    (dict(output_format=None), "output_format"),
+    (dict(dmt_scheme=["successive"]), "dmt_scheme"),
+    (dict(output_path=5), "output_path"),
+    (dict(output_path=["out.csv"]), "output_path"),
+    (dict(snr_grid_db=20), "snr_grid_db"),
+    (dict(snr_grid_db="20"), "snr_grid_db"),
+    (dict(snr_grid_db=None), "snr_grid_db"),
+    (dict(protocols="direct"), "protocols"),
+    (dict(protocols=None), "protocols"),
+    (dict(gain_l_values=3), "gain_l_values"),
+    (dict(gain_l_values="37"), "gain_l_values"),
+    (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
+    (dict(dmt_trials_per_point="555"), "dmt_trials_per_point"),
+    (dict(dmt_trials_per_point=(10, 2**63, 10)), "dmt_trials_per_point"),
+    (dict(snr_grid_db=(0.0, 4000.0)), "snr_grid_db"),
+    (dict(snr_grid_db=(-4000.0, 0.0)), "snr_grid_db"),
+    (dict(snr_grid_db=(10**400,)), "snr_grid_db"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "gamma": float("inf")}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": float("inf")}), "geometry"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": float("nan")}), "geometry"),
+]
+ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 71)]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -39,75 +113,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides,field",
-        [
-            (dict(experiment="plot"), "experiment"),
-            (dict(geometry="IV"), "geometry"),
-            (dict(geometry={"d_sd": 1.0}), "geometry"),
-            (dict(l=0), "l"),
-            (dict(snr_grid_db=()), "snr_grid_db"),
-            (dict(trials=0), "trials"),
-            (dict(seed=-1), "seed"),
-            (dict(protocols=()), "protocols"),
-            (dict(protocols=("direct", "alamouti")), "protocols"),
-            (dict(adaptive_rule="d"), "adaptive_rule"),
-            (dict(output_format="yaml"), "output_format"),
-            (dict(trials=2**63), "trials"),
-            (dict(dmt_scheme="direct"), "dmt_scheme"),
-            (dict(dmt_r=-0.5), "dmt_r"),
-            (dict(dmt_trials_per_point=(5, 5)), "dmt_trials_per_point"),
-            (dict(l=7.0), "l"),
-            (dict(l=True), "l"),
-            (dict(trials=10.5), "trials"),
-            (dict(seed=1.5), "seed"),
-            (dict(gain_l_values=(0, 3)), "gain_l_values"),
-            (dict(gain_l_values=(3.7,)), "gain_l_values"),
-            (dict(gain_l_values=(3, False)), "gain_l_values"),
-            (dict(dmt_trials_per_point=(10, 10.5, 10)), "dmt_trials_per_point"),
-            (dict(dmt_trials_per_point=(0, 100, 100)), "dmt_trials_per_point"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": -1.0}), "geometry"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "gamma": 0.0}), "geometry"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": None}), "geometry"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "d_r1d": "near"}), "geometry"),
-            (dict(snr_grid_db=(0.0, float("nan"))), "snr_grid_db"),
-            (dict(snr_grid_db=(float("inf"),)), "snr_grid_db"),
-            (dict(dmt_r=float("nan")), "dmt_r"),
-            (dict(dmt_r=float("inf")), "dmt_r"),
-            (dict(dmt_fixed_rate=-1.0), "dmt_fixed_rate"),
-            (dict(dmt_fixed_rate=float("nan")), "dmt_fixed_rate"),
-            (dict(dmt_fixed_rate=float("inf")), "dmt_fixed_rate"),
-            (dict(dmt_r="half"), "dmt_r"),
-            (dict(dmt_r=True), "dmt_r"),
-            (dict(dmt_r=None), "dmt_r"),
-            (dict(dmt_fixed_rate="1"), "dmt_fixed_rate"),
-            (dict(dmt_fixed_rate=[1.0]), "dmt_fixed_rate"),
-            (dict(snr_grid_db=("ten",)), "snr_grid_db"),
-            (dict(snr_grid_db=(0.0, True)), "snr_grid_db"),
-            (dict(snr_grid_db=(0.0, None)), "snr_grid_db"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "gamma": True}), "geometry"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": [1.0]}), "geometry"),
-            (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": "8"}), "geometry"),
-            (dict(experiment=5), "experiment"),
-            (dict(experiment=["geometry_sweep"]), "experiment"),
-            (dict(protocols=(["direct"],)), "protocols"),
-            (dict(protocols=("direct", 5)), "protocols"),
-            (dict(adaptive_rule=["a"]), "adaptive_rule"),
-            (dict(output_format=None), "output_format"),
-            (dict(dmt_scheme=["successive"]), "dmt_scheme"),
-            (dict(output_path=5), "output_path"),
-            (dict(output_path=["out.csv"]), "output_path"),
-            (dict(snr_grid_db=20), "snr_grid_db"),
-            (dict(snr_grid_db="20"), "snr_grid_db"),
-            (dict(snr_grid_db=None), "snr_grid_db"),
-            (dict(protocols="direct"), "protocols"),
-            (dict(protocols=None), "protocols"),
-            (dict(gain_l_values=3), "gain_l_values"),
-            (dict(gain_l_values="37"), "gain_l_values"),
-            (dict(dmt_trials_per_point=5), "dmt_trials_per_point"),
-            (dict(dmt_trials_per_point="555"), "dmt_trials_per_point"),
-            (dict(dmt_trials_per_point=(10, 2**63, 10)), "dmt_trials_per_point"),
-            (dict(snr_grid_db=(0.0, 4000.0)), "snr_grid_db"),
-            (dict(snr_grid_db=(-4000.0, 0.0)), "snr_grid_db"),
-            (dict(snr_grid_db=(10**400,)), "snr_grid_db"),
+        INVALID_OVERRIDES,
+        ids=[
+            f"overrides{i}-{field}"
+            for i, (_, field) in zip(ROW_NUMBERS, INVALID_OVERRIDES, strict=True)
         ],
     )
     def test_validation_names_offending_field(self, overrides, field):
@@ -501,6 +510,42 @@ class TestCli:
         cfg_path.write_text(json.dumps({**SMALL_SWEEP, "workers": 2}))
         assert cli_main(["--config", str(cfg_path)]) == 2
         assert "config field 'workers': unknown configuration key" in capsys.readouterr().err
+
+    def test_json_config_naming_dmt_fixed_rate_rejected(self, tmp_path, capsys):
+        # r = 0 targets outage.FIXED_RATE_BITS; the config has no field for it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_SWEEP, "dmt_fixed_rate": 1.0}))
+        assert cli_main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'dmt_fixed_rate': unknown configuration key" in err
+
+    @pytest.mark.parametrize("flags,rc", [(["--l", "3"], 0), ([], 2)])
+    def test_flag_replaces_config_file_value_before_any_check(self, tmp_path, capsys, flags, rc):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        gain = dict(experiment="gain_curve", l=0, snr_grid_db=[0], trials=20, gain_l_values=[3])
+        cfg_path.write_text(json.dumps(gain))
+        argv = ["--config", str(cfg_path), *flags, "--out", str(out), "--format", "json"]
+        assert cli_main(argv) == rc
+        if rc == 0:
+            assert json.loads(out.read_text())["config"]["l"] == 3
+        else:
+            assert "config field 'l'" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unwritable_output_path_exit_code(self, tmp_path, capsys, where):
+        (tmp_path / "file").write_text("")
+        out = tmp_path if where == "directory" else tmp_path / "file" / "out.csv"
+        argv = ["--experiment", "gain_curve", "--snr", "0", "--trials", "10", "--gain-l", "3"]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: config field 'output_path'")
+        assert f"cannot write {out}" in err
+
+    def test_non_finite_geometry_parameter_exit_code(self, capsys):
+        # JSON reads 1e400 as inf
+        geometry = json.dumps(CUSTOM_GEOMETRY)[:-1] + ', "gamma": 1e400}'
+        assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2
+        assert "config field 'geometry': gamma must be finite" in capsys.readouterr().err
 
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})

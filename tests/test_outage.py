@@ -659,7 +659,6 @@ class TestEstimateDmt:
             dict(r=-0.5),
             dict(r=float("nan")),
             dict(r=1e308),
-            dict(fixed_rate_bits=-1.0),
             dict(snr_grid_db=[20.0, 30.0, 4000.0]),
             dict(snr_grid_db=[20.0, 30.0, float("inf")]),
             dict(snr_grid_db=[20, 30, 10**400]),
@@ -673,7 +672,6 @@ class TestEstimateDmt:
             "negative_r",
             "nan_r",
             "overflowing_r",
-            "negative_fixed_rate",
             "overflowing_snr",
             "infinite_snr",
             "int_snr_past_float_range",

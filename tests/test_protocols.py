@@ -168,6 +168,16 @@ class TestInterferenceFree:
         cancel_ok, _ = interference_free_batch(g, 100.0, 7)
         assert cancel_ok.mean() > 0.90
 
+    @pytest.mark.parametrize("l", range(2, 9))
+    def test_flags_depend_on_frame_length_parity_alone(self, l):
+        # slot i's conditions depend only on i mod 2, so l and l + 2 agree
+        for case, snr in (("I", 1.0), ("II", 10.0), ("III", 100.0)):
+            g = random_gains(l, 2000, case)
+            flags = interference_free_batch(g, snr, l)
+            assert 0 < flags[0].sum() < g.shape[1]
+            for flag, flag_2 in zip(flags, interference_free_batch(g, snr, l + 2)):
+                np.testing.assert_array_equal(flag, flag_2)
+
 
 class TestTheorem1:
     def test_zero_snr(self):
