@@ -125,13 +125,16 @@ class ChannelBatch:
     def gains(self) -> np.ndarray:
         """The (6, n) squared link gains |h|**2 that every rate reads.
 
-        Raises ValueError naming the first link with a non-finite coefficient.
+        Raises ValueError naming the first link with a gain that is not
+        finite: a non-finite coefficient, or one whose square overflows.
         """
-        finite = np.isfinite(self.h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.abs(self.h) ** 2
+        finite = np.isfinite(g)
         if not finite.all():
             link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
-            raise ValueError(f"h_{link} must be finite")
-        return np.abs(self.h) ** 2
+            raise ValueError(f"|h_{link}|^2 must be finite")
+        return g
 
 
 def trial_rng(seed: int, trial) -> np.random.Generator:

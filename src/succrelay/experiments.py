@@ -230,12 +230,24 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> Ch
     The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
-    for all n trials on the same stream gives the same bytes.
+    for all n trials on the same stream gives the same bytes.  A coefficient
+    that path loss or shadowing overflows is left inf, for `_trial_gains`.
     """
     rng = trial_rng(seed, snr_idx)
-    return ChannelBatch(
-        np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not per call
+        return ChannelBatch(
+            np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
+        )
+
+
+def _trial_gains(cfg: ExperimentConfig, snr_idx: int, n: int) -> tuple[ChannelBatch, np.ndarray]:
+    """`_sample_trials` of the config's geometry and seed, and its gains;
+    ConfigError("geometry") where gamma or shadowing overflows a gain."""
+    batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
+    try:
+        return batch, batch.gains()
+    except ValueError as exc:
+        raise ConfigError("geometry", f"{exc}; gamma or shadow_sigma_db is too large") from exc
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -257,7 +269,7 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         snr = snr_from_db(snr_db)
-        g = _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials).gains()
+        g = _trial_gains(cfg, snr_idx, cfg.trials)[1]  # the coefficients are not kept
         keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
         cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
         # the fallback's direct rate doubles as the direct column
@@ -320,8 +332,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     point, the first draw of stream (seed, 0), with the decode-first
     branches, per-codeword caps and flags that the sweep averages away.
     """
-    batch = _sample_trials(cfg.network, cfg.seed, 0, 1)
-    g = batch.gains()
+    batch, g = _trial_gains(cfg, 0, 1)
     h = batch.h[:, 0].tolist()
     rule = ADAPTIVE_RULES[cfg.adaptive_rule]
     keep = rule is None or bool(adaptive_keep_batch(g, rule)[0])

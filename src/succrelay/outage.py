@@ -15,7 +15,9 @@ event, draws the candidates' gains by inverting the truncated Exp(1)
 (Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of
 CHUNK, and runs the exact test on them: the cap and, where the row asks,
 the O(l) pivot recurrence.  The count is Binomial(trials, p_out), as for
-drawing every trial; only the stream differs.
+drawing every trial; only the stream differs.  The inversion gathers the
+lower edges and spans of the drawn cells alone: past the staircase, a
+point's work grows with its candidates, not with the grid.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ from .channel import trial_rng
 from .mimolinalg import CHUNK, logdet_capacity_batch
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
-# and the Exp(1) mass of each interval, e^-a (1 - e^-(b - a)).
+# each interval's expm1(a - b), and its Exp(1) mass e^-a (1 - e^-(b - a)).
 _EDGES = np.concatenate([[0.0], 2.0 ** (np.arange(-60, 13) / 2.0), [np.inf]])
-_MASS = np.exp(-_EDGES[:-1]) * -np.expm1(_EDGES[:-1] - _EDGES[1:])
+_SPAN = np.expm1(_EDGES[:-1] - _EDGES[1:])
+_MASS = np.exp(-_EDGES[:-1]) * -_SPAN
+# Cell i * _MASS.size + j of the (g1, g2) grid: its lower corner and its mass.
+_C1, _C2 = np.repeat(_EDGES[:-1], _MASS.size), np.tile(_EDGES[:-1], _MASS.size)
+_BASE = np.outer(_MASS, _MASS).ravel()
 # Relative slack on each cell's target, and a g0 past every Exp(1) draw
 # (e^-1024 underflows to 0).
 _SLACK = 1e-6
@@ -134,25 +140,27 @@ def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c
 
 
 def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
-    """The cells of positive mass, ascending by mass: (masses, (3, n) lower
-    edges and (3, n) expm1(lower - upper) of g0, g1, g2)."""
-    i, j = (a.ravel() for a in np.indices((_MASS.size, _MASS.size)))
-    tau = _staircase(scheme, snr, l, r_cw, threshold, _EDGES[i], _EDGES[j])
-    mass = _MASS[i] * _MASS[j] * -np.expm1(-tau)
-    # the largest masses last keep numpy's running remainder far from 0
-    cells = np.flatnonzero(mass)[np.argsort(mass[mass > 0.0], kind="stable")]
-    i, j = i[cells], j[cells]
-    lower = np.array([np.zeros(cells.size), _EDGES[i], _EDGES[j]])
-    span = np.expm1(np.array([-tau[cells], _EDGES[i] - _EDGES[i + 1], _EDGES[j] - _EDGES[j + 1]]))
-    return mass[cells], lower, span
+    """The cells of positive mass, ascending by mass: (masses, cell ids, and
+    every cell's staircase value of g0)."""
+    tau = _staircase(scheme, snr, l, r_cw, threshold, _C1, _C2)
+    mass = _BASE * -np.expm1(-tau)
+    # the largest masses last keep numpy's running remainder far from 0; the
+    # zero masses sort first, ties by cell id
+    cells = np.argsort(mass, kind="stable")[np.count_nonzero(mass == 0.0) :]
+    return mass[cells], cells, tau
 
 
-def _candidate_gains(rng, size: int, mass, lower, span):
-    """(3, <= CHUNK) gains of the trials that the multinomial draw puts in a cell."""
+def _candidate_gains(rng, size: int, mass, cells, tau):
+    """(3, <= CHUNK) gains of the trials that the multinomial draw puts in a
+    cell; only the drawn cells' lower edges and spans are gathered."""
     ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
     for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
-        cell = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
-        yield lower[:, cell] - np.log1p(rng.random((3, cell.size)) * span[:, cell])
+        pick = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
+        cell = cells[pick]
+        i, j = np.divmod(cell, _MASS.size)
+        lower = np.array([np.zeros(cell.size), _EDGES[i], _EDGES[j]])
+        span = np.array([np.expm1(-tau[cell]), _SPAN[i], _SPAN[j]])
+        yield lower - np.log1p(rng.random((3, cell.size)) * span)
 
 
 def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[int]:

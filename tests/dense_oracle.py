@@ -13,7 +13,10 @@ The outage oracle is the full-draw count that ``succrelay.outage`` draws
 sparsely: every trial's three Exp(1) gains are drawn and run through the
 exact test, so its count is Binomial(trials, p_out), as the sampler's is.
 The staircase oracle bisects each cell's log-det root, where the library
-takes the closed-form root of a lower bound.
+takes the closed-form root of a lower bound.  The cell-table oracle builds
+every positive cell's lower edges and spans of (g0, g1, g2) and inverts the
+truncated Exp(1) from that dense table, where the library gathers them for
+the drawn cells only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from succrelay import outage
-from succrelay.mimolinalg import TIE_RTOL, DetectionOrder, logdet_capacity_batch
+from succrelay.mimolinalg import CHUNK, TIE_RTOL, DetectionOrder, logdet_capacity_batch
 
 LN2 = np.log(2.0)
 
@@ -187,3 +190,26 @@ def bisected_staircase(
         tau[todo] = hi
     tau[tau >= outage._G0_MAX] = np.inf
     return tau
+
+
+def full_cell_table(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
+    """The cells of positive mass, ascending by mass, ties by cell id: (masses,
+    (3, n) lower edges and (3, n) expm1(lower - upper) of g0, g1, g2)."""
+    i, j = (a.ravel() for a in np.indices((outage._MASS.size, outage._MASS.size)))
+    edges = outage._EDGES
+    tau = outage._staircase(scheme, snr, l, r_cw, threshold, edges[i], edges[j])
+    mass = outage._MASS[i] * outage._MASS[j] * -np.expm1(-tau)
+    cells = np.flatnonzero(mass)[np.argsort(mass[mass > 0.0], kind="stable")]
+    i, j = i[cells], j[cells]
+    lower = np.array([np.zeros(cells.size), edges[i], edges[j]])
+    span = np.expm1(np.array([-tau[cells], edges[i] - edges[i + 1], edges[j] - edges[j + 1]]))
+    return mass[cells], lower, span
+
+
+def table_candidate_gains(rng, size: int, mass, lower, span):
+    """(3, <= CHUNK) candidate gains inverted from a `full_cell_table`: one
+    multinomial draw over the cells and a rest, then one ``random`` per piece."""
+    ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
+    for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
+        cell = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
+        yield lower[:, cell] - np.log1p(rng.random((3, cell.size)) * span[:, cell])

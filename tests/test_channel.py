@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,10 +88,14 @@ class TestGeometryValidation:
 
 class TestRealization:
     def test_nonfinite_coefficient_rejected(self):
-        h = np.ones((6, 3), dtype=complex)
-        h[0, 2] = complex("nan")
-        with pytest.raises(ValueError, match="h_sd"):
-            ChannelBatch(h).gains()
+        # a coefficient past sqrt(float max) has no finite squared gain
+        for value in (complex("nan"), complex(1e200, 0.0)):
+            h = np.ones((6, 3), dtype=complex)
+            h[0, 2] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="h_sd"):
+                    ChannelBatch(h).gains()
 
     def test_gains_are_squared_magnitudes(self):
         batch = ChannelBatch(np.array([[1 + 1j], [2.0], [0.5j], [1.0], [3.0], [1.0]]))

@@ -547,6 +547,32 @@ class TestCli:
         assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2
         assert "config field 'geometry': gamma must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
+    @pytest.mark.parametrize(
+        "overrides,link",
+        [
+            ({"gamma": 1e4}, "sr1"),
+            ({"shadow_sigma_db": 1e4}, "sd"),
+            # finite coefficients whose squares overflow
+            (
+                dict(d_sr1=0.9, d_sr2=0.9, d_r1d=0.9, d_r2d=0.9, d_r1r2=0.9, gamma=1e4),
+                "sr1",
+            ),
+        ],
+    )
+    def test_overflowing_geometry_exit_code(self, capsys, experiment, overrides, link):
+        # finite parameters whose path loss or shadowing overflows a gain: one
+        # geometry error line, and no RuntimeWarning on the way
+        geometry = json.dumps({**CUSTOM_GEOMETRY, **overrides})
+        argv = ["--experiment", experiment, "--geometry", geometry]
+        argv += ["--snr", "10", "--trials", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: config field 'geometry': |h_{link}|^2 must be finite")
+
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})
         assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2

@@ -10,9 +10,12 @@ from dense_oracle import (
     bisected_staircase,
     dense_logdet_capacity_batch,
     exact_outage,
+    full_cell_table,
     full_draw_count,
+    table_candidate_gains,
 )
 from succrelay import outage
+from succrelay.channel import trial_rng
 from succrelay.mimolinalg import CHUNK, build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
 
@@ -226,10 +229,71 @@ class TestCandidateScreen:
         for snr_db, rbar in ((-10.0, 12.0), (0.0, 1.0), (20.0, 1.0), (60.0, 0.5)):
             snr = 10.0 ** (snr_db / 10.0)
             r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
-            mass, lower, span = outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+            mass, cells, tau = outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
             assert np.all(mass > 0.0) and np.all(np.diff(mass) >= 0.0)
             assert mass.sum() <= 1.0 + 1e-12, (snr_db, mass.sum())
+            # the lower edges and spans that the inversion gathers for these cells
+            i, j = np.divmod(cells, outage._MASS.size)
+            lower = np.array([np.zeros(cells.size), outage._EDGES[i], outage._EDGES[j]])
+            span = np.array([np.expm1(-tau[cells]), outage._SPAN[i], outage._SPAN[j]])
             assert np.all((span >= -1.0) & (span < 0.0)) and np.all(lower >= 0.0)
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    @pytest.mark.parametrize("l", [1, 2, 7, 64])
+    def test_drawn_cells_match_the_full_table(self, scheme, l):
+        # the cells come in the full table's order, and gathering the drawn
+        # cells' rows gives the same pieces as inverting from the whole table;
+        # -10 dB and 12 bits put nearly every trial in a cell, over 4 pieces;
+        # elsewhere ~2,000 candidates are drawn, or what 2**62 trials hold
+        for snr_db in range(-10, 61, 10):
+            snr = 10.0 ** (snr_db / 10.0)
+            r_cw = outage.SCHEMES[scheme][0](12.0 if snr_db < 0 else 1.0, l)
+            args = (scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+            drawn = mass, cells, tau = outage._cells(*args)
+            table = full_cell_table(*args)
+            i, j = np.divmod(cells, outage._MASS.size)
+            assert np.array_equal(mass, table[0]), snr_db
+            assert np.array_equal(outage._EDGES[i], table[1][1]), snr_db
+            assert np.array_equal(outage._EDGES[j], table[1][2]), snr_db
+            trials = 3 * CHUNK + 100 if snr_db < 0 else int(min(2.0**62, 2000.0 / mass.sum()))
+            for seed in (0, 1):
+                got = list(outage._candidate_gains(trial_rng(seed, (0, 0)), trials, *drawn))
+                want = list(table_candidate_gains(trial_rng(seed, (0, 0)), trials, *table))
+                assert len(got) == len(want) == (4 if snr_db < 0 else 1), (snr_db, seed)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (snr_db, seed)
+
+    @pytest.mark.parametrize(
+        "snr_db,rbar,trials,point",
+        [
+            # the dmt_slope benchmark's grid at seed 3, and a point whose cells
+            # hold nearly every trial, drawn over several pieces
+            (20.0, 1.0, 2_000_000, 0),
+            (30.0, 1.0, 30_000_000, 1),
+            (40.0, 1.0, 2_000_000, 2),
+            (-10.0, 12.0, 3 * CHUNK + 100, 0),
+        ],
+    )
+    def test_candidates_lie_in_their_cells(self, snr_db, rbar, trials, point):
+        # each candidate lies in the cell the multinomial drew it in (the
+        # cell whose lower edge <= g1, g2 < its upper edge), and 0 <= g0 < the
+        # staircase value there
+        l, seed = 7, 3
+        snr, r_cw = 10.0 ** (snr_db / 10.0), (l + 1) * rbar / l
+        args = ("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+        mass, cells, tau = outage._cells(*args)
+        drawn = outage._candidate_gains(trial_rng(seed, (point, 0)), trials, mass, cells, tau)
+        pieces = list(drawn)
+        g = np.concatenate([np.empty((3, 0)), *pieces], axis=1)
+        rest = max(0.0, 1.0 - mass.sum())
+        counts = trial_rng(seed, (point, 0)).multinomial(trials, np.append(mass, rest))[:-1]
+        assert g.shape[1] == counts.sum()
+        if snr_db < 0:
+            assert len(pieces) == 4 and g.shape[1] > 0.99 * trials
+        i, j = np.divmod(np.repeat(cells, counts), outage._MASS.size)
+        assert np.array_equal(np.searchsorted(outage._EDGES, g[1], side="right") - 1, i)
+        assert np.array_equal(np.searchsorted(outage._EDGES, g[2], side="right") - 1, j)
+        assert np.all(g[0] >= 0.0)
+        assert np.all(g[0] < limits_of_cells(g, *args))
 
 
 def pivot_bound(g0, g1, g2, snr, l):
