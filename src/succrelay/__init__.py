@@ -29,7 +29,7 @@ from .mimolinalg import (
 )
 from .outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
 from .protocols import (
-    AdaptiveRule,
+    ADAPTIVE_RULES,
     adaptive_keep_batch,
     capacity_gain_G,
     interference_free_batch,
@@ -41,10 +41,10 @@ from .protocols import (
 )
 
 __all__ = [
+    "ADAPTIVE_RULES",
     "CASE_III_RELAY_SPACING",
     "LINK_NAMES",
     "PROTOCOLS",
-    "AdaptiveRule",
     "ChannelBatch",
     "ConfigError",
     "DetectionOrder",

@@ -35,7 +35,7 @@ from .channel import (
 )
 from .outage import SCHEMES, estimate_dmt, snr_from_db
 from .protocols import (
-    AdaptiveRule,
+    ADAPTIVE_RULES,
     adaptive_keep_batch,
     capacity_gain_G,
     interference_free_batch,
@@ -70,8 +70,6 @@ PROTOCOLS = {
     "successive_vblast": (True, lambda g, snr, l: successive_vblast_batch(g, snr, l)),
     "theorem1": (False, lambda g, snr, l: (theorem1_rate_batch(g, snr, l), None, None)),
 }
-# config adaptive_rule -> the rule it names; under "none" every draw relays
-ADAPTIVE_RULES = {"none": None, **{rule.value: rule for rule in AdaptiveRule}}
 
 
 class ConfigError(ValueError):
@@ -105,11 +103,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("snr_grid_db", "protocols", "gain_l_values", "dmt_trials_per_point"):
             value = getattr(self, name)
-            listed = hasattr(value, "__iter__") and not isinstance(value, str)
-            if not (listed or value is None and name == "dmt_trials_per_point"):
+            if value is None and name == "dmt_trials_per_point":
+                continue
+            if not hasattr(value, "__iter__") or isinstance(value, str):
                 raise ConfigError(name, f"must be a list, got {value!r}")
-        object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
-        object.__setattr__(self, "protocols", tuple(self.protocols))
+            object.__setattr__(self, name, tuple(value))  # an iterator is read once, here
         self.validate()
         object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
         if isinstance(self.geometry, dict):
@@ -257,35 +255,52 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
+def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
+    """Every configured protocol at one SNR point, from the (6, n) gains.
+
+    Returns the rule's keep mask, the two interference-free flags and one
+    (name, relaying, rate, per-codeword caps, decode-first branches) row per
+    protocol.  A relaying scheme's rejected draws take the direct rate; its
+    caps and branches stay the kernel's.  An overflow is a geometry error.
+    """
+    snr = snr_from_db(snr_db)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            keep = adaptive_keep_batch(g, cfg.adaptive_rule)
+            flags = interference_free_batch(g, snr, cfg.l)
+            # each kernel runs once; the direct rate is also every fallback
+            out = {
+                name: PROTOCOLS[name][1](g, snr, cfg.l)
+                for name in dict.fromkeys(["direct", *cfg.protocols])
+            }
+    except FloatingPointError as exc:
+        message = f"{exc} at snr {snr_db:g} dB; gamma or shadow_sigma_db is too large"
+        raise ConfigError("geometry", message) from exc
+    rows = []
+    for name in cfg.protocols:
+        relaying, (rate, caps, branches) = PROTOCOLS[name][0], out[name]
+        rate = np.where(keep, rate, out["direct"][0]) if relaying else rate
+        rows.append((name, relaying, rate, caps, branches))
+    return keep, flags, rows
+
+
 def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Mean per-protocol rates over the SNR grid for one geometry.
 
     Fresh realizations are drawn at every SNR point, from that point's own
-    stream (see `_sample_trials`); the adaptive rule, when set, replaces each
-    relaying scheme's rate with the direct rate on failing draws.  The
+    stream (see `_sample_trials`), and averaged over `_point`'s pass.  The
     interference-free capacity bound is reported unadapted.
     """
-    rule = ADAPTIVE_RULES[cfg.adaptive_rule]
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        snr = snr_from_db(snr_db)
         g = _trial_gains(cfg, snr_idx, cfg.trials)[1]  # the coefficients are not kept
-        keep = np.ones(cfg.trials, dtype=bool) if rule is None else adaptive_keep_batch(g, rule)
-        cancel_ok, source_ok = interference_free_batch(g, snr, cfg.l)
-        # the fallback's direct rate doubles as the direct column
-        direct = None if rule is None else rate_direct_batch(g, snr)
-        means, sems = {}, {}
-        for name in cfg.protocols:
-            relaying, kernel = PROTOCOLS[name]
-            values = direct if name == "direct" and direct is not None else kernel(g, snr, cfg.l)[0]
-            if rule is not None and relaying:
-                values = np.where(keep, values, direct)
-            means[name], sems[name] = _mean_sem(values)
+        keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
+        stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         rows.append(
             SweepRow(
                 snr_db=float(snr_db),
-                rates=means,
-                stderrs=sems,
+                rates={name: mean for name, (mean, _) in stats.items()},
+                stderrs={name: sem for name, (_, sem) in stats.items()},
                 fallback_fraction=float(1.0 - np.mean(keep)),
                 interference_free_fraction=float(np.mean(cancel_ok)),
                 source_links_strong_fraction=float(np.mean(source_ok)),
@@ -328,39 +343,31 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
 def run_single_realization(cfg: ExperimentConfig) -> dict:
     """Full per-protocol diagnostics of trial 0 across the SNR grid.
 
-    The n = 1 view of the batched kernels: trial 0 of a sweep's first SNR
+    The n = 1 view of the sweep's `_point`: trial 0 of its first SNR
     point, the first draw of stream (seed, 0), with the decode-first
-    branches, per-codeword caps and flags that the sweep averages away.
+    branches, per-codeword caps and flags that the sweep averages away.  A
+    fallen-back codeword is one direct codeword, with no branches.
     """
     batch, g = _trial_gains(cfg, 0, 1)
     h = batch.h[:, 0].tolist()
-    rule = ADAPTIVE_RULES[cfg.adaptive_rule]
-    keep = rule is None or bool(adaptive_keep_batch(g, rule)[0])
     coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     entries = []
     for snr_db in cfg.snr_grid_db:
-        snr = snr_from_db(snr_db)
-        flags = [bool(f[0]) for f in interference_free_batch(g, snr, cfg.l)]
-        for name in cfg.protocols:
-            relaying, kernel = PROTOCOLS[name]
-            rate, per_cw, branch = kernel(g, snr, cfg.l)
+        keep, flags, point = _point(cfg, g, snr_db)
+        for name, relaying, rate, caps, branches in point:
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
-            if per_cw is None:
+            if caps is None:
                 entry["fallback_to_direct"] = False
                 continue
-            fallback = relaying and not keep
-            decode = [] if branch is None or fallback else branch[0].tolist()
-            if fallback:
-                rate = rate_direct_batch(g, snr)
-                per_cw = rate[:, None]
+            fallback = relaying and not keep[0]
+            decode = [] if branches is None or fallback else branches[0].tolist()
             entry.update(
-                rate_per_slot=float(rate[0]),
-                per_codeword_rates=per_cw[0].tolist(),
+                per_codeword_rates=[float(rate[0])] if fallback else caps[0].tolist(),
                 decode_interference_first=decode,
                 fallback_to_direct=fallback,
-                interference_free=None if branch is None else flags[0],
-                source_links_strong=None if branch is None else flags[1],
+                interference_free=None if branches is None else bool(flags[0][0]),
+                source_links_strong=None if branches is None else bool(flags[1][0]),
             )
     return {"realization": coeffs, "entries": entries}
 

@@ -28,6 +28,7 @@ Dense factorizations of H serve only as test oracles.
 
 from __future__ import annotations
 
+import numbers
 from enum import Enum
 
 import numpy as np
@@ -80,8 +81,7 @@ def build_equivalent_channel_batch(
     h_sd: np.ndarray, h_r1d: np.ndarray, h_r2d: np.ndarray, l: int
 ) -> np.ndarray:
     """Stacked (n, l+1, l) channel matrices from coefficient arrays."""
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
+    check_kernel_args(l=l)
     n = h_sd.shape[0]
     m = np.zeros((n, l + 1, l), dtype=complex)
     for k in range(l):
@@ -90,11 +90,12 @@ def build_equivalent_channel_batch(
     return m
 
 
-def _check_kernel_args(snr: float, l: int) -> None:
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    if l < 1:
-        raise ValueError(f"frame length l must be >= 1, got {l}")
+def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
+    """Every gains kernel's check: 0 <= snr < inf (not NaN), l an int >= 1 (not a bool)."""
+    if not 0.0 <= snr < np.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
+        raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
 
 
 def logdet_capacity_batch(
@@ -110,7 +111,7 @@ def logdet_capacity_batch(
     accumulated as q <- q (1 + w_k) + w_k and the result is log1p(q), exact
     to rounding also for vanishing gains.
     """
-    _check_kernel_args(snr, l)
+    check_kernel_args(snr, l)
     out = np.empty(len(g_sd))
     for start in range(0, len(out), CHUNK):
         part = slice(start, start + CHUNK)
@@ -191,7 +192,7 @@ def mmse_sic_sinrs_batch(
 
     Returns (orders, sinrs): (n, l) arrays, sinrs indexed by stream.
     """
-    _check_kernel_args(snr, l)
+    check_kernel_args(snr, l)
     g_r = np.stack([g_r1d if k % 2 == 0 else g_r2d for k in range(l)])
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)

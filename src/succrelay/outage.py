@@ -22,13 +22,12 @@ point's work grows with its candidates, not with the grid.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import trial_rng
-from .mimolinalg import CHUNK, logdet_capacity_batch
+from .mimolinalg import CHUNK, check_kernel_args, logdet_capacity_batch
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # each interval's expm1(a - b), and its Exp(1) mass e^-a (1 - e^-(b - a)).
@@ -46,11 +45,6 @@ _G0_MAX = 1024.0
 MIN_EVENTS = 20
 # Per-slot target of every grid point at r = 0, in bits: the diversity at a fixed rate.
 FIXED_RATE_BITS = 1.0
-
-
-def _check_frame_length(l) -> None:
-    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
-        raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
 
 
 # name -> (per-codeword rate r_cw(rbar, l), relay gains cap(g1, g2, l) that
@@ -79,7 +73,7 @@ def dmt_formula(r: float, l: int) -> float:
     """Diversity gain of the successive scheme at multiplexing gain r."""
     if not 0.0 <= r < np.inf:
         raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
-    _check_frame_length(l)
+    check_kernel_args(l=l)
     return SCHEMES["successive"][3](r, l)
 
 
@@ -165,7 +159,7 @@ def _candidate_gains(rng, size: int, mass, cells, tau):
 
 def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[int]:
     """Outage events of each (snr, rbar, trials) point, all checked before any draw."""
-    _check_frame_length(l)
+    check_kernel_args(l=l)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     for snr, rbar, trials in points:

@@ -26,8 +26,6 @@ channel's log-det bound.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 # No rate builds the channel matrix; build_equivalent_channel_batch is
@@ -35,6 +33,7 @@ import numpy as np
 from .mimolinalg import (  # noqa: F401
     DetectionOrder,
     build_equivalent_channel_batch,
+    check_kernel_args,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
     require,
@@ -43,33 +42,20 @@ from .mimolinalg import (  # noqa: F401
 _LN2 = np.log(2.0)
 
 
-class AdaptiveRule(Enum):
-    """Fallback-to-direct conditions, checked before using any relays.
-
-    A: both source-relay links at least as strong as the direct link.
-    B: each source-relay gain at least the combined direct + that relay's
-       forward gain (the interference-free source-link condition).
-    C: the classic-protocol condition, each source-relay gain at least the
-       full three-branch destination combining gain.
-    """
-
-    A = "a"
-    B = "b"
-    C = "c"
-
-
 def _cap(x: np.ndarray) -> np.ndarray:
     return np.log1p(x) / _LN2
 
 
 def rate_direct_batch(g: np.ndarray, snr: float) -> np.ndarray:
     """Point-to-point rate of the direct link, one codeword per slot."""
+    check_kernel_args(snr)
     return _cap(g[0] * snr)
 
 
 def rate_classic_batch(g: np.ndarray, snr: float, prefactor: float) -> np.ndarray:
     """Broadcast-then-relay rate: ``prefactor`` 1/3 for one relay slot each
     (classic I), 1/2 for simultaneous space-time relaying (classic II)."""
+    check_kernel_args(snr)
     gsd, gsr1, gsr2, _, gr1d, gr2d = g
     bottleneck = np.minimum(
         np.minimum(_cap(gsr1 * snr), _cap(gsr2 * snr)),
@@ -173,8 +159,7 @@ def interference_free_batch(
     slot's condition depends only on its parity, so the first flag tests
     slots 0 and 1 alone: the same two conditions for every l >= 2.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    check_kernel_args(snr, l)
     gsd, gsr1, gsr2, gr1r2, gr1d, gr2d = g
     gsr = (gsr1, gsr2)
     grd = (gr1d, gr2d)
@@ -192,16 +177,27 @@ def interference_free_batch(
     return cancel_ok, source_ok
 
 
-def adaptive_keep_batch(g: np.ndarray, rule: AdaptiveRule) -> np.ndarray:
-    """True where the rule allows relaying (non-strict inequalities)."""
-    gsd, gsr1, gsr2, _, gr1d, gr2d = g
-    if rule is AdaptiveRule.A:
-        return np.minimum(gsr1, gsr2) >= gsd
-    if rule is AdaptiveRule.B:
-        return (gsr1 >= gsd + gr1d) & (gsr2 >= gsd + gr2d)
-    if rule is AdaptiveRule.C:
-        return np.minimum(gsr1, gsr2) >= gsd + gr1d + gr2d
-    raise ValueError(f"unknown adaptive rule {rule!r}")
+# adaptive_rule -> keep(g): True where the draw may relay, by non-strict
+# inequalities; a rejected draw falls back to direct transmission.
+#   none: every draw relays.
+#   a: both source-relay links at least as strong as the direct link.
+#   b: each source-relay gain at least the combined direct + that relay's
+#      forward gain (the interference-free source-link condition).
+#   c: the classic-protocol condition, each source-relay gain at least the
+#      full three-branch destination combining gain.
+ADAPTIVE_RULES = {
+    "none": lambda g: np.ones(g.shape[1], dtype=bool),
+    "a": lambda g: np.minimum(g[1], g[2]) >= g[0],
+    "b": lambda g: (g[1] >= g[0] + g[4]) & (g[2] >= g[0] + g[5]),
+    "c": lambda g: np.minimum(g[1], g[2]) >= g[0] + g[4] + g[5],
+}
+
+
+def adaptive_keep_batch(g: np.ndarray, rule: str) -> np.ndarray:
+    """True where the `ADAPTIVE_RULES` row ``rule`` lets the draw relay."""
+    if rule not in ADAPTIVE_RULES:
+        raise ValueError(f"adaptive rule must be one of {tuple(ADAPTIVE_RULES)}, got {rule!r}")
+    return ADAPTIVE_RULES[rule](g)
 
 
 def capacity_gain_G(

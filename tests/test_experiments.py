@@ -30,6 +30,11 @@ SMALL_SWEEP = dict(
     adaptive_rule="a",
 )
 CUSTOM_GEOMETRY = dict(d_sd=1.0, d_sr1=0.5, d_sr2=0.5, d_r1d=0.5, d_r2d=0.5, d_r1r2=0.1)
+# squared gains of ~1e305: finite, but snr * g overflows from 20 dB up
+NEAR_FLOAT_MAX_GEOMETRY = dict(
+    d_sd=1, d_sr1=0.9, d_sr2=0.9, d_r1d=0.9, d_r2d=0.9, d_r1r2=0.9, gamma=6670,
+    shadow_sigma_db=0,
+)
 
 
 # (overrides, the field its ConfigError names).  Row i's test id is
@@ -149,6 +154,25 @@ class TestConfig:
         )
         rows = run_geometry_sweep(cfg)
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(experiment="gain_curve", gain_l_values=[0]), "gain_l_values"),
+            (dict(experiment="dmt_slope", dmt_trials_per_point=[0, 0, 0]), "dmt_trials_per_point"),
+        ],
+    )
+    def test_iterator_list_fields_checked_as_tuples(self, overrides, field):
+        # each call builds fresh iterators: a shared one would be spent by
+        # the first case that read it
+        listed = {k: iter(v) if isinstance(v, list) else v for k, v in overrides.items()}
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{**SMALL_SWEEP, **listed})
+        assert err.value.field == field
+
+    def test_iterator_snr_grid_equals_its_tuple_config(self):
+        cfg = ExperimentConfig(**{**SMALL_SWEEP, "snr_grid_db": iter([0, 10.0])})
+        assert cfg == ExperimentConfig(**{**SMALL_SWEEP, "snr_grid_db": (0.0, 10.0)})
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -572,6 +596,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: config field 'geometry': |h_{link}|^2 must be finite")
+
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
+    @pytest.mark.parametrize("snr", ["20", "40"])
+    def test_near_float_max_gains_exit_code(self, capsys, experiment, snr):
+        # finite gains of ~1e305 pass the sampler's check; snr * g then
+        # overflows inside the protocol kernels
+        argv = ["--experiment", experiment, "--geometry", json.dumps(NEAR_FLOAT_MAX_GEOMETRY)]
+        argv += ["--snr", snr, "--trials", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config field 'geometry': overflow encountered")
+        assert f"at snr {snr} dB; gamma or shadow_sigma_db is too large" in err
+
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
+    def test_near_float_max_gains_run_at_10_db(self, capsys, experiment):
+        argv = ["--experiment", experiment, "--geometry", json.dumps(NEAR_FLOAT_MAX_GEOMETRY)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main([*argv, "--snr", "10", "--trials", "10"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_custom_geometry_exit_code(self, capsys):
         geometry = json.dumps({**CUSTOM_GEOMETRY, "d_sd": -1})

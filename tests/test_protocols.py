@@ -5,7 +5,6 @@ from succrelay.channel import preset_geometry, sample_realizations
 from succrelay.experiments import PROTOCOLS
 from succrelay.mimolinalg import DetectionOrder, InvariantError, mmse_sic_sinrs_batch
 from succrelay.protocols import (
-    AdaptiveRule,
     _cap,
     adaptive_keep_batch,
     capacity_gain_G,
@@ -257,22 +256,53 @@ class TestSchemeOrdering:
         assert np.all(np.abs(genie[mask] - bound[mask]) <= 1e-9 * bound[mask])
 
 
+# name -> kernel(g, snr, l); direct and classic rates take no frame length
+GAINS_KERNELS = {
+    "direct": lambda g, snr, l: rate_direct_batch(g, snr),
+    "classic": lambda g, snr, l: classic2(g, snr),
+    "genie": successive_genie_batch,
+    "vblast": successive_vblast_batch,
+    "theorem1": theorem1_rate_batch,
+    "flags": interference_free_batch,
+}
+BAD_ARGS = [(np.nan, 2), (np.inf, 2), (-1.0, 2), (1.0, True), (1.0, 2.5), (1.0, 0)]
+
+
+@pytest.mark.parametrize(
+    "kernel,snr,l",
+    [
+        pytest.param(kernel, snr, l, id=f"{name}-snr{snr}-l{l}")
+        for name, kernel in GAINS_KERNELS.items()
+        for snr, l in BAD_ARGS
+        if name not in ("direct", "classic") or l == 2
+    ],
+)
+def test_kernels_reject_bad_snr_or_frame_length(kernel, snr, l):
+    # NaN fails no `snr < 0` test, and a bool is an int: each must still raise
+    with pytest.raises(ValueError):
+        kernel(random_gains(0, 4), snr, l)
+
+
 class TestAdaptiveFallback:
     def test_rule_a_falls_back(self):
         g = gains(gsd=4.0, gsr1=1.0, gsr2=9.0)
-        assert not adaptive_keep_batch(g, AdaptiveRule.A)[0]
+        assert not adaptive_keep_batch(g, "a")[0]
 
     def test_rule_a_boundary_keeps_relaying(self):
         g = gains(gsd=1.0, gsr1=1.0, gsr2=1.0)
-        assert adaptive_keep_batch(g, AdaptiveRule.A)[0]
+        assert adaptive_keep_batch(g, "a")[0]
 
     def test_rule_b_uses_combined_gains(self):
         g = gains(gsd=1.0, gr1d=1.0, gr2d=1.0, gsr1=2.0, gsr2=1.5)
-        assert not adaptive_keep_batch(g, AdaptiveRule.B)[0]  # gsr2 < gsd + gr2d
+        assert not adaptive_keep_batch(g, "b")[0]  # gsr2 < gsd + gr2d
+
+    def test_unknown_rule_names_the_choices(self):
+        with pytest.raises(ValueError, match=r"\('none', 'a', 'b', 'c'\)"):
+            adaptive_keep_batch(gains(), "d")
 
     def test_rule_c_keeps_best_combining_rate(self):
         g = gains(gsd=1.0, gr1d=1.0, gr2d=1.0, gsr1=4.0, gsr2=4.0)
-        assert adaptive_keep_batch(g, AdaptiveRule.C)[0]
+        assert adaptive_keep_batch(g, "c")[0]
         # with both source-relay links dominating, the combining term binds
         assert classic2(g, 2.0)[0] == pytest.approx(0.5 * np.log2(1 + 3.0 * 2.0))
 
