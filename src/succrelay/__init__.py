@@ -13,7 +13,6 @@ from .experiments import (
     PROTOCOLS,
     ConfigError,
     ExperimentConfig,
-    SweepRow,
     run_dmt,
     run_experiment,
     run_gain_curve,
@@ -23,7 +22,6 @@ from .experiments import (
 from .mimolinalg import (
     DetectionOrder,
     InvariantError,
-    build_equivalent_channel_batch,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "ExperimentConfig",
     "InvariantError",
     "NetworkGeometry",
-    "SweepRow",
     "adaptive_keep_batch",
-    "build_equivalent_channel_batch",
     "capacity_gain_G",
     "dmt_formula",
     "estimate_dmt",

@@ -33,6 +33,7 @@ from .channel import (
     sample_realizations,
     trial_rng,
 )
+from .mimolinalg import require
 from .outage import SCHEMES, estimate_dmt, snr_from_db
 from .protocols import (
     ADAPTIVE_RULES,
@@ -140,6 +141,10 @@ class ExperimentConfig:
         for name, (kind, values) in typed.items():
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
                 raise ConfigError(name, f"must be {nouns[kind]}, got {getattr(self, name)!r}")
+            try:  # a JSON integer past float range is a real number that float() rejects
+                [float(v) for v in values if kind is real]
+            except OverflowError as exc:
+                raise ConfigError(name, str(exc)) from exc
         for name, allowed in CHOICES.items():
             for value in typed[name][1]:
                 if value not in allowed:
@@ -164,8 +169,8 @@ class ExperimentConfig:
             raise ConfigError("seed", "must fit an unsigned 64-bit integer")
         if not self.protocols:
             raise ConfigError("protocols", "select at least one protocol")
-        if self.experiment == "gain_curve" and not self.gain_l_values:
-            raise ConfigError("gain_l_values", "gain curve needs at least one frame length")
+        if not self.gain_l_values:
+            raise ConfigError("gain_l_values", "select at least one frame length")
         if any(x < 1 for x in self.gain_l_values):
             raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
         if not 0.0 <= self.dmt_r < math.inf:
@@ -202,24 +207,6 @@ class ExperimentConfig:
         if isinstance(self.geometry, str):
             return preset_geometry(self.geometry)
         return NetworkGeometry(**{k: float(v) for k, v in self.geometry.items()})
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """Per-SNR aggregate of one geometry sweep."""
-
-    snr_db: float
-    rates: dict[str, float]
-    stderrs: dict[str, float]
-    fallback_fraction: float
-    interference_free_fraction: float
-    source_links_strong_fraction: float
-
-    def __post_init__(self) -> None:
-        if any(v < 0.0 for v in self.rates.values()):
-            raise ValueError("mean rates must be >= 0")
-        if any(v < 0.0 for v in self.stderrs.values()):
-            raise ValueError("standard errors must be >= 0")
 
 
 def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> ChannelBatch:
@@ -284,20 +271,22 @@ def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
     return keep, flags, rows
 
 
-def run_geometry_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Mean per-protocol rates over the SNR grid for one geometry.
+def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """Mean per-protocol rates over the SNR grid for one geometry, one row per point.
 
     Fresh realizations are drawn at every SNR point, from that point's own
     stream (see `_sample_trials`), and averaged over `_point`'s pass.  The
-    interference-free capacity bound is reported unadapted.
+    interference-free capacity bound is reported unadapted.  A mean or
+    standard error below 0, or NaN, raises InvariantError.
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
         g = _trial_gains(cfg, snr_idx, cfg.trials)[1]  # the coefficients are not kept
         keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
+        require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
         rows.append(
-            SweepRow(
+            dict(
                 snr_db=float(snr_db),
                 rates={name: mean for name, (mean, _) in stats.items()},
                 stderrs={name: sem for name, (_, sem) in stats.items()},
@@ -412,14 +401,16 @@ def _table(records: list[dict], columns: list[str]) -> tuple[list[str], list[lis
     return ["schema_version", *columns], rows
 
 
-def sweep_csv_table(cfg: ExperimentConfig, rows: list[SweepRow]) -> tuple[list[str], list[list]]:
-    stats = [f"{stat}_{name}" for name in cfg.protocols for stat in ("mean", "stderr")]
+def sweep_csv_table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """CSV header and rows of `run_geometry_sweep`'s rows, protocols in their ``rates`` order."""
+    names = dict.fromkeys(name for row in rows for name in row["rates"])
+    stats = [f"{stat}_{name}" for name in names for stat in ("mean", "stderr")]
     fractions = ["fallback_fraction", "interference_free_fraction", "source_links_strong_fraction"]
     records = [
         {
-            **asdict(row),
-            **{f"mean_{name}": rate for name, rate in row.rates.items()},
-            **{f"stderr_{name}": sem for name, sem in row.stderrs.items()},
+            **row,
+            **{f"mean_{name}": rate for name, rate in row["rates"].items()},
+            **{f"stderr_{name}": sem for name, sem in row["stderrs"].items()},
         }
         for row in rows
     ]
@@ -457,21 +448,21 @@ def _dmt_lines(result: dict) -> list[str]:
 
 
 # name -> (payload key, runner, CSV table, console lines).  The runner returns the
-# JSON-ready entry that the payload holds under its key; the CSV table maps (config,
-# entry) to a header and rows, and `simulate` prints the entry's console lines.
+# JSON-ready entry that the payload holds under its key; the CSV table maps the
+# entry alone to a header and rows, and `simulate` prints the entry's console lines.
 EXPERIMENTS = {
     "gain_curve": (
         "rows",
         run_gain_curve,
-        lambda cfg, rows: _table(rows, ["l", "snr_db", "capacity_gain"]),
+        lambda rows: _table(rows, ["l", "snr_db", "capacity_gain"]),
         lambda rows: [
             f"l={r['l']}  snr={r['snr_db']:g} dB  G={r['capacity_gain']:.4f}" for r in rows
         ],
     ),
     "geometry_sweep": (
         "rows",
-        lambda cfg: [asdict(row) for row in run_geometry_sweep(cfg)],
-        lambda cfg, rows: sweep_csv_table(cfg, [SweepRow(**row) for row in rows]),
+        run_geometry_sweep,
+        sweep_csv_table,
         lambda rows: [
             f"snr={r['snr_db']:g} dB  " + "  ".join(f"{k}={v:.4f}" for k, v in r["rates"].items())
             for r in rows
@@ -480,13 +471,13 @@ EXPERIMENTS = {
     "dmt_slope": (
         "result",
         run_dmt,
-        lambda cfg, result: _table(_dmt_points(result), [*_DMT_COLUMNS, *_DMT_FITS]),
+        lambda result: _table(_dmt_points(result), [*_DMT_COLUMNS, *_DMT_FITS]),
         _dmt_lines,
     ),
     "single_realization": (
         "result",
         run_single_realization,
-        lambda cfg, result: _table(
+        lambda result: _table(
             result["entries"], ["snr_db", "protocol", "rate_per_slot", "fallback_to_direct"]
         ),
         lambda result: [
@@ -515,7 +506,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     payload = dict(schema_version=SCHEMA_VERSION, experiment=cfg.experiment, config=asdict(cfg))
     payload[key] = run(cfg)
     if cfg.output_path and cfg.output_format == "csv":
-        write_csv(cfg.output_path, *csv_table(cfg, payload[key]))
+        write_csv(cfg.output_path, *csv_table(payload[key]))
     elif cfg.output_path:
         write_json(cfg.output_path, payload)
     return payload

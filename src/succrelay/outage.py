@@ -22,6 +22,8 @@ point's work grows with its candidates, not with the grid.
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +71,17 @@ SCHEMES = {
 }
 
 
+def _multiplexing_gain(r) -> float:
+    """float(r); ValueError unless it is finite and >= 0 (an int past float range is not)."""
+    with contextlib.suppress(OverflowError):
+        if 0.0 <= float(r) < np.inf:
+            return float(r)
+    raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
+
+
 def dmt_formula(r: float, l: int) -> float:
     """Diversity gain of the successive scheme at multiplexing gain r."""
-    if not 0.0 <= r < np.inf:
-        raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
+    r = _multiplexing_gain(r)
     check_kernel_args(l=l)
     return SCHEMES["successive"][3](r, l)
 
@@ -167,8 +176,9 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
             raise ValueError(f"snr must be finite and > 0, got {snr}")
         if not 0.0 <= rbar < np.inf:
             raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
-        if not 1 <= trials < 2**63:  # numpy's multinomial takes int64 counts
-            raise ValueError(f"trials must lie in [1, 2**63), got {trials}")
+        integer = isinstance(trials, numbers.Integral) and not isinstance(trials, bool)
+        if not (integer and 1 <= trials < 2**63):  # numpy's multinomial takes int64 counts
+            raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
     return [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
 
 
@@ -182,7 +192,7 @@ def _point_events(
     r_cw = codeword_rate(rbar, l)
     threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
     if not threshold < np.finfo(float).max:
-        return trials  # no gain in float range meets a threshold past it
+        return int(trials)  # no gain in float range meets a threshold past it
     # the two-element key keeps these streams apart from the sweeps' (snr_idx,)
     rng = trial_rng(seed, (point, 0))
     events = 0
@@ -215,7 +225,7 @@ def outage_prob_conditioned(
 def snr_from_db(snr_db: float) -> float:
     """10 ** (snr_db / 10), raising ValueError unless it is a positive finite float."""
     try:
-        snr = 10.0 ** (snr_db / 10.0)
+        snr = 10.0 ** (float(snr_db) / 10.0)  # a Python float power raises, numpy's warns
     except OverflowError:
         snr = np.inf
     if not 0.0 < snr < np.inf:
@@ -242,8 +252,7 @@ def estimate_dmt(
     usable points is reported as a diagnostic.  Grid point i counts on the
     (seed, (i, 0)) stream.
     """
-    if not 0.0 <= r < np.inf:
-        raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
+    r = _multiplexing_gain(r)
     grid = list(snr_grid_db)
     snrs = [snr_from_db(x) for x in grid]  # ValueError where float(x) would overflow
     grid = [float(x) for x in grid]
@@ -254,9 +263,9 @@ def estimate_dmt(
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ValueError("snr grid must be strictly increasing")
     if np.isscalar(trials_per_point):
-        trial_counts = [int(trials_per_point)] * len(grid)
+        trial_counts = [trials_per_point] * len(grid)
     else:
-        trial_counts = [int(t) for t in trials_per_point]
+        trial_counts = list(trials_per_point)
         if len(trial_counts) != len(grid):
             raise ValueError("trials_per_point must match the grid length")
 
@@ -279,13 +288,13 @@ def estimate_dmt(
         lstsq = float(np.polyfit(decades, neglog, 1)[0])
 
     return DmtPoint(
-        multiplexing_r=float(r),
+        multiplexing_r=r,
         snr_grid_db=tuple(grid),
         outage_prob=tuple(probs),
         diversity_estimate=primary,
         diversity_lstsq=lstsq,
         events=tuple(events),
-        trials=tuple(trial_counts),
+        trials=tuple(int(t) for t in trial_counts),  # integers: _outage_events checked them
         low_event_flags=tuple(c < MIN_EVENTS for c in events),
         target_rates_per_slot=tuple(float(t) for t in targets),
         scheme=scheme,

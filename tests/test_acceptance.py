@@ -200,13 +200,13 @@ def test_criterion_7_geometry_sweeps():
     )
     rows3 = run_geometry_sweep(case3)
     last = rows3[-1]
-    assert last.snr_db == 20.0
-    assert last.rates["successive_genie"] > last.rates["direct"] > last.rates["classic2"]
+    assert last["snr_db"] == 20.0
+    assert last["rates"]["successive_genie"] > last["rates"]["direct"] > last["rates"]["classic2"]
     for row in rows3:
-        if row.snr_db >= 10.0:
-            gap = row.rates["successive_genie"] - row.rates["successive_vblast"]
+        if row["snr_db"] >= 10.0:
+            gap = row["rates"]["successive_genie"] - row["rates"]["successive_vblast"]
             assert gap >= -1e-9
-            assert gap < 0.05 * row.rates["successive_genie"]
+            assert gap < 0.05 * row["rates"]["successive_genie"]
 
     for case, seed in (("I", 1009), ("II", 1010)):
         cfg = ExperimentConfig(
@@ -215,7 +215,7 @@ def test_criterion_7_geometry_sweeps():
             protocols=("direct", "successive_genie"), adaptive_rule="a",
         )
         for row in run_geometry_sweep(cfg):
-            assert row.rates["successive_genie"] >= row.rates["direct"], (case, row.snr_db)
+            assert row["rates"]["successive_genie"] >= row["rates"]["direct"], (case, row["snr_db"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report(7, "case III ordering at 20 dB; cases I/II relaying >= direct to 15 dB", elapsed)

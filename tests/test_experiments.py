@@ -7,6 +7,7 @@ import pytest
 from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import NetworkGeometry, preset_geometry, trial_rng
+from succrelay.mimolinalg import InvariantError
 from succrelay.protocols import capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
     ConfigError,
@@ -107,8 +108,12 @@ INVALID_OVERRIDES = [
     (dict(geometry={**CUSTOM_GEOMETRY, "gamma": float("inf")}), "geometry"),
     (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": float("inf")}), "geometry"),
     (dict(geometry={**CUSTOM_GEOMETRY, "shadow_sigma_db": float("nan")}), "geometry"),
+    # JSON reads these as integers past float range
+    (dict(dmt_r=10**400), "dmt_r"),
+    (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": 10**400}), "geometry"),
+    (dict(gain_l_values=()), "gain_l_values"),
 ]
-ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 71)]
+ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 74)]
 
 
 class TestConfig:
@@ -184,34 +189,41 @@ class TestConfig:
 class TestGeometrySweep:
     def test_row_shape_and_sanity(self):
         rows = run_geometry_sweep(ExperimentConfig(**SMALL_SWEEP))
-        assert [r.snr_db for r in rows] == [0.0, 10.0, 20.0]
+        assert [r["snr_db"] for r in rows] == [0.0, 10.0, 20.0]
         for row in rows:
-            assert set(row.rates) == set(SMALL_SWEEP["protocols"])
-            assert all(v >= 0.0 for v in row.rates.values())
-            assert 0.0 <= row.fallback_fraction <= 1.0
-            assert 0.0 <= row.interference_free_fraction <= 1.0
+            assert set(row["rates"]) == set(SMALL_SWEEP["protocols"])
+            assert all(v >= 0.0 for v in row["rates"].values())
+            assert 0.0 <= row["fallback_fraction"] <= 1.0
+            assert 0.0 <= row["interference_free_fraction"] <= 1.0
 
     def test_rates_increase_with_snr(self):
         rows = run_geometry_sweep(ExperimentConfig(**SMALL_SWEEP))
         for name in SMALL_SWEEP["protocols"]:
-            series = [r.rates[name] for r in rows]
+            series = [r["rates"][name] for r in rows]
             assert series == sorted(series)
 
     def test_no_fallback_without_rule(self):
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "adaptive_rule": "none"})
         rows = run_geometry_sweep(cfg)
-        assert all(r.fallback_fraction == 0.0 for r in rows)
+        assert all(r["fallback_fraction"] == 0.0 for r in rows)
 
     def test_single_trial_has_zero_stderr(self):
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "trials": 1})
         rows = run_geometry_sweep(cfg)
-        assert all(v == 0.0 for v in rows[0].stderrs.values())
+        assert all(v == 0.0 for v in rows[0]["stderrs"].values())
 
     def test_stderr_scales_inverse_sqrt_trials(self):
         small = run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "trials": 400}))
         large = run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "trials": 1600}))
-        ratio = small[1].stderrs["direct"] / large[1].stderrs["direct"]
+        ratio = small[1]["stderrs"]["direct"] / large[1]["stderrs"]["direct"]
         assert ratio == pytest.approx(2.0, rel=0.3)
+
+    def test_nan_mean_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "rate_direct_batch", lambda g, snr: np.full(g.shape[1], np.nan)
+        )
+        with pytest.raises(InvariantError, match="mean rates and standard errors must be >= 0"):
+            run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "protocols": ("direct",)}))
 
 
 class TestSampleTrials:
@@ -370,7 +382,7 @@ class TestSingleRealization:
 class TestOutput:
     def test_csv_header_pinned(self):
         cfg = ExperimentConfig(**SMALL_SWEEP)
-        header, _ = sweep_csv_table(cfg, run_geometry_sweep(cfg))
+        header, _ = sweep_csv_table(run_geometry_sweep(cfg))
         assert header == [
             "schema_version",
             "snr_db",
@@ -418,7 +430,7 @@ class TestOutput:
         lines = path.read_text().strip().split("\n")
         value = float(lines[1].split(",")[2])
         rows = run_geometry_sweep(cfg)
-        assert value == rows[0].rates["direct"]
+        assert value == rows[0]["rates"]["direct"]
 
 
 class TestCli:
@@ -465,7 +477,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "overrides,field",
-        [(dict(dmt_r="half"), "dmt_r"), (dict(snr_grid_db=["ten", 30, 40]), "snr_grid_db")],
+        [
+            (dict(dmt_r="half"), "dmt_r"),
+            (dict(snr_grid_db=["ten", 30, 40]), "snr_grid_db"),
+            (dict(dmt_r=10**400), "dmt_r"),
+        ],
     )
     def test_non_numeric_config_file_value_exit_code(self, tmp_path, capsys, overrides, field):
         cfg_path = tmp_path / "cfg.json"

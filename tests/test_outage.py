@@ -54,7 +54,9 @@ class TestFormula:
     def test_numpy_integer_l_accepted(self):
         assert dmt_formula(0.4375, np.int64(7)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "r", [float("nan"), float("inf"), pytest.param(10**400, id="int_past_float_range")]
+    )
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(ValueError):
             dmt_formula(r, 7)
@@ -693,6 +695,9 @@ class TestOutageProb:
         for l in (2.5, 7.0, True):
             with pytest.raises(ValueError):
                 outage_prob_conditioned(1e4, 1.0, l, 100, 1)
+        for trials in (2.5, 100.0, True):
+            with pytest.raises(ValueError):
+                outage_prob_conditioned(100.0, 1.0, 7, trials, 0)
 
     def test_numpy_integer_l_accepted(self):
         p = outage_prob_conditioned(10.0, 1.0, np.int64(3), 20_000, 9)
@@ -726,6 +731,10 @@ class TestEstimateDmt:
             dict(snr_grid_db=[20.0, 30.0, 4000.0]),
             dict(snr_grid_db=[20.0, 30.0, float("inf")]),
             dict(snr_grid_db=[20, 30, 10**400]),
+            dict(trials_per_point=1000.9),
+            dict(trials_per_point=[100, 100.5, 100]),
+            dict(trials_per_point=True),
+            dict(r=10**400),
         ],
         ids=[
             "scheme",
@@ -739,12 +748,22 @@ class TestEstimateDmt:
             "overflowing_snr",
             "infinite_snr",
             "int_snr_past_float_range",
+            "fractional_trials",
+            "fractional_trials_entry",
+            "bool_trials",
+            "int_r_past_float_range",
         ],
     )
     def test_invalid_arguments(self, kwargs):
         args = dict(r=0.0, l=7, snr_grid_db=[20.0, 30.0, 40.0], trials_per_point=100, seed=0)
         with pytest.raises(ValueError):
             estimate_dmt(**{**args, **kwargs})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_snr_past_float_range_raises_without_a_warning(self):
+        # numpy's scalar power warns on overflow; Python's float power raises
+        with pytest.raises(ValueError, match="no positive finite linear value"):
+            estimate_dmt(0.0, 7, np.array([20.0, 30.0, 4000.0]), 100, 0)
 
     def test_low_event_points_flagged_and_excluded(self):
         point = estimate_dmt(0.0, 1, [20.0, 30.0, 40.0], [300_000, 20_000_000, 1000], 13)
