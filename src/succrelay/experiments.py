@@ -110,6 +110,9 @@ class ExperimentConfig:
                 raise ConfigError(name, f"must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))  # an iterator is read once, here
         self.validate()
+        # numpy scalars pass the checks but not json.dumps: store Python numbers
+        for name, kind in (("l", int), ("trials", int), ("seed", int), ("dmt_r", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
         if isinstance(self.geometry, dict):
             object.__setattr__(self, "geometry", {k: float(v) for k, v in self.geometry.items()})
@@ -171,6 +174,9 @@ class ExperimentConfig:
             raise ConfigError("protocols", "select at least one protocol")
         if not self.gain_l_values:
             raise ConfigError("gain_l_values", "select at least one frame length")
+        for name, values in (("protocols", self.protocols), ("gain_l_values", self.gain_l_values)):
+            if len(set(values)) < len(values):
+                raise ConfigError(name, f"entries must not repeat, got {values}")
         if any(x < 1 for x in self.gain_l_values):
             raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
         if not 0.0 <= self.dmt_r < math.inf:

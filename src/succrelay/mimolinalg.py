@@ -193,7 +193,7 @@ def mmse_sic_sinrs_batch(
     Returns (orders, sinrs): (n, l) arrays, sinrs indexed by stream.
     """
     check_kernel_args(snr, l)
-    g_r = np.stack([g_r1d if k % 2 == 0 else g_r2d for k in range(l)])
+    g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)
     c = snr * snr * g_sd * g_r[:-1]

@@ -13,13 +13,16 @@ returns one value per frame.  A caller computes ``g`` once per batch of
 draws; a single realization is the n = 1 case.  The capacity gain reads
 only the three destination gains and takes those rows.
 
-Rate bookkeeping for the successive scheme walks the frame slot by slot:
-the first slot only constrains the source-to-relay rate of codeword 1; in
-each middle slot the listening relay either decodes the other relay's
-transmission first (when the inter-relay link is the stronger one) or
-treats it as Gaussian noise, which caps either the previous codeword's
-rate or the next codeword's source-to-relay rate; the last slot closes the
-final codeword.  Every codeword also carries the destination-side
+The relays take turns (R1, R2, R1, ...), so every slot term of the
+successive scheme depends only on the parity of its slot: each is computed
+once per parity, as a (2, n) array, and gathered into frame order with
+``np.arange(l) % 2``.  In the slot where one relay forwards a codeword, the
+other relay either decodes that transmission first (when the inter-relay
+link is the stronger one) or treats it as Gaussian noise, which caps either
+the forwarded codeword's rate or the next codeword's source-to-relay rate.
+Only the first codeword's source cap (the first slot has no interference)
+and the last codeword's interference cap (no codeword follows it) fall
+outside the pattern.  Every codeword also carries the destination-side
 single-stream cap, and the frame total is clipped by the equivalent MIMO
 channel's log-det bound.
 """
@@ -67,40 +70,29 @@ def rate_classic_batch(g: np.ndarray, snr: float, prefactor: float) -> np.ndarra
 def _successive_codeword_caps(
     g: np.ndarray, snr: float, l: int, dest_caps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-by-slot rate caps shared by the genie and V-BLAST recursions.
+    """Per-codeword rate caps shared by the genie and V-BLAST rates.
 
     ``dest_caps`` is the (n, l) per-codeword destination-side cap: the
     single-stream combining rate for the genie bound, the per-stream SIC
     rate for V-BLAST.  Returns (per_codeword (n, l), branch (n, l-1)) where
     branch is True when the decode-interference-first branch fired.
     """
-    _, gsr1, gsr2, gr1r2, _, _ = g
-    n = g.shape[1]
-    gsr = (gsr1, gsr2)
-
-    per_cw = np.empty((n, l))
-    branch = np.empty((n, max(l - 1, 0)), dtype=bool)
-    r_source = _cap(gsr[0] * snr)
-    for i0 in range(l - 1):
-        g_next = gsr[(i0 + 1) % 2]
-        stronger = gr1r2 > g_next  # squared magnitudes; ties treat as noise
-        int_term = _cap(gr1r2 * snr / (1.0 + g_next * snr))
-        r_if = np.minimum(np.minimum(int_term, r_source), dest_caps[:, i0])
-        r_else = np.minimum(r_source, dest_caps[:, i0])
-        per_cw[:, i0] = np.where(stronger, r_if, r_else)
-        r_source = np.where(
-            stronger,
-            _cap(g_next * snr),
-            _cap(g_next * snr / (1.0 + gr1r2 * snr)),
-        )
-        branch[:, i0] = stronger
-    per_cw[:, l - 1] = np.minimum(r_source, dest_caps[:, l - 1])
-    return per_cw, branch
-
-
-def _destination_combining_caps(g: np.ndarray, snr: float, l: int) -> np.ndarray:
-    gsd, grd = g[0], (g[4], g[5])
-    return np.stack([_cap((gsd + grd[i0 % 2]) * snr) for i0 in range(l)], axis=1)
+    # Row p: the slot where the relay of parity p forwards a codeword while
+    # the source sends the next one to the other relay, whose gain is g_next.
+    g_next, gr1r2 = g[[2, 1]], g[3]
+    stronger = gr1r2 > g_next  # squared magnitudes; ties treat as noise
+    interference = np.where(stronger, _cap(gr1r2 * snr / (1.0 + g_next * snr)), np.inf)
+    source_next = np.where(
+        stronger, _cap(g_next * snr), _cap(g_next * snr / (1.0 + gr1r2 * snr))
+    )
+    parity = np.arange(l) % 2
+    source = source_next[1 - parity]
+    source[0] = _cap(g[1] * snr)
+    caps = np.minimum(source, interference[parity])
+    caps[-1] = source[-1]  # the last slot carries no next codeword
+    # C order keeps each frame's row sum bitwise that of a lone frame.
+    per_cw = np.minimum(caps.T, dest_caps, out=np.empty(dest_caps.shape))
+    return per_cw, stronger[parity[:-1]].T
 
 
 def check_jensen_bound(combining_sum: np.ndarray, logdet: np.ndarray) -> None:
@@ -117,7 +109,7 @@ def successive_genie_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Genie-bound rates: (rate_per_slot, per_codeword, branch, sum_caps, logdet)."""
     logdet = logdet_capacity_batch(g[0], g[4], g[5], snr, l)  # checks snr, l
-    dest = _destination_combining_caps(g, snr, l)
+    dest = _cap((g[0] + g[4:6]) * snr)[np.arange(l) % 2].T
     per_cw, branch = _successive_codeword_caps(g, snr, l, dest)
     sum_caps = per_cw.sum(axis=1)
     check_jensen_bound(dest.sum(axis=1), logdet)
@@ -130,8 +122,7 @@ def successive_vblast_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MMSE-SIC rates: (rate_per_slot, per_codeword, branch)."""
     _, sinrs = mmse_sic_sinrs_batch(g[0], g[4], g[5], snr, l, DetectionOrder.STRONGEST_FIRST)
-    stream_caps = _cap(sinrs)
-    per_cw, branch = _successive_codeword_caps(g, snr, l, stream_caps)
+    per_cw, branch = _successive_codeword_caps(g, snr, l, _cap(sinrs))
     # The SIC chain already enforces the sum-rate bound, so no outer min.
     rate = per_cw.sum(axis=1) / (l + 1)
     return rate, per_cw, branch
@@ -160,21 +151,11 @@ def interference_free_batch(
     slots 0 and 1 alone: the same two conditions for every l >= 2.
     """
     check_kernel_args(snr, l)
-    gsd, gsr1, gsr2, gr1r2, gr1d, gr2d = g
-    gsr = (gsr1, gsr2)
-    grd = (gr1d, gr2d)
-
-    cancel_ok = np.ones(g.shape[1], dtype=bool)
-    for i0 in range(min(l, 2)):
-        g_next = gsr[(i0 + 1) % 2]
-        lhs = gr1r2 * snr / (1.0 + g_next * snr)
-        rhs = np.minimum(gsr[i0 % 2] * snr, (gsd + grd[i0 % 2]) * snr)
-        cancel_ok &= lhs >= rhs
-
-    source_ok = gsr1 >= gsd + gr1d
-    if l >= 2:
-        source_ok = source_ok & (gsr2 >= gsd + gr2d)
-    return cancel_ok, source_ok
+    gsd, gsr, gr1r2, grd = g[0], g[1:3], g[3], g[4:6]
+    cancel_ok = gr1r2 * snr / (1.0 + gsr[::-1] * snr) >= np.minimum(gsr * snr, (gsd + grd) * snr)
+    source_ok = gsr >= gsd + grd
+    used = slice(min(l, 2))  # row p: slots and codewords of parity p
+    return np.all(cancel_ok[used], axis=0), np.all(source_ok[used], axis=0)
 
 
 # adaptive_rule -> keep(g): True where the draw may relay, by non-strict

@@ -112,8 +112,11 @@ INVALID_OVERRIDES = [
     (dict(dmt_r=10**400), "dmt_r"),
     (dict(geometry={**CUSTOM_GEOMETRY, "d_sd": 10**400}), "geometry"),
     (dict(gain_l_values=()), "gain_l_values"),
+    # a repeated protocol is one column of the sweep; a repeated l reads a second stream
+    (dict(protocols=("direct", "direct", "classic2")), "protocols"),
+    (dict(gain_l_values=(3, 3)), "gain_l_values"),
 ]
-ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 74)]
+ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 76)]
 
 
 class TestConfig:
@@ -422,6 +425,25 @@ class TestOutput:
         payload = json.loads(blobs[0])
         assert payload["schema_version"] == 1
         assert len(payload["rows"]) == 3
+
+    @pytest.mark.parametrize(
+        "numpy_scalar",
+        [dict(l=np.int64(2)), dict(trials=np.int32(5)), dict(seed=np.uint64(3)),
+         dict(dmt_r=np.float32(0.0))],
+        ids=["l", "trials", "seed", "dmt_r"],
+    )
+    def test_json_bytes_same_for_numpy_scalars(self, tmp_path, numpy_scalar):
+        # a numpy scalar passes every check; json.dumps would reject it after the run
+        path = tmp_path / "gain.json"  # the payload holds the path
+        base = dict(
+            experiment="gain_curve", l=2, trials=5, seed=3, snr_grid_db=(0.0, 10.0),
+            output_format="json", output_path=str(path),
+        )
+        blobs = []
+        for overrides in ({k: v.item() for k, v in numpy_scalar.items()}, numpy_scalar):
+            run_experiment(ExperimentConfig(**{**base, **overrides}))
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_csv_full_precision(self, tmp_path):
         path = tmp_path / "sweep.csv"
