@@ -15,7 +15,8 @@ realization; the channel is block fading (one realization per frame).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +59,14 @@ class NetworkGeometry:
     shadow_sigma_db: float = 8.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # each stored as a float; a bool is not a distance
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{field.name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, field.name, float(value))
+            except OverflowError as exc:
+                raise ValueError(f"{field.name}: {exc}") from exc
         for name in ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

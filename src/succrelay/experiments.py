@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +82,33 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{config_field}': {message}")
 
 
+# config field -> (type of each value, whether the field is a list, the rule each
+# value meets as (predicate, message) or None), in field order; `network` checks
+# `geometry`.  The message takes the stored field; `snr_from_db` raises its own.
+_FIELDS = {
+    "experiment": (str, False, None),
+    "l": (Integral, False, (lambda x: x >= 1, "frame length must be >= 1, got {}")),
+    "snr_grid_db": (Real, True, (snr_from_db, None)),
+    "trials": (Integral, False, (lambda x: 1 <= x < 2**63, "must lie in [1, 2**63), got {}")),
+    "seed": (Integral, False, (lambda x: 0 <= x < 2**64, "must fit an unsigned 64-bit integer")),
+    "protocols": (str, True, None),
+    "adaptive_rule": (str, False, None),
+    "output_path": (str, False, None),
+    "output_format": (str, False, None),
+    "gain_l_values": (Integral, True, (lambda x: x >= 1, "entries must be >= 1, got {}")),
+    "dmt_r": (Real, False, (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0, got {}")),
+    "dmt_scheme": (str, False, None),
+    "dmt_trials_per_point": (
+        Integral, True, (lambda x: 1 <= x < 2**63, "every entry must lie in [1, 2**63)")
+    ),
+}
+# type -> how a value is stored (numpy scalars pass the check but not json.dumps), its noun
+_KINDS = {str: (str, "strings"), Real: (float, "real numbers"), Integral: (int, "integers")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: what to simulate and where to write it."""
+    """One experiment run: what to simulate and where to write it; construction checks it."""
 
     experiment: str = "geometry_sweep"
     geometry: str | dict = "III"
@@ -102,90 +126,50 @@ class ExperimentConfig:
     dmt_trials_per_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("snr_grid_db", "protocols", "gain_l_values", "dmt_trials_per_point"):
+        for name, (kind, listed, rule) in _FIELDS.items():
             value = getattr(self, name)
-            if value is None and name == "dmt_trials_per_point":
+            if value is None and name in ("output_path", "dmt_trials_per_point"):
                 continue
-            if not hasattr(value, "__iter__") or isinstance(value, str):
+            if listed and (isinstance(value, str) or not hasattr(value, "__iter__")):
                 raise ConfigError(name, f"must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))  # an iterator is read once, here
-        self.validate()
-        # numpy scalars pass the checks but not json.dumps: store Python numbers
-        for name, kind in (("l", int), ("trials", int), ("seed", int), ("dmt_r", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        object.__setattr__(self, "snr_grid_db", tuple(float(x) for x in self.snr_grid_db))
-        if isinstance(self.geometry, dict):
-            object.__setattr__(self, "geometry", {k: float(v) for k, v in self.geometry.items()})
-        object.__setattr__(self, "gain_l_values", tuple(int(x) for x in self.gain_l_values))
-        if self.dmt_trials_per_point is not None:
-            object.__setattr__(
-                self, "dmt_trials_per_point", tuple(int(x) for x in self.dmt_trials_per_point)
-            )
-
-    def validate(self) -> None:
-        real, integer, text, path = numbers.Real, numbers.Integral, str, (str, type(None))
-        typed = {
-            "experiment": (text, [self.experiment]),
-            "protocols": (text, self.protocols),
-            "adaptive_rule": (text, [self.adaptive_rule]),
-            "output_format": (text, [self.output_format]),
-            "dmt_scheme": (text, [self.dmt_scheme]),
-            "output_path": (path, [self.output_path]),
-            "geometry": (real, self.geometry.values() if isinstance(self.geometry, dict) else ()),
-            "snr_grid_db": (real, self.snr_grid_db),
-            "dmt_r": (real, [self.dmt_r]),
-            "l": (integer, [self.l]),
-            "trials": (integer, [self.trials]),
-            "seed": (integer, [self.seed]),
-            "gain_l_values": (integer, self.gain_l_values),
-            "dmt_trials_per_point": (integer, self.dmt_trials_per_point or ()),
-        }
-        nouns = {real: "real numbers", integer: "integers", text: "strings", path: "str or null"}
-        for name, (kind, values) in typed.items():
+            value = tuple(value) if listed else value  # an iterator is read once, here
+            store, noun = _KINDS[kind]
+            values = value if listed else (value,)
             if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
-                raise ConfigError(name, f"must be {nouns[kind]}, got {getattr(self, name)!r}")
-            try:  # a JSON integer past float range is a real number that float() rejects
-                [float(v) for v in values if kind is real]
-            except OverflowError as exc:
+                raise ConfigError(name, f"must be {noun}, got {value!r}")
+            try:  # float() rejects a JSON integer past float range
+                values = tuple(store(v) for v in values)
+                ok = rule is None or all(rule[0](v) for v in values)
+            except (OverflowError, ValueError) as exc:
                 raise ConfigError(name, str(exc)) from exc
-        for name, allowed in CHOICES.items():
-            for value in typed[name][1]:
-                if value not in allowed:
-                    raise ConfigError(name, f"must be one of {allowed}, got {value!r}")
+            value = values if listed else values[0]
+            if not ok:
+                raise ConfigError(name, rule[1].format(value))
+            for v in values if name in CHOICES else ():
+                if v not in CHOICES[name]:
+                    raise ConfigError(name, f"must be one of {CHOICES[name]}, got {v!r}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.geometry, (str, dict)):
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
         try:  # builds `network` for the runners; a custom geometry's keys are its fields
-            self.network
+            network = self.network
         except (TypeError, ValueError) as exc:
             raise ConfigError("geometry", str(exc)) from exc
-        if self.l < 1:
-            raise ConfigError("l", f"frame length must be >= 1, got {self.l}")
+        if isinstance(self.geometry, dict):
+            object.__setattr__(self, "geometry", {k: getattr(network, k) for k in self.geometry})
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "grid must be nonempty")
-        try:
-            [snr_from_db(x) for x in self.snr_grid_db]
-        except ValueError as exc:
-            raise ConfigError("snr_grid_db", str(exc)) from exc
-        if not 1 <= self.trials < 2**63:
-            raise ConfigError("trials", f"must lie in [1, 2**63), got {self.trials}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ConfigError("seed", "must fit an unsigned 64-bit integer")
         if not self.protocols:
             raise ConfigError("protocols", "select at least one protocol")
         if not self.gain_l_values:
             raise ConfigError("gain_l_values", "select at least one frame length")
-        for name, values in (("protocols", self.protocols), ("gain_l_values", self.gain_l_values)):
+        for name in ("protocols", "gain_l_values"):
+            values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(name, f"entries must not repeat, got {values}")
-        if any(x < 1 for x in self.gain_l_values):
-            raise ConfigError("gain_l_values", f"entries must be >= 1, got {self.gain_l_values}")
-        if not 0.0 <= self.dmt_r < math.inf:
-            raise ConfigError("dmt_r", f"must be finite and >= 0, got {self.dmt_r}")
-        if self.dmt_trials_per_point is not None:
-            if len(self.dmt_trials_per_point) != len(self.snr_grid_db):
-                raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
-            if not all(1 <= x < 2**63 for x in self.dmt_trials_per_point):
-                raise ConfigError("dmt_trials_per_point", "every entry must lie in [1, 2**63)")
+        points = self.dmt_trials_per_point
+        if points is not None and len(points) != len(self.snr_grid_db):
+            raise ConfigError("dmt_trials_per_point", "must match the SNR grid length")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -212,7 +196,7 @@ class ExperimentConfig:
         """The geometry that ``geometry`` names, preset or custom; the check builds it."""
         if isinstance(self.geometry, str):
             return preset_geometry(self.geometry)
-        return NetworkGeometry(**{k: float(v) for k, v in self.geometry.items()})
+        return NetworkGeometry(**self.geometry)
 
 
 def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> ChannelBatch:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import trial_rng
-from .mimolinalg import CHUNK, check_kernel_args, logdet_capacity_batch
+from .mimolinalg import CHUNK, check_kernel_args, logdet_capacity_batch, require
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # each interval's expm1(a - b), and its Exp(1) mass e^-a (1 - e^-(b - a)).
@@ -179,7 +179,10 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
         integer = isinstance(trials, numbers.Integral) and not isinstance(trials, bool)
         if not (integer and 1 <= trials < 2**63):  # numpy's multinomial takes int64 counts
             raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
-    return [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
+    events = [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
+    ok = [0 <= e <= p[2] for e, p in zip(events, points)]  # a fault here, not a bad grid
+    require(ok, "outage events must lie in [0, trials]")
+    return events
 
 
 def _point_events(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -182,6 +183,10 @@ class TestConfig:
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "snr_grid_db": iter([0, 10.0])})
         assert cfg == ExperimentConfig(**{**SMALL_SWEEP, "snr_grid_db": (0.0, 10.0)})
 
+    def test_one_field_row_per_config_field(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "geometry"]
+        assert list(experiments._FIELDS) == names
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(SMALL_SWEEP))
@@ -326,6 +331,15 @@ class TestDmtExperiment:
         with pytest.raises(ConfigError) as err:
             run_dmt(cfg)
         assert err.value.field == "snr_grid_db"
+
+    def test_event_count_past_trials_is_an_invariant_error(self, monkeypatch):
+        # a fault in the count, not a bad grid: no ConfigError on snr_grid_db
+        monkeypatch.setattr(outage, "_point_events", lambda *args: args[-1] + 1)
+        cfg = ExperimentConfig(
+            experiment="dmt_slope", snr_grid_db=(20.0, 30.0, 40.0), trials=100, seed=3
+        )
+        with pytest.raises(InvariantError, match="outage events must lie in"):
+            run_dmt(cfg)
 
 
 class TestSingleRealization:
