@@ -28,8 +28,6 @@ LINK_NAMES = ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")
 # gain dominant (0.05**-4 = 160,000) without float-range pathologies.
 CASE_III_RELAY_SPACING = 0.05
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
 # natural log of an amplitude per dB of power: 10**(zeta / 20) = exp(zeta * this)
 _LOG_AMPLITUDE_PER_DB = np.log(10.0) / 20.0
 
@@ -93,6 +91,12 @@ class NetworkGeometry:
         return log_amp
 
 
+# case -> (each relay's distance to the source and to the destination, inter-relay distance)
+_PRESETS = {
+    "I": (1.0, np.sqrt(3.0)), "II": (1.0 / np.sqrt(2.0), 1.0), "III": (0.5, CASE_III_RELAY_SPACING)
+}
+
+
 def preset_geometry(case_id: str) -> NetworkGeometry:
     """Return one of the three canonical network geometries.
 
@@ -106,20 +110,10 @@ def preset_geometry(case_id: str) -> NetworkGeometry:
     All presets use gamma = 4 and 8 dB shadowing.
     """
     case = str(case_id).strip().upper()
-    if case == "I":
-        d_sr = d_rd = 1.0
-        d_rr = _SQRT3
-    elif case == "II":
-        d_sr = d_rd = 1.0 / _SQRT2
-        d_rr = 1.0
-    elif case == "III":
-        d_sr = d_rd = 0.5
-        d_rr = CASE_III_RELAY_SPACING
-    else:
+    if case not in _PRESETS:
         raise ValueError(f"unknown geometry case {case_id!r}; expected I, II or III")
-    return NetworkGeometry(
-        d_sd=1.0, d_sr1=d_sr, d_sr2=d_sr, d_r1d=d_rd, d_r2d=d_rd, d_r1r2=d_rr
-    )
+    d, d_rr = _PRESETS[case]
+    return NetworkGeometry(d_sd=1.0, d_sr1=d, d_sr2=d, d_r1d=d, d_r2d=d, d_r1r2=d_rr)
 
 
 @dataclass(frozen=True)

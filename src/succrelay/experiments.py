@@ -206,23 +206,13 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> Ch
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
     for all n trials on the same stream gives the same bytes.  A coefficient
-    that path loss or shadowing overflows is left inf, for `_trial_gains`.
+    that path loss or shadowing overflows is left inf, for `_point`.
     """
     rng = trial_rng(seed, snr_idx)
     with np.errstate(over="ignore", invalid="ignore"):  # once, not per call
         return ChannelBatch(
             np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
         )
-
-
-def _trial_gains(cfg: ExperimentConfig, snr_idx: int, n: int) -> tuple[ChannelBatch, np.ndarray]:
-    """`_sample_trials` of the config's geometry and seed, and its gains;
-    ConfigError("geometry") where gamma or shadowing overflows a gain."""
-    batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
-    try:
-        return batch, batch.gains()
-    except ValueError as exc:
-        raise ConfigError("geometry", f"{exc}; gamma or shadow_sigma_db is too large") from exc
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -232,17 +222,22 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
-def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
-    """Every configured protocol at one SNR point, from the (6, n) gains.
+def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
+    """Every configured protocol at one SNR point, on trials 0, ..., n - 1 of
+    stream (seed, snr_idx), drawn by `_sample_trials`.
 
-    Returns the rule's keep mask, the two interference-free flags and one
-    (name, relaying, rate, per-codeword caps, decode-first branches) row per
-    protocol.  A relaying scheme's rejected draws take the direct rate; its
-    caps and branches stay the kernel's.  An overflow is a geometry error.
+    Returns the drawn batch, the rule's keep mask, the two interference-free
+    flags and one (name, relaying, rate, per-codeword caps, decode-first
+    branches) row per protocol.  A relaying scheme's rejected draws take the
+    direct rate; its caps and branches stay the kernel's.  A gain that path
+    loss or shadowing overflows, or an overflow in a kernel, is a geometry error.
     """
+    batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
     snr = snr_from_db(snr_db)
     try:
         with np.errstate(over="raise", invalid="raise"):
+            # the gains first: past the config check, theirs is the only ValueError here
+            g = batch.gains()
             keep = adaptive_keep_batch(g, cfg.adaptive_rule)
             flags = interference_free_batch(g, snr, cfg.l)
             # each kernel runs once; the direct rate is also every fallback
@@ -250,7 +245,7 @@ def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
                 name: PROTOCOLS[name][1](g, snr, cfg.l)
                 for name in dict.fromkeys(["direct", *cfg.protocols])
             }
-    except FloatingPointError as exc:
+    except (ValueError, FloatingPointError) as exc:
         message = f"{exc} at snr {snr_db:g} dB; gamma or shadow_sigma_db is too large"
         raise ConfigError("geometry", message) from exc
     rows = []
@@ -258,7 +253,7 @@ def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
         relaying, (rate, caps, branches) = PROTOCOLS[name][0], out[name]
         rate = np.where(keep, rate, out["direct"][0]) if relaying else rate
         rows.append((name, relaying, rate, caps, branches))
-    return keep, flags, rows
+    return batch, keep, flags, rows
 
 
 def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -271,8 +266,7 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        g = _trial_gains(cfg, snr_idx, cfg.trials)[1]  # the coefficients are not kept
-        keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
+        _, keep, (cancel_ok, source_ok), point = _point(cfg, snr_idx, snr_db, cfg.trials)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
         rows.append(
@@ -296,22 +290,26 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
         # one Exp(1) draw per frame length (unit-variance Rayleigh, no pathloss
         # or shadowing): common random numbers keep the curve smooth
         g = trial_rng(cfg.seed, (li, 1)).standard_exponential((3, cfg.trials))
-        for snr_db, gain in zip(cfg.snr_grid_db, capacity_gain_G(*g, snrs, l)):
+        try:  # Exp(1) gains: only the SNR can overflow
+            with np.errstate(over="raise", invalid="raise"):
+                gains = capacity_gain_G(*g, snrs, l)
+        except FloatingPointError as exc:
+            raise ConfigError("snr_grid_db", f"{exc}; an SNR of the grid is too large") from exc
+        for snr_db, gain in zip(cfg.snr_grid_db, gains):
             rows.append({"l": l, "snr_db": float(snr_db), "capacity_gain": float(gain)})
     return rows
 
 
 def run_dmt(cfg: ExperimentConfig) -> dict:
     """Empirical diversity slope plus the measured scheme's closed-form tradeoff."""
+    trials = cfg.dmt_trials_per_point if cfg.dmt_trials_per_point is not None else cfg.trials
     try:
-        point = estimate_dmt(
-            cfg.dmt_r,
-            cfg.l,
-            cfg.snr_grid_db,
-            cfg.dmt_trials_per_point if cfg.dmt_trials_per_point is not None else cfg.trials,
-            cfg.seed,
-            scheme=cfg.dmt_scheme,
-        )
+        with np.errstate(over="raise", invalid="raise"):
+            point = estimate_dmt(
+                cfg.dmt_r, cfg.l, cfg.snr_grid_db, trials, cfg.seed, scheme=cfg.dmt_scheme
+            )
+    except FloatingPointError as exc:  # Exp(1) gains: only the SNR can overflow
+        raise ConfigError("snr_grid_db", f"{exc}; an SNR of the grid is too large") from exc
     except ValueError as exc:
         # estimate_dmt words every error about r as "multiplexing gain ..."
         field = "dmt_r" if str(exc).startswith("multiplexing gain") else "snr_grid_db"
@@ -322,17 +320,15 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
 def run_single_realization(cfg: ExperimentConfig) -> dict:
     """Full per-protocol diagnostics of trial 0 across the SNR grid.
 
-    The n = 1 view of the sweep's `_point`: trial 0 of its first SNR
-    point, the first draw of stream (seed, 0), with the decode-first
-    branches, per-codeword caps and flags that the sweep averages away.  A
-    fallen-back codeword is one direct codeword, with no branches.
+    The n = 1 view of the sweep's `_point`: every SNR point reads trial 0
+    of stream (seed, 0), the first draw of the sweep's first point, and
+    lists the decode-first branches, per-codeword caps and flags that the
+    sweep averages away.  A fallen-back codeword is one direct codeword,
+    with no branches.
     """
-    batch, g = _trial_gains(cfg, 0, 1)
-    h = batch.h[:, 0].tolist()
-    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     entries = []
     for snr_db in cfg.snr_grid_db:
-        keep, flags, point = _point(cfg, g, snr_db)
+        batch, keep, flags, point = _point(cfg, 0, snr_db, 1)
         for name, relaying, rate, caps, branches in point:
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
@@ -348,6 +344,8 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
                 interference_free=None if branches is None else bool(flags[0][0]),
                 source_links_strong=None if branches is None else bool(flags[1][0]),
             )
+    h = batch.h[:, 0].tolist()  # the same draw at every point
+    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     return {"realization": coeffs, "entries": entries}
 
 

@@ -116,8 +116,13 @@ INVALID_OVERRIDES = [
     # a repeated protocol is one column of the sweep; a repeated l reads a second stream
     (dict(protocols=("direct", "direct", "classic2")), "protocols"),
     (dict(gain_l_values=(3, 3)), "gain_l_values"),
+    # neither a preset name nor a distance mapping
+    (dict(geometry=5), "geometry"),
+    (dict(geometry=["I"]), "geometry"),
+    (dict(geometry=None), "geometry"),
+    (dict(geometry=True), "geometry"),
 ]
-ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 76)]
+ROW_NUMBERS = [*range(32), 35, 36, 37, *range(40, 80)]
 
 
 class TestConfig:
@@ -258,6 +263,23 @@ class TestSampleTrials:
             # no coefficient of any trial is shared
             assert not np.isin(base, other).any(), (seed, snr_idx)
 
+    @pytest.mark.parametrize(
+        "experiment,calls",
+        [("geometry_sweep", [(0, 300), (1, 300), (2, 300)]), ("single_realization", [(0, 1)] * 3)],
+    )
+    def test_stream_each_point_reads(self, monkeypatch, experiment, calls):
+        # (snr_idx, n) of each point's draw: a sweep point reads its own
+        # stream, and every single-realization point reads trial 0 of stream 0
+        sample, seen = experiments._sample_trials, []
+
+        def record(geom, seed, snr_idx, n):
+            seen.append((snr_idx, n))
+            return sample(geom, seed, snr_idx, n)
+
+        monkeypatch.setattr(experiments, "_sample_trials", record)
+        run_experiment(ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment}))
+        assert seen == calls
+
 
 class TestGainCurve:
     def test_rows_cover_all_lengths_and_points(self):
@@ -275,10 +297,10 @@ class TestGainCurve:
 
     def test_points_share_one_draw_per_frame_length(self):
         # common random numbers: each point equals a lone evaluation on the
-        # frame length's stream
+        # frame length's stream, up to 1500 dB, just below overflow
         cfg = ExperimentConfig(
             experiment="gain_curve",
-            snr_grid_db=(0.0, 15.0, 40.0),
+            snr_grid_db=(0.0, 15.0, 40.0, 1500.0),
             trials=2000,
             seed=8,
             gain_l_values=(3, 7),
@@ -331,6 +353,15 @@ class TestDmtExperiment:
         with pytest.raises(ConfigError) as err:
             run_dmt(cfg)
         assert err.value.field == "snr_grid_db"
+
+    def test_grid_just_below_overflow_is_the_estimate(self):
+        # just below overflow, the guard changes no byte of the estimate
+        cfg = ExperimentConfig(
+            experiment="dmt_slope", snr_grid_db=(2000.0, 2500.0, 3060.0), trials=1000, seed=3
+        )
+        result = run_dmt(cfg)
+        point = outage.estimate_dmt(0.0, cfg.l, cfg.snr_grid_db, 1000, 3)
+        assert json.dumps({**dataclasses.asdict(point), "dmt_formula": 2.0}) == json.dumps(result)
 
     def test_event_count_past_trials_is_an_invariant_error(self, monkeypatch):
         # a fault in the count, not a bad grid: no ConfigError on snr_grid_db
@@ -663,6 +694,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("error: config field 'geometry': overflow encountered")
         assert f"at snr {snr} dB; gamma or shadow_sigma_db is too large" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "gain_curve", "--gain-l", "3", "7", "--snr", "1545"],
+            ["--experiment", "dmt_slope", "--snr", "2000", "2500", "3066"],
+        ],
+        ids=["gain_curve", "dmt_slope"],
+    )
+    def test_snr_that_overflows_a_kernel_exit_code(self, capsys, argv):
+        # the gains are Exp(1), so only the SNR can overflow: a grid error,
+        # not a NaN gain or slope with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main([*argv, "--trials", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: config field 'snr_grid_db': overflow encountered")
+        assert err.endswith("; an SNR of the grid is too large\n")
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     def test_near_float_max_gains_run_at_10_db(self, capsys, experiment):
