@@ -230,7 +230,8 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
     flags and one (name, relaying, rate, per-codeword caps, decode-first
     branches) row per protocol.  A relaying scheme's rejected draws take the
     direct rate; its caps and branches stay the kernel's.  A gain that path
-    loss or shadowing overflows, or an overflow in a kernel, is a geometry error.
+    loss or shadowing overflows, or an overflow in a kernel, is a geometry error,
+    unless the geometry is a preset or snr^2 overflows: then it is a grid error.
     """
     batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
     snr = snr_from_db(snr_db)
@@ -246,8 +247,13 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
                 for name in dict.fromkeys(["direct", *cfg.protocols])
             }
     except (ValueError, FloatingPointError) as exc:
-        message = f"{exc} at snr {snr_db:g} dB; gamma or shadow_sigma_db is too large"
-        raise ConfigError("geometry", message) from exc
+        # a preset's gains are ordinary, and past float range snr^2 overflows
+        # the kernels whatever the gains
+        if isinstance(cfg.geometry, str) or snr * snr == np.inf:
+            field, cause = "snr_grid_db", "an SNR of the grid is too large"
+        else:
+            field, cause = "geometry", "gamma or shadow_sigma_db is too large"
+        raise ConfigError(field, f"{exc} at snr {snr_db:g} dB; {cause}") from exc
     rows = []
     for name in cfg.protocols:
         relaying, (rate, caps, branches) = PROTOCOLS[name][0], out[name]

@@ -109,43 +109,70 @@ def logdet_capacity_batch(
     direct gain that stream k leaves to stream k+1.  Every term is >= 0, so
     nothing cancels however the gains compare; q = prod(1 + w_k) - 1 is
     accumulated as q <- q (1 + w_k) + w_k and the result is log1p(q), exact
-    to rounding also for vanishing gains.
+    to rounding also for vanishing gains.  Each piece of `CHUNK` draws is
+    written in place; a step whose q cannot pass `_PRODUCT_LIMIT` by the
+    piece's bound skips the overflow check (see `_log_pivot_product`), which
+    changes no output bit.  The gains are squared moduli, so >= 0.
     """
     check_kernel_args(snr, l)
     out = np.empty(len(g_sd))
     for start in range(0, len(out), CHUNK):
         part = slice(start, start + CHUNK)
-        out[part] = _log_pivot_product(
-            snr * g_sd[part], (snr * g_r1d[part], snr * g_r2d[part]), l
+        _log_pivot_product(
+            snr * g_sd[part], (snr * g_r1d[part], snr * g_r2d[part]), l, out[part]
         )
-    return out / _LN2
+    out /= _LN2
+    return out
 
 
-def _log_pivot_product(a0: np.ndarray, ar: tuple[np.ndarray, ...], l: int) -> np.ndarray:
-    """Natural log of prod_k (1 + w_k), see `logdet_capacity_batch`.
+def _log_pivot_product(
+    a0: np.ndarray, ar: tuple[np.ndarray, np.ndarray], l: int, out: np.ndarray
+) -> None:
+    """Write the natural log of prod_k (1 + w_k) into ``out``, see
+    `logdet_capacity_batch`.
 
-    Past `_PRODUCT_LIMIT`, q moves into a log scale and restarts at 0.  A
-    factor 1 + w_k <= 1 + a_0 + max a_r below 1e150 cannot overflow it.
+    Past `_PRODUCT_LIMIT`, q moves into a log scale and restarts at 0.  As
+    v_k <= a_0, each factor 1 + w_k is at most top = 1 + max a_0 +
+    max(max a_1, max a_2) over the piece, so q after step k is below
+    top^(k+1).  The check runs from the first step k with
+    top^(k+1) > _PRODUCT_LIMIT / 2 on (the slack of 2 absorbs rounding),
+    and at every step when top is NaN or inf: a NaN gain must not hide a
+    huge finite one beside it.  top is a Python float, so an inf there sets
+    off no numpy floating-point error.  With a finite top 1 + w_0 is finite,
+    so the zero start's q_0 = 0 (1 + w_0) + w_0 is w_0 + 0 (which turns a -0
+    into +0); otherwise 0 inf + inf must give NaN, as the zero start does.
     """
-    v = a0.copy()
-    q = np.zeros_like(a0)
-    w = np.empty_like(a0)
-    t = np.empty_like(a0)
-    scale = 0.0
+    top = 1.0 + float(a0.max()) + float(np.maximum(ar[0].max(), ar[1].max()))
+    first = 0  # the first step that checks
+    if top < np.inf:
+        bound = top
+        while first < l and bound <= _PRODUCT_LIMIT / 2:
+            bound *= top
+            first += 1
+    w = a0 + ar[0]  # v_0 = a_0
+    t = w + 1.0
+    q = w + 0.0 if first else t * 0.0 + w
+    v = a0
+    scale = None  # the logs moved out of q, once a step moved any
     for k in range(l):
-        np.add(v, ar[k % 2], out=w)
-        np.add(w, 1.0, out=t)
-        q *= t
-        q += w
+        if k:
+            np.add(v, ar[k % 2], out=w)
+            np.add(w, 1.0, out=t)
+            q *= t
+            q += w
         if k < l - 1:
-            v += 1.0
+            v = np.add(v, 1.0, out=v if k else None)  # v_0 is a_0 itself: copy it once
             v *= a0
             v /= t
-        big = q > _PRODUCT_LIMIT
-        if big.any():
-            scale = scale + np.where(big, np.log1p(q), 0.0)
-            q[big] = 0.0
-    return np.log1p(q) + scale
+        if k >= first:
+            big = q > _PRODUCT_LIMIT
+            if big.any():
+                moved = np.where(big, np.log1p(q), 0.0)
+                scale = moved if scale is None else scale + moved
+                q[big] = 0.0
+    np.log1p(q, out=out)
+    if scale is not None:
+        out += scale
 
 
 def _right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:

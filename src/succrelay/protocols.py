@@ -199,5 +199,6 @@ def capacity_gain_G(
     if np.size(g_sd) == 0:
         raise ValueError("capacity gain needs at least one draw")
     num = [np.mean(logdet_capacity_batch(g_sd, g_r1d, g_r2d, s, l)) / (l + 1) for s in snrs]
-    den = [0.5 * np.mean(_cap((g_sd + g_r1d + g_r2d) * s)) for s in snrs]
+    g_sum = g_sd + g_r1d + g_r2d
+    den = [0.5 * np.mean(_cap(g_sum * s)) for s in snrs]
     return np.array(num) / np.array(den)

@@ -3,10 +3,13 @@
 The log-det oracle factors the (l+1) x (l+1) matrix I + snr H H^H with
 ``np.linalg.cholesky``; a second one runs the textbook pivot recurrence of
 the tridiagonal I + snr H^H H in ``mpmath``, where its cancellation is
-harmless.  Each candidate's SIC SINR is snr * h_k^H (I + snr * sum_{j in A,
-j != k} h_j h_j^H)^-1 h_k, solved afresh from the undetected columns A with
-``np.linalg.solve`` on the (l+1) x (l+1) covariance: O(l^5) per frame,
-independent of the tridiagonal structure the library exploits.  A second
+harmless.  `recurrence_logdet_capacity_batch` is the library's own pivot
+recurrence with its overflow check at every step, the reference that the
+library's skipped checks must match bit for bit.  Each candidate's SIC SINR
+is snr * h_k^H (I + snr * sum_{j in A, j != k} h_j h_j^H)^-1 h_k, solved
+afresh from the undetected columns A with ``np.linalg.solve`` on the
+(l+1) x (l+1) covariance: O(l^5) per frame, independent of the tridiagonal
+structure the library exploits.  A second
 SIC oracle repeats the same SIC in 60-digit ``mpmath`` arithmetic.
 
 The outage oracle is the full-draw count that ``succrelay.outage`` draws
@@ -24,7 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from succrelay import outage
-from succrelay.mimolinalg import CHUNK, TIE_RTOL, DetectionOrder, logdet_capacity_batch
+from succrelay.mimolinalg import (
+    _PRODUCT_LIMIT,
+    CHUNK,
+    TIE_RTOL,
+    DetectionOrder,
+    logdet_capacity_batch,
+)
 
 LN2 = np.log(2.0)
 
@@ -43,6 +52,33 @@ def dense_logdet_capacity_batch(h: np.ndarray, snr: float) -> np.ndarray:
     chol = np.linalg.cholesky(gram)
     diag = np.real(np.einsum("nii->ni", chol))
     return 2.0 * np.sum(np.log(diag), axis=1) / LN2
+
+
+def recurrence_logdet_capacity_batch(
+    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, l: int
+) -> np.ndarray:
+    """`logdet_capacity_batch`'s pivot recurrence, in pieces of `CHUNK`, that
+    checks q against `_PRODUCT_LIMIT` after every step from a zero start."""
+    out = np.empty(len(g_sd))
+    for start in range(0, len(out), CHUNK):
+        part = slice(start, start + CHUNK)
+        a0 = snr * g_sd[part]
+        ar = (snr * g_r1d[part], snr * g_r2d[part])
+        v = a0.copy()
+        q = np.zeros_like(a0)
+        scale = 0.0
+        for k in range(l):
+            w = v + ar[k % 2]
+            t = w + 1.0
+            q = q * t + w
+            if k < l - 1:
+                v = (v + 1.0) * a0 / t
+            big = q > _PRODUCT_LIMIT
+            if big.any():
+                scale = scale + np.where(big, np.log1p(q), 0.0)
+                q[big] = 0.0
+        out[part] = np.log1p(q) + scale
+    return out / LN2
 
 
 def mp_logdet_capacity(

@@ -695,6 +695,23 @@ class TestCli:
         assert err.startswith("error: config field 'geometry': overflow encountered")
         assert f"at snr {snr} dB; gamma or shadow_sigma_db is too large" in err
 
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
+    @pytest.mark.parametrize(
+        "geometry", ["III", json.dumps(CUSTOM_GEOMETRY)], ids=["preset", "custom"]
+    )
+    def test_snr_that_overflows_a_point_exit_code(self, capsys, experiment, geometry):
+        # a preset's gamma cannot be set, and at 1545 dB snr^2 overflows
+        # whatever the gains: a grid error, not a geometry error
+        argv = ["--experiment", experiment, "--geometry", geometry]
+        argv += ["--snr", "1545", "--trials", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: config field 'snr_grid_db': overflow encountered")
+        assert err.endswith(" at snr 1545 dB; an SNR of the grid is too large\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -10,9 +10,12 @@ from dense_oracle import (
     gains,
     mp_logdet_capacity,
     mp_mmse_sic_sinrs,
+    recurrence_logdet_capacity_batch,
 )
 from succrelay.channel import sample_realizations, preset_geometry
 from succrelay.mimolinalg import (
+    _PRODUCT_LIMIT,
+    CHUNK,
     DetectionOrder,
     InvariantError,
     build_equivalent_channel_batch,
@@ -324,6 +327,54 @@ class TestLogdetExtremes:
             got = logdet_capacity_batch(*gains(hb), snr, l)
             want = dense_logdet_capacity_batch(hb, snr)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(want, 1.0)), (snr, l)
+
+
+class TestLogdetAgainstEveryStepCheck:
+    """The kernel skips the overflow check where its piece's bound says q
+    cannot pass `_PRODUCT_LIMIT`: its bytes equal those of the recurrence
+    that checks every step, with NaN where that has NaN."""
+
+    LENGTHS = [1, 2, 3, 7, 8, 16, 64]
+    SNRS = (0.0, 1e-3, 1.0, 1e4, 1e6, 1e12)
+
+    @staticmethod
+    def outcome(kernel, g, snr, l, over):
+        with np.errstate(over=over, invalid=over):
+            try:
+                return kernel(*g, snr, l)
+            except FloatingPointError as exc:
+                return str(exc)
+
+    def assert_same(self, g, l, over):
+        for snr in self.SNRS:
+            got = self.outcome(logdet_capacity_batch, g, snr, l, over)
+            want = self.outcome(recurrence_logdet_capacity_batch, g, snr, l, over)
+            if isinstance(want, str):
+                assert got == want, (snr, l)
+                continue
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (snr, l)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (snr, l)
+
+    @pytest.mark.parametrize("l", LENGTHS)
+    def test_log_uniform_gains(self, l):
+        # gains 1e-12..1e12 over two pieces: at 1e12 snr, l = 64 rescales
+        g = 10.0 ** np.random.default_rng(2500 + l).uniform(-12.0, 12.0, (3, CHUNK + 1000))
+        self.assert_same(g, l, "raise")
+        if l == 64:
+            assert logdet_capacity_batch(*g, 1e12, l).max() > np.log2(_PRODUCT_LIMIT)
+
+    @pytest.mark.parametrize("odd", [np.nan, np.inf, 1e308])
+    @pytest.mark.parametrize("l", LENGTHS)
+    def test_odd_gain_beside_huge_ones(self, l, odd):
+        # the first piece holds the odd gain in each row next to 1e12 gains,
+        # and (odd, 1e12, 1); the second piece is ordinary
+        g = 10.0 ** np.random.default_rng(2600 + l).uniform(-3.0, 3.0, (3, CHUNK + 1000))
+        g[:, :16] = 1e12
+        g[[0, 1, 2, 0], [0, 1, 2, 3]] = odd
+        g[2, 3] = 1.0
+        self.assert_same(g, l, "ignore")
+        self.assert_same(g, l, "raise")
 
 
 class TestBounds:
