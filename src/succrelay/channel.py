@@ -118,12 +118,41 @@ def preset_geometry(case_id: str) -> NetworkGeometry:
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """Complex coefficients of n frames: ``h`` is (6, n), rows in LINK_NAMES order."""
+    """The standard normals of n frames, scaled to coefficients on first read.
 
-    h: np.ndarray
+    ``v`` is the trial-major ``(n, k, 6)`` block that `sample_realizations`
+    draws: trial t's real parts, imaginary parts and, when ``geom`` is
+    shadowed (k = 3; else k = 2), its shadowing ``zeta / shadow_sigma_db``,
+    each in LINK_NAMES order.  ``h`` scales the whole block once, however
+    many draws were joined into it.
+    """
+
+    geom: NetworkGeometry
+    v: np.ndarray
 
     def __len__(self) -> int:
-        return self.h.shape[1]
+        return self.v.shape[0]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The (6, n) complex coefficients, rows in LINK_NAMES order.
+
+        Both parts of a coefficient are multiplied by the real amplitude
+        ``exp(_log_amplitudes + zeta * ln(10) / 20)``, zeta in dB.  A
+        coefficient that path loss or shadowing overflows is left inf or
+        NaN, with no warning, for `gains` to name.
+        """
+        geom, v, n = self.geom, self.v, len(self)
+        h = np.empty((6, n), dtype=complex)
+        # (re, im) of h[:, t] lie in float view [:, t, 0] and [:, t, 1]
+        parts = h.view(np.float64).reshape(6, n, 2).transpose(1, 2, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_amp = geom._log_amplitudes
+            if geom.shadow_sigma_db > 0.0:
+                log_amp = v[:, 2] * (geom.shadow_sigma_db * _LOG_AMPLITUDE_PER_DB)
+                log_amp += geom._log_amplitudes
+            np.multiply(v[:, :2], np.exp(log_amp).reshape(-1, 1, 6), out=parts)
+        return h
 
     def gains(self) -> np.ndarray:
         """The (6, n) squared link gains |h|**2 that every rate reads.
@@ -164,25 +193,13 @@ def sample_realizations(
 ) -> ChannelBatch:
     """Draw ``n`` independent channel realizations from one stream.
 
-    One ``standard_normal((n, k, 6))`` draw, trial-major: trial t reads the
-    real parts, the imaginary parts and, when shadowed (k = 3; else k = 2),
-    the shadowing ``zeta / shadow_sigma_db``, each in LINK_NAMES order.  So
-    one call for n trials gives the same bytes as n consecutive calls for
-    one trial each on the same generator.  Both parts of a coefficient are
-    multiplied by the real amplitude
-    ``exp(_log_amplitudes + zeta * ln(10) / 20)``, zeta in dB.
+    One ``standard_normal((n, k, 6))`` draw, trial-major, held as
+    `ChannelBatch.v` (k = 3 when shadowed, else 2); nothing is scaled
+    until ``h`` is read.  So one call for n trials gives the same bytes as
+    n consecutive calls for one trial each on the same generator, and the
+    v blocks of those n calls, joined in order, are this call's block.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    log_amp = geom._log_amplitudes
-    if geom.shadow_sigma_db > 0.0:
-        v = rng.standard_normal((n, 3, 6))
-        log_amp = v[:, 2] * (geom.shadow_sigma_db * _LOG_AMPLITUDE_PER_DB)
-        log_amp += geom._log_amplitudes
-    else:
-        v = rng.standard_normal((n, 2, 6))
-    h = np.empty((6, n), dtype=complex)
-    # (re, im) of h[:, t] lie in float view [:, t, 0] and [:, t, 1]
-    parts = h.view(np.float64).reshape(6, n, 2).transpose(1, 2, 0)
-    np.multiply(v[:, :2], np.exp(log_amp).reshape(-1, 1, 6), out=parts)
-    return ChannelBatch(h)
+    k = 3 if geom.shadow_sigma_db > 0.0 else 2
+    return ChannelBatch(geom, rng.standard_normal((n, k, 6)))

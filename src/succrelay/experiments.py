@@ -205,14 +205,16 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> Ch
     The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
-    for all n trials on the same stream gives the same bytes.  A coefficient
-    that path loss or shadowing overflows is left inf, for `_point`.
+    for all n trials on the same stream gives the same bytes.  Each call
+    only draws its normals: their blocks are joined into one batch, whose
+    ``h`` scales them all at once, under its own ``errstate``, so a
+    coefficient that path loss or shadowing overflows is left inf, for
+    `_point`.
     """
     rng = trial_rng(seed, snr_idx)
-    with np.errstate(over="ignore", invalid="ignore"):  # once, not per call
-        return ChannelBatch(
-            np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
-        )
+    return ChannelBatch(
+        geom, np.concatenate([sample_realizations(geom, rng, 1).v for _ in range(n)])
+    )
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -230,8 +232,9 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
     flags and one (name, relaying, rate, per-codeword caps, decode-first
     branches) row per protocol.  A relaying scheme's rejected draws take the
     direct rate; its caps and branches stay the kernel's.  A gain that path
-    loss or shadowing overflows, or an overflow in a kernel, is a geometry error,
-    unless the geometry is a preset or snr^2 overflows: then it is a grid error.
+    loss or shadowing overflows is a geometry error.  An overflow in a kernel
+    on finite gains is a grid error when snr is at least the largest gain,
+    and a geometry error otherwise.
     """
     batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
     snr = snr_from_db(snr_db)
@@ -247,9 +250,9 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
                 for name in dict.fromkeys(["direct", *cfg.protocols])
             }
     except (ValueError, FloatingPointError) as exc:
-        # a preset's gains are ordinary, and past float range snr^2 overflows
-        # the kernels whatever the gains
-        if isinstance(cfg.geometry, str) or snr * snr == np.inf:
+        # a gain past float range is the geometry's; an overflow on finite
+        # gains is the SNR's when snr is at least every gain
+        if isinstance(exc, FloatingPointError) and snr >= g.max():
             field, cause = "snr_grid_db", "an SNR of the grid is too large"
         else:
             field, cause = "geometry", "gamma or shadow_sigma_db is too large"

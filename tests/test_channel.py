@@ -16,6 +16,7 @@ from succrelay.channel import (
     sample_realizations,
     trial_rng,
 )
+from succrelay import experiments
 from succrelay.experiments import _sample_trials
 
 
@@ -103,17 +104,22 @@ class TestGeometryValidation:
 
 class TestRealization:
     def test_nonfinite_coefficient_rejected(self):
-        # a coefficient past sqrt(float max) has no finite squared gain
-        for value in (complex("nan"), complex(1e200, 0.0)):
-            h = np.ones((6, 3), dtype=complex)
-            h[0, 2] = value
+        # a coefficient past sqrt(float max) has no finite squared gain.  At
+        # unit distances with no shadowing the amplitude is 1/sqrt 2, so the
+        # normal sqrt 2 * value scales to the coefficient value
+        for value in (float("nan"), 1e200):
+            v = np.ones((3, 2, 6))
+            v[2, 0, LINK_NAMES.index("sd")] = np.sqrt(2.0) * value
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ValueError, match="h_sd"):
-                    ChannelBatch(h).gains()
+                    ChannelBatch(flat_geometry(), v).gains()
 
     def test_gains_are_squared_magnitudes(self):
-        batch = ChannelBatch(np.array([[1 + 1j], [2.0], [0.5j], [1.0], [3.0], [1.0]]))
+        # (re, im) normals of one trial; the amplitude 1/sqrt 2 scales
+        # sqrt 2 * h back to h = [1 + 1j, 2, 0.5j, 1, 3, 1]
+        h = np.array([1 + 1j, 2.0, 0.5j, 1.0, 3.0, 1.0])
+        batch = ChannelBatch(flat_geometry(), np.sqrt(2.0) * np.array([[h.real, h.imag]]))
         g = batch.gains()
         assert len(batch) == 1 and g.shape == (6, 1) and g.dtype == np.float64
         assert g[LINK_NAMES.index("sd"), 0] == pytest.approx(2.0)
@@ -136,6 +142,19 @@ class TestRealization:
             # the amplitude is the model's d**(-gamma/2) * 10**(zeta/20) / sqrt 2
             model = geom.link_distances() ** -2.0 * 10.0 ** (8.0 * v[:, 2] / 20.0) / np.sqrt(2.0)
             np.testing.assert_allclose(amp, model, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_batch_holds_the_stream_normals(self, geom, n):
+        # k = 3 rows of normals per trial when shadowed, 2 when not
+        k = 3 if geom.shadow_sigma_db > 0.0 else 2
+        v = sample_realizations(geom, trial_rng(41, 2), n).v
+        assert v.shape == (n, k, 6)
+        assert v.tobytes() == trial_rng(41, 2).standard_normal((n, k, 6)).tobytes()
+
+    def test_coefficients_scaled_once(self):
+        batch = sample_realizations(preset_geometry("III"), trial_rng(41, 2), 7)
+        assert batch.h is batch.h
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     @pytest.mark.parametrize("n", [1, 7, 5000])
@@ -300,6 +319,20 @@ class TestSampleTrials:
             got = _sample_trials(geom, seed, snr_idx, n).h
             want = sample_realizations(geom, trial_rng(seed, snr_idx), n).h
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_one_sampler_call_per_trial(self, monkeypatch, n):
+        # the per-trial layout that the benchmark's tracer counts
+        # (channel.calls = trials x SNR points)
+        sample, seen = experiments.sample_realizations, []
+
+        def record(geom, rng, m):
+            seen.append(m)
+            return sample(geom, rng, m)
+
+        monkeypatch.setattr(experiments, "sample_realizations", record)
+        _sample_trials(preset_geometry("I"), 5, 3, n)
+        assert seen == [1] * n
 
     def test_pathloss_amplitudes_cached_read_only(self):
         geom = NetworkGeometry(

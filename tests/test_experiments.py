@@ -697,20 +697,24 @@ class TestCli:
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     @pytest.mark.parametrize(
-        "geometry", ["III", json.dumps(CUSTOM_GEOMETRY)], ids=["preset", "custom"]
+        "geometry,snr",
+        [("III", "1545")]
+        + [(json.dumps(CUSTOM_GEOMETRY), snr) for snr in ("1545", "1538", "1540", "1541")],
+        ids=["preset", "custom", "custom-1538", "custom-1540", "custom-1541"],
     )
-    def test_snr_that_overflows_a_point_exit_code(self, capsys, experiment, geometry):
-        # a preset's gamma cannot be set, and at 1545 dB snr^2 overflows
-        # whatever the gains: a grid error, not a geometry error
+    def test_snr_that_overflows_a_point_exit_code(self, capsys, experiment, geometry, snr):
+        # snr * snr * g overflows a kernel on gains far below snr (snr^2 alone
+        # from ~1541.3 dB): a grid error, not a geometry error, for a preset
+        # or a custom geometry
         argv = ["--experiment", experiment, "--geometry", geometry]
-        argv += ["--snr", "1545", "--trials", "10"]
+        argv += ["--snr", snr, "--trials", "10"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli_main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: config field 'snr_grid_db': overflow encountered")
-        assert err.endswith(" at snr 1545 dB; an SNR of the grid is too large\n")
+        assert err.endswith(f" at snr {snr} dB; an SNR of the grid is too large\n")
 
     @pytest.mark.parametrize(
         "argv",
