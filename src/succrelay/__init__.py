@@ -3,8 +3,9 @@
 from .channel import (
     CASE_III_RELAY_SPACING,
     LINK_NAMES,
-    ChannelBatch,
     NetworkGeometry,
+    coefficients,
+    link_gains,
     preset_geometry,
     sample_realizations,
     trial_rng,
@@ -43,7 +44,6 @@ __all__ = [
     "CASE_III_RELAY_SPACING",
     "LINK_NAMES",
     "PROTOCOLS",
-    "ChannelBatch",
     "ConfigError",
     "DetectionOrder",
     "DmtPoint",
@@ -52,9 +52,11 @@ __all__ = [
     "NetworkGeometry",
     "adaptive_keep_batch",
     "capacity_gain_G",
+    "coefficients",
     "dmt_formula",
     "estimate_dmt",
     "interference_free_batch",
+    "link_gains",
     "logdet_capacity_batch",
     "mmse_sic_sinrs_batch",
     "outage_prob_conditioned",

@@ -11,6 +11,10 @@ where ``v`` is a unit-variance circularly-symmetric complex Gaussian
 exponent and ``zeta ~ Normal(0 dB, shadow_sigma_db**2)`` a lognormal
 shadowing term.  Shadowing is redrawn independently per link and per
 realization; the channel is block fading (one realization per frame).
+
+`sample_realizations` returns the standard normals behind n frames as a
+plain array; `coefficients` scales them to the six h, and `link_gains`
+to the six |h|**2 that every rate reads.
 """
 
 from __future__ import annotations
@@ -116,57 +120,43 @@ def preset_geometry(case_id: str) -> NetworkGeometry:
     return NetworkGeometry(d_sd=1.0, d_sr1=d, d_sr2=d, d_r1d=d, d_r2d=d, d_r1r2=d_rr)
 
 
-@dataclass(frozen=True)
-class ChannelBatch:
-    """The standard normals of n frames, scaled to coefficients on first read.
+def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
+    """The (6, n) complex coefficients of normals ``v``, rows in LINK_NAMES order.
 
-    ``v`` is the trial-major ``(n, k, 6)`` block that `sample_realizations`
-    draws: trial t's real parts, imaginary parts and, when ``geom`` is
+    ``v`` is a trial-major ``(n, k, 6)`` block as `sample_realizations`
+    draws it: trial t's real parts, imaginary parts and, when ``geom`` is
     shadowed (k = 3; else k = 2), its shadowing ``zeta / shadow_sigma_db``,
-    each in LINK_NAMES order.  ``h`` scales the whole block once, however
-    many draws were joined into it.
+    each in LINK_NAMES order.  Both parts of a coefficient are multiplied by
+    the real amplitude ``exp(_log_amplitudes + zeta * ln(10) / 20)``, zeta
+    in dB.  A coefficient that path loss or shadowing overflows is left inf
+    or NaN, with no warning, for `link_gains` to name.
     """
+    n = v.shape[0]
+    h = np.empty((6, n), dtype=complex)
+    # (re, im) of h[:, t] lie in float view [:, t, 0] and [:, t, 1]
+    parts = h.view(np.float64).reshape(6, n, 2).transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_amp = geom._log_amplitudes
+        if geom.shadow_sigma_db > 0.0:
+            log_amp = v[:, 2] * (geom.shadow_sigma_db * _LOG_AMPLITUDE_PER_DB)
+            log_amp += geom._log_amplitudes
+        np.multiply(v[:, :2], np.exp(log_amp).reshape(-1, 1, 6), out=parts)
+    return h
 
-    geom: NetworkGeometry
-    v: np.ndarray
 
-    def __len__(self) -> int:
-        return self.v.shape[0]
+def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
+    """The (6, n) squared link gains |h|**2 of normals ``v`` that every rate reads.
 
-    @cached_property
-    def h(self) -> np.ndarray:
-        """The (6, n) complex coefficients, rows in LINK_NAMES order.
-
-        Both parts of a coefficient are multiplied by the real amplitude
-        ``exp(_log_amplitudes + zeta * ln(10) / 20)``, zeta in dB.  A
-        coefficient that path loss or shadowing overflows is left inf or
-        NaN, with no warning, for `gains` to name.
-        """
-        geom, v, n = self.geom, self.v, len(self)
-        h = np.empty((6, n), dtype=complex)
-        # (re, im) of h[:, t] lie in float view [:, t, 0] and [:, t, 1]
-        parts = h.view(np.float64).reshape(6, n, 2).transpose(1, 2, 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_amp = geom._log_amplitudes
-            if geom.shadow_sigma_db > 0.0:
-                log_amp = v[:, 2] * (geom.shadow_sigma_db * _LOG_AMPLITUDE_PER_DB)
-                log_amp += geom._log_amplitudes
-            np.multiply(v[:, :2], np.exp(log_amp).reshape(-1, 1, 6), out=parts)
-        return h
-
-    def gains(self) -> np.ndarray:
-        """The (6, n) squared link gains |h|**2 that every rate reads.
-
-        Raises ValueError naming the first link with a gain that is not
-        finite: a non-finite coefficient, or one whose square overflows.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.abs(self.h) ** 2
-        finite = np.isfinite(g)
-        if not finite.all():
-            link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
-            raise ValueError(f"|h_{link}|^2 must be finite")
-        return g
+    Raises ValueError naming the first link with a gain that is not
+    finite: a non-finite coefficient, or one whose square overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.abs(coefficients(geom, v)) ** 2
+    finite = np.isfinite(g)
+    if not finite.all():
+        link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
+        raise ValueError(f"|h_{link}|^2 must be finite")
+    return g
 
 
 def trial_rng(seed: int, trial) -> np.random.Generator:
@@ -188,18 +178,15 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def sample_realizations(
-    geom: NetworkGeometry, rng: np.random.Generator, n: int
-) -> ChannelBatch:
-    """Draw ``n`` independent channel realizations from one stream.
+def sample_realizations(geom: NetworkGeometry, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw the standard normals of ``n`` independent channel realizations.
 
-    One ``standard_normal((n, k, 6))`` draw, trial-major, held as
-    `ChannelBatch.v` (k = 3 when shadowed, else 2); nothing is scaled
-    until ``h`` is read.  So one call for n trials gives the same bytes as
-    n consecutive calls for one trial each on the same generator, and the
-    v blocks of those n calls, joined in order, are this call's block.
+    One ``standard_normal((n, k, 6))`` draw, trial-major, returned as is
+    (k = 3 when shadowed, else 2); `coefficients` and `link_gains` scale
+    it.  So one call for n trials gives the same bytes as n consecutive
+    calls for one trial each on the same generator, joined in order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     k = 3 if geom.shadow_sigma_db > 0.0 else 2
-    return ChannelBatch(geom, rng.standard_normal((n, k, 6)))
+    return rng.standard_normal((n, k, 6))

@@ -27,8 +27,9 @@ import numpy as np
 
 from .channel import (
     LINK_NAMES,
-    ChannelBatch,
     NetworkGeometry,
+    coefficients,
+    link_gains,
     preset_geometry,
     sample_realizations,
     trial_rng,
@@ -199,22 +200,19 @@ class ExperimentConfig:
         return NetworkGeometry(**self.geometry)
 
 
-def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> ChannelBatch:
-    """Draw trials 0, ..., n - 1 of SNR point snr_idx's stream, in trial order.
+def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> np.ndarray:
+    """The (n, k, 6) normals of trials 0, ..., n - 1 of SNR point snr_idx's
+    stream, in trial order.
 
     The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
     for all n trials on the same stream gives the same bytes.  Each call
-    only draws its normals: their blocks are joined into one batch, whose
-    ``h`` scales them all at once, under its own ``errstate``, so a
-    coefficient that path loss or shadowing overflows is left inf, for
-    `_point`.
+    returns only its normals, and their blocks are joined in order, for
+    `_point` to scale once.
     """
     rng = trial_rng(seed, snr_idx)
-    return ChannelBatch(
-        geom, np.concatenate([sample_realizations(geom, rng, 1).v for _ in range(n)])
-    )
+    return np.concatenate([sample_realizations(geom, rng, 1) for _ in range(n)])
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:
@@ -226,9 +224,10 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
 
 def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
     """Every configured protocol at one SNR point, on trials 0, ..., n - 1 of
-    stream (seed, snr_idx), drawn by `_sample_trials`.
+    stream (seed, snr_idx), drawn by `_sample_trials` and scaled to gains by
+    one `link_gains` call.
 
-    Returns the drawn batch, the rule's keep mask, the two interference-free
+    Returns the drawn normals, the rule's keep mask, the two interference-free
     flags and one (name, relaying, rate, per-codeword caps, decode-first
     branches) row per protocol.  A relaying scheme's rejected draws take the
     direct rate; its caps and branches stay the kernel's.  A gain that path
@@ -236,12 +235,12 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
     on finite gains is a grid error when snr is at least the largest gain,
     and a geometry error otherwise.
     """
-    batch = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
+    v = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
     snr = snr_from_db(snr_db)
     try:
         with np.errstate(over="raise", invalid="raise"):
             # the gains first: past the config check, theirs is the only ValueError here
-            g = batch.gains()
+            g = link_gains(cfg.network, v)
             keep = adaptive_keep_batch(g, cfg.adaptive_rule)
             flags = interference_free_batch(g, snr, cfg.l)
             # each kernel runs once; the direct rate is also every fallback
@@ -262,7 +261,7 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
         relaying, (rate, caps, branches) = PROTOCOLS[name][0], out[name]
         rate = np.where(keep, rate, out["direct"][0]) if relaying else rate
         rows.append((name, relaying, rate, caps, branches))
-    return batch, keep, flags, rows
+    return v, keep, flags, rows
 
 
 def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -337,7 +336,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     """
     entries = []
     for snr_db in cfg.snr_grid_db:
-        batch, keep, flags, point = _point(cfg, 0, snr_db, 1)
+        v, keep, flags, point = _point(cfg, 0, snr_db, 1)
         for name, relaying, rate, caps, branches in point:
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
@@ -353,7 +352,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
                 interference_free=None if branches is None else bool(flags[0][0]),
                 source_links_strong=None if branches is None else bool(flags[1][0]),
             )
-    h = batch.h[:, 0].tolist()  # the same draw at every point
+    h = coefficients(cfg.network, v)[:, 0].tolist()  # the same draw at every point
     coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     return {"realization": coeffs, "entries": entries}
 

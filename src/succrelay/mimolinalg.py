@@ -175,26 +175,19 @@ def _log_pivot_product(
         out += scale
 
 
-def _right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-stream c_k / g_{k+1} from the backward pivot recurrence.
+def _right_terms(a1: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each stream's c_k / g_{k+1} into ``out`` and return it.
 
-    ``a`` is (l, n), ``c`` the (l-1, n) couplings.  The pivots
-    g_k = 1 + a_k - c_k/g_{k+1} are Schur complements of I + snr * G, so
-    they are >= 1.
+    ``a1`` is the (l, n) diagonal 1 + a, ``c`` the (l-1, n) couplings.  The
+    backward pivots g_k = 1 + a_k - c_k/g_{k+1} are Schur complements of
+    I + snr * G, so they are >= 1.  On the reversed chain (``a1[::-1]``,
+    ``c[::-1]``, ``out[::-1]``) this writes c_{k-1}/f_{k-1}, from the
+    forward pivots f_k = 1 + a_k - c_{k-1}/f_{k-1}.
     """
-    right = np.zeros_like(a)
-    for k in range(a.shape[0] - 2, -1, -1):
-        right[k] = c[k] / (1.0 + a[k + 1] - right[k + 1])
-    return right
-
-
-def _interference(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-stream c_{k-1}/f_{k-1} + c_k/g_{k+1}.
-
-    The forward pivots f_k = 1 + a_k - c_{k-1}/f_{k-1} are the backward
-    pivots of the reversed chain.
-    """
-    return _right_terms(a, c) + _right_terms(a[::-1], c[::-1])[::-1]
+    out[-1] = 0.0
+    for k in range(len(c) - 1, -1, -1):
+        np.divide(c[k], a1[k + 1] - out[k + 1], out=out[k])
+    return out
 
 
 def mmse_sic_sinrs_batch(
@@ -210,7 +203,7 @@ def mmse_sic_sinrs_batch(
     At each stage the SINR of an undetected stream k is
     1 / [(I + snr * H_A^H H_A)^-1]_kk - 1 with A the set of undetected
     streams; the Gram matrix is tridiagonal, so this is
-    a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1} (see `_interference`) with
+    a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1} (see `_right_terms`) with
     a_k = snr * (g_sd + g_r(k)) and c_k = snr^2 * g_sd * g_r(k) while streams
     k and k+1 are both undetected, 0 otherwise.  Strongest-first picks the
     maximal-SINR stream, counting candidates within a relative
@@ -224,19 +217,29 @@ def mmse_sic_sinrs_batch(
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)
     c = snr * snr * g_sd * g_r[:-1]
+    a1 = 1.0 + a
+    right = np.empty_like(a)
     orders = np.empty((l, n), dtype=np.intp)
 
     if ordering is DetectionOrder.NATURAL:
         # Stream j meets only the undetected streams j+1.. on its right.
         orders[:] = np.arange(l)[:, None]
-        sinrs = np.maximum(a - _right_terms(a, c), 0.0)
+        sinrs = np.maximum(a - _right_terms(a1, c, right), 0.0)
     else:
         cols = np.arange(n)
         sinrs = np.zeros((l, n))
         active = np.ones((l, n), dtype=bool)
+        left = np.empty_like(a)
         for stage in range(l):
-            live = c * (active[:-1] & active[1:])
-            cand = np.where(active, np.maximum(a - _interference(a, live), 0.0), -np.inf)
+            if stage < l - 1:
+                live = c * (active[:-1] & active[1:]) if stage else c
+                _right_terms(a1, live, right)
+                _right_terms(a1[::-1], live[::-1], left[::-1])
+                cand = np.maximum(a - (right + left), 0.0)
+            else:
+                # one stream is left and every coupling is dead: a - (0 + 0) is a
+                cand = np.maximum(a, 0.0)
+            cand = np.where(active, cand, -np.inf)
             best = cand.max(axis=0)
             sel = np.argmax(cand >= best * (1.0 - TIE_RTOL), axis=0)
             orders[stage] = sel

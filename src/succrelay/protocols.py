@@ -8,7 +8,7 @@ over classic protocol II.
 
 Every rate, interference flag and fallback rule depends only on the six
 squared link gains, so every kernel here takes one (6, n) float array ``g``
-of them, rows in ``channel.LINK_NAMES`` order (`ChannelBatch.gains`), and
+of them, rows in ``channel.LINK_NAMES`` order (`channel.link_gains`), and
 returns one value per frame.  A caller computes ``g`` once per batch of
 draws; a single realization is the n = 1 case.  The capacity gain reads
 only the three destination gains and takes those rows.

@@ -5,7 +5,11 @@ The log-det oracle factors the (l+1) x (l+1) matrix I + snr H H^H with
 the tridiagonal I + snr H^H H in ``mpmath``, where its cancellation is
 harmless.  `recurrence_logdet_capacity_batch` is the library's own pivot
 recurrence with its overflow check at every step, the reference that the
-library's skipped checks must match bit for bit.  Each candidate's SIC SINR
+library's skipped checks must match bit for bit.  Likewise
+`stagewise_mmse_sic_sinrs_batch` is the library's tridiagonal SIC with both
+pivot chains recomputed from fresh arrays over every stream at every stage,
+the reference that its in-place chains must match bit for bit.  Each
+candidate's SIC SINR
 is snr * h_k^H (I + snr * sum_{j in A, j != k} h_j h_j^H)^-1 h_k, solved
 afresh from the undetected columns A with ``np.linalg.solve`` on the
 (l+1) x (l+1) covariance: O(l^5) per frame, independent of the tridiagonal
@@ -32,6 +36,8 @@ from succrelay.mimolinalg import (
     CHUNK,
     TIE_RTOL,
     DetectionOrder,
+    check_kernel_args,
+    check_sinr_bound,
     logdet_capacity_batch,
 )
 
@@ -136,6 +142,53 @@ def dense_mmse_sic_sinrs_batch(
         sinrs[rows_idx, sel] = sel_sinr
         active[rows_idx, sel] = False
     return orders, sinrs
+
+
+def _stagewise_right_terms(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    right = np.zeros_like(a)
+    for k in range(a.shape[0] - 2, -1, -1):
+        right[k] = c[k] / (1.0 + a[k + 1] - right[k + 1])
+    return right
+
+
+def stagewise_mmse_sic_sinrs_batch(
+    g_sd: np.ndarray,
+    g_r1d: np.ndarray,
+    g_r2d: np.ndarray,
+    snr: float,
+    l: int,
+    ordering: DetectionOrder = DetectionOrder.STRONGEST_FIRST,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`mimolinalg.mmse_sic_sinrs_batch` that rebuilds the couplings and both
+    pivot chains (c_k/g_{k+1} and, reversed, c_{k-1}/f_{k-1}) of every
+    stream at every stage, the last included."""
+    check_kernel_args(snr, l)
+    g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
+    n = g_sd.shape[0]
+    a = snr * (g_sd + g_r)
+    c = snr * snr * g_sd * g_r[:-1]
+    orders = np.empty((l, n), dtype=np.intp)
+    if ordering is DetectionOrder.NATURAL:
+        orders[:] = np.arange(l)[:, None]
+        sinrs = np.maximum(a - _stagewise_right_terms(a, c), 0.0)
+    else:
+        cols = np.arange(n)
+        sinrs = np.zeros((l, n))
+        active = np.ones((l, n), dtype=bool)
+        for stage in range(l):
+            live = c * (active[:-1] & active[1:])
+            interference = (
+                _stagewise_right_terms(a, live)
+                + _stagewise_right_terms(a[::-1], live[::-1])[::-1]
+            )
+            cand = np.where(active, np.maximum(a - interference, 0.0), -np.inf)
+            best = cand.max(axis=0)
+            sel = np.argmax(cand >= best * (1.0 - TIE_RTOL), axis=0)
+            orders[stage] = sel
+            sinrs[sel, cols] = cand[sel, cols]
+            active[sel, cols] = False
+    check_sinr_bound(sinrs, a)
+    return orders.T, sinrs.T
 
 
 def mp_mmse_sic_sinrs(

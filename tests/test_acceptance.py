@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from succrelay.channel import preset_geometry, sample_realizations
+from succrelay.channel import coefficients, link_gains, preset_geometry, sample_realizations
 from succrelay.experiments import ExperimentConfig, run_gain_curve, run_geometry_sweep
 from succrelay.mimolinalg import (
     DetectionOrder,
@@ -62,7 +62,8 @@ def test_criterion_2_interference_free_capacity_equality():
     """Genie rate equals the log-det share when both conditions hold."""
     t0 = time.perf_counter()
     snr, l = 100.0, 7
-    g = sample_realizations(preset_geometry("III"), np.random.default_rng(1002), 10_000).gains()
+    geom = preset_geometry("III")
+    g = link_gains(geom, sample_realizations(geom, np.random.default_rng(1002), 10_000))
     cancel_ok, source_ok = interference_free_batch(g, snr, l)
     mask = cancel_ok & source_ok
     qualifying = int(mask.sum())
@@ -82,8 +83,9 @@ def test_criterion_3_jensen_and_sinr_bounds():
     snr, l = 100.0, 7
     total = 0
     for case, seed in (("I", 1003), ("III", 1004)):
-        batch = sample_realizations(preset_geometry(case), np.random.default_rng(seed), 50_000)
-        g = batch.gains()
+        geom = preset_geometry(case)
+        v = sample_realizations(geom, np.random.default_rng(seed), 50_000)
+        g, h = link_gains(geom, v), coefficients(geom, v)
         gsd, grd = g[0], (g[4], g[5])
         logdet = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)
         combining_sum = sum(
@@ -92,10 +94,10 @@ def test_criterion_3_jensen_and_sinr_bounds():
         assert np.all(combining_sum >= logdet * (1 - 1e-9) - 1e-12)
 
         _, sinr = mmse_sic_sinrs_batch(gsd, *grd, snr, l, DetectionOrder.STRONGEST_FIRST)
-        hb = build_equivalent_channel_batch(batch.h[0], batch.h[4], batch.h[5], l)
+        hb = build_equivalent_channel_batch(h[0], h[4], h[5], l)
         bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
         assert np.all(sinr <= bound * (1 + 1e-9) + 1e-12)
-        total += len(batch)
+        total += len(v)
     elapsed = time.perf_counter() - t0
     assert total == 100_000
     report(3, "both bounds hold on 100% of 1e5 realizations", elapsed)

@@ -10,14 +10,20 @@ from scipy import integrate, stats
 from succrelay.channel import (
     CASE_III_RELAY_SPACING,
     LINK_NAMES,
-    ChannelBatch,
     NetworkGeometry,
+    coefficients,
+    link_gains,
     preset_geometry,
     sample_realizations,
     trial_rng,
 )
 from succrelay import experiments
 from succrelay.experiments import _sample_trials
+
+
+def draw_h(geom, rng, n):
+    """The (6, n) coefficients of one n-trial draw from ``rng``."""
+    return coefficients(geom, sample_realizations(geom, rng, n))
 
 
 def flat_geometry(gamma=0.0, shadow=0.0, d=1.0):
@@ -113,15 +119,15 @@ class TestRealization:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ValueError, match="h_sd"):
-                    ChannelBatch(flat_geometry(), v).gains()
+                    link_gains(flat_geometry(), v)
 
     def test_gains_are_squared_magnitudes(self):
         # (re, im) normals of one trial; the amplitude 1/sqrt 2 scales
         # sqrt 2 * h back to h = [1 + 1j, 2, 0.5j, 1, 3, 1]
         h = np.array([1 + 1j, 2.0, 0.5j, 1.0, 3.0, 1.0])
-        batch = ChannelBatch(flat_geometry(), np.sqrt(2.0) * np.array([[h.real, h.imag]]))
-        g = batch.gains()
-        assert len(batch) == 1 and g.shape == (6, 1) and g.dtype == np.float64
+        v = np.sqrt(2.0) * np.array([[h.real, h.imag]])
+        g = link_gains(flat_geometry(), v)
+        assert len(v) == 1 and g.shape == (6, 1) and g.dtype == np.float64
         assert g[LINK_NAMES.index("sd"), 0] == pytest.approx(2.0)
         assert g[LINK_NAMES.index("sr2"), 0] == pytest.approx(0.25)
         assert np.all(g >= 0.0)
@@ -134,7 +140,7 @@ class TestRealization:
         # gives the words of the complex (v_re + 1j v_im) * amp, draw for draw
         geom = preset_geometry(case)
         for seed in range(30):
-            got = sample_realizations(geom, np.random.default_rng(seed), n).h
+            got = draw_h(geom, np.random.default_rng(seed), n)
             v = np.random.default_rng(seed).standard_normal((n, 3, 6))
             amp = np.exp(geom._log_amplitudes + v[:, 2] * (8.0 * (np.log(10.0) / 20.0)))
             want = ((v[:, 0] + 1j * v[:, 1]) * amp).T
@@ -145,23 +151,27 @@ class TestRealization:
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     @pytest.mark.parametrize("n", [1, 7, 5000])
-    def test_batch_holds_the_stream_normals(self, geom, n):
-        # k = 3 rows of normals per trial when shadowed, 2 when not
+    def test_returns_the_stream_normals(self, geom, n):
+        # a plain array: k = 3 rows of normals per trial when shadowed, 2 when not
         k = 3 if geom.shadow_sigma_db > 0.0 else 2
-        v = sample_realizations(geom, trial_rng(41, 2), n).v
-        assert v.shape == (n, k, 6)
+        v = sample_realizations(geom, trial_rng(41, 2), n)
+        assert type(v) is np.ndarray and v.shape == (n, k, 6)
         assert v.tobytes() == trial_rng(41, 2).standard_normal((n, k, 6)).tobytes()
 
-    def test_coefficients_scaled_once(self):
-        batch = sample_realizations(preset_geometry("III"), trial_rng(41, 2), 7)
-        assert batch.h is batch.h
+    @pytest.mark.parametrize("geom", GEOMETRIES)
+    def test_link_gains_are_squared_coefficient_moduli(self, geom):
+        # hypot, then square: bit for bit, not re**2 + im**2
+        v = sample_realizations(geom, trial_rng(41, 2), 5000)
+        h = coefficients(geom, v)
+        assert h.shape == (6, 5000) and h.dtype == complex
+        assert link_gains(geom, v).tobytes() == (np.abs(h) ** 2).tobytes()
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     @pytest.mark.parametrize("n", [1, 7, 5000])
     def test_one_block_draw_equals_consecutive_single_draws(self, geom, n):
-        block = sample_realizations(geom, trial_rng(41, 2), n).h
+        block = draw_h(geom, trial_rng(41, 2), n)
         rng = trial_rng(41, 2)
-        singles = np.concatenate([sample_realizations(geom, rng, 1).h for _ in range(n)], axis=1)
+        singles = np.concatenate([draw_h(geom, rng, 1) for _ in range(n)], axis=1)
         assert block.shape == (6, n)
         assert block.tobytes() == singles.tobytes()
 
@@ -169,14 +179,14 @@ class TestRealization:
 class TestMoments:
     def test_unit_variance_degenerate_model(self):
         # shadowing off, pathloss off: coefficients are pure CN(0, 1)
-        batch = sample_realizations(flat_geometry(), np.random.default_rng(101), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h[0]) ** 2)
+        h = draw_h(flat_geometry(), np.random.default_rng(101), 1_000_000)
+        mean_gain = np.mean(np.abs(h[0]) ** 2)
         assert mean_gain == pytest.approx(1.0, abs=0.01)
 
     def test_pathloss_only_moment(self):
         geom = flat_geometry(gamma=4.0, d=0.5)
-        batch = sample_realizations(geom, np.random.default_rng(102), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h[3]) ** 2)
+        h = draw_h(geom, np.random.default_rng(102), 1_000_000)
+        mean_gain = np.mean(np.abs(h[3]) ** 2)
         assert mean_gain == pytest.approx(16.0, rel=0.01)
 
     def test_lognormal_shadowing_moment(self):
@@ -191,28 +201,28 @@ class TestMoments:
         assert oracle == pytest.approx(5.45541, rel=1e-5)
 
         geom = flat_geometry(shadow=sigma)
-        batch = sample_realizations(geom, np.random.default_rng(103), 1_000_000)
-        mean_gain = np.mean(np.abs(batch.h[0]) ** 2)
+        h = draw_h(geom, np.random.default_rng(103), 1_000_000)
+        mean_gain = np.mean(np.abs(h[0]) ** 2)
         assert mean_gain == pytest.approx(oracle, rel=0.03)
 
 
 class TestDistributionShape:
     def test_link_magnitudes_uncorrelated(self):
-        batch = sample_realizations(preset_geometry("I"), np.random.default_rng(104), 100_000)
-        corr = np.corrcoef(np.abs(batch.h))
+        h = draw_h(preset_geometry("I"), np.random.default_rng(104), 100_000)
+        corr = np.corrcoef(np.abs(h))
         off = corr[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) < 0.02
 
     def test_phase_uniform_chi_square(self):
-        batch = sample_realizations(preset_geometry("II"), np.random.default_rng(105), 100_000)
-        phases = np.angle(batch.h[0])
+        h = draw_h(preset_geometry("II"), np.random.default_rng(105), 100_000)
+        phases = np.angle(h[0])
         counts, _ = np.histogram(phases, bins=16, range=(-np.pi, np.pi))
         _, pvalue = stats.chisquare(counts)
         assert pvalue > 0.001
 
 
 def one_trial(geom, seed, trial):
-    return sample_realizations(geom, trial_rng(seed, trial), 1).h
+    return draw_h(geom, trial_rng(seed, trial), 1)
 
 
 class TestDeterminism:
@@ -233,10 +243,10 @@ class TestDeterminism:
     def test_batch_element_matches_scalar_path(self):
         # trial t of SNR point 3 is the (t + 1)-th one-trial draw of stream (5, 3)
         geom = preset_geometry("II")
-        batch = _sample_trials(geom, 5, 3, 4).h
+        batch = coefficients(geom, _sample_trials(geom, 5, 3, 4))
         rng = trial_rng(5, 3)
         for t in range(4):
-            assert batch[:, t:t + 1].tobytes() == sample_realizations(geom, rng, 1).h.tobytes()
+            assert batch[:, t:t + 1].tobytes() == draw_h(geom, rng, 1).tobytes()
 
 
 def numpy_state(seed, key):
@@ -316,8 +326,8 @@ class TestSampleTrials:
     @pytest.mark.parametrize("geom", GEOMETRIES)
     def test_equals_one_block_draw_of_the_stream(self, geom):
         for seed, snr_idx, n in ((12345, 0, 40), (2**64 - 1, 2**32 - 3, 7)):
-            got = _sample_trials(geom, seed, snr_idx, n).h
-            want = sample_realizations(geom, trial_rng(seed, snr_idx), n).h
+            got = coefficients(geom, _sample_trials(geom, seed, snr_idx, n))
+            want = draw_h(geom, trial_rng(seed, snr_idx), n)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7])

@@ -7,7 +7,13 @@ import pytest
 
 from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
-from succrelay.channel import NetworkGeometry, preset_geometry, trial_rng
+from succrelay.channel import (
+    NetworkGeometry,
+    coefficients,
+    link_gains,
+    preset_geometry,
+    trial_rng,
+)
 from succrelay.mimolinalg import InvariantError
 from succrelay.protocols import capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
@@ -251,15 +257,15 @@ class TestSampleTrials:
     def test_more_trials_extend_the_stream(self, geom):
         # trials 0..n-1 of an SNR point are the first n columns of a longer run
         for seed, snr_idx, n, m in ((3, 0, 1, 40), (3, 2, 17, 300), (2**64 - 1, 5, 250, 251)):
-            short = experiments._sample_trials(geom, seed, snr_idx, n).h
-            long = experiments._sample_trials(geom, seed, snr_idx, m).h
+            short = coefficients(geom, experiments._sample_trials(geom, seed, snr_idx, n))
+            long = coefficients(geom, experiments._sample_trials(geom, seed, snr_idx, m))
             assert short.tobytes() == long[:, :n].tobytes()
 
     def test_snr_indices_and_seeds_draw_different_trials(self):
         geom = preset_geometry("III")
-        base = experiments._sample_trials(geom, 7, 0, 30).h
+        base = coefficients(geom, experiments._sample_trials(geom, 7, 0, 30))
         for seed, snr_idx in ((7, 1), (7, 2), (8, 0)):
-            other = experiments._sample_trials(geom, seed, snr_idx, 30).h
+            other = coefficients(geom, experiments._sample_trials(geom, seed, snr_idx, 30))
             # no coefficient of any trial is shared
             assert not np.isin(base, other).any(), (seed, snr_idx)
 
@@ -279,6 +285,20 @@ class TestSampleTrials:
         monkeypatch.setattr(experiments, "_sample_trials", record)
         run_experiment(ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment}))
         assert seen == calls
+
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
+    def test_gains_scaled_once_per_point(self, monkeypatch, experiment):
+        # every point scales its whole block of normals in one call
+        seen = []
+
+        def record(geom, v):
+            seen.append(v.shape[0])
+            return link_gains(geom, v)
+
+        monkeypatch.setattr(experiments, "link_gains", record)
+        cfg = ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment})
+        run_experiment(cfg)
+        assert seen == [1 if experiment == "single_realization" else cfg.trials] * 3
 
 
 class TestGainCurve:
@@ -398,7 +418,8 @@ class TestSingleRealization:
                 experiment="single_realization", geometry="II", l=2,
                 snr_grid_db=(0.0, 10.0, 30.0), trials=1, seed=seed, protocols=("direct",),
             )
-            g = experiments._sample_trials(preset_geometry("II"), seed, 0, 50).gains()
+            geom = preset_geometry("II")
+            g = link_gains(geom, experiments._sample_trials(geom, seed, 0, 50))
             for e in run_single_realization(cfg)["entries"]:
                 snr = 10.0 ** (e["snr_db"] / 10.0)
                 assert e["rate_per_slot"] == float(rate_direct_batch(g, snr)[0])

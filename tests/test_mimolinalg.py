@@ -11,8 +11,9 @@ from dense_oracle import (
     mp_logdet_capacity,
     mp_mmse_sic_sinrs,
     recurrence_logdet_capacity_batch,
+    stagewise_mmse_sic_sinrs_batch,
 )
-from succrelay.channel import sample_realizations, preset_geometry
+from succrelay.channel import coefficients, link_gains, preset_geometry, sample_realizations
 from succrelay.mimolinalg import (
     _PRODUCT_LIMIT,
     CHUNK,
@@ -222,7 +223,8 @@ class TestAgainstDenseOracle:
         snr = 10.0 ** (snr_db / 10.0)
         rng = np.random.default_rng(500 + int(snr_db))
         for l in range(1, 9):
-            h = sample_realizations(preset_geometry(case), rng, 200).h
+            geom = preset_geometry(case)
+            h = coefficients(geom, sample_realizations(geom, rng, 200))
             hb = build_equivalent_channel_batch(h[0], h[4], h[5], l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
@@ -240,7 +242,8 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(600)
         checked = 0
         for l in (3, 5, 7, 8):
-            h = sample_realizations(preset_geometry(case), rng, 200).h
+            geom = preset_geometry(case)
+            h = coefficients(geom, sample_realizations(geom, rng, 200))
             hb = build_equivalent_channel_batch(h[0], h[4], h[5], l)
             bound = snr * np.sum(np.abs(hb) ** 2, axis=1)
             for ordering in DetectionOrder:
@@ -377,10 +380,48 @@ class TestLogdetAgainstEveryStepCheck:
         self.assert_same(g, l, "raise")
 
 
+class TestSicAgainstStagewiseChains:
+    """The kernel writes both pivot chains in place and skips them at the
+    last stage: its orders and SINR bytes equal those of the reference that
+    recomputes every chain at every stage, and it raises where that raises."""
+
+    SNRS = (0.0, 1e-3, 1.0, 100.0, 1e5, 1e9)
+
+    @staticmethod
+    def outcome(kernel, g, snr, l, ordering):
+        with np.errstate(all="raise"):
+            try:
+                return kernel(*g, snr, l, ordering)
+            except FloatingPointError as exc:
+                return str(exc)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 7, 8, 16, 64])
+    def test_same_bytes_and_errors(self, l):
+        rng = np.random.default_rng(2700 + l)
+        batches = [
+            10.0 ** rng.uniform(-3.0, 3.0, (3, n)) * rng.standard_exponential((3, n))
+            for n in (1, 1000)
+        ]
+        batches.append(np.full((3, 50), 0.7))  # every stream ties at every stage
+        batches.append(np.full((3, 4), 1e300))  # a overflows from snr 1e5 on, c from 1 on
+        raised = 0
+        for g, snr, ordering in itertools.product(batches, self.SNRS, DetectionOrder):
+            got = self.outcome(mmse_sic_sinrs_batch, g, snr, l, ordering)
+            want = self.outcome(stagewise_mmse_sic_sinrs_batch, g, snr, l, ordering)
+            if isinstance(want, str):
+                raised += 1
+                assert got == want, (snr, ordering)
+                continue
+            assert got[0].tobytes() == want[0].tobytes(), (snr, ordering)
+            assert got[1].tobytes() == want[1].tobytes(), (snr, ordering)
+        assert raised >= 4
+
+
 class TestBounds:
     def test_jensen_bound_on_sampled_realizations(self):
         # per-codeword single-stream rates sum to at least the log-det bound
-        g = sample_realizations(preset_geometry("III"), np.random.default_rng(9), 3000).gains()
+        geom = preset_geometry("III")
+        g = link_gains(geom, sample_realizations(geom, np.random.default_rng(9), 3000))
         l, snr = 7, 100.0
         gsd, grd = g[0], [g[4], g[5]]
         ld = logdet_capacity_batch(gsd, grd[0], grd[1], snr, l)

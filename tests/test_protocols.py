@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from succrelay.channel import preset_geometry, sample_realizations
+from succrelay.channel import link_gains, preset_geometry, sample_realizations
 from succrelay.experiments import PROTOCOLS
 from succrelay.mimolinalg import DetectionOrder, InvariantError, mmse_sic_sinrs_batch
 from succrelay.protocols import (
@@ -26,7 +26,8 @@ def gains(gsd=1.0, gsr1=1.0, gsr2=1.0, gr1r2=1.0, gr1d=1.0, gr2d=1.0):
 
 
 def random_gains(seed, n, case="III"):
-    return sample_realizations(preset_geometry(case), np.random.default_rng(seed), n).gains()
+    geom = preset_geometry(case)
+    return link_gains(geom, sample_realizations(geom, np.random.default_rng(seed), n))
 
 
 def classic1(g, snr):
@@ -163,7 +164,7 @@ class TestInterferenceFree:
         from dataclasses import replace
 
         geom = replace(preset_geometry("III"), shadow_sigma_db=0.0)
-        g = sample_realizations(geom, np.random.default_rng(123), 200_000).gains()
+        g = link_gains(geom, sample_realizations(geom, np.random.default_rng(123), 200_000))
         cancel_ok, _ = interference_free_batch(g, 100.0, 7)
         assert cancel_ok.mean() > 0.90
 
