@@ -10,7 +10,9 @@ Usage examples:
 
 A JSON config file mirrors ExperimentConfig.  Explicit flags replace the
 file's values before any check, and the merged values build the one config
-of the run, so a file value that a flag replaces is never checked.
+of the run, so a file value that a flag replaces is never checked.  Each
+field's flags, value type, list-ness, choices and help come from its row of
+`experiments._FIELDS`; only --config, --geometry and --workers are spelled here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import argparse
 import json
 import sys
 
-from .experiments import CHOICES, EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
+from .experiments import (
+    _FIELDS, _KINDS, CHOICES, EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
+)
 
 
 def _geometry(text: str):
@@ -27,55 +31,27 @@ def _geometry(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag stores its value under the ExperimentConfig field it overrides."""
+    """Each field's flags, from its `_FIELDS` row, store its value under its name."""
     p = argparse.ArgumentParser(
         prog="simulate",
         description="Rate and outage experiments for the two-relay successive-relaying network.",
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--experiment", "-e", choices=CHOICES["experiment"])
     p.add_argument(
         "--geometry",
         type=_geometry,
         help="I, II, III, or a custom JSON distance object "
         '(e.g. \'{"d_sd": 1, "d_sr1": 0.5, ...}\')',
     )
-    p.add_argument("--l", type=int, help="codewords per frame")
-    p.add_argument(
-        "--snr", dest="snr_grid_db", metavar="SNR", type=float, nargs="+", help="SNR grid in dB"
-    )
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--protocols", nargs="+", choices=CHOICES["protocols"])
-    p.add_argument("--adaptive", dest="adaptive_rule", choices=CHOICES["adaptive_rule"])
-    p.add_argument("--out", dest="output_path", metavar="OUT", help="output file path")
-    p.add_argument("--format", dest="output_format", choices=CHOICES["output_format"])
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="ignored; accepted so that older scripts still parse: every "
-        "experiment runs on one thread",
-    )
-    p.add_argument(
-        "--gain-l",
-        dest="gain_l_values",
-        metavar="GAIN_L",
-        type=int,
-        nargs="+",
-        help="frame lengths for the gain curve",
-    )
-    p.add_argument(
-        "--r", dest="dmt_r", metavar="R", type=float, help="multiplexing gain for the DMT experiment"
-    )
-    p.add_argument("--dmt-scheme", choices=CHOICES["dmt_scheme"])
-    p.add_argument(
-        "--dmt-trials",
-        dest="dmt_trials_per_point",
-        metavar="DMT_TRIALS",
-        type=int,
-        nargs="+",
-        help="per-grid-point trial counts",
-    )
+    for name, (kind, listed, _, flags, text) in _FIELDS.items():
+        flags, choices = flags.split(), CHOICES.get(name)
+        metavar = None if choices else flags[0].lstrip("-").upper().replace("-", "_")
+        p.add_argument(
+            *flags, dest=name, type=_KINDS[kind][0], nargs="+" if listed else None,
+            choices=choices, metavar=metavar, help=text,
+        )
+    # older scripts pass --workers; every experiment runs on one thread
+    p.add_argument("--workers", type=int, help="ignored: every experiment runs on one thread")
     return p
 
 

@@ -83,24 +83,41 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{config_field}': {message}")
 
 
-# config field -> (type of each value, whether the field is a list, the rule each
-# value meets as (predicate, message) or None), in field order; `network` checks
-# `geometry`.  The message takes the stored field; `snr_from_db` raises its own.
+# config field -> (type of each value, whether the field is a list, the check each
+# value meets as (predicate, message) or None, its `simulate` flags, their help),
+# in field order; `network` checks `geometry`.  The message takes the stored field;
+# `snr_from_db` raises its own.
 _FIELDS = {
-    "experiment": (str, False, None),
-    "l": (Integral, False, (lambda x: x >= 1, "frame length must be >= 1, got {}")),
-    "snr_grid_db": (Real, True, (snr_from_db, None)),
-    "trials": (Integral, False, (lambda x: 1 <= x < 2**63, "must lie in [1, 2**63), got {}")),
-    "seed": (Integral, False, (lambda x: 0 <= x < 2**64, "must fit an unsigned 64-bit integer")),
-    "protocols": (str, True, None),
-    "adaptive_rule": (str, False, None),
-    "output_path": (str, False, None),
-    "output_format": (str, False, None),
-    "gain_l_values": (Integral, True, (lambda x: x >= 1, "entries must be >= 1, got {}")),
-    "dmt_r": (Real, False, (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0, got {}")),
-    "dmt_scheme": (str, False, None),
+    "experiment": (str, False, None, "--experiment -e", "the experiment to run"),
+    "l": (
+        Integral, False, (lambda x: x >= 1, "frame length must be >= 1, got {}"),
+        "--l", "codewords per frame",
+    ),
+    "snr_grid_db": (Real, True, (snr_from_db, None), "--snr", "SNR grid in dB"),
+    "trials": (
+        Integral, False, (lambda x: 1 <= x < 2**63, "must lie in [1, 2**63), got {}"),
+        "--trials", "Monte Carlo trials per SNR point",
+    ),
+    "seed": (
+        Integral, False, (lambda x: 0 <= x < 2**64, "must fit an unsigned 64-bit integer"),
+        "--seed", "seed of every random stream of the run",
+    ),
+    "protocols": (str, True, None, "--protocols", "the protocols a sweep compares"),
+    "adaptive_rule": (str, False, None, "--adaptive", "when relaying falls back to direct"),
+    "output_path": (str, False, None, "--out", "output file path"),
+    "output_format": (str, False, None, "--format", "output file format"),
+    "gain_l_values": (
+        Integral, True, (lambda x: x >= 1, "entries must be >= 1, got {}"),
+        "--gain-l", "frame lengths for the gain curve",
+    ),
+    "dmt_r": (
+        Real, False, (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0, got {}"),
+        "--r", "multiplexing gain for the DMT experiment",
+    ),
+    "dmt_scheme": (str, False, None, "--dmt-scheme", "the scheme whose outage is counted"),
     "dmt_trials_per_point": (
-        Integral, True, (lambda x: 1 <= x < 2**63, "every entry must lie in [1, 2**63)")
+        Integral, True, (lambda x: 1 <= x < 2**63, "every entry must lie in [1, 2**63)"),
+        "--dmt-trials", "per-grid-point trial counts (default: --trials at each point)",
     ),
 }
 # type -> how a value is stored (numpy scalars pass the check but not json.dumps), its noun
@@ -127,7 +144,7 @@ class ExperimentConfig:
     dmt_trials_per_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name, (kind, listed, rule) in _FIELDS.items():
+        for name, (kind, listed, check, _, _) in _FIELDS.items():
             value = getattr(self, name)
             if value is None and name in ("output_path", "dmt_trials_per_point"):
                 continue
@@ -140,12 +157,12 @@ class ExperimentConfig:
                 raise ConfigError(name, f"must be {noun}, got {value!r}")
             try:  # float() rejects a JSON integer past float range
                 values = tuple(store(v) for v in values)
-                ok = rule is None or all(rule[0](v) for v in values)
+                ok = check is None or all(check[0](v) for v in values)
             except (OverflowError, ValueError) as exc:
                 raise ConfigError(name, str(exc)) from exc
             value = values if listed else values[0]
             if not ok:
-                raise ConfigError(name, rule[1].format(value))
+                raise ConfigError(name, check[1].format(value))
             for v in values if name in CHOICES else ():
                 if v not in CHOICES[name]:
                     raise ConfigError(name, f"must be one of {CHOICES[name]}, got {v!r}")

@@ -1,0 +1,248 @@
+"""What `simulate`'s argv parses to, and what its ``--help`` names.
+
+Each argv below maps to ``dataclasses.asdict`` of its one config, written
+out as a literal: the benchmark's four workloads at seed 7, the
+``test_cli_text`` cases, the argvs of the CI steps, README's examples and
+the aliases.  A change of the parser that moves any field of any of them,
+or the type a value is stored as, fails here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+from test_cli_text import CASES
+
+from succrelay.cli import build_parser, config_from_args
+from succrelay.experiments import _FIELDS, CHOICES, ConfigError
+
+DEFAULTS = {
+    "experiment": "geometry_sweep",
+    "geometry": "III",
+    "l": 7,
+    "snr_grid_db": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
+    "trials": 10000,
+    "seed": 12345,
+    "protocols": (
+        "direct", "classic1", "classic2", "successive_genie", "successive_vblast", "theorem1"
+    ),
+    "adaptive_rule": "a",
+    "output_path": None,
+    "output_format": "csv",
+    "gain_l_values": (3, 7),
+    "dmt_r": 0.0,
+    "dmt_scheme": "successive",
+    "dmt_trials_per_point": None,
+}
+CLOSE = '"d_sd": 1, "d_sr1": 0.5, "d_sr2": 0.5, "d_r1d": 0.5, "d_r2d": 0.5, "d_r1r2": 0.1'
+CLOSE_GEOMETRY = {
+    "d_sd": 1.0, "d_sr1": 0.5, "d_sr2": 0.5, "d_r1d": 0.5, "d_r2d": 0.5, "d_r1r2": 0.1
+}
+FAR = '"d_sd": 1, "d_sr1": 0.9, "d_sr2": 0.9, "d_r1d": 0.9, "d_r2d": 0.9, "d_r1r2": 0.9'
+FAR_GEOMETRY = {
+    "d_sd": 1.0, "d_sr1": 0.9, "d_sr2": 0.9, "d_r1d": 0.9, "d_r2d": 0.9, "d_r1r2": 0.9
+}
+# the config file of CI's "Flags override the config file" step
+GAIN_L0 = {
+    "experiment": "gain_curve", "l": 0, "snr_grid_db": [0, 20], "trials": 50,
+    "gain_l_values": [3],
+}
+
+# name -> (argv, the fields of its config that differ from DEFAULTS); "{config}"
+# in an argv is the path of a file that holds GAIN_L0
+ARGVS = {
+    # bench/workloads.py, Workload.argv(7, "out.<format>") at scale 1
+    "bench-sweep_full": (
+        "--experiment geometry_sweep --seed 7 --snr 0 10 20 --trials 1000 --geometry III "
+        "--l 7 --protocols direct classic1 classic2 successive_genie successive_vblast "
+        "theorem1 --adaptive a --workers 1 --format csv --out out.csv",
+        {"snr_grid_db": (0.0, 10.0, 20.0), "trials": 1000, "seed": 7, "output_path": "out.csv"},
+    ),
+    "bench-sweep_rates": (
+        "--experiment geometry_sweep --seed 7 --snr 0 10 20 --trials 5000 --geometry I "
+        "--l 7 --protocols direct classic1 classic2 successive_genie theorem1 "
+        "--adaptive b --workers 1 --format csv --out out.csv",
+        {"geometry": "I", "snr_grid_db": (0.0, 10.0, 20.0), "trials": 5000, "seed": 7,
+         "protocols": ("direct", "classic1", "classic2", "successive_genie", "theorem1"),
+         "adaptive_rule": "b", "output_path": "out.csv"},
+    ),
+    "bench-gain_curve": (
+        "--experiment gain_curve --seed 7 --snr 0 5 10 15 20 25 30 35 40 --trials 10000 "
+        "--gain-l 3 7 --workers 1 --format json --out out.json",
+        {"experiment": "gain_curve", "seed": 7, "output_path": "out.json",
+         "output_format": "json"},
+    ),
+    "bench-dmt_slope": (
+        "--experiment dmt_slope --seed 7 --snr 20 30 40 --r 0 --dmt-scheme successive "
+        "--dmt-trials 2000000 30000000 2000000 --l 7 --workers 2 --format csv --out out.csv",
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0), "seed": 7,
+         "output_path": "out.csv", "dmt_trials_per_point": (2000000, 30000000, 2000000)},
+    ),
+    # tests/test_cli_text.py CASES, by name
+    "geometry_sweep": (
+        None,
+        {"l": 3, "snr_grid_db": (0.0, 20.0), "trials": 20, "seed": 11},
+    ),
+    "geometry_sweep-none": (
+        None,
+        {"geometry": "I", "l": 2, "snr_grid_db": (10.0,), "trials": 15, "seed": 12,
+         "protocols": ("direct", "classic2", "successive_vblast"), "adaptive_rule": "none"},
+    ),
+    "gain_curve": (
+        None,
+        {"experiment": "gain_curve", "snr_grid_db": (0.0, 20.0), "trials": 200, "seed": 4,
+         "gain_l_values": (2, 3)},
+    ),
+    "dmt_slope-successive": (
+        None,
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0), "trials": 40000,
+         "seed": 5, "dmt_r": 0.5},
+    ),
+    "dmt_slope-classic2": (
+        None,
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0), "seed": 6,
+         "dmt_r": 0.35, "dmt_scheme": "classic2",
+         "dmt_trials_per_point": (2000, 20000, 200000)},
+    ),
+    "single_realization-fallback": (
+        None,
+        {"experiment": "single_realization", "geometry": "I", "l": 3,
+         "snr_grid_db": (0.0, 20.0), "seed": 1, "adaptive_rule": "c"},
+    ),
+    # .github/workflows/tests.yml
+    "ci-workers-1": (
+        "--experiment dmt_slope --r 0 --snr 20 30 40 --dmt-trials 100000 5000000 100000 "
+        "--l 7 --workers 1 --out dmt_w1.csv",
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0),
+         "output_path": "dmt_w1.csv", "dmt_trials_per_point": (100000, 5000000, 100000)},
+    ),
+    "ci-workers-2": (
+        "--experiment dmt_slope --r 0 --snr 20 30 40 --dmt-trials 100000 5000000 100000 "
+        "--l 7 --workers 2 --out dmt_w2.csv",
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0),
+         "output_path": "dmt_w2.csv", "dmt_trials_per_point": (100000, 5000000, 100000)},
+    ),
+    "ci-config-override": (
+        "--config {config} --l 3",
+        {"experiment": "gain_curve", "l": 3, "snr_grid_db": (0.0, 20.0), "trials": 50,
+         "gain_l_values": (3,)},
+    ),
+    "ci-gamma": (
+        ["--geometry", "{" + CLOSE + ', "gamma": 1e4}', "--snr", "10", "--trials", "10"],
+        {"geometry": {**CLOSE_GEOMETRY, "gamma": 10000.0}, "snr_grid_db": (10.0,),
+         "trials": 10},
+    ),
+    "ci-shadow": (
+        ["--geometry", "{" + CLOSE + ', "shadow_sigma_db": 1e4}', "--snr", "10",
+         "--trials", "10"],
+        {"geometry": {**CLOSE_GEOMETRY, "shadow_sigma_db": 10000.0},
+         "snr_grid_db": (10.0,), "trials": 10},
+    ),
+    "ci-far": (
+        ["--geometry", "{" + FAR + ', "gamma": 6670, "shadow_sigma_db": 0}', "--snr", "40",
+         "--trials", "10"],
+        {"geometry": {**FAR_GEOMETRY, "gamma": 6670.0, "shadow_sigma_db": 0.0},
+         "snr_grid_db": (40.0,), "trials": 10},
+    ),
+    "ci-gain-snr": (
+        "--experiment gain_curve --gain-l 3 7 --trials 10000 --snr 1545",
+        {"experiment": "gain_curve", "snr_grid_db": (1545.0,)},
+    ),
+    "ci-dmt-snr": (
+        "--experiment dmt_slope --snr 2000 2500 3080 --trials 1000",
+        {"experiment": "dmt_slope", "snr_grid_db": (2000.0, 2500.0, 3080.0), "trials": 1000},
+    ),
+    "ci-preset-snr": (
+        "--geometry III --snr 1545 --trials 10",
+        {"snr_grid_db": (1545.0,), "trials": 10},
+    ),
+    "ci-custom-snr": (
+        ["--geometry", "{" + CLOSE + "}", "--snr", "1538", "--trials", "10"],
+        {"geometry": CLOSE_GEOMETRY, "snr_grid_db": (1538.0,), "trials": 10},
+    ),
+    # README.md, "Command line"
+    "readme-sweep": (
+        "--experiment geometry_sweep --geometry III --l 7 --snr 0 5 10 15 20 --trials 10000 "
+        "--seed 7 --adaptive a --out case3.csv --format csv",
+        {"snr_grid_db": (0.0, 5.0, 10.0, 15.0, 20.0), "seed": 7, "output_path": "case3.csv"},
+    ),
+    "readme-gain": (
+        "--experiment gain_curve --snr 0 10 20 30 40 --trials 10000 --seed 7 --gain-l 3 7 "
+        "--out gain.json --format json",
+        {"experiment": "gain_curve", "snr_grid_db": (0.0, 10.0, 20.0, 30.0, 40.0), "seed": 7,
+         "output_path": "gain.json", "output_format": "json"},
+    ),
+    "readme-dmt": (
+        "--experiment dmt_slope --snr 20 30 40 --trials 1000000 --seed 7 --r 0 --out dmt.csv",
+        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0), "trials": 1000000,
+         "seed": 7, "output_path": "dmt.csv"},
+    ),
+    "readme-single": (
+        "--experiment single_realization --geometry II --l 7 --snr 10 --trials 1 --seed 3",
+        {"experiment": "single_realization", "geometry": "II", "snr_grid_db": (10.0,),
+         "trials": 1, "seed": 3},
+    ),
+    # aliases, the ignored --workers, and a file value that a flag replaces
+    "short-experiment": ("-e gain_curve --seed 2", {"experiment": "gain_curve", "seed": 2}),
+    "workers": ("--workers 2", {}),
+    "no-flags": ([], {}),
+    "config-flags-win": (
+        "--config {config} --experiment dmt_slope --l 2 --trials 7 --snr 30 --gain-l 2 5",
+        {"experiment": "dmt_slope", "l": 2, "snr_grid_db": (30.0,), "trials": 7,
+         "gain_l_values": (2, 5)},
+    ),
+}
+
+
+def _argv(name: str, tmp_path) -> list[str]:
+    argv = ARGVS[name][0]
+    argv = CASES[name] if argv is None else argv
+    argv = argv.split() if isinstance(argv, str) else argv
+    if "{config}" in argv:
+        path = tmp_path / "gain_l0.json"
+        path.write_text(json.dumps(GAIN_L0), encoding="utf-8")
+        argv = [str(path) if a == "{config}" else a for a in argv]
+    return argv
+
+
+def _config(argv: list[str]) -> dict:
+    return dataclasses.asdict(config_from_args(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("name", ARGVS)
+def test_argv_parses_to_config(name, tmp_path):
+    expected = {**DEFAULTS, **ARGVS[name][1]}
+    # repr also tells an int from a float and a list from a tuple
+    assert repr(_config(_argv(name, tmp_path))) == repr(expected)
+
+
+def test_every_cli_text_case_is_covered():
+    assert set(CASES) <= set(ARGVS)
+
+
+def test_file_value_that_no_flag_replaces_is_checked(tmp_path):
+    """The file's l = 0 stays when no flag replaces it, and fails its check."""
+    path = tmp_path / "gain_l0.json"
+    path.write_text(json.dumps(GAIN_L0), encoding="utf-8")
+    args = build_parser().parse_args(["--config", str(path)])
+    with pytest.raises(ConfigError) as exc:
+        config_from_args(args)
+    assert exc.value.field == "l"
+
+
+@pytest.mark.parametrize("argv", [["--adaptive", "z"], ["--snr"], ["--trials", "1.5"]])
+def test_bad_flag_value_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_help_names_every_flag_help_and_choice():
+    text = " ".join(build_parser().format_help().split())
+    for name, (_, _, _, flags, help_text) in _FIELDS.items():
+        assert all(flag in text for flag in flags), name
+        assert " ".join(help_text.split()) in text, name
+        if name in CHOICES:
+            assert "{" + ",".join(CHOICES[name]) + "}" in text, name
