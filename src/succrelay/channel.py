@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +30,6 @@ LINK_NAMES = ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")
 # source-relay distance.  0.05 (a tenth of d_sr) keeps the mean inter-relay
 # gain dominant (0.05**-4 = 160,000) without float-range pathologies.
 CASE_III_RELAY_SPACING = 0.05
-
-# natural log of an amplitude per dB of power: 10**(zeta / 20) = exp(zeta * this)
-_LOG_AMPLITUDE_PER_DB = np.log(10.0) / 20.0
 
 
 @dataclass(frozen=True)
@@ -83,17 +79,6 @@ class NetworkGeometry:
             [self.d_sd, self.d_sr1, self.d_sr2, self.d_r1r2, self.d_r1d, self.d_r2d]
         )
 
-    @cached_property
-    def _log_amplitudes(self) -> np.ndarray:
-        """Read-only (6,) log(d**(-gamma/2) / sqrt 2), in LINK_NAMES order.
-
-        The log of each link's path-loss amplitude, with the 1/sqrt 2 that
-        gives the complex Gaussian unit variance folded in.
-        """
-        log_amp = -0.5 * (self.gamma * np.log(self.link_distances()) + np.log(2.0))
-        log_amp.flags.writeable = False
-        return log_amp
-
 
 # case -> (each relay's distance to the source and to the destination, inter-relay distance)
 _PRESETS = {
@@ -127,20 +112,19 @@ def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
     draws it: trial t's real parts, imaginary parts and, when ``geom`` is
     shadowed (k = 3; else k = 2), its shadowing ``zeta / shadow_sigma_db``,
     each in LINK_NAMES order.  Both parts of a coefficient are multiplied by
-    the real amplitude ``exp(_log_amplitudes + zeta * ln(10) / 20)``, zeta
-    in dB.  A coefficient that path loss or shadowing overflows is left inf
-    or NaN, with no warning, for `link_gains` to name.
+    the real amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
+    zeta in dB; the 1/sqrt 2 gives the complex Gaussian unit variance.  A
+    coefficient that path loss or shadowing overflows is left inf or NaN,
+    with no warning, for `link_gains` to name.
     """
-    n = v.shape[0]
-    h = np.empty((6, n), dtype=complex)
-    # (re, im) of h[:, t] lie in float view [:, t, 0] and [:, t, 1]
-    parts = h.view(np.float64).reshape(6, n, 2).transpose(1, 2, 0)
+    h = np.empty((6, v.shape[0]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_amp = geom._log_amplitudes
+        log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
         if geom.shadow_sigma_db > 0.0:
-            log_amp = v[:, 2] * (geom.shadow_sigma_db * _LOG_AMPLITUDE_PER_DB)
-            log_amp += geom._log_amplitudes
-        np.multiply(v[:, :2], np.exp(log_amp).reshape(-1, 1, 6), out=parts)
+            log_amp = log_amp + v[:, 2] * (geom.shadow_sigma_db * (np.log(10.0) / 20.0))
+        amp = np.exp(log_amp)
+        h.real = (v[:, 0] * amp).T
+        h.imag = (v[:, 1] * amp).T
     return h
 
 

@@ -142,7 +142,8 @@ class TestRealization:
         for seed in range(30):
             got = draw_h(geom, np.random.default_rng(seed), n)
             v = np.random.default_rng(seed).standard_normal((n, 3, 6))
-            amp = np.exp(geom._log_amplitudes + v[:, 2] * (8.0 * (np.log(10.0) / 20.0)))
+            log_pathloss = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
+            amp = np.exp(log_pathloss + v[:, 2] * (8.0 * (np.log(10.0) / 20.0)))
             want = ((v[:, 0] + 1j * v[:, 1]) * amp).T
             assert got.tobytes() == want.tobytes(), seed
             # the amplitude is the model's d**(-gamma/2) * 10**(zeta/20) / sqrt 2
@@ -344,17 +345,18 @@ class TestSampleTrials:
         _sample_trials(preset_geometry("I"), 5, 3, n)
         assert seen == [1] * n
 
-    def test_pathloss_amplitudes_cached_read_only(self):
+    def test_pathloss_amplitude_of_unit_normals(self):
         geom = NetworkGeometry(
             d_sd=1.3, d_sr1=0.37, d_sr2=0.61, d_r1d=0.83, d_r2d=0.29, d_r1r2=0.071,
             gamma=3.7, shadow_sigma_db=6.0,
         )
-        log_amp = geom._log_amplitudes
-        assert log_amp is geom._log_amplitudes and not log_amp.flags.writeable
-        # the log of d**(-gamma/2) / sqrt 2, the unit-variance complex Gaussian's scale
+        # normals (1, 0, 0): real part 1, imaginary part 0, no shadowing, so
+        # h is the path-loss amplitude d**(-gamma/2) / sqrt 2 of a
+        # unit-variance complex Gaussian
+        h = coefficients(geom, np.array([[[1.0] * 6, [0.0] * 6, [0.0] * 6]]))
         expected = geom.link_distances() ** (-geom.gamma / 2.0) / np.sqrt(2.0)
-        assert log_amp.shape == (6,)
-        np.testing.assert_allclose(np.exp(log_amp), expected, rtol=1e-14, atol=0.0)
+        assert h.shape == (6, 1) and not h.imag.any()
+        np.testing.assert_allclose(h.real[:, 0], expected, rtol=1e-14, atol=0.0)
 
 
 def test_sample_size_validated():

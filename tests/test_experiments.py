@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dense_oracle import quadrature_capacity_gain
 from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import (
@@ -14,11 +15,14 @@ from succrelay.channel import (
     preset_geometry,
     trial_rng,
 )
-from succrelay.mimolinalg import InvariantError
-from succrelay.protocols import capacity_gain_G, rate_direct_batch
+from succrelay.mimolinalg import InvariantError, logdet_capacity_batch
+from succrelay.outage import snr_from_db
+from succrelay.protocols import ADAPTIVE_RULES, capacity_gain_G, rate_direct_batch
 from succrelay.experiments import (
+    PROTOCOLS,
     ConfigError,
     ExperimentConfig,
+    _point,
     run_dmt,
     run_experiment,
     run_gain_curve,
@@ -245,6 +249,30 @@ class TestGeometrySweep:
             run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "protocols": ("direct",)}))
 
 
+
+# -10 ... 60 dB in 2.5 dB steps
+RISING_SNRS_DB = [-10.0 + 2.5 * i for i in range(29)]
+
+
+class TestRatesRiseWithSnr:
+    """Every per-draw rate is nondecreasing in SNR on the same draws, compared
+    exactly: no decrease was seen on 20k draws per geometry at l = 1..3, 7, 8."""
+
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("l", [1, 2, 7, 8])
+    def test_each_point_row_under_each_adaptive_rule(self, case, l):
+        # _point(cfg, 0, ...) draws stream (seed, 0) at every SNR: the same
+        # draws.  Under rule none each row is its PROTOCOLS kernel's own rate
+        for rule in ADAPTIVE_RULES:
+            cfg = ExperimentConfig(geometry=case, l=l, seed=29, adaptive_rule=rule)
+            assert cfg.protocols == tuple(PROTOCOLS)
+            rows = [_point(cfg, 0, db, 1000)[3] for db in RISING_SNRS_DB]
+            for j, name in enumerate(cfg.protocols):
+                rates = np.array([point[j][2] for point in rows])
+                falls = np.argwhere(np.diff(rates, axis=0) < 0.0)
+                assert falls.size == 0, (rule, name, [(RISING_SNRS_DB[i], t) for i, t in falls[:3]])
+
+
 class TestSampleTrials:
     GEOMETRIES = [
         preset_geometry("I"),
@@ -350,6 +378,34 @@ class TestGainCurve:
         gain, sweep, dmt = keys
         assert gain == {(0, 1), (1, 1), (2, 1)} and sweep and dmt
         assert not gain & sweep and not gain & dmt and not sweep & dmt
+
+
+    @pytest.mark.parametrize("l, snr_db, want", [(7, 40.0, 1.6128959), (3, 20.0, 1.3143436)])
+    def test_quadrature_reference_pins_the_gain(self, l, snr_db, want):
+        # m = 60 and m = 80 nodes per axis agree to 4e-8; the pins hold 7 decimals
+        snr = snr_from_db(snr_db)
+        got = quadrature_capacity_gain(l, snr, 60)
+        assert abs(got - quadrature_capacity_gain(l, snr, 80)) < 4e-8
+        assert got == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monte_carlo_gain_within_four_standard_errors_of_the_quadrature(self, seed):
+        n = 10_000
+        cfg = ExperimentConfig(
+            experiment="gain_curve", snr_grid_db=(0.0, 20.0, 40.0), trials=n, seed=seed,
+            gain_l_values=(3, 7),
+        )
+        got = {(r["l"], r["snr_db"]): r["capacity_gain"] for r in run_gain_curve(cfg)}
+        for l, snr_db in ((3, 0.0), (3, 20.0), (7, 20.0), (7, 40.0)):
+            snr, li = snr_from_db(snr_db), cfg.gain_l_values.index(l)
+            want = quadrature_capacity_gain(l, snr)
+            # the ratio of means a / b on the curve's own draws, with
+            # delta-method standard error std(a - G b) / sqrt(n) / mean(b)
+            g = trial_rng(seed, (li, 1)).standard_exponential((3, n))
+            a = logdet_capacity_batch(*g, snr, l) / (l + 1)
+            b = 0.5 * np.log2(1.0 + g.sum(axis=0) * snr)
+            se = np.std(a - want * b) / np.sqrt(n) / np.mean(b)
+            assert abs(got[l, snr_db] - want) <= 4.0 * se, (l, snr_db, got[l, snr_db], want, se)
 
 
 class TestDmtExperiment:

@@ -332,6 +332,53 @@ class TestLogdetExtremes:
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(want, 1.0)), (snr, l)
 
 
+class TestLogdetPeriod:
+    """Two more codewords add one period of the pivot recurrence, in closed form.
+
+    Pivot step k maps v to T_r(v) = a0 (1 + v) / (1 + v + a_r), the Moebius
+    map of [[a0, a0], [1, 1 + a_r]], with relay r = 1 on even k and 2 on odd
+    k.  From an even l one period is M = [[A, B], [C, D]] =
+    [[a0, a0], [1, 1 + a2]] @ [[a0, a0], [1, 1 + a1]], and it adds
+    log2((1 + v_l + a1) (1 + T_1(v_l) + a2)) = log2(C v_l + D) bits.  M's
+    eigenvalues lam1 > lam2 > 0 have the fixed points p, the positive v*,
+    and q < 0, with lam = C v + D at each; z = (v - p) / (v - q) shrinks by
+    lam2 / lam1 per period, from v_0 = a0.  So with z_l = (lam2 / lam1)^(l/2) z_0,
+    v_l = (p - q z_l) / (1 - z_l) and the period adds
+    log2((lam1 - lam2 z_l) / (1 - z_l)), which tends to
+    log2(lam1) = log2((1 + v* + a1) (1 + T_1(v*) + a2)).  The ratio lam2 / lam1
+    nears 1 as the three gains near each other at high SNR: at 40 dB one of
+    these draws still stands 3e-5 bits off that limit at l = 64.
+    """
+
+    @pytest.mark.parametrize("l", [2, 16, 64])
+    @pytest.mark.parametrize("snr", [1.0, 100.0, 1e4])
+    def test_two_more_codewords_add_one_period(self, snr, l):
+        g = np.random.default_rng(5).standard_exponential((3, 5))
+        a0, a1, a2 = snr * g
+        one = np.ones_like(a0)
+        m1 = np.array([[a0, a0], [one, 1.0 + a1]]).transpose(2, 0, 1)
+        m2 = np.array([[a0, a0], [one, 1.0 + a2]]).transpose(2, 0, 1)
+        (A, B), (C, D) = (m2 @ m1).transpose(1, 2, 0)
+        trace = A + D
+        lam1 = (trace + np.sqrt(trace**2 - 4.0 * (a0 * a1) * (a0 * a2))) / 2.0
+        lam2 = (a0 * a1) * (a0 * a2) / lam1  # det M = det M2 det M1
+        # the fixed points solve C v^2 + (D - A) v - B = 0
+        p = (A - D + np.sqrt((A - D) ** 2 + 4.0 * B * C)) / (2.0 * C)
+        q = -B / (C * p)
+        t1 = a0 * (1.0 + p) / (1.0 + p + a1)
+        np.testing.assert_allclose((1.0 + p + a1) * (1.0 + t1 + a2), lam1, rtol=1e-14)
+        z_l = (lam2 / lam1) ** (l // 2) * (a0 - p) / (a0 - q)
+        want = np.log2(lam1 - lam2 * z_l) - np.log2(1.0 - z_l)
+        longer = logdet_capacity_batch(*g, snr, l + 2)
+        got = longer - logdet_capacity_batch(*g, snr, l)
+        # each of the l + 2 pivot steps rounds q and its factor a few times,
+        # a few eps each in the log, and each move of q's log into the scale
+        # rounds relative to the log-det: each log-det is exact to a few eps
+        # (l + 2 + logdet) bits, their difference to twice that
+        tol = 8.0 * np.finfo(float).eps * (l + 2 + longer)
+        assert np.all(np.abs(got - want) <= tol), (got - want, tol)
+
+
 class TestLogdetAgainstEveryStepCheck:
     """The kernel skips the overflow check where its piece's bound says q
     cannot pass `_PRODUCT_LIMIT`: its bytes equal those of the recurrence

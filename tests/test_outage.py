@@ -15,9 +15,16 @@ from dense_oracle import (
     table_candidate_gains,
 )
 from succrelay import outage
-from succrelay.channel import trial_rng
+from succrelay.channel import NetworkGeometry, link_gains, sample_realizations, trial_rng
 from succrelay.mimolinalg import CHUNK, build_equivalent_channel_batch, logdet_capacity_batch
-from succrelay.outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
+from succrelay.outage import (
+    DmtPoint,
+    dmt_formula,
+    estimate_dmt,
+    outage_prob_conditioned,
+    snr_from_db,
+)
+from succrelay.protocols import rate_classic_batch, successive_genie_batch
 
 
 def miso_outage_oracle(snr: float, rbar: float) -> float:
@@ -808,3 +815,56 @@ class TestEstimateDmt:
                 target_rates_per_slot=(1.0,),
                 scheme="successive",
             )
+
+
+# Source-relay gains ~1e12 (d = 1e-3, gamma = 4) and no shadowing: the relays
+# always decode, and the unit-distance destination gains are Exp(1), so a
+# sweep draw is a draw of the outage engine's conditioned model.
+DECODING_RELAYS = NetworkGeometry(
+    d_sd=1.0, d_sr1=1e-3, d_sr2=1e-3, d_r1d=1.0, d_r2d=1.0, d_r1r2=1.0,
+    gamma=4.0, shadow_sigma_db=0.0,
+)
+SWEEP_DRAWS, ENGINE_TRIALS = 200_000, 10**6
+
+
+@pytest.fixture(scope="module")
+def decoding_relay_gains():
+    v = sample_realizations(DECODING_RELAYS, trial_rng(1, 0), SWEEP_DRAWS)
+    return link_gains(DECODING_RELAYS, v)
+
+
+class TestSweepKernelsMatchTheEngine:
+    """The sweep's rate kernels and the outage engine count the same events."""
+
+    @pytest.mark.parametrize(
+        "scheme, l, snr_db, rbar",
+        [
+            ("successive", 1, 10.0, 1.0),
+            ("successive", 2, 10.0, 1.0),
+            ("successive", 3, 10.0, 1.0),
+            ("successive", 7, 10.0, 1.0),
+            ("successive", 7, 15.0, 1.5),
+            ("classic2", 7, 10.0, 1.0),
+            ("classic2", 7, 20.0, 2.0),
+            ("classic2", 7, 0.0, 0.5),
+        ],
+    )
+    def test_outage_frequencies_agree(self, decoding_relay_gains, scheme, l, snr_db, rbar):
+        g, snr = decoding_relay_gains, snr_from_db(snr_db)
+        if scheme == "successive":
+            # the rate clips the caps' sum by the log-det; the engine also
+            # fails a frame whose weakest codeword cap is below r_cw, which
+            # the sum alone can hide (at l = 7, 10 dB it read 0.0016, not 0.0129)
+            rate, per_cw = successive_genie_batch(g, snr, l)[:2]
+            r_cw = outage.SCHEMES["successive"][0](rbar, l)
+            failed = (rate < rbar) | (per_cw.min(axis=1) < r_cw)
+        else:
+            failed = rate_classic_batch(g, snr, 0.5) < rbar
+        p_sweep = np.mean(failed)
+        p_engine = outage_prob_conditioned(snr, rbar, l, ENGINE_TRIALS, 2, scheme=scheme)
+        # two independent binomial frequencies: 4 combined standard errors
+        se = np.sqrt(
+            p_sweep * (1 - p_sweep) / SWEEP_DRAWS + p_engine * (1 - p_engine) / ENGINE_TRIALS
+        )
+        assert 0.0 < p_engine < 1.0
+        assert abs(p_sweep - p_engine) <= 4.0 * se, (p_sweep, p_engine)
