@@ -162,15 +162,41 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def sample_realizations(geom: NetworkGeometry, rng: np.random.Generator, n: int) -> np.ndarray:
+def realization_shape(geom: NetworkGeometry, n: int) -> tuple[int, int, int]:
+    """The shape (n, k, 6) of n trials' normals: k = 3 when ``geom`` is shadowed, else 2."""
+    return (n, 3 if geom.shadow_sigma_db > 0.0 else 2, 6)
+
+
+def sample_realizations(
+    geom: NetworkGeometry, rng: np.random.Generator, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw the standard normals of ``n`` independent channel realizations.
 
     One ``standard_normal((n, k, 6))`` draw, trial-major, returned as is
-    (k = 3 when shadowed, else 2); `coefficients` and `link_gains` scale
-    it.  So one call for n trials gives the same bytes as n consecutive
-    calls for one trial each on the same generator, joined in order.
+    (`realization_shape`: k = 3 when shadowed, else 2); `coefficients` and
+    `link_gains` scale it.  So one call for n trials gives the same bytes
+    as n consecutive calls for one trial each on the same generator, joined
+    in order.
+
+    With ``out``, a writable C-contiguous float64 array of shape (n, k, 6),
+    the draw fills ``out`` and returns it, with the same bytes as a fresh
+    draw.  ``n`` must be an integer >= 1 and not a bool; a bad ``n`` or
+    ``out`` raises ValueError before anything is drawn.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    k = 3 if geom.shadow_sigma_db > 0.0 else 2
-    return rng.standard_normal((n, k, 6))
+    # an int skips the numbers.Integral test, an ABC check that costs about as
+    # much as the rest of a one-trial call, and a sweep makes one per trial
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    shape = realization_shape(geom, n)
+    if out is None:
+        return rng.standard_normal(shape)
+    # the draw rejects a read-only, misaligned or non-float64 out before it
+    # draws; the shape and the C order are checked here
+    try:
+        if out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"shape {out.shape} or not C-contiguous")
+        return rng.standard_normal(out=out)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"out must be a writable C-contiguous float64 array of shape {shape}"
+        ) from exc

@@ -31,6 +31,7 @@ from .channel import (
     coefficients,
     link_gains,
     preset_geometry,
+    realization_shape,
     sample_realizations,
     trial_rng,
 )
@@ -224,12 +225,15 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> np
     The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
-    for all n trials on the same stream gives the same bytes.  Each call
-    returns only its normals, and their blocks are joined in order, for
-    `_point` to scale once.
+    for all n trials on the same stream gives the same bytes.  The block is
+    allocated once, and each call draws its trial's normals into that
+    trial's (1, k, 6) row of it (``out``), for `_point` to scale once.
     """
     rng = trial_rng(seed, snr_idx)
-    return np.concatenate([sample_realizations(geom, rng, 1) for _ in range(n)])
+    v = np.empty(realization_shape(geom, n))
+    for row in v[:, None]:
+        sample_realizations(geom, rng, 1, out=row)
+    return v
 
 
 def _mean_sem(x: np.ndarray) -> tuple[float, float]:

@@ -158,6 +158,31 @@ class TestRealization:
         v = sample_realizations(geom, trial_rng(41, 2), n)
         assert type(v) is np.ndarray and v.shape == (n, k, 6)
         assert v.tobytes() == trial_rng(41, 2).standard_normal((n, k, 6)).tobytes()
+        # with out, the same draw fills out and returns it
+        out = np.full((n, k, 6), np.nan)
+        assert sample_realizations(geom, trial_rng(41, 2), n, out=out) is out
+        assert out.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("geom", [GEOMETRIES[0], GEOMETRIES[3]])
+    @pytest.mark.parametrize("bad", [
+        "wrong n", "wrong k", "float32", "non-contiguous", "Fortran order", "read-only", "list",
+    ])
+    def test_bad_out_rejected_before_drawing(self, geom, bad):
+        n, k = 7, 3 if geom.shadow_sigma_db > 0.0 else 2
+        out = {
+            "wrong n": lambda: np.empty((n + 1, k, 6)),
+            "wrong k": lambda: np.empty((n, 5 - k, 6)),
+            "float32": lambda: np.empty((n, k, 6), dtype=np.float32),
+            "non-contiguous": lambda: np.empty((n, k, 12))[..., ::2],
+            "Fortran order": lambda: np.empty((n, k, 6), order="F"),
+            "read-only": lambda: np.lib.stride_tricks.as_strided(np.empty((n, k, 6)), writeable=False),
+            "list": lambda: np.empty((n, k, 6)).tolist(),
+        }[bad]()
+        rng = trial_rng(41, 2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^out must"):
+            sample_realizations(geom, rng, n, out=out)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     def test_link_gains_are_squared_coefficient_moduli(self, geom):
@@ -331,19 +356,27 @@ class TestSampleTrials:
             want = draw_h(geom, trial_rng(seed, snr_idx), n)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("geom", [GEOMETRIES[0], GEOMETRIES[3]])
     @pytest.mark.parametrize("n", [1, 7])
-    def test_one_sampler_call_per_trial(self, monkeypatch, n):
+    def test_one_sampler_call_per_trial(self, monkeypatch, geom, n):
         # the per-trial layout that the benchmark's tracer counts
-        # (channel.calls = trials x SNR points)
-        sample, seen = experiments.sample_realizations, []
+        # (channel.calls = trials x SNR points); each call fills its own
+        # trial's row of the one block that _sample_trials returns
+        sample, seen, rows = experiments.sample_realizations, [], []
 
-        def record(geom, rng, m):
+        def record(geom, rng, m, **kwargs):
             seen.append(m)
-            return sample(geom, rng, m)
+            rows.append(kwargs.get("out"))
+            return sample(geom, rng, m, **kwargs)
 
         monkeypatch.setattr(experiments, "sample_realizations", record)
-        _sample_trials(preset_geometry("I"), 5, 3, n)
+        v = _sample_trials(geom, 5, 3, n)
         assert seen == [1] * n
+        k = 3 if geom.shadow_sigma_db > 0.0 else 2
+        assert v.shape == (n, k, 6)
+        for t, row in enumerate(rows):
+            assert isinstance(row, np.ndarray) and row.shape == (1, k, 6)
+            assert row.ctypes.data == v[t:].ctypes.data
 
     def test_pathloss_amplitude_of_unit_normals(self):
         geom = NetworkGeometry(
@@ -359,6 +392,16 @@ class TestSampleTrials:
         np.testing.assert_allclose(h.real[:, 0], expected, rtol=1e-14, atol=0.0)
 
 
-def test_sample_size_validated():
-    with pytest.raises(ValueError):
-        sample_realizations(preset_geometry("I"), np.random.default_rng(0), 0)
+@pytest.mark.parametrize("n", [0, -1, True, False, 2.5, np.float64(3), "3", None])
+def test_sample_size_validated(n):
+    # n follows check_kernel_args' rule for l: an integer >= 1, not a bool
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^n must"):
+        sample_realizations(preset_geometry("I"), rng, n)
+    assert rng.bit_generator.state == state
+
+
+def test_numpy_integer_sample_size_accepted():
+    v = sample_realizations(preset_geometry("I"), trial_rng(41, 2), np.int64(3))
+    assert v.tobytes() == trial_rng(41, 2).standard_normal((3, 3, 6)).tobytes()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dense_oracle import quadrature_capacity_gain
+from dense_oracle import quadrature_capacity_gain, quadrature_direct_rate
 from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import (
@@ -247,6 +247,25 @@ class TestGeometrySweep:
         )
         with pytest.raises(InvariantError, match="mean rates and standard errors must be >= 0"):
             run_geometry_sweep(ExperimentConfig(**{**SMALL_SWEEP, "protocols": ("direct",)}))
+
+    @pytest.mark.parametrize("snr_db, want", [(0.0, 1.2566905), (20.0, 5.9842113), (40.0, 12.4599001)])
+    def test_quadrature_reference_pins_the_direct_rate(self, snr_db, want):
+        # every preset has d_sd = 1, gamma 4 and 8 dB shadowing; m = 60 and
+        # m = 100 Gauss-Hermite nodes agree to 1e-9
+        got = quadrature_direct_rate(snr_from_db(snr_db), 1.0, 4.0, 8.0)
+        assert abs(got - quadrature_direct_rate(snr_from_db(snr_db), 1.0, 4.0, 8.0, 100)) < 1e-9
+        assert got == pytest.approx(want, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mean_direct_rate_within_four_standard_errors_of_the_quadrature(self, seed):
+        cfg = ExperimentConfig(
+            experiment="geometry_sweep", geometry="I", snr_grid_db=(0.0, 20.0, 40.0),
+            trials=10_000, seed=seed, protocols=("direct",),
+        )
+        for row in run_geometry_sweep(cfg):
+            want = quadrature_direct_rate(snr_from_db(row["snr_db"]), 1.0, 4.0, 8.0)
+            got, se = row["rates"]["direct"], row["stderrs"]["direct"]
+            assert abs(got - want) <= 4.0 * se, (row["snr_db"], got, want, se)
 
 
 
