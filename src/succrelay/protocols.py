@@ -24,7 +24,12 @@ Only the first codeword's source cap (the first slot has no interference)
 and the last codeword's interference cap (no codeword follows it) fall
 outside the pattern.  Every codeword also carries the destination-side
 single-stream cap, and the frame total is clipped by the equivalent MIMO
-channel's log-det bound.
+channel's log-det bound.  The l/(l+1) pre-log holds for `theorem1_rate_batch`
+(the interference-free bound) and for the relay-conditioned DMT of `outage`.
+The genie and V-BLAST recursion grows at (growing codewords)/(l+1) per draw:
+a saturated codeword tends to log2(1 + g_r1r2/g_next) or log2(1 + g_next/g_r1r2).
+PAPER.md holds only the abstract, so the paper's relay decoding rule cannot be
+checked here.
 """
 
 from __future__ import annotations

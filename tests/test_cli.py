@@ -4,13 +4,20 @@ Each argv below maps to ``dataclasses.asdict`` of its one config, written
 out as a literal: the benchmark's four workloads at seed 7, the
 ``test_cli_text`` cases, the argvs of the CI steps, README's examples and
 the aliases.  A change of the parser that moves any field of any of them,
-or the type a value is stored as, fails here.
+or the type a value is stored as, fails here.  README's commands and its
+library example are read from README itself, so they cannot drift.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_cli_text import CASES
@@ -44,6 +51,7 @@ FAR = '"d_sd": 1, "d_sr1": 0.9, "d_sr2": 0.9, "d_r1d": 0.9, "d_r2d": 0.9, "d_r1r
 FAR_GEOMETRY = {
     "d_sd": 1.0, "d_sr1": 0.9, "d_sr2": 0.9, "d_r1d": 0.9, "d_r2d": 0.9, "d_r1r2": 0.9
 }
+README = Path(__file__).resolve().parents[1] / "README.md"
 # the config file of CI's "Flags override the config file" step
 GAIN_L0 = {
     "experiment": "gain_curve", "l": 0, "snr_grid_db": [0, 20], "trials": 50,
@@ -246,3 +254,27 @@ def test_help_names_every_flag_help_and_choice():
         assert " ".join(help_text.split()) in text, name
         if name in CHOICES:
             assert "{" + ",".join(CHOICES[name]) + "}" in text, name
+
+
+def _readme_blocks(language: str) -> list[str]:
+    """The bodies of README's fenced code blocks in ``language``."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_commands_are_the_readme_argvs():
+    """Each `simulate` command of README, its continuations joined, is the
+    argv of one readme-* entry, and each such entry is one command."""
+    lines = "\n".join(_readme_blocks("sh")).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("simulate ")]
+    argvs = [argv.split() for name, (argv, _) in ARGVS.items() if name.startswith("readme-")]
+    assert sorted(commands) == sorted(argvs)
+
+
+def test_readme_library_example_runs():
+    (code,) = _readme_blocks("python")
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

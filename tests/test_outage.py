@@ -222,7 +222,9 @@ class TestCandidateScreen:
 
     def test_keeps_few_draws_at_high_snr(self):
         # l = 7, 1 bit/slot: the caps alone fail with probability (1 - e^-t)^2,
-        # at most p_out, so cells of mass up to 1.3 times that keep few draws
+        # at most p_out, so cells of mass up to 1.3 times that keep few draws;
+        # the count draws ~1.2 candidates per event at 20-60 dB (1.18-1.22,
+        # cell mass over p_out from ~33,000 events at each 10 dB)
         l, r_cw = 7, 8 / 7
         for snr_db in (20.0, 40.0, 60.0):
             snr = 10.0 ** (snr_db / 10.0)
