@@ -6,12 +6,12 @@ rate sweeps, the empirical DMT slope and single-realization diagnostics.
 Output is data only (CSV or JSON); plotting is left to external tools.
 
 Determinism contract: each experiment draws from its own `trial_rng`
-streams, keyed apart as that function states, on one thread.  A sweep
-draws each SNR point's trials trial-major, so a run with more trials
-extends it without changing earlier trials.  Per-trial results are
-assembled in trial order before any aggregation, and Monte Carlo counters
-are integers, so a fixed (config, seed) pair produces byte-identical
-output files.
+streams, keyed apart as that function states, on one thread.  A sweep draws
+each SNR point's trials trial-major, so more trials extend it without changing
+earlier ones; a single realization reads trial 0 of stream (seed, 0) once for
+every SNR point.  Per-trial results are assembled in trial order before any
+aggregation, and Monte Carlo counters are integers, so a fixed (config, seed)
+pair produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -220,14 +220,14 @@ class ExperimentConfig:
 
 def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> np.ndarray:
     """The (n, k, 6) normals of trials 0, ..., n - 1 of SNR point snr_idx's
-    stream, in trial order.
+    stream: a sweep point's trials, or the single realization's trial 0 of
+    point 0, drawn once and evaluated at every SNR point.
 
-    The stream is ``trial_rng(seed, snr_idx)``.  It is drawn one trial per
+    The stream is ``trial_rng(seed, snr_idx)``, drawn one trial per
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
-    for all n trials on the same stream gives the same bytes.  The block is
-    allocated once, and each call draws its trial's normals into that
-    trial's (1, k, 6) row of it (``out``), for `_point` to scale once.
+    for all n trials gives the same bytes.  Each call draws into its trial's
+    (1, k, 6) row (``out``) of one block, in trial order, for `_point`.
     """
     rng = trial_rng(seed, snr_idx)
     v = np.empty(realization_shape(geom, n))
@@ -243,20 +243,17 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
-def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
-    """Every configured protocol at one SNR point, on trials 0, ..., n - 1 of
-    stream (seed, snr_idx), drawn by `_sample_trials` and scaled to gains by
-    one `link_gains` call.
+def _point(cfg: ExperimentConfig, v: np.ndarray, snr_db: float):
+    """Every configured protocol at one SNR point, on the (n, k, 6) normals
+    ``v``, scaled to gains by one `link_gains` call; it draws nothing.
 
-    Returns the drawn normals, the rule's keep mask, the two interference-free
-    flags and one (name, relaying, rate, per-codeword caps, decode-first
-    branches) row per protocol.  A relaying scheme's rejected draws take the
-    direct rate; its caps and branches stay the kernel's.  A gain that path
-    loss or shadowing overflows is a geometry error.  An overflow in a kernel
-    on finite gains is a grid error when snr is at least the largest gain,
-    and a geometry error otherwise.
+    Returns the rule's keep mask, the two interference-free flags and one
+    (name, relaying, rate, per-codeword caps, decode-first branches) row per
+    protocol.  A relaying scheme's rejected draws take the direct rate; its
+    caps and branches stay the kernel's.  A gain that path loss or shadowing
+    overflows is a geometry error, and so is a kernel overflow on finite gains
+    unless snr is at least the largest gain, which makes it a grid error.
     """
-    v = _sample_trials(cfg.network, cfg.seed, snr_idx, n)
     snr = snr_from_db(snr_db)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -282,7 +279,7 @@ def _point(cfg: ExperimentConfig, snr_idx: int, snr_db: float, n: int):
         relaying, (rate, caps, branches) = PROTOCOLS[name][0], out[name]
         rate = np.where(keep, rate, out["direct"][0]) if relaying else rate
         rows.append((name, relaying, rate, caps, branches))
-    return v, keep, flags, rows
+    return keep, flags, rows
 
 
 def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -295,7 +292,8 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        _, keep, (cancel_ok, source_ok), point = _point(cfg, snr_idx, snr_db, cfg.trials)
+        v = _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials)
+        keep, (cancel_ok, source_ok), point = _point(cfg, v, snr_db)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
         rows.append(
@@ -349,15 +347,16 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
 def run_single_realization(cfg: ExperimentConfig) -> dict:
     """Full per-protocol diagnostics of trial 0 across the SNR grid.
 
-    The n = 1 view of the sweep's `_point`: every SNR point reads trial 0
-    of stream (seed, 0), the first draw of the sweep's first point, and
-    lists the decode-first branches, per-codeword caps and flags that the
-    sweep averages away.  A fallen-back codeword is one direct codeword,
-    with no branches.
+    The n = 1 view of the sweep's `_point`: trial 0 of stream (seed, 0), the
+    first draw of the sweep's first point, is read once and evaluated at
+    every SNR point, listing the decode-first branches, per-codeword caps
+    and flags that the sweep averages away.  A fallen-back codeword is one
+    direct codeword, with no branches.
     """
+    v = _sample_trials(cfg.network, cfg.seed, 0, 1)
     entries = []
     for snr_db in cfg.snr_grid_db:
-        v, keep, flags, point = _point(cfg, 0, snr_db, 1)
+        keep, flags, point = _point(cfg, v, snr_db)
         for name, relaying, rate, caps, branches in point:
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
@@ -373,7 +372,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
                 interference_free=None if branches is None else bool(flags[0][0]),
                 source_links_strong=None if branches is None else bool(flags[1][0]),
             )
-    h = coefficients(cfg.network, v)[:, 0].tolist()  # the same draw at every point
+    h = coefficients(cfg.network, v)[:, 0].tolist()
     coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
     return {"realization": coeffs, "entries": entries}
 

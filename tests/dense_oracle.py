@@ -29,12 +29,17 @@ The capacity-gain reference is deterministic: product Gauss-Legendre rules
 in u = ln g integrate the mean log-det over three Exp(1) gains and the
 classic-II mean over their Gamma(3, 1) sum, with no random draw.  The
 direct-rate reference integrates the closed-form Rayleigh mean over the
-lognormal shadowing with a Gauss-Hermite rule, likewise with no draw.
+lognormal shadowing with a Gauss-Hermite rule, likewise with no draw.  For
+unshadowed gains, independent exponentials, the mean count of growing
+successive codewords is a closed form in the three gain means, and the classic
+I/II mean is a 1-D ``quad`` integral of a product of exponential and
+hypoexponential tails.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from succrelay import outage
@@ -356,3 +361,57 @@ def quadrature_direct_rate(
     xs, xf = np.where(far, 1.0, x), np.where(far, x, 1.0)
     mean_ln = np.where(far, 1 / xf - 1 / xf**2 + 2 / xf**3 - 6 / xf**4, np.exp(xs) * exp1(xs))
     return float(w @ mean_ln / np.sqrt(np.pi) / LN2)
+
+
+def expected_growing_codewords(l: int, mu_sr1: float, mu_sr2: float, mu_r1r2: float) -> float:
+    """E[growing codewords] of a frame of l codewords, in closed form, for
+    independent exponential gains of means mu (unshadowed: mu = d**-gamma).
+
+    With s_p = (g_r1r2 > g_next of parity p), g_next = (g_sr2, g_sr1), the
+    count is a function of the cell (s_0, s_1) alone: codeword 0 grows iff
+    not s_0, a middle codeword of parity p iff s_(1-p) and not s_p, the last
+    iff s_(1-p).  So both or neither give 1; s_0 alone the odd codewords,
+    floor(l/2); s_1 alone the even ones, ceil(l/2).  At l = 1 the one
+    codeword always grows.  Each s_p compares two exponentials, so
+    P(s_p) = mu_r1r2 / (mu_r1r2 + mu_next), and in rates lambda = 1/mu,
+    P(s_0 and s_1) = P(g_r1r2 > max(g_sr1, g_sr2))
+    = 1 - lr/(lr + l1) - lr/(lr + l2) + lr/(lr + l1 + l2).
+    """
+    if l == 1:
+        return 1.0
+    lr, l1, l2 = 1.0 / mu_r1r2, 1.0 / mu_sr1, 1.0 / mu_sr2
+    p0, p1 = mu_r1r2 / (mu_r1r2 + mu_sr2), mu_r1r2 / (mu_r1r2 + mu_sr1)
+    both = 1.0 - lr / (lr + l1) - lr / (lr + l2) + lr / (lr + l1 + l2)
+    neither = 1.0 - p0 - p1 + both
+    return both + neither + (p0 - both) * (l // 2) + (p1 - both) * ((l + 1) // 2)
+
+
+def quadrature_classic_bottleneck(snr: float, means: np.ndarray) -> tuple[float, float]:
+    """E[min(C(snr g_sr1), C(snr g_sr2), C(snr S))], S = g_sd + g_r1d + g_r2d,
+    for independent exponential gains of ``means`` in `channel.LINK_NAMES`
+    order, integrated, not sampled; returns the mean and quad's error bound.
+
+    The classic rates are 1/3 and 1/2 of it under rule none.  A nonnegative
+    variable's mean is the integral of its tail: the min exceeds t bits iff
+    each gain exceeds x = (2^t - 1) / snr, so the integrand is
+    e^(-x/mu_sr1) e^(-x/mu_sr2) P(S > x), with the hypoexponential tail
+    P(S > x) = sum_i e^(-lambda_i x) prod_(j != i) lambda_j / (lambda_j - lambda_i)
+    of three distinct rates lambda = 1/mu.  2^t - 1 is expm1(t ln 2), and t
+    stops where x reaches 60 times the larger source-relay mean: the
+    integrand is below e^-60 past it.  ``quad`` would overflow 2**t on an
+    infinite range.
+    """
+    mu_sd, mu_sr1, mu_sr2, _, mu_r1d, mu_r2d = means
+    lam = 1.0 / np.array([mu_sd, mu_r1d, mu_r2d])
+    if len(set(lam)) < 3:
+        raise ValueError(f"the destination means must be distinct, got {means}")
+    weights = [np.prod([lj / (lj - li) for lj in lam if lj != li]) for li in lam]
+
+    def tail(t: float) -> float:
+        x = np.expm1(t * LN2) / snr
+        s_tail = sum(w * np.exp(-li * x) for w, li in zip(weights, lam))
+        return float(np.exp(-x / mu_sr1 - x / mu_sr2) * s_tail)
+
+    t_end = np.log1p(60.0 * max(mu_sr1, mu_sr2) * snr) / LN2
+    mean, err = quad(tail, 0.0, t_end, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return mean, err

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from dense_oracle import quadrature_capacity_gain, quadrature_direct_rate
+from dense_oracle import (
+    quadrature_capacity_gain,
+    quadrature_classic_bottleneck,
+    quadrature_direct_rate,
+)
 from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import (
@@ -267,6 +272,24 @@ class TestGeometrySweep:
             got, se = row["rates"]["direct"], row["stderrs"]["direct"]
             assert abs(got - want) <= 4.0 * se, (row["snr_db"], got, want, se)
 
+    def test_mean_classic_rates_within_four_standard_errors_of_the_quadrature(self):
+        # unshadowed gains with distinct means, rule none: each classic mean is
+        # its prefactor times quadrature_classic_bottleneck, whose quad error
+        # bound stays below 1e-8 bits.  Both rates share one bottleneck per
+        # point, so the four points are four tests at 4 stderrs (~6e-5 each)
+        geometry = dict(d_sd=1.0, d_sr1=0.6, d_sr2=0.8, d_r1d=0.7, d_r2d=0.5, d_r1r2=0.9)
+        cfg = ExperimentConfig(
+            geometry={**geometry, "shadow_sigma_db": 0.0}, snr_grid_db=(0.0, 10.0, 20.0, 30.0),
+            trials=20_000, seed=6, protocols=("classic1", "classic2"), adaptive_rule="none",
+        )
+        means = cfg.network.link_distances() ** -cfg.network.gamma
+        for row in run_geometry_sweep(cfg):
+            bottleneck, err = quadrature_classic_bottleneck(snr_from_db(row["snr_db"]), means)
+            assert err < 1e-8
+            for name, prefactor in (("classic1", 1.0 / 3.0), ("classic2", 0.5)):
+                got, se = row["rates"][name], row["stderrs"][name]
+                want = prefactor * bottleneck
+                assert abs(got - want) <= 4.0 * se, (name, row["snr_db"], got, want, se)
 
 
 # -10 ... 60 dB in 2.5 dB steps
@@ -280,12 +303,13 @@ class TestRatesRiseWithSnr:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("l", [1, 2, 7, 8])
     def test_each_point_row_under_each_adaptive_rule(self, case, l):
-        # _point(cfg, 0, ...) draws stream (seed, 0) at every SNR: the same
-        # draws.  Under rule none each row is its PROTOCOLS kernel's own rate
+        # one draw of stream (seed, 0), evaluated at every SNR.  Under rule
+        # none each row is its PROTOCOLS kernel's own rate
         for rule in ADAPTIVE_RULES:
             cfg = ExperimentConfig(geometry=case, l=l, seed=29, adaptive_rule=rule)
             assert cfg.protocols == tuple(PROTOCOLS)
-            rows = [_point(cfg, 0, db, 1000)[3] for db in RISING_SNRS_DB]
+            v = experiments._sample_trials(cfg.network, cfg.seed, 0, 1000)
+            rows = [_point(cfg, v, db)[2] for db in RISING_SNRS_DB]
             for j, name in enumerate(cfg.protocols):
                 rates = np.array([point[j][2] for point in rows])
                 falls = np.argwhere(np.diff(rates, axis=0) < 0.0)
@@ -318,11 +342,11 @@ class TestSampleTrials:
 
     @pytest.mark.parametrize(
         "experiment,calls",
-        [("geometry_sweep", [(0, 300), (1, 300), (2, 300)]), ("single_realization", [(0, 1)] * 3)],
+        [("geometry_sweep", [(0, 300), (1, 300), (2, 300)]), ("single_realization", [(0, 1)])],
     )
     def test_stream_each_point_reads(self, monkeypatch, experiment, calls):
-        # (snr_idx, n) of each point's draw: a sweep point reads its own
-        # stream, and every single-realization point reads trial 0 of stream 0
+        # (snr_idx, n) of each draw: a sweep point reads its own stream, and a
+        # single realization reads trial 0 of stream 0 once for every point
         sample, seen = experiments._sample_trials, []
 
         def record(geom, seed, snr_idx, n):
@@ -332,6 +356,20 @@ class TestSampleTrials:
         monkeypatch.setattr(experiments, "_sample_trials", record)
         run_experiment(ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment}))
         assert seen == calls
+
+    def test_point_draws_nothing(self, monkeypatch):
+        # _point evaluates the normals it is handed: with every sampler
+        # patched to raise, two calls on one draw give the same bytes
+        cfg = ExperimentConfig(**{**SMALL_SWEEP, "protocols": tuple(PROTOCOLS)})
+        v = experiments._sample_trials(cfg.network, cfg.seed, 0, cfg.trials)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_point drew from a stream")
+
+        for name in ("trial_rng", "sample_realizations", "_sample_trials"):
+            monkeypatch.setattr(experiments, name, forbidden)
+        first, second = (pickle.dumps(_point(cfg, v, 10.0)) for _ in range(2))
+        assert first == second
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     def test_gains_scaled_once_per_point(self, monkeypatch, experiment):
