@@ -26,7 +26,7 @@ from .mimolinalg import (
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
 )
-from .outage import DmtPoint, dmt_formula, estimate_dmt, outage_prob_conditioned
+from .outage import DmtPoint, estimate_dmt, outage_prob_conditioned
 from .protocols import (
     ADAPTIVE_RULES,
     adaptive_keep_batch,
@@ -53,7 +53,6 @@ __all__ = [
     "adaptive_keep_batch",
     "capacity_gain_G",
     "coefficients",
-    "dmt_formula",
     "estimate_dmt",
     "interference_free_batch",
     "link_gains",

@@ -115,8 +115,12 @@ def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
     the real amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
     zeta in dB; the 1/sqrt 2 gives the complex Gaussian unit variance.  A
     coefficient that path loss or shadowing overflows is left inf or NaN,
-    with no warning, for `link_gains` to name.
+    with no warning, for `link_gains` to name.  ``v`` of any other shape
+    raises ValueError.
     """
+    shape = realization_shape(geom, len(v))
+    if v.shape != shape:
+        raise ValueError(f"v must have shape {shape}, got {v.shape}")
     h = np.empty((6, v.shape[0]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
@@ -131,8 +135,9 @@ def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
 def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
     """The (6, n) squared link gains |h|**2 of normals ``v`` that every rate reads.
 
-    Raises ValueError naming the first link with a gain that is not
-    finite: a non-finite coefficient, or one whose square overflows.
+    Raises ValueError, as `coefficients` does, on ``v`` of a shape other
+    than `realization_shape`, and naming the first link with a gain that is
+    not finite: a non-finite coefficient, or one whose square overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.abs(coefficients(geom, v)) ** 2
@@ -152,13 +157,17 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     sweep draws SNR point i's trials from (i,), trial-major, so more trials
     extend the stream without changing earlier ones; the outage count
     draws DMT grid point i from (i, 0), and the gain curve frame length
-    i's Exp(1) gains from (i, 1).  Seed and every key must be >= 0, and
-    each key below 2**64.
+    i's Exp(1) gains from (i, 1).  Seed and every key must be integers, not
+    bools: the seed >= 0, each key in [0, 2**64).  Anything else raises
+    ValueError before a generator is built; a seed of None would draw from
+    OS entropy.
     """
     key = trial if isinstance(trial, tuple) else (trial,)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     for k in key:
-        if not 0 <= k < 2**64:
-            raise ValueError(f"trial must lie in [0, 2**64), got {k}")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < 2**64:
+            raise ValueError(f"trial must be an integer key in [0, 2**64), got {k!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 

@@ -328,7 +328,8 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_dmt(cfg: ExperimentConfig) -> dict:
-    """Empirical diversity slope plus the measured scheme's closed-form tradeoff."""
+    """`estimate_dmt`'s point as a dict: the empirical slope and, last, its
+    scheme's closed-form tradeoff ``dmt_formula``."""
     trials = cfg.dmt_trials_per_point if cfg.dmt_trials_per_point is not None else cfg.trials
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -341,7 +342,7 @@ def run_dmt(cfg: ExperimentConfig) -> dict:
         # estimate_dmt words every error about r as "multiplexing gain ..."
         field = "dmt_r" if str(exc).startswith("multiplexing gain") else "snr_grid_db"
         raise ConfigError(field, str(exc)) from exc
-    return {**asdict(point), "dmt_formula": SCHEMES[cfg.dmt_scheme][3](cfg.dmt_r, cfg.l)}
+    return asdict(point)
 
 
 def run_single_realization(cfg: ExperimentConfig) -> dict:

@@ -208,11 +208,14 @@ def mmse_sic_sinrs_batch(
     k and k+1 are both undetected, 0 otherwise.  Strongest-first picks the
     maximal-SINR stream, counting candidates within a relative
     `TIE_RTOL` of the maximum as tied and taking the lowest index among
-    them; natural order detects streams in time order.
+    them; natural order detects streams in time order.  An ``ordering``
+    that is not a DetectionOrder raises ValueError.
 
     Returns (orders, sinrs): (n, l) arrays, sinrs indexed by stream.
     """
     check_kernel_args(snr, l)
+    if not isinstance(ordering, DetectionOrder):
+        raise ValueError(f"ordering must be a DetectionOrder, got {ordering!r}")
     g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)

@@ -79,16 +79,10 @@ def _multiplexing_gain(r) -> float:
     raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
 
 
-def dmt_formula(r: float, l: int) -> float:
-    """Diversity gain of the successive scheme at multiplexing gain r."""
-    r = _multiplexing_gain(r)
-    check_kernel_args(l=l)
-    return SCHEMES["successive"][3](r, l)
-
-
 @dataclass(frozen=True)
 class DmtPoint:
-    """Empirical diversity estimate over an SNR grid at one multiplexing gain."""
+    """Empirical diversity estimate over an SNR grid at one multiplexing gain,
+    and the closed-form tradeoff d(r, l) of its scheme's `SCHEMES` row."""
 
     multiplexing_r: float
     snr_grid_db: tuple[float, ...]
@@ -100,6 +94,7 @@ class DmtPoint:
     low_event_flags: tuple[bool, ...]
     target_rates_per_slot: tuple[float, ...]
     scheme: str
+    dmt_formula: float
 
     def __post_init__(self) -> None:
         if any(not 0.0 <= p <= 1.0 for p in self.outage_prob):
@@ -252,8 +247,9 @@ def estimate_dmt(
     MIN_EVENTS outage events are flagged statistically unusable and
     excluded from the fits.  The primary slope uses the two highest usable
     points (the asymptotic ones); a full least-squares slope over all
-    usable points is reported as a diagnostic.  Grid point i counts on the
-    (seed, (i, 0)) stream.
+    usable points is reported as a diagnostic, and ``dmt_formula`` is the
+    scheme's closed-form d(r, l) to compare them with.  Grid point i counts
+    on the (seed, (i, 0)) stream.
     """
     r = _multiplexing_gain(r)
     grid = list(snr_grid_db)
@@ -301,4 +297,5 @@ def estimate_dmt(
         low_event_flags=tuple(c < MIN_EVENTS for c in events),
         target_rates_per_slot=tuple(float(t) for t in targets),
         scheme=scheme,
+        dmt_formula=SCHEMES[scheme][3](r, l),
     )

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import asdict, fields
 
@@ -14,6 +15,7 @@ from succrelay.channel import (
     coefficients,
     link_gains,
     preset_geometry,
+    realization_shape,
     sample_realizations,
     trial_rng,
 )
@@ -131,6 +133,20 @@ class TestRealization:
         assert g[LINK_NAMES.index("sd"), 0] == pytest.approx(2.0)
         assert g[LINK_NAMES.index("sr2"), 0] == pytest.approx(0.25)
         assert np.all(g >= 0.0)
+
+    @pytest.mark.parametrize(
+        "shadow, shape",
+        [(8.0, (3, 2, 6)), (8.0, (3, 6)), (8.0, (3, 3, 5)), (8.0, (3, 4, 6)),
+         (0.0, (3, 3, 6)), (0.0, (2, 6)), (0.0, (1, 2, 6, 1))],
+    )
+    def test_normals_of_another_shape_rejected(self, shadow, shape):
+        # k = 3 normals per link when shadowed, else 2; the message names the
+        # shape that the sampler draws for that many trials
+        geom = flat_geometry(shadow=shadow)
+        want = realization_shape(geom, shape[0])
+        for scale in (coefficients, link_gains):
+            with pytest.raises(ValueError, match=re.escape(f"v must have shape {want}, got")):
+                scale(geom, np.zeros(shape))
 
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("n", [1, 7, 5000])
@@ -341,6 +357,30 @@ class TestStreams:
     def test_out_of_range_seed_or_trial_rejected(self, seed, trial):
         with pytest.raises(ValueError):
             trial_rng(seed, trial)
+
+    @pytest.mark.parametrize(
+        "seed, trial, name",
+        [
+            # None would seed numpy's SeedSequence from OS entropy
+            (None, 0, "seed"), (5.0, 0, "seed"), (True, 0, "seed"), ("5", 0, "seed"),
+            # a bool key would read as 0 or 1
+            (5, True, "trial"), (5, 1.0, "trial"), (5, (0, 1.5), "trial"), (5, None, "trial"),
+            (5, (False, 0), "trial"),
+        ],
+    )
+    def test_non_integer_seed_or_trial_rejected(self, seed, trial, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            trial_rng(seed, trial)
+
+    def test_numpy_integers_draw_their_python_integers_streams(self):
+        top = 2**64 - 1
+        pairs = [
+            ((np.int64(5), np.int32(3)), (5, 3)),
+            ((np.uint64(top), (np.uint64(top), np.int8(0))), (top, (top, 0))),
+        ]
+        for numpy_args, python_args in pairs:
+            want = trial_rng(*python_args).random(5)
+            assert np.array_equal(trial_rng(*numpy_args).random(5), want)
 
     def test_negative_keys_rejected(self):
         for key in (-1, (4, -1), (-1, 4)):

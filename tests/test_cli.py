@@ -2,10 +2,13 @@
 
 Each argv below maps to ``dataclasses.asdict`` of its one config, written
 out as a literal: the benchmark's four workloads at seed 7, the
-``test_cli_text`` cases, the argvs of the CI steps, README's examples and
-the aliases.  A change of the parser that moves any field of any of them,
-or the type a value is stored as, fails here.  README's commands and its
-library example are read from README itself, so they cannot drift.
+``test_cli_text`` cases, the ``ci-*`` exit-code and determinism checks,
+README's examples and the aliases.  A change of the parser that moves any
+field of any of them, or the type a value is stored as, fails here.  Each
+``ci-*`` argv also runs, with RuntimeWarning as an error, and must give
+its `CI_OUTCOMES` row; one of them runs again through ``python -m
+succrelay.cli``.  README's commands and its library example are read from
+README itself, so they cannot drift.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from test_cli_text import CASES
 
-from succrelay.cli import build_parser, config_from_args
+from succrelay.cli import build_parser, config_from_args, main
 from succrelay.experiments import _FIELDS, CHOICES, ConfigError
 
 DEFAULTS = {
@@ -52,7 +56,7 @@ FAR_GEOMETRY = {
     "d_sd": 1.0, "d_sr1": 0.9, "d_sr2": 0.9, "d_r1d": 0.9, "d_r2d": 0.9, "d_r1r2": 0.9
 }
 README = Path(__file__).resolve().parents[1] / "README.md"
-# the config file of CI's "Flags override the config file" step
+# the config file of the ci-config-override argv; its l = 0 fails unless a flag replaces it
 GAIN_L0 = {
     "experiment": "gain_curve", "l": 0, "snr_grid_db": [0, 20], "trials": 50,
     "gain_l_values": [3],
@@ -119,7 +123,7 @@ ARGVS = {
         {"experiment": "single_realization", "geometry": "I", "l": 3,
          "snr_grid_db": (0.0, 20.0), "seed": 1, "adaptive_rule": "c"},
     ),
-    # .github/workflows/tests.yml
+    # exit codes and determinism, each run by test_ci_argv_gives_its_outcome
     "ci-workers-1": (
         "--experiment dmt_slope --r 0 --snr 20 30 40 --dmt-trials 100000 5000000 100000 "
         "--l 7 --workers 1 --out dmt_w1.csv",
@@ -204,6 +208,27 @@ ARGVS = {
 }
 
 
+# ci-* argv -> (its exit code, the config field that its one error line names,
+# the ci-* argv whose output file it must equal byte for byte)
+CI_OUTCOMES = {
+    # --workers is ignored: 1 and 2 write the same bytes
+    "ci-workers-1": (0, None, None),
+    "ci-workers-2": (0, None, "ci-workers-1"),
+    "ci-config-override": (0, None, None),
+    # finite gamma or shadowing that overflows the channel draw, or finite
+    # gains above snr that overflow a kernel (~1e305 at 40 dB)
+    "ci-gamma": (2, "geometry", None),
+    "ci-shadow": (2, "geometry", None),
+    "ci-far": (2, "geometry", None),
+    # an SNR that overflows a kernel: the gain curve and the DMT slope draw
+    # Exp(1) gains, and the sweeps' snr is at least every gain
+    "ci-gain-snr": (2, "snr_grid_db", None),
+    "ci-dmt-snr": (2, "snr_grid_db", None),
+    "ci-preset-snr": (2, "snr_grid_db", None),
+    "ci-custom-snr": (2, "snr_grid_db", None),
+}
+
+
 def _argv(name: str, tmp_path) -> list[str]:
     argv = ARGVS[name][0]
     argv = CASES[name] if argv is None else argv
@@ -224,6 +249,44 @@ def test_argv_parses_to_config(name, tmp_path):
     expected = {**DEFAULTS, **ARGVS[name][1]}
     # repr also tells an int from a float and a list from a tuple
     assert repr(_config(_argv(name, tmp_path))) == repr(expected)
+
+
+def _run(argv: list[str]) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
+@pytest.mark.parametrize("name", [name for name in ARGVS if name.startswith("ci-")])
+def test_ci_argv_gives_its_outcome(name, tmp_path, monkeypatch, capsys):
+    """Its exit code, one error line naming its field or none, and its output bytes."""
+    monkeypatch.chdir(tmp_path)  # the ci-workers argvs write to relative paths
+    rc, field, twin = CI_OUTCOMES[name]
+    argv = _argv(name, tmp_path)
+    assert _run(argv) == rc
+    err = capsys.readouterr().err
+    if field is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith(f"error: config field '{field}'"), err
+    if twin is not None:
+        twin_argv = _argv(twin, tmp_path)
+        assert _run(twin_argv) == 0
+        paths = [Path(_config(a)["output_path"]) for a in (argv, twin_argv)]
+        assert paths[0] != paths[1] and paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    """``python -m succrelay.cli`` runs `main` and exits with its code and error line."""
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "succrelay.cli"]
+    done = subprocess.run(
+        [*command, *_argv("ci-preset-snr", tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: config field 'snr_grid_db'"), done.stderr
 
 
 def test_every_cli_text_case_is_covered():

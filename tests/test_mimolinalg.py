@@ -141,6 +141,13 @@ class TestMmseSic:
         assert order == (0,)
         assert sinr[0] == pytest.approx(3.0 * (2.0 + 4.0), rel=1e-12)
 
+    @pytest.mark.parametrize("ordering", ["natural", "strongest_first", None, 0])
+    def test_ordering_that_is_not_a_detection_order_rejected(self, ordering):
+        # a string is not a DetectionOrder, even one that names a member's value
+        g = np.ones(4)
+        with pytest.raises(ValueError, match="^ordering must be a DetectionOrder"):
+            mmse_sic_sinrs_batch(g, g, g, 10.0, 7, ordering)
+
     def test_all_zero_channel(self):
         _, sinr = sic((0.0, 0.0, 0.0), 10.0, 3)
         assert np.all(sinr == 0.0)
