@@ -9,9 +9,10 @@ Determinism contract: each experiment draws from its own `trial_rng`
 streams, keyed apart as that function states, on one thread.  A sweep draws
 each SNR point's trials trial-major, so more trials extend it without changing
 earlier ones; a single realization reads trial 0 of stream (seed, 0) once for
-every SNR point.  Per-trial results are assembled in trial order before any
-aggregation, and Monte Carlo counters are integers, so a fixed (config, seed)
-pair produces byte-identical output files.
+the whole grid.  Each draw block is scaled to gains once, and `_point`
+evaluates gains at one SNR.  Per-trial results are assembled in trial order
+before any aggregation, and Monte Carlo counters are integers, so a fixed
+(config, seed) pair produces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -227,10 +228,13 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> np
     `sample_realizations` call because the benchmark's tracer counts one
     call per trial (``channel.calls`` in ``bench/test_smoke.py``); one call
     for all n trials gives the same bytes.  Each call draws into its trial's
-    (1, k, 6) row (``out``) of one block, in trial order, for `_point`.
+    (1, k, 6) row (``out``) of one block, in trial order, for `_gains`.
     """
     rng = trial_rng(seed, snr_idx)
-    v = np.empty(realization_shape(geom, n))
+    try:
+        v = np.empty(realization_shape(geom, n))
+    except MemoryError as exc:
+        raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
     for row in v[:, None]:
         sample_realizations(geom, rng, 1, out=row)
     return v
@@ -243,22 +247,27 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
-def _point(cfg: ExperimentConfig, v: np.ndarray, snr_db: float):
-    """Every configured protocol at one SNR point, on the (n, k, 6) normals
-    ``v``, scaled to gains by one `link_gains` call; it draws nothing.
+def _gains(cfg: ExperimentConfig, v: np.ndarray) -> np.ndarray:
+    """The (6, n) gains of normals ``v``: the one place a draw block is scaled."""
+    try:
+        return link_gains(cfg.network, v)
+    except ValueError as exc:
+        raise ConfigError("geometry", f"{exc}; gamma or shadow_sigma_db is too large") from exc
+
+
+def _point(cfg: ExperimentConfig, g: np.ndarray, snr_db: float):
+    """Every configured protocol at one SNR point, on the (6, n) gains ``g``;
+    it draws and scales nothing.
 
     Returns the rule's keep mask, the two interference-free flags and one
     (name, relaying, rate, per-codeword caps, decode-first branches) row per
     protocol.  A relaying scheme's rejected draws take the direct rate; its
-    caps and branches stay the kernel's.  A gain that path loss or shadowing
-    overflows is a geometry error, and so is a kernel overflow on finite gains
-    unless snr is at least the largest gain, which makes it a grid error.
+    caps and branches stay the kernel's.  A kernel overflow is a grid error
+    when snr is at least every gain, and a geometry error otherwise.
     """
     snr = snr_from_db(snr_db)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # the gains first: past the config check, theirs is the only ValueError here
-            g = link_gains(cfg.network, v)
             keep = adaptive_keep_batch(g, cfg.adaptive_rule)
             flags = interference_free_batch(g, snr, cfg.l)
             # each kernel runs once; the direct rate is also every fallback
@@ -266,10 +275,8 @@ def _point(cfg: ExperimentConfig, v: np.ndarray, snr_db: float):
                 name: PROTOCOLS[name][1](g, snr, cfg.l)
                 for name in dict.fromkeys(["direct", *cfg.protocols])
             }
-    except (ValueError, FloatingPointError) as exc:
-        # a gain past float range is the geometry's; an overflow on finite
-        # gains is the SNR's when snr is at least every gain
-        if isinstance(exc, FloatingPointError) and snr >= g.max():
+    except FloatingPointError as exc:
+        if snr >= g.max():
             field, cause = "snr_grid_db", "an SNR of the grid is too large"
         else:
             field, cause = "geometry", "gamma or shadow_sigma_db is too large"
@@ -292,8 +299,8 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        v = _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials)
-        keep, (cancel_ok, source_ok), point = _point(cfg, v, snr_db)
+        g = _gains(cfg, _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials))
+        keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
         rows.append(
@@ -316,7 +323,10 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
     for li, l in enumerate(cfg.gain_l_values):
         # one Exp(1) draw per frame length (unit-variance Rayleigh, no pathloss
         # or shadowing): common random numbers keep the curve smooth
-        g = trial_rng(cfg.seed, (li, 1)).standard_exponential((3, cfg.trials))
+        try:
+            g = trial_rng(cfg.seed, (li, 1)).standard_exponential((3, cfg.trials))
+        except MemoryError as exc:
+            raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
         try:  # Exp(1) gains: only the SNR can overflow
             with np.errstate(over="raise", invalid="raise"):
                 gains = capacity_gain_G(*g, snrs, l)
@@ -349,15 +359,15 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     """Full per-protocol diagnostics of trial 0 across the SNR grid.
 
     The n = 1 view of the sweep's `_point`: trial 0 of stream (seed, 0), the
-    first draw of the sweep's first point, is read once and evaluated at
-    every SNR point, listing the decode-first branches, per-codeword caps
-    and flags that the sweep averages away.  A fallen-back codeword is one
-    direct codeword, with no branches.
+    first draw of the sweep's first point, is read and scaled to gains once
+    and evaluated at every SNR point, listing the decode-first branches,
+    per-codeword caps and flags that the sweep averages away.  A fallen-back
+    codeword is one direct codeword, with no branches.
     """
     v = _sample_trials(cfg.network, cfg.seed, 0, 1)
-    entries = []
+    g, entries = _gains(cfg, v), []
     for snr_db in cfg.snr_grid_db:
-        keep, flags, point = _point(cfg, v, snr_db)
+        keep, flags, point = _point(cfg, g, snr_db)
         for name, relaying, rate, caps, branches in point:
             entry = {"snr_db": float(snr_db), "protocol": name, "rate_per_slot": float(rate[0])}
             entries.append(entry)
@@ -408,8 +418,18 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _null_if_not_finite(value):
+    """``value`` with every NaN or infinite float as None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _null_if_not_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_if_not_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    """``payload`` as strict JSON: a non-finite float is written null, not NaN."""
+    _write_text(path, json.dumps(_null_if_not_finite(payload), indent=2) + "\n")
 
 
 def _table(records: list[dict], columns: list[str]) -> tuple[list[str], list[list]]:

@@ -2,7 +2,7 @@
 
 Each argv below maps to ``dataclasses.asdict`` of its one config, written
 out as a literal: the benchmark's four workloads at seed 7, the
-``test_cli_text`` cases, the ``ci-*`` exit-code and determinism checks,
+``test_cli_text`` cases, the ``ci-*`` exit-code checks,
 README's examples and the aliases.  A change of the parser that moves any
 field of any of them, or the type a value is stored as, fails here.  Each
 ``ci-*`` argv also runs, with RuntimeWarning as an error, and must give
@@ -123,19 +123,7 @@ ARGVS = {
         {"experiment": "single_realization", "geometry": "I", "l": 3,
          "snr_grid_db": (0.0, 20.0), "seed": 1, "adaptive_rule": "c"},
     ),
-    # exit codes and determinism, each run by test_ci_argv_gives_its_outcome
-    "ci-workers-1": (
-        "--experiment dmt_slope --r 0 --snr 20 30 40 --dmt-trials 100000 5000000 100000 "
-        "--l 7 --workers 1 --out dmt_w1.csv",
-        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0),
-         "output_path": "dmt_w1.csv", "dmt_trials_per_point": (100000, 5000000, 100000)},
-    ),
-    "ci-workers-2": (
-        "--experiment dmt_slope --r 0 --snr 20 30 40 --dmt-trials 100000 5000000 100000 "
-        "--l 7 --workers 2 --out dmt_w2.csv",
-        {"experiment": "dmt_slope", "snr_grid_db": (20.0, 30.0, 40.0),
-         "output_path": "dmt_w2.csv", "dmt_trials_per_point": (100000, 5000000, 100000)},
-    ),
+    # exit codes, each run by test_ci_argv_gives_its_outcome
     "ci-config-override": (
         "--config {config} --l 3",
         {"experiment": "gain_curve", "l": 3, "snr_grid_db": (0.0, 20.0), "trials": 50,
@@ -208,24 +196,22 @@ ARGVS = {
 }
 
 
-# ci-* argv -> (its exit code, the config field that its one error line names,
-# the ci-* argv whose output file it must equal byte for byte)
+# ci-* argv -> (its exit code, the config field that its one error line names).
+# That --workers changes no byte is pinned by test_csv_byte_identical_across_runs_and_workers
+# and acceptance criterion 8
 CI_OUTCOMES = {
-    # --workers is ignored: 1 and 2 write the same bytes
-    "ci-workers-1": (0, None, None),
-    "ci-workers-2": (0, None, "ci-workers-1"),
-    "ci-config-override": (0, None, None),
+    "ci-config-override": (0, None),
     # finite gamma or shadowing that overflows the channel draw, or finite
     # gains above snr that overflow a kernel (~1e305 at 40 dB)
-    "ci-gamma": (2, "geometry", None),
-    "ci-shadow": (2, "geometry", None),
-    "ci-far": (2, "geometry", None),
+    "ci-gamma": (2, "geometry"),
+    "ci-shadow": (2, "geometry"),
+    "ci-far": (2, "geometry"),
     # an SNR that overflows a kernel: the gain curve and the DMT slope draw
     # Exp(1) gains, and the sweeps' snr is at least every gain
-    "ci-gain-snr": (2, "snr_grid_db", None),
-    "ci-dmt-snr": (2, "snr_grid_db", None),
-    "ci-preset-snr": (2, "snr_grid_db", None),
-    "ci-custom-snr": (2, "snr_grid_db", None),
+    "ci-gain-snr": (2, "snr_grid_db"),
+    "ci-dmt-snr": (2, "snr_grid_db"),
+    "ci-preset-snr": (2, "snr_grid_db"),
+    "ci-custom-snr": (2, "snr_grid_db"),
 }
 
 
@@ -258,22 +244,15 @@ def _run(argv: list[str]) -> int:
 
 
 @pytest.mark.parametrize("name", [name for name in ARGVS if name.startswith("ci-")])
-def test_ci_argv_gives_its_outcome(name, tmp_path, monkeypatch, capsys):
-    """Its exit code, one error line naming its field or none, and its output bytes."""
-    monkeypatch.chdir(tmp_path)  # the ci-workers argvs write to relative paths
-    rc, field, twin = CI_OUTCOMES[name]
-    argv = _argv(name, tmp_path)
-    assert _run(argv) == rc
+def test_ci_argv_gives_its_outcome(name, tmp_path, capsys):
+    """Its exit code, and one error line naming its field or none."""
+    rc, field = CI_OUTCOMES[name]
+    assert _run(_argv(name, tmp_path)) == rc
     err = capsys.readouterr().err
     if field is None:
         assert err == ""
     else:
         assert err.count("\n") == 1 and err.startswith(f"error: config field '{field}'"), err
-    if twin is not None:
-        twin_argv = _argv(twin, tmp_path)
-        assert _run(twin_argv) == 0
-        paths = [Path(_config(a)["output_path"]) for a in (argv, twin_argv)]
-        assert paths[0] != paths[1] and paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_module_entry_point_exits_with_mains_code(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import pickle
 import warnings
 
@@ -309,7 +310,8 @@ class TestRatesRiseWithSnr:
             cfg = ExperimentConfig(geometry=case, l=l, seed=29, adaptive_rule=rule)
             assert cfg.protocols == tuple(PROTOCOLS)
             v = experiments._sample_trials(cfg.network, cfg.seed, 0, 1000)
-            rows = [_point(cfg, v, db)[2] for db in RISING_SNRS_DB]
+            g = link_gains(cfg.network, v)
+            rows = [_point(cfg, g, db)[2] for db in RISING_SNRS_DB]
             for j, name in enumerate(cfg.protocols):
                 rates = np.array([point[j][2] for point in rows])
                 falls = np.argwhere(np.diff(rates, axis=0) < 0.0)
@@ -358,22 +360,24 @@ class TestSampleTrials:
         assert seen == calls
 
     def test_point_draws_nothing(self, monkeypatch):
-        # _point evaluates the normals it is handed: with every sampler
-        # patched to raise, two calls on one draw give the same bytes
+        # _point evaluates the gains it is handed: with every sampler and
+        # scaler patched to raise, two calls on one draw give the same bytes
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "protocols": tuple(PROTOCOLS)})
         v = experiments._sample_trials(cfg.network, cfg.seed, 0, cfg.trials)
+        g = link_gains(cfg.network, v)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("_point drew from a stream")
+            raise AssertionError("_point drew from a stream or scaled a draw")
 
-        for name in ("trial_rng", "sample_realizations", "_sample_trials"):
+        for name in ("trial_rng", "sample_realizations", "_sample_trials", "link_gains", "_gains"):
             monkeypatch.setattr(experiments, name, forbidden)
-        first, second = (pickle.dumps(_point(cfg, v, 10.0)) for _ in range(2))
+        first, second = (pickle.dumps(_point(cfg, g, 10.0)) for _ in range(2))
         assert first == second
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     def test_gains_scaled_once_per_point(self, monkeypatch, experiment):
-        # every point scales its whole block of normals in one call
+        # each sweep point scales its whole block of normals in one call; a
+        # single realization scales its one draw once for the whole grid
         seen = []
 
         def record(geom, v):
@@ -383,7 +387,7 @@ class TestSampleTrials:
         monkeypatch.setattr(experiments, "link_gains", record)
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment})
         run_experiment(cfg)
-        assert seen == [1 if experiment == "single_realization" else cfg.trials] * 3
+        assert seen == ([1] if experiment == "single_realization" else [cfg.trials] * 3)
 
 
 class TestGainCurve:
@@ -606,6 +610,34 @@ class TestOutput:
         assert payload["schema_version"] == 1
         assert len(payload["rows"]) == 3
 
+    def test_json_writes_non_finite_fits_as_null(self, tmp_path):
+        # no outage event at 30 and 40 dB leaves both slope fits NaN, which
+        # strict JSON has no token for; the payload keeps its NaN
+        path = tmp_path / "dmt.json"
+        cfg = ExperimentConfig(
+            experiment="dmt_slope", snr_grid_db=(20.0, 30.0, 40.0), trials=1000,
+            output_path=str(path), output_format="json",
+        )
+        payload = run_experiment(cfg)
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        written = json.loads(path.read_text(), parse_constant=reject)
+        for fit in ("diversity_estimate", "diversity_lstsq"):
+            assert math.isnan(payload["result"][fit]) and written["result"][fit] is None
+        assert written["result"]["dmt_formula"] == payload["result"]["dmt_formula"]
+
+    def test_json_of_finite_payload_is_json_dumps(self, tmp_path):
+        # only a non-finite float is rewritten: a finite payload keeps the bytes
+        # of json.dumps, tuples written as lists
+        path = tmp_path / "sweep.json"
+        cfg = ExperimentConfig(
+            **{**SMALL_SWEEP, "output_path": str(path), "output_format": "json"}
+        )
+        payload = run_experiment(cfg)
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "numpy_scalar",
         [dict(l=np.int64(2)), dict(trials=np.int32(5)), dict(seed=np.uint64(3)),
@@ -814,6 +846,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: config field 'geometry': |h_{link}|^2 must be finite")
+        # gains do not depend on the SNR, so the line names none
+        assert "at snr" not in err
+
+    @pytest.mark.parametrize("experiment", ["geometry_sweep", "gain_curve"])
+    def test_trials_too_many_to_allocate_exit_code(self, capsys, experiment):
+        # 10**12 trials' draw block (131 TiB for the sweep, 21.8 TiB for the
+        # gain curve) fails to allocate at once: a trials error, not a traceback
+        argv = ["--experiment", experiment, "--snr", "0", "--trials", str(10**12)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: config field 'trials': Unable to allocate")
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     @pytest.mark.parametrize("snr", ["20", "40"])
