@@ -13,8 +13,9 @@ shadowing term.  Shadowing is redrawn independently per link and per
 realization; the channel is block fading (one realization per frame).
 
 `sample_realizations` returns the standard normals behind n frames as a
-plain array; `coefficients` scales them to the six h, and `link_gains`
-to the six |h|**2 that every rate reads.
+plain array; `coefficients` scales them to the six h, and `squared_gains`
+squares those to the six |h|**2 that every rate reads; `link_gains` does
+both.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
     the real amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
     zeta in dB; the 1/sqrt 2 gives the complex Gaussian unit variance.  A
     coefficient that path loss or shadowing overflows is left inf or NaN,
-    with no warning, for `link_gains` to name.  ``v`` of any other shape
+    with no warning, for `squared_gains` to name.  ``v`` of any other shape
     raises ValueError.
     """
     shape = realization_shape(geom, len(v))
@@ -133,14 +134,21 @@ def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
 
 
 def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
-    """The (6, n) squared link gains |h|**2 of normals ``v`` that every rate reads.
+    """The (6, n) squared link gains of normals ``v``: `squared_gains` of
+    their `coefficients`, which raises ValueError on ``v`` of a shape other
+    than `realization_shape`."""
+    return squared_gains(coefficients(geom, v))
 
-    Raises ValueError, as `coefficients` does, on ``v`` of a shape other
-    than `realization_shape`, and naming the first link with a gain that is
-    not finite: a non-finite coefficient, or one whose square overflows.
+
+def squared_gains(h: np.ndarray) -> np.ndarray:
+    """The (6, n) squared link gains |h|**2 that every rate reads, from the
+    coefficients ``h`` that `coefficients` returns.
+
+    Raises ValueError naming the first link with a gain that is not finite:
+    a non-finite coefficient, or one whose square overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.abs(coefficients(geom, v)) ** 2
+        g = np.abs(h) ** 2
     finite = np.isfinite(g)
     if not finite.all():
         link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
@@ -156,11 +164,11 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     the key (trial,).  The experiments key their streams apart: a geometry
     sweep draws SNR point i's trials from (i,), trial-major, so more trials
     extend the stream without changing earlier ones; the outage count
-    draws DMT grid point i from (i, 0), and the gain curve frame length
-    i's Exp(1) gains from (i, 1).  Seed and every key must be integers, not
-    bools: the seed >= 0, each key in [0, 2**64).  Anything else raises
-    ValueError before a generator is built; a seed of None would draw from
-    OS entropy.
+    draws DMT grid point i from (i, 0), and the gain curve draws its Exp(1)
+    gains once from (0, 1), shared by every frame length and SNR point.
+    Seed and every key must be integers, not bools: the seed >= 0, each key
+    in [0, 2**64).  Anything else raises ValueError before a generator is
+    built; a seed of None would draw from OS entropy.
     """
     key = trial if isinstance(trial, tuple) else (trial,)
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

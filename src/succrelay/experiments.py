@@ -9,10 +9,11 @@ Determinism contract: each experiment draws from its own `trial_rng`
 streams, keyed apart as that function states, on one thread.  A sweep draws
 each SNR point's trials trial-major, so more trials extend it without changing
 earlier ones; a single realization reads trial 0 of stream (seed, 0) once for
-the whole grid.  Each draw block is scaled to gains once, and `_point`
-evaluates gains at one SNR.  Per-trial results are assembled in trial order
-before any aggregation, and Monte Carlo counters are integers, so a fixed
-(config, seed) pair produces byte-identical output files.
+the whole grid, and the gain curve draws once for every frame length.  Each
+draw block is scaled to gains once, and `_point` evaluates gains at one SNR.
+Per-trial results are assembled in trial order before any aggregation, and
+Monte Carlo counters are integers, so a fixed (config, seed) pair produces
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .channel import (
     LINK_NAMES,
     NetworkGeometry,
     coefficients,
-    link_gains,
     preset_geometry,
     realization_shape,
     sample_realizations,
+    squared_gains,
     trial_rng,
 )
 from .mimolinalg import require
@@ -247,10 +248,12 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
-def _gains(cfg: ExperimentConfig, v: np.ndarray) -> np.ndarray:
-    """The (6, n) gains of normals ``v``: the one place a draw block is scaled."""
+def _gains(cfg: ExperimentConfig, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (6, n) coefficients and gains of normals ``v``: the one place a
+    draw block is scaled."""
     try:
-        return link_gains(cfg.network, v)
+        h = coefficients(cfg.network, v)
+        return h, squared_gains(h)
     except ValueError as exc:
         raise ConfigError("geometry", f"{exc}; gamma or shadow_sigma_db is too large") from exc
 
@@ -299,7 +302,8 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        g = _gains(cfg, _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials))
+        # only the gains: the coefficients are freed before the kernels run
+        g = _gains(cfg, _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials))[1]
         keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
@@ -317,24 +321,26 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
-    """Capacity gain over classic protocol II per (frame length, SNR)."""
+    """Capacity gain over classic protocol II per (frame length, SNR), l-major
+    in ``gain_l_values`` order."""
     snrs = np.array([snr_from_db(snr_db) for snr_db in cfg.snr_grid_db])
-    rows = []
-    for li, l in enumerate(cfg.gain_l_values):
-        # one Exp(1) draw per frame length (unit-variance Rayleigh, no pathloss
-        # or shadowing): common random numbers keep the curve smooth
-        try:
-            g = trial_rng(cfg.seed, (li, 1)).standard_exponential((3, cfg.trials))
-        except MemoryError as exc:
-            raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
-        try:  # Exp(1) gains: only the SNR can overflow
-            with np.errstate(over="raise", invalid="raise"):
-                gains = capacity_gain_G(*g, snrs, l)
-        except FloatingPointError as exc:
-            raise ConfigError("snr_grid_db", f"{exc}; an SNR of the grid is too large") from exc
-        for snr_db, gain in zip(cfg.snr_grid_db, gains):
-            rows.append({"l": l, "snr_db": float(snr_db), "capacity_gain": float(gain)})
-    return rows
+    # one Exp(1) draw (unit-variance Rayleigh, no pathloss or shadowing) on
+    # stream (seed, (0, 1)), shared by every frame length and SNR point:
+    # common random numbers keep the curves smooth and their differences tight
+    try:
+        g = trial_rng(cfg.seed, (0, 1)).standard_exponential((3, cfg.trials))
+    except MemoryError as exc:
+        raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
+    try:  # Exp(1) gains: only the SNR can overflow
+        with np.errstate(over="raise", invalid="raise"):
+            gains = capacity_gain_G(*g, snrs, cfg.gain_l_values)
+    except FloatingPointError as exc:
+        raise ConfigError("snr_grid_db", f"{exc}; an SNR of the grid is too large") from exc
+    return [
+        {"l": l, "snr_db": float(snr_db), "capacity_gain": float(gain)}
+        for l, curve in zip(cfg.gain_l_values, gains)
+        for snr_db, gain in zip(cfg.snr_grid_db, curve)
+    ]
 
 
 def run_dmt(cfg: ExperimentConfig) -> dict:
@@ -364,8 +370,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     per-codeword caps and flags that the sweep averages away.  A fallen-back
     codeword is one direct codeword, with no branches.
     """
-    v = _sample_trials(cfg.network, cfg.seed, 0, 1)
-    g, entries = _gains(cfg, v), []
+    (h, g), entries = _gains(cfg, _sample_trials(cfg.network, cfg.seed, 0, 1)), []
     for snr_db in cfg.snr_grid_db:
         keep, flags, point = _point(cfg, g, snr_db)
         for name, relaying, rate, caps, branches in point:
@@ -383,8 +388,7 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
                 interference_free=None if branches is None else bool(flags[0][0]),
                 source_links_strong=None if branches is None else bool(flags[1][0]),
             )
-    h = coefficients(cfg.network, v)[:, 0].tolist()
-    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h)}
+    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h[:, 0].tolist())}
     return {"realization": coeffs, "entries": entries}
 
 

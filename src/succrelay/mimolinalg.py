@@ -13,8 +13,11 @@ gains g_r(k) = |h_r1d|^2, |h_r2d|^2, so both kernels take these three
 squared-gain arrays: with a_k = snr (g_sd + g_r(k)) and
 c_k = snr^2 g_sd g_r(k), I + snr H^H H has diagonal 1 + a_k and squared
 off-diagonal moduli c_k.  The log-det sums the log pivots without
-cancellation (`logdet_capacity_batch`).  Detecting a stream deletes its
-row and column, which zeroes the couplings next to it.  The MMSE-SIC SINR
+cancellation; an l-codeword frame's pivots are the first l of any longer
+frame's, so one pass writes the log-det of several frame lengths
+(`logdet_capacity_lengths`; `logdet_capacity_batch` is its one-length
+case).  Detecting a stream deletes its row and column, which zeroes the
+couplings next to it.  The MMSE-SIC SINR
 1/[(I + snr H_A^H H_A)^-1]_kk - 1 of an undetected stream (Tse &
 Viswanath, Fundamentals of Wireless Communication, ch. 8) is then
 a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1}, where f and g are the forward and
@@ -98,10 +101,28 @@ def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
         raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
 
 
+def check_frame_lengths(ls) -> None:
+    """A nonempty 1-D sequence of frame lengths, each passing `check_kernel_args`."""
+    if np.ndim(ls) != 1 or not len(ls):
+        raise ValueError(f"frame lengths l must be a nonempty 1-D sequence, got {ls!r}")
+    for l in ls:
+        check_kernel_args(l=l)
+
+
 def logdet_capacity_batch(
     g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, l: int
 ) -> np.ndarray:
-    """log2 det(I + snr * H^H H) of l-codeword frames, from (n,) squared gains.
+    """log2 det(I + snr * H^H H) of l-codeword frames, from (n,) squared gains:
+    the one-length case of `logdet_capacity_lengths`.
+    """
+    return logdet_capacity_lengths(g_sd, g_r1d, g_r2d, snr, (l,))[0]
+
+
+def logdet_capacity_lengths(
+    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, ls
+) -> np.ndarray:
+    """log2 det(I + snr * H^H H) of frames of each length in ``ls``, from
+    (n,) squared gains: one (n,) row per entry of ``ls``, in its order.
 
     With a_0 = snr * g_sd and a_r(k) = snr * g_r(k), the pivots of the
     tridiagonal matrix are f_k = 1 + w_k with w_k = v_k + a_r(k), where
@@ -109,27 +130,32 @@ def logdet_capacity_batch(
     direct gain that stream k leaves to stream k+1.  Every term is >= 0, so
     nothing cancels however the gains compare; q = prod(1 + w_k) - 1 is
     accumulated as q <- q (1 + w_k) + w_k and the result is log1p(q), exact
-    to rounding also for vanishing gains.  Each piece of `CHUNK` draws is
-    written in place; a step whose q cannot pass `_PRODUCT_LIMIT` by the
-    piece's bound skips the overflow check (see `_log_pivot_product`), which
-    changes no output bit.  The gains are squared moduli, so >= 0.
+    to rounding also for vanishing gains.  The first l pivots of a longer
+    frame are those of an l-codeword frame, so one recurrence up to max(ls)
+    reads every length off on its way, bit for bit as a lone length.  Each
+    piece of `CHUNK` draws is written in place; a step whose q cannot pass
+    `_PRODUCT_LIMIT` by the piece's bound skips the overflow check (see
+    `_log_pivot_product`), which changes no output bit.  The gains are
+    squared moduli, so >= 0.  A bad snr or length raises ValueError before
+    any work.
     """
-    check_kernel_args(snr, l)
-    out = np.empty(len(g_sd))
-    for start in range(0, len(out), CHUNK):
+    check_kernel_args(snr)
+    check_frame_lengths(ls)
+    out = np.empty((len(ls), len(g_sd)))
+    for start in range(0, len(g_sd), CHUNK):
         part = slice(start, start + CHUNK)
         _log_pivot_product(
-            snr * g_sd[part], (snr * g_r1d[part], snr * g_r2d[part]), l, out[part]
+            snr * g_sd[part], (snr * g_r1d[part], snr * g_r2d[part]), ls, out[:, part]
         )
     out /= _LN2
     return out
 
 
 def _log_pivot_product(
-    a0: np.ndarray, ar: tuple[np.ndarray, np.ndarray], l: int, out: np.ndarray
+    a0: np.ndarray, ar: tuple[np.ndarray, np.ndarray], ls, out: np.ndarray
 ) -> None:
-    """Write the natural log of prod_k (1 + w_k) into ``out``, see
-    `logdet_capacity_batch`.
+    """Write the natural log of prod_{k<l} (1 + w_k) into row i of ``out``
+    for each length l = ls[i], see `logdet_capacity_lengths`.
 
     Past `_PRODUCT_LIMIT`, q moves into a log scale and restarts at 0.  As
     v_k <= a_0, each factor 1 + w_k is at most top = 1 + max a_0 +
@@ -141,12 +167,18 @@ def _log_pivot_product(
     off no numpy floating-point error.  With a finite top 1 + w_0 is finite,
     so the zero start's q_0 = 0 (1 + w_0) + w_0 is w_0 + 0 (which turns a -0
     into +0); otherwise 0 inf + inf must give NaN, as the zero start does.
+    Whether step k checks does not depend on the longest length, so each
+    row is written after the same steps as a lone length's.
     """
+    rows = {}  # step k -> the rows of the frames that end after it
+    for i, l in enumerate(ls):
+        rows.setdefault(l - 1, []).append(i)
+    last = max(rows) + 1
     top = 1.0 + float(a0.max()) + float(np.maximum(ar[0].max(), ar[1].max()))
     first = 0  # the first step that checks
     if top < np.inf:
         bound = top
-        while first < l and bound <= _PRODUCT_LIMIT / 2:
+        while first < last and bound <= _PRODUCT_LIMIT / 2:
             bound *= top
             first += 1
     w = a0 + ar[0]  # v_0 = a_0
@@ -154,13 +186,13 @@ def _log_pivot_product(
     q = w + 0.0 if first else t * 0.0 + w
     v = a0
     scale = None  # the logs moved out of q, once a step moved any
-    for k in range(l):
+    for k in range(last):
         if k:
             np.add(v, ar[k % 2], out=w)
             np.add(w, 1.0, out=t)
             q *= t
             q += w
-        if k < l - 1:
+        if k < last - 1:
             v = np.add(v, 1.0, out=v if k else None)  # v_0 is a_0 itself: copy it once
             v *= a0
             v /= t
@@ -170,9 +202,10 @@ def _log_pivot_product(
                 moved = np.where(big, np.log1p(q), 0.0)
                 scale = moved if scale is None else scale + moved
                 q[big] = 0.0
-    np.log1p(q, out=out)
-    if scale is not None:
-        out += scale
+        for i in rows.get(k, ()):
+            np.log1p(q, out=out[i])
+            if scale is not None:
+                out[i] += scale
 
 
 def _right_terms(a1: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -41,8 +41,10 @@ import numpy as np
 from .mimolinalg import (  # noqa: F401
     DetectionOrder,
     build_equivalent_channel_batch,
+    check_frame_lengths,
     check_kernel_args,
     logdet_capacity_batch,
+    logdet_capacity_lengths,
     mmse_sic_sinrs_batch,
     require,
 )
@@ -187,23 +189,30 @@ def adaptive_keep_batch(g: np.ndarray, rule: str) -> np.ndarray:
 
 
 def capacity_gain_G(
-    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snrs: np.ndarray, l: int
+    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snrs: np.ndarray, ls
 ) -> np.ndarray:
     """Average capacity gain of successive relaying over classic protocol II.
 
     Takes the (n,) squared destination gains of n draws, like
-    `logdet_capacity_batch`, and returns one gain per entry of the 1-D
-    ``snrs``, all from the same draws.  The numerator is the mean per-slot
-    log-det rate of the (l+1) x l equivalent channel; the denominator the
-    mean classic-II rate with both relays decoding,
-    0.5 * C((g_sd + g_r1d + g_r2d) snr).
+    `logdet_capacity_lengths`, and returns a (len(ls), len(snrs)) array: one
+    row per frame length of ``ls``, in its order, one gain per entry of the
+    1-D ``snrs``, all from the same draws.  The numerator is the mean
+    per-slot log-det rate of the (l+1) x l equivalent channel, every length
+    read off one pivot recurrence per SNR; the denominator, shared by every
+    length, the mean classic-II rate with both relays decoding,
+    0.5 * C((g_sd + g_r1d + g_r2d) snr).  Bad ``snrs`` or ``ls`` raise
+    ValueError before any work.
     """
     snrs = np.asarray(snrs, dtype=float)
     if snrs.ndim != 1 or not np.all((snrs > 0.0) & (snrs < np.inf)):
         raise ValueError(f"snrs must be a 1-D array of finite values > 0, got {snrs}")
+    check_frame_lengths(ls)
     if np.size(g_sd) == 0:
         raise ValueError("capacity gain needs at least one draw")
-    num = [np.mean(logdet_capacity_batch(g_sd, g_r1d, g_r2d, s, l)) / (l + 1) for s in snrs]
+    slots = np.asarray(ls) + 1
+    num = [
+        np.mean(logdet_capacity_lengths(g_sd, g_r1d, g_r2d, s, ls), axis=1) / slots for s in snrs
+    ]
     g_sum = g_sd + g_r1d + g_r2d
     den = [0.5 * np.mean(_cap(g_sum * s)) for s in snrs]
-    return np.array(num) / np.array(den)
+    return np.array(num).T / np.array(den)

@@ -178,7 +178,7 @@ def test_criterion_6_capacity_gain_curve():
     from succrelay.protocols import capacity_gain_G
 
     g = np.random.default_rng(1007).standard_exponential((3, 10_000))
-    low = capacity_gain_G(*g, [1e-6], 7)[0]
+    low = capacity_gain_G(*g, [1e-6], [7])[0][0]
     assert low == pytest.approx(4 * 7 / (3 * 8), rel=0.02)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

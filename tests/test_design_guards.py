@@ -2,8 +2,9 @@
 
 Each row names a rule, the files it reads, what it looks for there and the
 message a failure prints: no dense linear algebra and no assert in `src/`,
-one seeding path, one thread, one table row per experiment, outage scheme,
-adaptive rule and config field, and a README short enough to read.  A rule
+one seeding path, one thread, one pivot recurrence, one table row per
+experiment, outage scheme, adaptive rule and config field, and a README
+short enough to read.  A rule
 fails on every line that matches its pattern, `path:line: text`.  Only ``*.py`` files are
 read under `src/succrelay`, so a stale ``.pyc`` cannot match.  Each row
 also carries a line that breaks it; `test_rule_catches_its_example` plants
@@ -101,6 +102,13 @@ RULES = {
         "each slot term is one (2, n) row per relay parity, gathered by np.arange(l) % 2; "
         "protocols.py must not loop over slots",
         "for k in range(l):",
+    ),
+    "One pivot recurrence": (
+        PY,
+        grep(r"\bq\s*\*=\s*t\b", exempt="mimolinalg.py"),
+        "the log-det pivot step lives in mimolinalg._log_pivot_product alone, which writes "
+        "every frame length off one pass; protocols.py loops over no frame length",
+        "    q *= t",
     ),
     "One row per config field": (
         [SRC / "experiments.py"],

@@ -12,7 +12,7 @@ from dense_oracle import (
     quadrature_classic_bottleneck,
     quadrature_direct_rate,
 )
-from succrelay import experiments, outage
+from succrelay import channel, experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import (
     NetworkGeometry,
@@ -369,7 +369,10 @@ class TestSampleTrials:
         def forbidden(*args, **kwargs):
             raise AssertionError("_point drew from a stream or scaled a draw")
 
-        for name in ("trial_rng", "sample_realizations", "_sample_trials", "link_gains", "_gains"):
+        for name in (
+            "trial_rng", "sample_realizations", "_sample_trials", "coefficients", "squared_gains",
+            "_gains",
+        ):
             monkeypatch.setattr(experiments, name, forbidden)
         first, second = (pickle.dumps(_point(cfg, g, 10.0)) for _ in range(2))
         assert first == second
@@ -377,14 +380,16 @@ class TestSampleTrials:
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     def test_gains_scaled_once_per_point(self, monkeypatch, experiment):
         # each sweep point scales its whole block of normals in one call; a
-        # single realization scales its one draw once for the whole grid
+        # single realization scales its one draw once, for the whole grid and
+        # its JSON coefficients alike
         seen = []
 
         def record(geom, v):
             seen.append(v.shape[0])
-            return link_gains(geom, v)
+            return coefficients(geom, v)
 
-        monkeypatch.setattr(experiments, "link_gains", record)
+        monkeypatch.setattr(experiments, "coefficients", record)
+        monkeypatch.setattr(channel, "coefficients", record)
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment})
         run_experiment(cfg)
         assert seen == ([1] if experiment == "single_realization" else [cfg.trials] * 3)
@@ -406,7 +411,7 @@ class TestGainCurve:
 
     def test_points_share_one_draw_per_frame_length(self):
         # common random numbers: each point equals a lone evaluation on the
-        # frame length's stream, up to 1500 dB, just below overflow
+        # curve's one stream (0, 1), up to 1500 dB, just below overflow
         cfg = ExperimentConfig(
             experiment="gain_curve",
             snr_grid_db=(0.0, 15.0, 40.0, 1500.0),
@@ -415,10 +420,26 @@ class TestGainCurve:
             gain_l_values=(3, 7),
         )
         for row in run_gain_curve(cfg):
-            li = cfg.gain_l_values.index(row["l"])
-            g = trial_rng(8, (li, 1)).standard_exponential((3, 2000))
+            g = trial_rng(8, (0, 1)).standard_exponential((3, 2000))
             snr = 10.0 ** (row["snr_db"] / 10.0)
-            assert row["capacity_gain"] == capacity_gain_G(*g, [snr], row["l"])[0]
+            assert row["capacity_gain"] == capacity_gain_G(*g, [snr], [row["l"]])[0][0]
+
+    def test_rows_follow_the_configured_lengths(self):
+        # l-major rows in gain_l_values order, each length's curve that of a
+        # lone capacity_gain_G call on the one shared draw
+        cfg = ExperimentConfig(
+            experiment="gain_curve", snr_grid_db=(0.0, 20.0, 40.0), trials=500, seed=9,
+            gain_l_values=(7, 3, 2),
+        )
+        rows = run_gain_curve(cfg)
+        assert [(r["l"], r["snr_db"]) for r in rows] == [
+            (l, snr_db) for l in (7, 3, 2) for snr_db in (0.0, 20.0, 40.0)
+        ]
+        g = trial_rng(9, (0, 1)).standard_exponential((3, 500))
+        snrs = [snr_from_db(snr_db) for snr_db in cfg.snr_grid_db]
+        for i, l in enumerate((7, 3, 2)):
+            want = capacity_gain_G(*g, snrs, [l])[0].tolist()
+            assert [r["capacity_gain"] for r in rows[3 * i : 3 * i + 3]] == want, l
 
     def test_streams_share_no_key_with_a_sweep_or_dmt_grid(self, monkeypatch):
         keys = []
@@ -437,7 +458,7 @@ class TestGainCurve:
             keys.append(set())
             run_experiment(ExperimentConfig(**cfg, trials=20, seed=8))
         gain, sweep, dmt = keys
-        assert gain == {(0, 1), (1, 1), (2, 1)} and sweep and dmt
+        assert gain == {(0, 1)} and sweep and dmt
         assert not gain & sweep and not gain & dmt and not sweep & dmt
 
 
@@ -458,11 +479,11 @@ class TestGainCurve:
         )
         got = {(r["l"], r["snr_db"]): r["capacity_gain"] for r in run_gain_curve(cfg)}
         for l, snr_db in ((3, 0.0), (3, 20.0), (7, 20.0), (7, 40.0)):
-            snr, li = snr_from_db(snr_db), cfg.gain_l_values.index(l)
+            snr = snr_from_db(snr_db)
             want = quadrature_capacity_gain(l, snr)
             # the ratio of means a / b on the curve's own draws, with
             # delta-method standard error std(a - G b) / sqrt(n) / mean(b)
-            g = trial_rng(seed, (li, 1)).standard_exponential((3, n))
+            g = trial_rng(seed, (0, 1)).standard_exponential((3, n))
             a = logdet_capacity_batch(*g, snr, l) / (l + 1)
             b = 0.5 * np.log2(1.0 + g.sum(axis=0) * snr)
             se = np.std(a - want * b) / np.sqrt(n) / np.mean(b)

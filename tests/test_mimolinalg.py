@@ -22,6 +22,7 @@ from succrelay.mimolinalg import (
     build_equivalent_channel_batch,
     check_sinr_bound,
     logdet_capacity_batch,
+    logdet_capacity_lengths,
     mmse_sic_sinrs_batch,
 )
 
@@ -432,6 +433,39 @@ class TestLogdetAgainstEveryStepCheck:
         g[2, 3] = 1.0
         self.assert_same(g, l, "ignore")
         self.assert_same(g, l, "raise")
+
+
+class TestLogdetLengths:
+    """One pivot pass up to the longest length writes every length's row,
+    bit for bit as a lone length's pass, in the order the lengths are given."""
+
+    @pytest.mark.parametrize(
+        "ls", [(1, 2, 3, 7, 8, 16, 64), (64, 7, 1, 16, 3), (8, 2), (3, 7), (64,)]
+    )
+    def test_rows_equal_lone_lengths(self, ls):
+        # Exp(1) gains over two pieces; at 1e60 and 1e150 every step rescales
+        g = np.random.default_rng(2700).standard_exponential((3, 10_000))
+        assert g.shape[1] > CHUNK
+        for snr in (1.0, 1e4, 1e60, 1e150):
+            with np.errstate(all="raise"):
+                got = logdet_capacity_lengths(*g, snr, ls)
+            assert got.shape == (len(ls), g.shape[1])
+            for row, l in zip(got, ls):
+                assert row.tobytes() == logdet_capacity_batch(*g, snr, l).tobytes(), (snr, l)
+
+    def test_repeated_length_fills_each_row(self):
+        g = np.random.default_rng(2701).standard_exponential((3, 100))
+        got = logdet_capacity_lengths(*g, 10.0, [3, 5, 3])
+        assert got[0].tobytes() == got[2].tobytes() == logdet_capacity_batch(*g, 10.0, 3).tobytes()
+
+    def test_bad_length_rejected_before_any_work(self):
+        # the gains are not arrays: any work on them would raise TypeError
+        for ls in ([], (), 7, [0], [3, 0], [True], [3, False], [2.5], [[3, 7]], "37"):
+            with pytest.raises(ValueError, match="frame length"):
+                logdet_capacity_lengths(None, None, None, 1.0, ls)
+        for l in (0, -1, True, 2.5):
+            with pytest.raises(ValueError, match="frame length"):
+                logdet_capacity_batch(None, None, None, 1.0, l)
 
 
 class TestSicAgainstStagewiseChains:

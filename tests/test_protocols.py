@@ -434,28 +434,33 @@ def exp_gains(seed, n):
 class TestCapacityGain:
     def test_low_snr_limit(self):
         l = 7
-        g = capacity_gain_G(*exp_gains(0, 40_000), [1e-6], l)[0]
+        g = capacity_gain_G(*exp_gains(0, 40_000), [1e-6], [l])[0][0]
         assert g == pytest.approx(4 * l / (3 * (l + 1)), rel=0.02)
 
     def test_deterministic_in_seed(self):
-        first = capacity_gain_G(*exp_gains(4, 5000), [10.0], 3)
-        assert first.tolist() == capacity_gain_G(*exp_gains(4, 5000), [10.0], 3).tolist()
+        first = capacity_gain_G(*exp_gains(4, 5000), [10.0], [3])
+        assert first.tolist() == capacity_gain_G(*exp_gains(4, 5000), [10.0], [3]).tolist()
 
     def test_snr_array_reuses_the_draws(self):
         snrs = np.array([1.0, 10.0, 1e4])
         g = exp_gains(6, 20_000)
-        got = capacity_gain_G(*g, snrs, 3)
-        want = [capacity_gain_G(*g, [s], 3)[0] for s in snrs]
+        got = capacity_gain_G(*g, snrs, [3])[0]
+        want = [capacity_gain_G(*g, [s], [3])[0][0] for s in snrs]
         assert isinstance(got, np.ndarray) and got.tolist() == want
 
     def test_invalid_arguments(self):
         g = exp_gains(0, 100)
         with pytest.raises(ValueError):
-            capacity_gain_G(*g, [0.0], 7)
+            capacity_gain_G(*g, [0.0], [7])
         with pytest.raises(ValueError):
-            capacity_gain_G(*g, np.array([1.0, 0.0]), 7)
+            capacity_gain_G(*g, np.array([1.0, 0.0]), [7])
         with pytest.raises(ValueError, match="at least one draw"):
-            capacity_gain_G(*exp_gains(0, 0), [1.0], 7)
+            capacity_gain_G(*exp_gains(0, 0), [1.0], [7])
+        # a bad frame length is named before the draws are read: an empty
+        # draw would otherwise raise first
+        for ls in ([], (), 7, [0], [3, 0], [True], [3, False], [2.5], [[3, 7]], "37"):
+            with pytest.raises(ValueError, match="frame length"):
+                capacity_gain_G(*exp_gains(0, 0), [1.0], ls)
 
     @pytest.mark.parametrize(
         "snrs,match",
@@ -469,4 +474,4 @@ class TestCapacityGain:
     )
     def test_snrs_errors_are_named(self, snrs, match):
         with pytest.raises(ValueError, match=match):
-            capacity_gain_G(*exp_gains(1, 10), snrs, 3)
+            capacity_gain_G(*exp_gains(1, 10), snrs, [3])
