@@ -13,6 +13,8 @@ file's values before any check, and the merged values build the one config
 of the run, so a file value that a flag replaces is never checked.  Each
 field's flags, value type, list-ness, choices and help come from its row of
 `experiments._FIELDS`; only --config, --geometry and --workers are spelled here.
+The parser is built once, when this module is imported, and `main` parses
+every argv with it; `build_parser()` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# derived from `_FIELDS` and `CHOICES` like `CHOICES` itself; parsing leaves it unchanged
+_PARSER = build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The one config of a run: the set flags laid over the ``--config`` file's values."""
     ignored = ("config", "workers")
@@ -65,7 +71,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = config_from_args(args)
         payload = run_experiment(cfg)

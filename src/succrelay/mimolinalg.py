@@ -252,7 +252,9 @@ def mmse_sic_sinrs_batch(
     g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)
-    c = snr * snr * g_sd * g_r[:-1]
+    # snr^2 once per coupling, squared by numpy so that its overflow raises
+    # here under np.errstate; a lone stream has no coupling to square
+    c = np.square(np.full((l - 1, 1), snr, dtype=float)) * g_sd * g_r[:-1]
     a1 = 1.0 + a
     right = np.empty_like(a)
     orders = np.empty((l, n), dtype=np.intp)

@@ -178,7 +178,7 @@ def stagewise_mmse_sic_sinrs_batch(
     g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
     n = g_sd.shape[0]
     a = snr * (g_sd + g_r)
-    c = snr * snr * g_sd * g_r[:-1]
+    c = np.square(np.full((l - 1, 1), snr, dtype=float)) * g_sd * g_r[:-1]
     orders = np.empty((l, n), dtype=np.intp)
     if ordering is DetectionOrder.NATURAL:
         orders[:] = np.arange(l)[:, None]

@@ -8,7 +8,9 @@ field of any of them, or the type a value is stored as, fails here.  Each
 ``ci-*`` argv also runs, with RuntimeWarning as an error, and must give
 its `CI_OUTCOMES` row; one of them runs again through ``python -m
 succrelay.cli``.  README's commands and its library example are read from
-README itself, so they cannot drift.
+README itself, so they cannot drift.  `main` parses with the one parser
+built at import, so calls in one process must not see each other: each
+gives what its argv gives in a process of its own.
 """
 
 from __future__ import annotations
@@ -162,6 +164,18 @@ ARGVS = {
         ["--geometry", "{" + CLOSE + "}", "--snr", "1538", "--trials", "10"],
         {"geometry": CLOSE_GEOMETRY, "snr_grid_db": (1538.0,), "trials": 10},
     ),
+    # V-BLAST alone, where the SIC's snr^2 is the first product to overflow
+    "vblast-snr": (
+        "--protocols successive_vblast --adaptive none --snr 1545 --trials 10",
+        {"protocols": ("successive_vblast",), "adaptive_rule": "none",
+         "snr_grid_db": (1545.0,), "trials": 10},
+    ),
+    "vblast-single-snr": (
+        "--experiment single_realization --protocols successive_vblast --adaptive none "
+        "--snr 1545 --trials 10",
+        {"experiment": "single_realization", "protocols": ("successive_vblast",),
+         "adaptive_rule": "none", "snr_grid_db": (1545.0,), "trials": 10},
+    ),
     # README.md, "Command line"
     "readme-sweep": (
         "--experiment geometry_sweep --geometry III --l 7 --snr 0 5 10 15 20 --trials 10000 "
@@ -253,6 +267,94 @@ def test_ci_argv_gives_its_outcome(name, tmp_path, capsys):
         assert err == ""
     else:
         assert err.count("\n") == 1 and err.startswith(f"error: config field '{field}'"), err
+
+
+@pytest.mark.parametrize("name", ["vblast-snr", "vblast-single-snr"])
+def test_vblast_snr_overflow_is_named_where_it_happens(name, tmp_path, capsys):
+    """The SIC's snr^2 overflows as an overflow, not later as an invalid divide."""
+    assert _run(_argv(name, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: config field 'snr_grid_db': overflow encountered"), err
+
+
+def _outcome(argv: list[str], capsys) -> tuple:
+    """(exit code, stdout, stderr, the --out file's bytes or None) of one
+    in-process call; the file is removed afterwards."""
+    try:
+        rc = _run(argv)
+    except SystemExit as exc:  # argparse's exit on a bad flag
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err, _take_output(argv)
+
+
+def _take_output(argv: list[str]) -> bytes | None:
+    path = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if path is None or not path.exists():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def test_main_never_builds_a_parser(monkeypatch, capsys):
+    """`main` parses with the parser built at import; `build_parser()` still
+    returns a fresh one."""
+    assert build_parser() is not build_parser()
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr("succrelay.cli.build_parser", refuse)
+    assert main(CASES["gain_curve"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--adaptive", "z"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'z'" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_match_calls_alone(tmp_path, monkeypatch, capsys):
+    """A good argv, a bad flag, a config error, a config file under flags and
+    the good argv again, in one process: each call gives the exit code,
+    stdout, stderr and output bytes of its argv run in a process of its own."""
+    # argparse wraps its usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    good = [*CASES["geometry_sweep"], "--format", "csv", "--out", str(tmp_path / "sweep.csv")]
+    config_file = _argv("ci-config-override", tmp_path)
+    config_file += ["--format", "json", "--out", str(tmp_path / "gain.json")]
+    argvs = [good, ["--adaptive", "z"], ["--l", "0"], config_file, good]
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src"), "COLUMNS": "80"}
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "succrelay.cli"]
+    alone = {}
+    for argv in argvs[:4]:
+        done = subprocess.run(
+            [*command, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        alone[tuple(argv)] = (done.returncode, done.stdout, done.stderr, _take_output(argv))
+    assert [alone[tuple(argv)][0] for argv in argvs[:4]] == [0, 2, 2, 0]
+    for argv in argvs:
+        assert _outcome(argv, capsys) == alone[tuple(argv)], argv
+
+
+def _scaled(argv: list[str], tmp_path) -> list[str]:
+    """A bench argv with a tenth of its trials, writing under ``tmp_path``."""
+    scaled, counts = [], False
+    for arg in argv:
+        if arg.startswith("--"):
+            counts = arg in ("--trials", "--dmt-trials")
+        elif counts:
+            arg = str(int(arg) // 10)
+        scaled.append(str(tmp_path / arg) if arg.startswith("out.") else arg)
+    return scaled
+
+
+@pytest.mark.parametrize("name", [name for name in ARGVS if name.startswith("bench-")])
+def test_bench_argv_same_bytes_on_consecutive_calls(name, tmp_path, capsys):
+    argv = _scaled(ARGVS[name][0].split(), tmp_path)
+    first = _outcome(argv, capsys)
+    assert first[0] == 0 and first[3]
+    assert _outcome(argv, capsys) == first
 
 
 def test_module_entry_point_exits_with_mains_code(tmp_path):

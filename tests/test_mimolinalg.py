@@ -285,6 +285,18 @@ class TestExtremeInputs:
                     if snr == 0.0:
                         assert np.all(sinrs == 0.0)
 
+    def test_snr_square_overflow_raises_where_it_happens(self):
+        # snr^2 passes float range at ~1541.3 dB; a Python float square would
+        # turn inf silently and fail two steps later as an invalid divide
+        g, snr = np.ones((3, 4)), 10.0**154.5
+        for ordering in DetectionOrder:
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="^overflow encountered"):
+                    mmse_sic_sinrs_batch(*g, snr, 7, ordering)
+                # a lone stream has no coupling, so nothing is squared
+                _, sinrs = mmse_sic_sinrs_batch(*g, snr, 1, ordering)
+            assert np.all(sinrs == 2.0 * snr)
+
     def test_all_zero_channel_every_length(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -473,7 +485,8 @@ class TestSicAgainstStagewiseChains:
     last stage: its orders and SINR bytes equal those of the reference that
     recomputes every chain at every stage, and it raises where that raises."""
 
-    SNRS = (0.0, 1e-3, 1.0, 100.0, 1e5, 1e9)
+    # snr^2 leaves float range at 10^154.5, where only a frame with a coupling squares it
+    SNRS = (0.0, 1e-3, 1.0, 100.0, 1e5, 1e9, 10.0**154.5)
 
     @staticmethod
     def outcome(kernel, g, snr, l, ordering):
@@ -491,7 +504,7 @@ class TestSicAgainstStagewiseChains:
             for n in (1, 1000)
         ]
         batches.append(np.full((3, 50), 0.7))  # every stream ties at every stage
-        batches.append(np.full((3, 4), 1e300))  # a overflows from snr 1e5 on, c from 1 on
+        batches.append(np.full((3, 4), 1e300))  # a overflows from snr 1e9 on, c from 1 on
         raised = 0
         for g, snr, ordering in itertools.product(batches, self.SNRS, DetectionOrder):
             got = self.outcome(mmse_sic_sinrs_batch, g, snr, l, ordering)
