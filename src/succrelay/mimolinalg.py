@@ -14,10 +14,9 @@ squared-gain arrays: with a_k = snr (g_sd + g_r(k)) and
 c_k = snr^2 g_sd g_r(k), I + snr H^H H has diagonal 1 + a_k and squared
 off-diagonal moduli c_k.  The log-det sums the log pivots without
 cancellation; an l-codeword frame's pivots are the first l of any longer
-frame's, so one pass writes the log-det of several frame lengths
-(`logdet_capacity_lengths`; `logdet_capacity_batch` is its one-length
-case).  Detecting a stream deletes its row and column, which zeroes the
-couplings next to it.  The MMSE-SIC SINR
+frame's, so one pass of `logdet_capacity_batch` writes the log-det of one
+frame length or of several.  Detecting a stream deletes its row and
+column, which zeroes the couplings next to it.  The MMSE-SIC SINR
 1/[(I + snr H_A^H H_A)^-1]_kk - 1 of an undetected stream (Tse &
 Viswanath, Fundamentals of Wireless Communication, ch. 8) is then
 a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1}, where f and g are the forward and
@@ -110,19 +109,11 @@ def check_frame_lengths(ls) -> None:
 
 
 def logdet_capacity_batch(
-    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, l: int
+    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, l
 ) -> np.ndarray:
-    """log2 det(I + snr * H^H H) of l-codeword frames, from (n,) squared gains:
-    the one-length case of `logdet_capacity_lengths`.
-    """
-    return logdet_capacity_lengths(g_sd, g_r1d, g_r2d, snr, (l,))[0]
-
-
-def logdet_capacity_lengths(
-    g_sd: np.ndarray, g_r1d: np.ndarray, g_r2d: np.ndarray, snr: float, ls
-) -> np.ndarray:
-    """log2 det(I + snr * H^H H) of frames of each length in ``ls``, from
-    (n,) squared gains: one (n,) row per entry of ``ls``, in its order.
+    """log2 det(I + snr * H^H H) of l-codeword frames, from (n,) squared
+    gains: an (n,) array for one frame length ``l``, or for a sequence ``l``
+    of lengths one (n,) row per entry, in its order.
 
     With a_0 = snr * g_sd and a_r(k) = snr * g_r(k), the pivots of the
     tridiagonal matrix are f_k = 1 + w_k with w_k = v_k + a_r(k), where
@@ -131,14 +122,16 @@ def logdet_capacity_lengths(
     nothing cancels however the gains compare; q = prod(1 + w_k) - 1 is
     accumulated as q <- q (1 + w_k) + w_k and the result is log1p(q), exact
     to rounding also for vanishing gains.  The first l pivots of a longer
-    frame are those of an l-codeword frame, so one recurrence up to max(ls)
-    reads every length off on its way, bit for bit as a lone length.  Each
-    piece of `CHUNK` draws is written in place; a step whose q cannot pass
-    `_PRODUCT_LIMIT` by the piece's bound skips the overflow check (see
-    `_log_pivot_product`), which changes no output bit.  The gains are
-    squared moduli, so >= 0.  A bad snr or length raises ValueError before
-    any work.
+    frame are those of an l-codeword frame, so one recurrence up to the
+    longest length reads every length off on its way, bit for bit as a lone
+    length.  Each piece of `CHUNK` draws is written in place; a step whose q
+    cannot pass `_PRODUCT_LIMIT` by the piece's bound skips the overflow
+    check (see `_log_pivot_product`), which changes no output bit.  The
+    gains are squared moduli, so >= 0.  A bad snr or length raises
+    ValueError before any work.
     """
+    one = np.ndim(l) == 0
+    ls = (l,) if one else l
     check_kernel_args(snr)
     check_frame_lengths(ls)
     out = np.empty((len(ls), len(g_sd)))
@@ -148,14 +141,14 @@ def logdet_capacity_lengths(
             snr * g_sd[part], (snr * g_r1d[part], snr * g_r2d[part]), ls, out[:, part]
         )
     out /= _LN2
-    return out
+    return out[0] if one else out
 
 
 def _log_pivot_product(
     a0: np.ndarray, ar: tuple[np.ndarray, np.ndarray], ls, out: np.ndarray
 ) -> None:
     """Write the natural log of prod_{k<l} (1 + w_k) into row i of ``out``
-    for each length l = ls[i], see `logdet_capacity_lengths`.
+    for each length l = ls[i], see `logdet_capacity_batch`.
 
     Past `_PRODUCT_LIMIT`, q moves into a log scale and restarts at 0.  As
     v_k <= a_0, each factor 1 + w_k is at most top = 1 + max a_0 +

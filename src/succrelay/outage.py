@@ -71,12 +71,14 @@ SCHEMES = {
 }
 
 
-def _multiplexing_gain(r) -> float:
-    """float(r); ValueError unless it is finite and >= 0 (an int past float range is not)."""
+def _finite(x, what: str, *, positive: bool = False) -> float:
+    """float(x); ValueError naming ``what`` unless it is finite and >= 0, or
+    > 0 when ``positive`` (an int past float range is not finite)."""
     with contextlib.suppress(OverflowError):
-        if 0.0 <= float(r) < np.inf:
-            return float(r)
-    raise ValueError(f"multiplexing gain must be finite and >= 0, got {r}")
+        value = float(x)
+        if (value > 0.0 if positive else value >= 0.0) and value < np.inf:
+            return value
+    raise ValueError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +168,11 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
     check_kernel_args(l=l)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
-    for snr, rbar, trials in points:
-        if not 0.0 < snr < np.inf:
-            raise ValueError(f"snr must be finite and > 0, got {snr}")
-        if not 0.0 <= rbar < np.inf:
-            raise ValueError(f"target rate must be finite and >= 0, got {rbar}")
+    points = [
+        (_finite(snr, "snr", positive=True), _finite(rbar, "target rate"), trials)
+        for snr, rbar, trials in points
+    ]
+    for _, _, trials in points:
         integer = isinstance(trials, numbers.Integral) and not isinstance(trials, bool)
         if not (integer and 1 <= trials < 2**63):  # numpy's multinomial takes int64 counts
             raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
@@ -251,7 +253,7 @@ def estimate_dmt(
     scheme's closed-form d(r, l) to compare them with.  Grid point i counts
     on the (seed, (i, 0)) stream.
     """
-    r = _multiplexing_gain(r)
+    r = _finite(r, "multiplexing gain")  # run_dmt maps this wording to dmt_r
     grid = list(snr_grid_db)
     snrs = [snr_from_db(x) for x in grid]  # ValueError where float(x) would overflow
     grid = [float(x) for x in grid]
@@ -261,7 +263,7 @@ def estimate_dmt(
         raise ValueError("snr grid must span >= 20 dB within the >= 20 dB region")
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ValueError("snr grid must be strictly increasing")
-    if np.isscalar(trials_per_point):
+    if np.ndim(trials_per_point) == 0:
         trial_counts = [trials_per_point] * len(grid)
     else:
         trial_counts = list(trials_per_point)

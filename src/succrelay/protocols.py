@@ -44,7 +44,6 @@ from .mimolinalg import (  # noqa: F401
     check_frame_lengths,
     check_kernel_args,
     logdet_capacity_batch,
-    logdet_capacity_lengths,
     mmse_sic_sinrs_batch,
     require,
 )
@@ -194,25 +193,28 @@ def capacity_gain_G(
     """Average capacity gain of successive relaying over classic protocol II.
 
     Takes the (n,) squared destination gains of n draws, like
-    `logdet_capacity_lengths`, and returns a (len(ls), len(snrs)) array: one
+    `logdet_capacity_batch`, and returns a (len(ls), len(snrs)) array: one
     row per frame length of ``ls``, in its order, one gain per entry of the
-    1-D ``snrs``, all from the same draws.  The numerator is the mean
-    per-slot log-det rate of the (l+1) x l equivalent channel, every length
-    read off one pivot recurrence per SNR; the denominator, shared by every
-    length, the mean classic-II rate with both relays decoding,
-    0.5 * C((g_sd + g_r1d + g_r2d) snr).  Bad ``snrs`` or ``ls`` raise
-    ValueError before any work.
+    nonempty 1-D ``snrs``, all from the same draws.  The numerator is the
+    mean per-slot log-det rate of the (l+1) x l equivalent channel, every
+    length read off one `logdet_capacity_batch` pass per SNR; the
+    denominator, shared by every length, the mean classic-II rate with both
+    relays decoding, 0.5 * C((g_sd + g_r1d + g_r2d) snr).  Bad ``snrs`` or
+    ``ls`` raise ValueError before any work.
     """
-    snrs = np.asarray(snrs, dtype=float)
-    if snrs.ndim != 1 or not np.all((snrs > 0.0) & (snrs < np.inf)):
-        raise ValueError(f"snrs must be a 1-D array of finite values > 0, got {snrs}")
+    try:
+        values = np.asarray(snrs, dtype=float)
+    except OverflowError:  # an int past float range: not finite
+        values = np.array(np.nan)
+    if values.ndim != 1 or not values.size or not np.all((values > 0.0) & (values < np.inf)):
+        raise ValueError(f"snrs must be a nonempty 1-D array of finite values > 0, got {snrs}")
     check_frame_lengths(ls)
     if np.size(g_sd) == 0:
         raise ValueError("capacity gain needs at least one draw")
     slots = np.asarray(ls) + 1
     num = [
-        np.mean(logdet_capacity_lengths(g_sd, g_r1d, g_r2d, s, ls), axis=1) / slots for s in snrs
+        np.mean(logdet_capacity_batch(g_sd, g_r1d, g_r2d, s, ls), axis=1) / slots for s in values
     ]
     g_sum = g_sd + g_r1d + g_r2d
-    den = [0.5 * np.mean(_cap(g_sum * s)) for s in snrs]
+    den = [0.5 * np.mean(_cap(g_sum * s)) for s in values]
     return np.array(num).T / np.array(den)

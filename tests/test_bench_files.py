@@ -3,8 +3,9 @@
 Each file holds, for one commit, the ``info`` and ``result`` records that
 ``bench/run.py`` writes for every workload of ``BENCHMARK.json``, once with
 ``--trace 0`` and once with ``--trace 1``, at one seed and run length.  A
-speed claim compares two such files, so each must name the same workloads
-and carry every end-to-end metric in its declared unit.  Only
+speed claim compares two such files, so each must name the same workloads,
+run them all at one seed, and carry every end-to-end metric (trace 0) and
+every per-layer metric (trace 1) in its declared unit.  Only
 ``BENCHMARK.json`` is read besides the files themselves.
 """
 
@@ -18,7 +19,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
-UNITS = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+# trace -> the metrics its records carry, with their units
+UNITS = {
+    trace: {m["name"]: m["unit"] for m in BENCHMARK[kind]}
+    for trace, kind in ((0, "end_to_end"), (1, "per_layer"))
+}
 FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
@@ -38,8 +43,9 @@ def test_file_has_every_workload_at_both_traces(path):
         traces.setdefault(info["workload"], []).append(info["trace"])
     assert set(traces) == WORKLOADS
     assert all(sorted(t) == [0, 1] for t in traces.values()), traces
+    assert len({record["info"]["seed"] for record in records}) == 1
     for record in records:
-        if record["info"]["trace"] == 0:
-            metrics = record["result"]["metrics"]
-            units = {name: metrics[name]["unit"] for name in UNITS if name in metrics}
-            assert units == UNITS, record["info"]["workload"]
+        info, metrics = record["info"], record["result"]["metrics"]
+        want = UNITS[info["trace"]]
+        units = {name: metrics[name]["unit"] for name in want if name in metrics}
+        assert units == want, (info["workload"], info["trace"])

@@ -22,7 +22,6 @@ from succrelay.mimolinalg import (
     build_equivalent_channel_batch,
     check_sinr_bound,
     logdet_capacity_batch,
-    logdet_capacity_lengths,
     mmse_sic_sinrs_batch,
 )
 
@@ -448,8 +447,9 @@ class TestLogdetAgainstEveryStepCheck:
 
 
 class TestLogdetLengths:
-    """One pivot pass up to the longest length writes every length's row,
-    bit for bit as a lone length's pass, in the order the lengths are given."""
+    """Given a sequence of lengths, one pivot pass up to the longest writes
+    every length's row, bit for bit as a lone length's (n,) array, in the
+    order the lengths are given."""
 
     @pytest.mark.parametrize(
         "ls", [(1, 2, 3, 7, 8, 16, 64), (64, 7, 1, 16, 3), (8, 2), (3, 7), (64,)]
@@ -460,21 +460,29 @@ class TestLogdetLengths:
         assert g.shape[1] > CHUNK
         for snr in (1.0, 1e4, 1e60, 1e150):
             with np.errstate(all="raise"):
-                got = logdet_capacity_lengths(*g, snr, ls)
+                got = logdet_capacity_batch(*g, snr, ls)
             assert got.shape == (len(ls), g.shape[1])
             for row, l in zip(got, ls):
                 assert row.tobytes() == logdet_capacity_batch(*g, snr, l).tobytes(), (snr, l)
 
     def test_repeated_length_fills_each_row(self):
         g = np.random.default_rng(2701).standard_exponential((3, 100))
-        got = logdet_capacity_lengths(*g, 10.0, [3, 5, 3])
+        got = logdet_capacity_batch(*g, 10.0, [3, 5, 3])
         assert got[0].tobytes() == got[2].tobytes() == logdet_capacity_batch(*g, 10.0, 3).tobytes()
+
+    def test_one_length_gives_one_array(self):
+        g = np.random.default_rng(2702).standard_exponential((3, 100))
+        lone = logdet_capacity_batch(*g, 10.0, np.int64(7))
+        assert lone.shape == (100,)
+        for ls in ([7], (7,), np.array([7])):
+            rows = logdet_capacity_batch(*g, 10.0, ls)
+            assert rows.shape == (1, 100) and rows[0].tobytes() == lone.tobytes()
 
     def test_bad_length_rejected_before_any_work(self):
         # the gains are not arrays: any work on them would raise TypeError
-        for ls in ([], (), 7, [0], [3, 0], [True], [3, False], [2.5], [[3, 7]], "37"):
+        for ls in ([], (), [0], [3, 0], [True], [3, False], [2.5], [[3, 7]], "37"):
             with pytest.raises(ValueError, match="frame length"):
-                logdet_capacity_lengths(None, None, None, 1.0, ls)
+                logdet_capacity_batch(None, None, None, 1.0, ls)
         for l in (0, -1, True, 2.5):
             with pytest.raises(ValueError, match="frame length"):
                 logdet_capacity_batch(None, None, None, 1.0, l)

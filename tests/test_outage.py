@@ -536,7 +536,15 @@ class TestGridPool:
         drawn = []
         monkeypatch.setattr(outage, "trial_rng", lambda *key: drawn.append(key))
         good = (100.0, 1.0, 1000)
-        for bad in ((0.0, 1.0, 1000), (100.0, -1.0, 1000), (100.0, 1.0, 0), (100.0, 1.0, 2**63)):
+        bad_points = [
+            (0.0, 1.0, 1000),
+            (100.0, -1.0, 1000),
+            (100.0, 1.0, 0),
+            (100.0, 1.0, 2**63),
+            (10**400, 1.0, 1000),  # ints past float range
+            (100.0, 10**400, 1000),
+        ]
+        for bad in bad_points:
             with pytest.raises(ValueError):
                 outage._outage_events("successive", [good, bad], 7, 2)
         assert drawn == []
@@ -735,6 +743,7 @@ class TestEstimateDmt:
             dict(trials_per_point=[100, 100.5, 100]),
             dict(trials_per_point=True),
             dict(r=10**400),
+            dict(trials_per_point=np.array(100)),
         ],
         ids=[
             "scheme",
@@ -753,6 +762,7 @@ class TestEstimateDmt:
             "fractional_trials_entry",
             "bool_trials",
             "int_r_past_float_range",
+            "zero_dim_array_trials",
         ],
     )
     def test_invalid_arguments(self, kwargs):

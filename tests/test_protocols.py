@@ -10,6 +10,7 @@ from succrelay.channel import (
     trial_rng,
 )
 from succrelay.experiments import PROTOCOLS
+from succrelay import protocols
 from succrelay.mimolinalg import DetectionOrder, InvariantError, mmse_sic_sinrs_batch
 from succrelay.protocols import (
     _cap,
@@ -470,8 +471,29 @@ class TestCapacityGain:
             ([1.0, -1.0], "> 0"),
             ([1.0, np.inf], "finite"),
             ([np.nan], "finite"),
+            ([], "nonempty"),
+            ([10**400], "finite"),
         ],
     )
     def test_snrs_errors_are_named(self, snrs, match):
         with pytest.raises(ValueError, match=match):
             capacity_gain_G(*exp_gains(1, 10), snrs, [3])
+
+    def test_log_det_runs_through_the_traced_name(self, monkeypatch):
+        # bench/tracing.py books log-det time under protocols.logdet_capacity_batch:
+        # every rate that needs the log-det must reach it through that name
+        calls = []
+        kernel = protocols.logdet_capacity_batch
+
+        def recorder(g_sd, g_r1d, g_r2d, snr, l):
+            calls.append((snr, l))
+            return kernel(g_sd, g_r1d, g_r2d, snr, l)
+
+        monkeypatch.setattr(protocols, "logdet_capacity_batch", recorder)
+        capacity_gain_G(*exp_gains(2, 50), [1.0, 10.0, 100.0], [3, 7])
+        assert calls == [(1.0, [3, 7]), (10.0, [3, 7]), (100.0, [3, 7])]
+        g = random_gains(2, 50)
+        for rate in (successive_genie_batch, theorem1_rate_batch):
+            calls.clear()
+            rate(g, 10.0, 7)
+            assert calls == [(10.0, 7)], rate.__name__
