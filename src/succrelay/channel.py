@@ -25,6 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .mimolinalg import check_count
+
 LINK_NAMES = ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")
 
 # Case III only pins the inter-relay spacing as negligible next to the
@@ -166,16 +168,14 @@ def trial_rng(seed: int, trial) -> np.random.Generator:
     extend the stream without changing earlier ones; the outage count
     draws DMT grid point i from (i, 0), and the gain curve draws its Exp(1)
     gains once from (0, 1), shared by every frame length and SNR point.
-    Seed and every key must be integers, not bools: the seed >= 0, each key
-    in [0, 2**64).  Anything else raises ValueError before a generator is
+    The seed and every key must pass `check_count` in [0, 2**64), as a
+    64-bit unsigned integer, or ValueError names them before a generator is
     built; a seed of None would draw from OS entropy.
     """
     key = trial if isinstance(trial, tuple) else (trial,)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_count(seed, "seed", 0, 64)
     for k in key:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < 2**64:
-            raise ValueError(f"trial must be an integer key in [0, 2**64), got {k!r}")
+        check_count(k, "trial", 0, 64)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 

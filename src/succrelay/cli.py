@@ -23,9 +23,8 @@ import argparse
 import json
 import sys
 
-from .experiments import (
-    _FIELDS, _KINDS, CHOICES, EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
-)
+from .experiments import _FIELDS, CHOICES, EXPERIMENTS, ConfigError, ExperimentConfig
+from .experiments import run_experiment
 
 
 def _geometry(text: str):
@@ -45,11 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="I, II, III, or a custom JSON distance object "
         '(e.g. \'{"d_sd": 1, "d_sr1": 0.5, ...}\')',
     )
-    for name, (kind, listed, _, flags, text) in _FIELDS.items():
+    for name, (store, listed, _, flags, text) in _FIELDS.items():
         flags, choices = flags.split(), CHOICES.get(name)
         metavar = None if choices else flags[0].lstrip("-").upper().replace("-", "_")
         p.add_argument(
-            *flags, dest=name, type=_KINDS[kind][0], nargs="+" if listed else None,
+            *flags, dest=name, type=store, nargs="+" if listed else None,
             choices=choices, metavar=metavar, help=text,
         )
     # older scripts pass --workers; every experiment runs on one thread

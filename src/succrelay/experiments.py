@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,8 @@ from .channel import (
     squared_gains,
     trial_rng,
 )
-from .mimolinalg import require
-from .outage import SCHEMES, estimate_dmt, snr_from_db
+from .mimolinalg import check_count, check_kernel_args, check_real, require, snr_from_db
+from .outage import SCHEMES, estimate_dmt
 from .protocols import (
     ADAPTIVE_RULES,
     adaptive_keep_batch,
@@ -86,45 +85,36 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{config_field}': {message}")
 
 
-# config field -> (type of each value, whether the field is a list, the check each
-# value meets as (predicate, message) or None, its `simulate` flags, their help),
-# in field order; `network` checks `geometry`.  The message takes the stored field;
-# `snr_from_db` raises its own.
+# The library's checks of a frame length and of a trial count, as two fields each take them.
+_LENGTH, _TRIALS = (lambda x: check_kernel_args(l=x)), (lambda x: check_count(x, "trials"))
+# config field -> (how a value is stored, whether the field is a list, the library
+# check each numeric value meets, its `simulate` flags, their help), in field order.
+# A check raises ValueError where the library refuses the value; a string must be a
+# str, and one of `CHOICES` where that lists the field.  `network` checks `geometry`.
 _FIELDS = {
     "experiment": (str, False, None, "--experiment -e", "the experiment to run"),
-    "l": (
-        Integral, False, (lambda x: x >= 1, "frame length must be >= 1, got {}"),
-        "--l", "codewords per frame",
-    ),
-    "snr_grid_db": (Real, True, (snr_from_db, None), "--snr", "SNR grid in dB"),
-    "trials": (
-        Integral, False, (lambda x: 1 <= x < 2**63, "must lie in [1, 2**63), got {}"),
-        "--trials", "Monte Carlo trials per SNR point",
-    ),
+    "l": (int, False, _LENGTH, "--l", "codewords per frame"),
+    "snr_grid_db": (float, True, snr_from_db, "--snr", "SNR grid in dB"),
+    "trials": (int, False, _TRIALS, "--trials", "Monte Carlo trials per SNR point"),
     "seed": (
-        Integral, False, (lambda x: 0 <= x < 2**64, "must fit an unsigned 64-bit integer"),
+        int, False, lambda x: check_count(x, "seed", 0, 64),
         "--seed", "seed of every random stream of the run",
     ),
     "protocols": (str, True, None, "--protocols", "the protocols a sweep compares"),
     "adaptive_rule": (str, False, None, "--adaptive", "when relaying falls back to direct"),
     "output_path": (str, False, None, "--out", "output file path"),
     "output_format": (str, False, None, "--format", "output file format"),
-    "gain_l_values": (
-        Integral, True, (lambda x: x >= 1, "entries must be >= 1, got {}"),
-        "--gain-l", "frame lengths for the gain curve",
-    ),
+    "gain_l_values": (int, True, _LENGTH, "--gain-l", "frame lengths for the gain curve"),
     "dmt_r": (
-        Real, False, (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0, got {}"),
+        float, False, lambda x: check_real(x, "multiplexing gain"),
         "--r", "multiplexing gain for the DMT experiment",
     ),
     "dmt_scheme": (str, False, None, "--dmt-scheme", "the scheme whose outage is counted"),
     "dmt_trials_per_point": (
-        Integral, True, (lambda x: 1 <= x < 2**63, "every entry must lie in [1, 2**63)"),
+        int, True, _TRIALS,
         "--dmt-trials", "per-grid-point trial counts (default: --trials at each point)",
     ),
 }
-# type -> how a value is stored (numpy scalars pass the check but not json.dumps), its noun
-_KINDS = {str: (str, "strings"), Real: (float, "real numbers"), Integral: (int, "integers")}
 
 
 @dataclass(frozen=True)
@@ -147,29 +137,24 @@ class ExperimentConfig:
     dmt_trials_per_point: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name, (kind, listed, check, _, _) in _FIELDS.items():
+        for name, (store, listed, check, _, _) in _FIELDS.items():
             value = getattr(self, name)
             if value is None and name in ("output_path", "dmt_trials_per_point"):
                 continue
             if listed and (isinstance(value, str) or not hasattr(value, "__iter__")):
                 raise ConfigError(name, f"must be a list, got {value!r}")
-            value = tuple(value) if listed else value  # an iterator is read once, here
-            store, noun = _KINDS[kind]
-            values = value if listed else (value,)
-            if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
-                raise ConfigError(name, f"must be {noun}, got {value!r}")
-            try:  # float() rejects a JSON integer past float range
-                values = tuple(store(v) for v in values)
-                ok = check is None or all(check[0](v) for v in values)
-            except (OverflowError, ValueError) as exc:
+            values = tuple(value) if listed else (value,)  # an iterator is read once, here
+            try:
+                for v in values:
+                    if check:
+                        check(v)
+                    elif not isinstance(v, str) or v not in CHOICES.get(name, (v,)):
+                        noun = f"one of {CHOICES[name]}" if name in CHOICES else "strings"
+                        raise ValueError(f"must be {noun}, got {v!r}")
+            except ValueError as exc:
                 raise ConfigError(name, str(exc)) from exc
-            value = values if listed else values[0]
-            if not ok:
-                raise ConfigError(name, check[1].format(value))
-            for v in values if name in CHOICES else ():
-                if v not in CHOICES[name]:
-                    raise ConfigError(name, f"must be one of {CHOICES[name]}, got {v!r}")
-            object.__setattr__(self, name, value)
+            values = tuple(map(store, values))
+            object.__setattr__(self, name, values if listed else values[0])
         if not isinstance(self.geometry, (str, dict)):
             raise ConfigError("geometry", "must be a preset name or a distance mapping")
         try:  # builds `network` for the runners; a custom geometry's keys are its fields
@@ -232,10 +217,7 @@ def _sample_trials(geom: NetworkGeometry, seed: int, snr_idx: int, n: int) -> np
     (1, k, 6) row (``out``) of one block, in trial order, for `_gains`.
     """
     rng = trial_rng(seed, snr_idx)
-    try:
-        v = np.empty(realization_shape(geom, n))
-    except MemoryError as exc:
-        raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
+    v = np.empty(realization_shape(geom, n))
     for row in v[:, None]:
         sample_realizations(geom, rng, 1, out=row)
     return v
@@ -327,10 +309,7 @@ def run_gain_curve(cfg: ExperimentConfig) -> list[dict]:
     # one Exp(1) draw (unit-variance Rayleigh, no pathloss or shadowing) on
     # stream (seed, (0, 1)), shared by every frame length and SNR point:
     # common random numbers keep the curves smooth and their differences tight
-    try:
-        g = trial_rng(cfg.seed, (0, 1)).standard_exponential((3, cfg.trials))
-    except MemoryError as exc:
-        raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
+    g = trial_rng(cfg.seed, (0, 1)).standard_exponential((3, cfg.trials))
     try:  # Exp(1) gains: only the SNR can overflow
         with np.errstate(over="raise", invalid="raise"):
             gains = capacity_gain_G(*g, snrs, cfg.gain_l_values)
@@ -541,11 +520,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the configured experiment, write output if requested.
 
     Returns a JSON-ready payload; when ``cfg.output_path`` is set the
-    payload (json) or its tabular form (csv) is also written there.
+    payload (json) or its tabular form (csv) is also written there.  A draw
+    block too large to allocate is a ConfigError naming ``trials``.
     """
     key, run, csv_table, _ = EXPERIMENTS[cfg.experiment]
     payload = dict(schema_version=SCHEMA_VERSION, experiment=cfg.experiment, config=asdict(cfg))
-    payload[key] = run(cfg)
+    try:
+        payload[key] = run(cfg)
+    except MemoryError as exc:
+        raise ConfigError("trials", f"{exc}; too many trials to hold in memory") from exc
     if cfg.output_path and cfg.output_format == "csv":
         write_csv(cfg.output_path, *csv_table(payload[key]))
     elif cfg.output_path:

@@ -25,11 +25,13 @@ inverse: Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992; Usmani,
 Linear Algebra Appl. 212/213, 1994).  The pivots are >= 1, so no
 division can fail.  The log-det costs O(l) per frame, a SIC stage O(l):
 O(l^2) for strongest-first order and O(l) in total for natural order.
-Dense factorizations of H serve only as test oracles.
+Dense factorizations of H serve only as test oracles.  The argument checks
+that every entry point shares, `check_real` and `check_count`, live here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from enum import Enum
 
@@ -92,12 +94,47 @@ def build_equivalent_channel_batch(
     return m
 
 
+def _real(x) -> float:
+    """float(x) of a real number (a Python or numpy int or float, or a 0-d array
+    of one); NaN for anything else, such as a str, bytes, bool or an int past float range."""
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    if real or isinstance(x, np.ndarray) and x.shape == () and x.dtype.kind in "iuf":
+        with contextlib.suppress(OverflowError):
+            return float(x)
+    return np.nan
+
+
+def check_real(x, name: str, *, positive: bool = False) -> float:
+    """``x`` as a float, or ValueError naming ``name`` unless it is a real
+    number (see `_real`) that is finite and >= 0, or > 0 when ``positive``."""
+    value, sign = _real(x), ">" if positive else ">="
+    if (value > 0.0 if positive else value >= 0.0) and value < np.inf:
+        return value
+    raise ValueError(f"{name} must be a finite real number {sign} 0, got {x!r}")
+
+
+def check_count(x, name: str, lo: int = 1, bits: int = 63) -> int:
+    """``x`` as an int, or ValueError naming ``name`` unless it is an integer,
+    Python or numpy and not a bool, in [lo, 2**bits): a count fits numpy's int64."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x < 2**bits:
+        raise ValueError(f"{name} must be an integer in [{lo}, 2**{bits}), got {x!r}")
+    return int(x)
+
+
+def snr_from_db(snr_db: float) -> float:
+    """10 ** (snr_db / 10), or ValueError unless ``snr_db`` is a real number
+    (see `_real`) whose linear value is a positive finite float."""
+    with contextlib.suppress(OverflowError):  # a Python float power raises, numpy's warns
+        snr = 10.0 ** (_real(snr_db) / 10.0)
+        if 0.0 < snr < np.inf:
+            return snr
+    raise ValueError(f"snr {snr_db!r} dB has no positive finite linear value")
+
+
 def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
-    """Every gains kernel's check: 0 <= snr < inf (not NaN), l an int >= 1 (not a bool)."""
-    if not 0.0 <= snr < np.inf:
-        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
-    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
-        raise ValueError(f"frame length l must be an integer >= 1, got {l!r}")
+    """Every gains kernel's check: snr a `check_real` >= 0, l a `check_count` in [1, 2**63)."""
+    check_real(snr, "snr")
+    check_count(l, "frame length l")
 
 
 def check_frame_lengths(ls) -> None:

@@ -22,14 +22,13 @@ point's work grows with its candidates, not with the grid.
 
 from __future__ import annotations
 
-import contextlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import trial_rng
-from .mimolinalg import CHUNK, check_kernel_args, logdet_capacity_batch, require
+from .mimolinalg import CHUNK, check_count, check_kernel_args, check_real, logdet_capacity_batch
+from .mimolinalg import require, snr_from_db
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # each interval's expm1(a - b), and its Exp(1) mass e^-a (1 - e^-(b - a)).
@@ -69,16 +68,6 @@ SCHEMES = {
         lambda r, l: 3.0 * max(0.0, 1.0 - 2.0 * r),
     ),
 }
-
-
-def _finite(x, what: str, *, positive: bool = False) -> float:
-    """float(x); ValueError naming ``what`` unless it is finite and >= 0, or
-    > 0 when ``positive`` (an int past float range is not finite)."""
-    with contextlib.suppress(OverflowError):
-        value = float(x)
-        if (value > 0.0 if positive else value >= 0.0) and value < np.inf:
-            return value
-    raise ValueError(f"{what} must be finite and {'>' if positive else '>='} 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -168,14 +157,11 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
     check_kernel_args(l=l)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
-    points = [
-        (_finite(snr, "snr", positive=True), _finite(rbar, "target rate"), trials)
+    points = [  # numpy's multinomial takes int64 counts
+        (check_real(snr, "snr", positive=True), check_real(rbar, "target rate"),
+         check_count(trials, "trials"))
         for snr, rbar, trials in points
     ]
-    for _, _, trials in points:
-        integer = isinstance(trials, numbers.Integral) and not isinstance(trials, bool)
-        if not (integer and 1 <= trials < 2**63):  # numpy's multinomial takes int64 counts
-            raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
     events = [_point_events(scheme, l, seed, point, *p) for point, p in enumerate(points)]
     ok = [0 <= e <= p[2] for e, p in zip(events, points)]  # a fault here, not a bad grid
     require(ok, "outage events must lie in [0, trials]")
@@ -192,7 +178,7 @@ def _point_events(
     r_cw = codeword_rate(rbar, l)
     threshold = (2.0**r_cw - 1.0) / snr if r_cw < 1024.0 else np.inf
     if not threshold < np.finfo(float).max:
-        return int(trials)  # no gain in float range meets a threshold past it
+        return trials  # no gain in float range meets a threshold past it
     # the two-element key keeps these streams apart from the sweeps' (snr_idx,)
     rng = trial_rng(seed, (point, 0))
     events = 0
@@ -218,19 +204,11 @@ def outage_prob_conditioned(
     The three destination-side links are i.i.d. unit-variance Rayleigh.
     ``scheme`` names a row of `SCHEMES`: the successive frame model or the
     classic-II comparator.  The count draws from the (seed, (0, 0)) stream.
+    Before any draw, ``snr`` must pass `check_real` > 0, the target
+    `check_real` >= 0, and ``l`` and ``trials`` `check_count`, or ValueError
+    names the argument; `trial_rng` checks the seed.
     """
     return _outage_events(scheme, [(snr, rate_per_slot_target, trials)], l, seed)[0] / trials
-
-
-def snr_from_db(snr_db: float) -> float:
-    """10 ** (snr_db / 10), raising ValueError unless it is a positive finite float."""
-    try:
-        snr = 10.0 ** (float(snr_db) / 10.0)  # a Python float power raises, numpy's warns
-    except OverflowError:
-        snr = np.inf
-    if not 0.0 < snr < np.inf:
-        raise ValueError(f"snr {snr_db} dB has no positive finite linear value")
-    return snr
 
 
 def estimate_dmt(
@@ -251,11 +229,14 @@ def estimate_dmt(
     points (the asymptotic ones); a full least-squares slope over all
     usable points is reported as a diagnostic, and ``dmt_formula`` is the
     scheme's closed-form d(r, l) to compare them with.  Grid point i counts
-    on the (seed, (i, 0)) stream.
+    on the (seed, (i, 0)) stream.  Before any draw, ``r`` must pass
+    `check_real` >= 0, each grid entry `snr_from_db`, and ``l`` and each
+    trial count `check_count`, or ValueError names the argument; `trial_rng`
+    checks the seed.
     """
-    r = _finite(r, "multiplexing gain")  # run_dmt maps this wording to dmt_r
+    r = check_real(r, "multiplexing gain")  # run_dmt maps this wording to dmt_r
     grid = list(snr_grid_db)
-    snrs = [snr_from_db(x) for x in grid]  # ValueError where float(x) would overflow
+    snrs = [snr_from_db(x) for x in grid]  # first: float(x) parses a str and can overflow
     grid = [float(x) for x in grid]
     if len(grid) < 3:
         raise ValueError("snr grid needs at least 3 points")

@@ -43,6 +43,7 @@ from .mimolinalg import (  # noqa: F401
     build_equivalent_channel_batch,
     check_frame_lengths,
     check_kernel_args,
+    check_real,
     logdet_capacity_batch,
     mmse_sic_sinrs_batch,
     require,
@@ -199,15 +200,13 @@ def capacity_gain_G(
     mean per-slot log-det rate of the (l+1) x l equivalent channel, every
     length read off one `logdet_capacity_batch` pass per SNR; the
     denominator, shared by every length, the mean classic-II rate with both
-    relays decoding, 0.5 * C((g_sd + g_r1d + g_r2d) snr).  Bad ``snrs`` or
-    ``ls`` raise ValueError before any work.
+    relays decoding, 0.5 * C((g_sd + g_r1d + g_r2d) snr).  Before any work,
+    each entry of ``snrs`` must pass `check_real` > 0 and ``ls``
+    `check_frame_lengths`, or ValueError names the argument.
     """
-    try:
-        values = np.asarray(snrs, dtype=float)
-    except OverflowError:  # an int past float range: not finite
-        values = np.array(np.nan)
-    if values.ndim != 1 or not values.size or not np.all((values > 0.0) & (values < np.inf)):
-        raise ValueError(f"snrs must be a nonempty 1-D array of finite values > 0, got {snrs}")
+    if np.ndim(snrs) != 1 or not len(snrs):
+        raise ValueError(f"snrs must be a nonempty 1-D sequence, got {snrs!r}")
+    values = np.array([check_real(snr, "snrs", positive=True) for snr in snrs])
     check_frame_lengths(ls)
     if np.size(g_sd) == 0:
         raise ValueError("capacity gain needs at least one draw")

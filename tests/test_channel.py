@@ -319,10 +319,14 @@ class TestStreams:
         assert stream_state(seed, key) == numpy_state(seed, key)
 
     def test_seeds_past_the_pool_and_largest_key(self):
-        # run entropy beyond four words is mixed in before the key
-        for seed in (2**127 + 3, 2**128, 7**90):
-            for key in (0, 2**64 - 1):
-                assert stream_state(seed, key) == numpy_state(seed, key)
+        # the largest seed and key seed numpy's way; a seed is a 64-bit unsigned
+        # integer, as `simulate --seed` takes it, so one past that, or past the
+        # pool's four words, is refused before a generator is built
+        for key in (0, 2**64 - 1):
+            assert stream_state(2**64 - 1, key) == numpy_state(2**64 - 1, key)
+        for seed in (2**64, 2**70, 2**127 + 3, 2**128, 7**90):
+            with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+                trial_rng(seed, 0)
 
     def test_trial_rng_draws_like_numpy(self):
         for seed, trial in ((31, 0), (31, 5), (2**64 - 1, 2**33)):
@@ -434,7 +438,7 @@ class TestSampleTrials:
 
 @pytest.mark.parametrize("n", [0, -1, True, False, 2.5, np.float64(3), "3", None])
 def test_sample_size_validated(n):
-    # n follows check_kernel_args' rule for l: an integer >= 1, not a bool
+    # n is an integer >= 1, not a bool, as for a frame length (check_count)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="^n must"):
