@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mimolinalg import check_count
+from .mimolinalg import check_count, check_real
 
 LINK_NAMES = ("sd", "sr1", "sr2", "r1r2", "r1d", "r2d")
 
@@ -48,6 +48,10 @@ class NetworkGeometry:
         d_r1r2: inter-relay distance.
         gamma: pathloss exponent.
         shadow_sigma_db: lognormal shadowing standard deviation in dB.
+
+    Each field meets `mimolinalg.check_real` and is stored as the float it
+    returns: the six distances and gamma must be finite real numbers > 0,
+    shadow_sigma_db one >= 0.  Otherwise ValueError starts with the field's name.
     """
 
     d_sd: float
@@ -60,21 +64,10 @@ class NetworkGeometry:
     shadow_sigma_db: float = 8.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):  # each stored as a float; a bool is not a distance
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{field.name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, field.name, float(value))
-            except OverflowError as exc:
-                raise ValueError(f"{field.name}: {exc}") from exc
-        for name in ("d_sd", "d_sr1", "d_sr2", "d_r1d", "d_r2d", "d_r1r2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0.0 <= self.shadow_sigma_db < np.inf:
-            raise ValueError(f"shadow_sigma_db must be finite and >= 0, got {self.shadow_sigma_db}")
+        for field in fields(self):  # each stored as the float check_real returns
+            positive = field.name != "shadow_sigma_db"
+            value = check_real(getattr(self, field.name), field.name, positive=positive)
+            object.__setattr__(self, field.name, value)
 
     def link_distances(self) -> np.ndarray:
         """Distances of the six links, in LINK_NAMES order."""

@@ -194,9 +194,8 @@ def _log_pivot_product(
     top^(k+1) > _PRODUCT_LIMIT / 2 on (the slack of 2 absorbs rounding),
     and at every step when top is NaN or inf: a NaN gain must not hide a
     huge finite one beside it.  top is a Python float, so an inf there sets
-    off no numpy floating-point error.  With a finite top 1 + w_0 is finite,
-    so the zero start's q_0 = 0 (1 + w_0) + w_0 is w_0 + 0 (which turns a -0
-    into +0); otherwise 0 inf + inf must give NaN, as the zero start does.
+    off no numpy floating-point error.  q starts at q_0 = 0 (1 + w_0) + w_0,
+    so an inf gain gives NaN, as 0 inf + inf must.
     Whether step k checks does not depend on the longest length, so each
     row is written after the same steps as a lone length's.
     """
@@ -213,7 +212,7 @@ def _log_pivot_product(
             first += 1
     w = a0 + ar[0]  # v_0 = a_0
     t = w + 1.0
-    q = w + 0.0 if first else t * 0.0 + w
+    q = t * 0.0 + w
     v = a0
     scale = None  # the logs moved out of q, once a step moved any
     for k in range(last):

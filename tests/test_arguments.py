@@ -6,6 +6,7 @@ in a stated range) or `snr_from_db`, which applies `check_real`'s type rule
 to a dB value.  A str, bytes or bool, Python or numpy, NaN, inf or an int
 past float range raises ValueError naming the argument; numpy scalars, and
 the 0-d arrays that a real argument took before, still pass.
+`NetworkGeometry` checks each of its eight fields with `check_real`.
 `ExperimentConfig` checks each numeric field with the same library call, so
 a field is refused exactly when the library refuses its value.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from succrelay import experiments
-from succrelay.channel import trial_rng
+from succrelay.channel import NetworkGeometry, trial_rng
 from succrelay.experiments import ConfigError, ExperimentConfig
 from succrelay.mimolinalg import logdet_capacity_batch, mmse_sic_sinrs_batch
 from succrelay.outage import estimate_dmt, outage_prob_conditioned, snr_from_db
@@ -69,6 +70,15 @@ ENTRY_POINTS = {
     "trial_rng-seed": ("seed", lambda x: trial_rng(x, 0), 5),
     "trial_rng-key": ("trial", lambda x: trial_rng(0, x), 5),
 }
+# each NetworkGeometry field, replaced in a geometry of valid fields
+GEOMETRY = {
+    "d_sd": 0.5, "d_sr1": 0.5, "d_sr2": 0.5, "d_r1d": 0.5, "d_r2d": 0.5, "d_r1r2": 0.5,
+    "gamma": 4.0, "shadow_sigma_db": 8.0,
+}
+for _field, _good in GEOMETRY.items():
+    ENTRY_POINTS[f"NetworkGeometry-{_field}"] = (
+        _field, lambda x, f=_field: NetworkGeometry(**{**GEOMETRY, f: x}), _good
+    )
 BAD_INPUTS = {
     "str": "1",
     "bytes": b"1",

@@ -1,16 +1,16 @@
 """What `simulate`'s argv parses to, and what its ``--help`` names.
 
 Each argv below maps to ``dataclasses.asdict`` of its one config, written
-out as a literal: the benchmark's four workloads at seed 7, the
-``test_cli_text`` cases, the ``ci-*`` exit-code checks,
-README's examples and the aliases.  A change of the parser that moves any
-field of any of them, or the type a value is stored as, fails here.  Each
-``ci-*`` argv also runs, with RuntimeWarning as an error, and must give
-its `CI_OUTCOMES` row; one of them runs again through ``python -m
-succrelay.cli``.  README's commands and its library example are read from
-README itself, so they cannot drift.  `main` parses with the one parser
-built at import, so calls in one process must not see each other: each
-gives what its argv gives in a process of its own.
+out as a literal, or to None when the config refuses it: the benchmark's
+four workloads at seed 7, the ``test_cli_text`` cases, the ``ci-*``
+exit-code checks, README's examples and the aliases.  A change of the
+parser that moves any field of any of them, or the type a value is stored
+as, fails here.  Each ``ci-*`` argv also runs, with RuntimeWarning as an
+error, and must give its `CI_OUTCOMES` row; one of them runs again through
+``python -m succrelay.cli``.  README's commands and its library example
+are read from README itself, so they cannot drift.  `main` parses with
+the one parser built at import, so calls in one process must not see each
+other: each gives what its argv gives in a process of its own.
 """
 
 from __future__ import annotations
@@ -164,6 +164,12 @@ ARGVS = {
         ["--geometry", "{" + CLOSE + "}", "--snr", "1538", "--trials", "10"],
         {"geometry": CLOSE_GEOMETRY, "snr_grid_db": (1538.0,), "trials": 10},
     ),
+    # an infinite distance, which JSON spells Infinity; None: the config refuses it
+    "ci-infinite-distance": (
+        ["--geometry", "{" + CLOSE.replace('"d_sd": 1', '"d_sd": Infinity') + "}",
+         "--snr", "10", "--trials", "100"],
+        None,
+    ),
     # V-BLAST alone, where the SIC's snr^2 is the first product to overflow
     "vblast-snr": (
         "--protocols successive_vblast --adaptive none --snr 1545 --trials 10",
@@ -226,6 +232,7 @@ CI_OUTCOMES = {
     "ci-dmt-snr": (2, "snr_grid_db"),
     "ci-preset-snr": (2, "snr_grid_db"),
     "ci-custom-snr": (2, "snr_grid_db"),
+    "ci-infinite-distance": (2, "geometry"),
 }
 
 
@@ -246,6 +253,11 @@ def _config(argv: list[str]) -> dict:
 
 @pytest.mark.parametrize("name", ARGVS)
 def test_argv_parses_to_config(name, tmp_path):
+    if ARGVS[name][1] is None:
+        with pytest.raises(ConfigError) as exc:
+            _config(_argv(name, tmp_path))
+        assert exc.value.field == CI_OUTCOMES[name][1]
+        return
     expected = {**DEFAULTS, **ARGVS[name][1]}
     # repr also tells an int from a float and a list from a tuple
     assert repr(_config(_argv(name, tmp_path))) == repr(expected)
@@ -267,6 +279,12 @@ def test_ci_argv_gives_its_outcome(name, tmp_path, capsys):
         assert err == ""
     else:
         assert err.count("\n") == 1 and err.startswith(f"error: config field '{field}'"), err
+
+
+def test_infinite_distance_is_refused_by_name(tmp_path, capsys):
+    assert _run(_argv("ci-infinite-distance", tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config field 'geometry': d_sd must be a finite real number > 0, got inf\n"
 
 
 @pytest.mark.parametrize("name", ["vblast-snr", "vblast-single-snr"])

@@ -3,8 +3,8 @@
 Each row names a rule, the files it reads, what it looks for there and the
 message a failure prints: no dense linear algebra and no assert in `src/`,
 one seeding path, one thread, one pivot recurrence, one table row per
-experiment, outage scheme, adaptive rule and config field, and a README
-short enough to read.  A rule
+experiment, outage scheme, adaptive rule and config field, one check of a
+real number, and a README short enough to read.  A rule
 fails on every line that matches its pattern, `path:line: text`.  Only ``*.py`` files are
 read under `src/succrelay`, so a stale ``.pyc`` cannot match.  Each row
 also carries a line that breaks it; `test_rule_catches_its_example` plants
@@ -116,6 +116,13 @@ RULES = {
         "each config field is checked and stored from its experiments._FIELDS row; "
         "no validate() or per-field range if",
         "if self.trials < 1:",
+    ),
+    "Real numbers meet check_real": (
+        PY,
+        grep(r"numbers\.Real", exempt="mimolinalg.py"),
+        "each real-number argument and field is checked by mimolinalg.check_real; only "
+        "mimolinalg.py names numbers.Real",
+        "if not isinstance(x, numbers.Real):",
     ),
     "The sampler returns arrays": (
         PY,

@@ -840,7 +840,7 @@ class TestCli:
         # JSON reads 1e400 as inf
         geometry = json.dumps(CUSTOM_GEOMETRY)[:-1] + ', "gamma": 1e400}'
         assert cli_main(["--geometry", geometry, "--snr", "10", "--trials", "10"]) == 2
-        assert "config field 'geometry': gamma must be finite" in capsys.readouterr().err
+        assert "config field 'geometry': gamma must be a finite real number > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["geometry_sweep", "single_realization"])
     @pytest.mark.parametrize(
