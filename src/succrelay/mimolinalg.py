@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import numbers
+import reprlib
 from enum import Enum
 
 import numpy as np
@@ -110,14 +111,14 @@ def check_real(x, name: str, *, positive: bool = False) -> float:
     value, sign = _real(x), ">" if positive else ">="
     if (value > 0.0 if positive else value >= 0.0) and value < np.inf:
         return value
-    raise ValueError(f"{name} must be a finite real number {sign} 0, got {x!r}")
+    raise ValueError(f"{name} must be a finite real number {sign} 0, got {reprlib.repr(x)}")
 
 
 def check_count(x, name: str, lo: int = 1, bits: int = 63) -> int:
     """``x`` as an int, or ValueError naming ``name`` unless it is an integer,
     Python or numpy and not a bool, in [lo, 2**bits): a count fits numpy's int64."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x < 2**bits:
-        raise ValueError(f"{name} must be an integer in [{lo}, 2**{bits}), got {x!r}")
+        raise ValueError(f"{name} must be an integer in [{lo}, 2**{bits}), got {reprlib.repr(x)}")
     return int(x)
 
 
@@ -128,7 +129,7 @@ def snr_from_db(snr_db: float) -> float:
         snr = 10.0 ** (_real(snr_db) / 10.0)
         if 0.0 < snr < np.inf:
             return snr
-    raise ValueError(f"snr {snr_db!r} dB has no positive finite linear value")
+    raise ValueError(f"snr {reprlib.repr(snr_db)} dB has no positive finite linear value")
 
 
 def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
@@ -140,7 +141,7 @@ def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
 def check_frame_lengths(ls) -> None:
     """A nonempty 1-D sequence of frame lengths, each passing `check_kernel_args`."""
     if np.ndim(ls) != 1 or not len(ls):
-        raise ValueError(f"frame lengths l must be a nonempty 1-D sequence, got {ls!r}")
+        raise ValueError(f"frame lengths l must be a nonempty 1-D sequence, got {reprlib.repr(ls)}")
     for l in ls:
         check_kernel_args(l=l)
 

@@ -9,15 +9,14 @@ weakest single-stream cap or of the log-det bound, and its tradeoff.
 The outage event is a down-set: the caps are sums, and the log-det never
 falls as a gain rises.  So one fixed grid of cells covers (g1, g2), and
 `_staircase` gives each cell, in closed form, a g0 below which all its
-events lie.  Each grid point's one (seed, (point, 0)) stream makes one
-multinomial draw of its trials over the cells and a rest that holds no
-event, draws the candidates' gains by inverting the truncated Exp(1)
-(Devroye, Non-Uniform Random Variate Generation, 1986, ch. 2) in pieces of
-CHUNK, and runs the exact test on them: the cap and, where the row asks,
-the O(l) pivot recurrence.  The count is Binomial(trials, p_out), as for
-drawing every trial; only the stream differs.  The inversion gathers the
-lower edges and spans of the drawn cells alone: past the staircase, a
-point's work grows with its candidates, not with the grid.
+events lie.  Each grid point's one (seed, (point, 0)) stream draws how
+many trials fall in a cell as one Binomial(trials, total mass), then, in
+pieces of CHUNK, picks each one's cell and gains by inverting the masses'
+running sum and the truncated Exp(1) (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. 2 and XI), and runs the exact test on them: the cap
+and, where the row asks, the O(l) pivot recurrence.  The count is
+Binomial(trials, p_out), as for drawing every trial; only the stream
+differs.  Past the staircase, a point's work grows with its candidates.
 """
 
 from __future__ import annotations
@@ -129,27 +128,27 @@ def _staircase(scheme: str, snr: float, l: int, r_cw: float, threshold: float, c
 
 
 def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
-    """The cells of positive mass, ascending by mass: (masses, cell ids, and
-    every cell's staircase value of g0)."""
+    """(The running sum of the cell masses in cell-id order, every cell's
+    staircase value of g0)."""
     tau = _staircase(scheme, snr, l, r_cw, threshold, _C1, _C2)
-    mass = _BASE * -np.expm1(-tau)
-    # the largest masses last keep numpy's running remainder far from 0; the
-    # zero masses sort first, ties by cell id
-    cells = np.argsort(mass, kind="stable")[np.count_nonzero(mass == 0.0) :]
-    return mass[cells], cells, tau
+    return np.cumsum(_BASE * -np.expm1(-tau)), tau
 
 
-def _candidate_gains(rng, size: int, mass, cells, tau):
-    """(3, <= CHUNK) gains of the trials that the multinomial draw puts in a
-    cell; only the drawn cells' lower edges and spans are gathered."""
-    ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
-    for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
-        pick = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
-        cell = cells[pick]
+def _candidate_gains(rng, size: int, cum, tau):
+    """(3, <= CHUNK) gains of the Binomial(size, total) trials in a cell.  A
+    uniform u picks the cell where ``cum`` first passes u * total, exact up to
+    rounding (a cell below ~1e-16 of the total can be mis-weighted), clamped to
+    the last cell that raises the running sum; only drawn cells' edges and spans are gathered."""
+    total = cum[-1]
+    last = np.searchsorted(cum, total)
+    n = int(rng.binomial(size, min(total, 1.0)))
+    for first in range(0, n, CHUNK):
+        u = rng.random((4, min(CHUNK, n - first)))
+        cell = np.minimum(np.searchsorted(cum, u[0] * total, "right"), last)
         i, j = np.divmod(cell, _MASS.size)
         lower = np.array([np.zeros(cell.size), _EDGES[i], _EDGES[j]])
         span = np.array([np.expm1(-tau[cell]), _SPAN[i], _SPAN[j]])
-        yield lower - np.log1p(rng.random((3, cell.size)) * span)
+        yield lower - np.log1p(u[1:] * span)
 
 
 def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[int]:
@@ -157,7 +156,7 @@ def _outage_events(scheme: str, points: list[tuple], l: int, seed: int) -> list[
     check_kernel_args(l=l)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
-    points = [  # numpy's multinomial takes int64 counts
+    points = [  # numpy's binomial takes int64 counts
         (check_real(snr, "snr", positive=True), check_real(rbar, "target rate"),
          check_count(trials, "trials"))
         for snr, rbar, trials in points

@@ -21,9 +21,10 @@ sparsely: every trial's three Exp(1) gains are drawn and run through the
 exact test, so its count is Binomial(trials, p_out), as the sampler's is.
 The staircase oracle bisects each cell's log-det root, where the library
 takes the closed-form root of a lower bound.  The cell-table oracle builds
-every positive cell's lower edges and spans of (g0, g1, g2) and inverts the
-truncated Exp(1) from that dense table, where the library gathers them for
-the drawn cells only.
+every cell's mass, lower edges and spans of (g0, g1, g2), picks each
+candidate's cell from that dense table and inverts the truncated Exp(1)
+there, where the library gathers the edges and spans of the drawn cells
+only.
 
 The capacity-gain reference is deterministic: product Gauss-Legendre rules
 in u = ln g integrate the mean log-det over three Exp(1) gains and the
@@ -294,26 +295,38 @@ def bisected_staircase(
 
 
 def full_cell_table(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
-    """The cells of positive mass, ascending by mass, ties by cell id: (masses,
-    (3, n) lower edges and (3, n) expm1(lower - upper) of g0, g1, g2)."""
+    """Every cell in cell-id order, zero masses too: (masses, (3, n) lower
+    edges and (3, n) expm1(lower - upper) of g0, g1, g2)."""
     i, j = (a.ravel() for a in np.indices((outage._MASS.size, outage._MASS.size)))
     edges = outage._EDGES
     tau = outage._staircase(scheme, snr, l, r_cw, threshold, edges[i], edges[j])
     mass = outage._MASS[i] * outage._MASS[j] * -np.expm1(-tau)
-    cells = np.flatnonzero(mass)[np.argsort(mass[mass > 0.0], kind="stable")]
-    i, j = i[cells], j[cells]
-    lower = np.array([np.zeros(cells.size), edges[i], edges[j]])
-    span = np.expm1(np.array([-tau[cells], edges[i] - edges[i + 1], edges[j] - edges[j + 1]]))
-    return mass[cells], lower, span
+    lower = np.array([np.zeros(i.size), edges[i], edges[j]])
+    span = np.expm1(np.array([-tau, edges[i] - edges[i + 1], edges[j] - edges[j + 1]]))
+    return mass, lower, span
+
+
+def table_picks(rng, size: int, mass):
+    """Per piece of <= CHUNK candidates, (their cells, (3, m) uniforms of their
+    gains): one Binomial(size, total) count of the candidates, then one (4, m)
+    ``random`` per piece, whose first row picks the cell where the running sum
+    of ``mass`` first exceeds u * total.  A u * total that rounds up to the
+    total picks the last cell whose mass the running sum shows."""
+    cum = np.cumsum(mass)
+    total = cum[-1]
+    n = int(rng.binomial(size, min(total, 1.0)))
+    for first in range(0, n, CHUNK):
+        u = rng.random((4, min(CHUNK, n - first)))
+        cell = np.searchsorted(cum, u[0] * total, "right")
+        cell[cell == mass.size] = np.flatnonzero(np.diff(cum, prepend=0.0))[-1]
+        yield cell, u[1:]
 
 
 def table_candidate_gains(rng, size: int, mass, lower, span):
-    """(3, <= CHUNK) candidate gains inverted from a `full_cell_table`: one
-    multinomial draw over the cells and a rest, then one ``random`` per piece."""
-    ends = np.cumsum(rng.multinomial(size, np.append(mass, max(0.0, 1.0 - mass.sum())))[:-1])
-    for first in range(0, int(ends[-1]) if ends.size else 0, CHUNK):
-        cell = np.searchsorted(ends, np.arange(first, min(first + CHUNK, ends[-1])), "right")
-        yield lower[:, cell] - np.log1p(rng.random((3, cell.size)) * span[:, cell])
+    """(3, <= CHUNK) candidate gains inverted from a `full_cell_table` at the
+    cells that `table_picks` draws."""
+    for cell, u in table_picks(rng, size, mass):
+        yield lower[:, cell] - np.log1p(u * span[:, cell])
 
 
 def _log_gauss_legendre(lo: float, hi: float, m: int):

@@ -44,6 +44,10 @@ ENTRY_POINTS = {
     "estimate_dmt-r": ("multiplexing gain", lambda x: estimate_dmt(x, 3, GRID, 10, 0), 0.0),
     "estimate_dmt-grid": ("snr", lambda x: estimate_dmt(0.0, 3, [20.0, 30.0, x], 10, 0), 40.0),
     "estimate_dmt-trials": ("trials", lambda x: estimate_dmt(0.0, 3, GRID, x, 0), 10),
+    # one grid point's entry of a list of counts
+    "estimate_dmt-trials-entry": (
+        "trials", lambda x: estimate_dmt(0.0, 3, GRID, [10, 10, x], 0), 10
+    ),
     "outage_prob_conditioned-snr": (
         "snr", lambda x: outage_prob_conditioned(x, 1.0, 3, 10, 0), 100.0
     ),
@@ -83,10 +87,21 @@ BAD_INPUTS = {
     "str": "1",
     "bytes": b"1",
     "bool": True,
+    "false": False,
     "numpy-bool": np.True_,
     "nan": math.nan,
     "inf": math.inf,
     "int-past-float-range": 10**400,
+    "list": [1.0],
+    "none": None,
+}
+# (entry point, bad input) -> what its error starts with instead of the
+# name: a one-entry list of counts is a valid form refused for its length,
+# and numpy refuses a ragged sequence before any check sees its entries
+OTHER_PREFIX = {
+    ("estimate_dmt-trials", "list"): "trials_per_point must match the grid length",
+    ("estimate_dmt-trials-entry", "list"): "setting an array element with a sequence",
+    ("capacity_gain_G-snrs", "list"): "setting an array element with a sequence",
 }
 
 
@@ -94,8 +109,29 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_bad_input_raises_naming_the_argument(entry, bad):
     name, call, _ = ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=f"^{name} "):
+    with pytest.raises(ValueError, match="^" + OTHER_PREFIX.get((entry, bad), f"{name} ")):
         call(BAD_INPUTS[bad])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_long_value_is_cut_in_the_message(entry):
+    # 10**400 has a 401-character repr; reprlib keeps its first 18 and last
+    # 19 digits, so the message keeps the argument's name and the int
+    name, call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} ") as raised:
+        call(10**400)
+    message = str(raised.value)
+    assert len(message) < 110, message
+    assert " 100000000000000000...0000000000000000000" in message, message
+
+
+def test_long_sequence_is_cut_in_the_message():
+    # a 2-D list is no sequence of frame lengths; reprlib cuts its
+    # 6,002-character repr to its first six entries
+    with pytest.raises(ValueError, match="^frame lengths ") as raised:
+        logdet_capacity_batch(E, E, E, 10.0, [[3] * 2000])
+    message = str(raised.value)
+    assert len(message) < 110 and message.endswith("got [[3, 3, 3, 3, 3, 3, ...]]"), message
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

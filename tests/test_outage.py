@@ -13,6 +13,7 @@ from dense_oracle import (
     full_cell_table,
     full_draw_count,
     table_candidate_gains,
+    table_picks,
 )
 from succrelay import outage
 from succrelay.channel import NetworkGeometry, link_gains, sample_realizations, trial_rng
@@ -85,11 +86,17 @@ class TestRecurrence:
         assert out.max() > 300  # determinant far beyond float range
 
 
-def limits_of_cells(g, scheme, snr, l, r_cw, threshold):
-    """The staircase value of the cell that each draw's (g1, g2) lies in."""
+def cells_of(g):
+    """The id of the cell that each draw's (g1, g2) lies in."""
     i = np.searchsorted(outage._EDGES, g[1], side="right") - 1
     j = np.searchsorted(outage._EDGES, g[2], side="right") - 1
-    return outage._staircase(scheme, snr, l, r_cw, threshold, outage._EDGES[i], outage._EDGES[j])
+    return i * outage._MASS.size + j
+
+
+def limits_of_cells(g, scheme, snr, l, r_cw, threshold):
+    """The staircase value of the cell that each draw's (g1, g2) lies in."""
+    cell = cells_of(g)
+    return outage._staircase(scheme, snr, l, r_cw, threshold, outage._C1[cell], outage._C2[cell])
 
 
 def check_screen(g, snr, l, r_cw, scheme="successive"):
@@ -219,21 +226,25 @@ class TestCandidateScreen:
         for snr_db in (20.0, 40.0, 60.0):
             snr = 10.0 ** (snr_db / 10.0)
             t = (2.0**r_cw - 1.0) / snr
-            mass = outage._cells("successive", snr, l, r_cw, t)[0]
-            assert np.expm1(-t) ** 2 <= mass.sum() < 1.3 * np.expm1(-t) ** 2, snr_db
+            total = outage._cells("successive", snr, l, r_cw, t)[0][-1]
+            assert np.expm1(-t) ** 2 <= total < 1.3 * np.expm1(-t) ** 2, snr_db
 
     @pytest.mark.parametrize("scheme", ["successive", "classic2"])
     @pytest.mark.parametrize("l", [1, 2, 7, 64])
     def test_cell_masses_sum_to_at_most_one(self, scheme, l):
-        # numpy's multinomial takes the cells' sum up to 1 + 1e-12 and gives
-        # the rest the remainder; at -10 dB and 12 bits nearly all is cells
+        # the count's Binomial(trials, min(total, 1)) clips only rounding: the
+        # running sum of the masses never falls and ends at <= 1 + 1e-12; at
+        # -10 dB and 12 bits nearly all is cells
         for snr_db, rbar in ((-10.0, 12.0), (0.0, 1.0), (20.0, 1.0), (60.0, 0.5)):
             snr = 10.0 ** (snr_db / 10.0)
             r_cw = 2.0 * rbar if scheme == "classic2" else (l + 1) * rbar / l
-            mass, cells, tau = outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
-            assert np.all(mass > 0.0) and np.all(np.diff(mass) >= 0.0)
-            assert mass.sum() <= 1.0 + 1e-12, (snr_db, mass.sum())
-            # the lower edges and spans that the inversion gathers for these cells
+            cum, tau = outage._cells(scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
+            mass = outage._BASE * -np.expm1(-tau)
+            assert np.array_equal(cum, np.cumsum(mass)) and np.all(mass >= 0.0)
+            assert 0.0 < cum[-1] <= 1.0 + 1e-12, (snr_db, cum[-1])
+            # the lower edges and spans that the inversion gathers for the
+            # cells it can pick, those of positive mass
+            cells = np.flatnonzero(mass)
             i, j = np.divmod(cells, outage._MASS.size)
             lower = np.array([np.zeros(cells.size), outage._EDGES[i], outage._EDGES[j]])
             span = np.array([np.expm1(-tau[cells]), outage._SPAN[i], outage._SPAN[j]])
@@ -250,13 +261,12 @@ class TestCandidateScreen:
             snr = 10.0 ** (snr_db / 10.0)
             r_cw = outage.SCHEMES[scheme][0](12.0 if snr_db < 0 else 1.0, l)
             args = (scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
-            drawn = mass, cells, tau = outage._cells(*args)
+            drawn = cum, tau = outage._cells(*args)
             table = full_cell_table(*args)
-            i, j = np.divmod(cells, outage._MASS.size)
-            assert np.array_equal(mass, table[0]), snr_db
-            assert np.array_equal(outage._EDGES[i], table[1][1]), snr_db
-            assert np.array_equal(outage._EDGES[j], table[1][2]), snr_db
-            trials = 3 * CHUNK + 100 if snr_db < 0 else int(min(2.0**62, 2000.0 / mass.sum()))
+            assert np.array_equal(cum, np.cumsum(table[0])), snr_db
+            assert np.array_equal(outage._C1, table[1][1]), snr_db
+            assert np.array_equal(outage._C2, table[1][2]), snr_db
+            trials = 3 * CHUNK + 100 if snr_db < 0 else int(min(2.0**62, 2000.0 / cum[-1]))
             for seed in (0, 1):
                 got = list(outage._candidate_gains(trial_rng(seed, (0, 0)), trials, *drawn))
                 want = list(table_candidate_gains(trial_rng(seed, (0, 0)), trials, *table))
@@ -275,26 +285,129 @@ class TestCandidateScreen:
         ],
     )
     def test_candidates_lie_in_their_cells(self, snr_db, rbar, trials, point):
-        # each candidate lies in the cell the multinomial drew it in (the
-        # cell whose lower edge <= g1, g2 < its upper edge), and 0 <= g0 < the
-        # staircase value there
+        # each candidate lies in the cell its first uniform picked (the cell
+        # whose lower edge <= g1, g2 < its upper edge), a cell of positive
+        # mass, and 0 <= g0 < the staircase value there
         l, seed = 7, 3
         snr, r_cw = 10.0 ** (snr_db / 10.0), (l + 1) * rbar / l
         args = ("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)
-        mass, cells, tau = outage._cells(*args)
-        drawn = outage._candidate_gains(trial_rng(seed, (point, 0)), trials, mass, cells, tau)
+        drawn = outage._candidate_gains(trial_rng(seed, (point, 0)), trials, *outage._cells(*args))
         pieces = list(drawn)
         g = np.concatenate([np.empty((3, 0)), *pieces], axis=1)
-        rest = max(0.0, 1.0 - mass.sum())
-        counts = trial_rng(seed, (point, 0)).multinomial(trials, np.append(mass, rest))[:-1]
-        assert g.shape[1] == counts.sum()
+        mass = full_cell_table(*args)[0]
+        picks = table_picks(trial_rng(seed, (point, 0)), trials, mass)
+        cells = np.concatenate([np.empty(0, int), *(cell for cell, _ in picks)])
+        assert g.shape[1] == cells.size and np.all(mass[cells] > 0.0)
         if snr_db < 0:
             assert len(pieces) == 4 and g.shape[1] > 0.99 * trials
-        i, j = np.divmod(np.repeat(cells, counts), outage._MASS.size)
-        assert np.array_equal(np.searchsorted(outage._EDGES, g[1], side="right") - 1, i)
-        assert np.array_equal(np.searchsorted(outage._EDGES, g[2], side="right") - 1, j)
+        assert np.array_equal(cells_of(g), cells)
         assert np.all(g[0] >= 0.0)
         assert np.all(g[0] < limits_of_cells(g, *args))
+
+
+def candidates(rng, trials, cum, tau):
+    """The (3, n) gains of every candidate that `_candidate_gains` draws."""
+    return np.concatenate([np.empty((3, 0)), *outage._candidate_gains(rng, trials, cum, tau)], 1)
+
+
+def cell_args(scheme, snr_db, rbar=1.0, l=7):
+    """`_cells`' arguments at one grid point."""
+    snr = 10.0 ** (snr_db / 10.0)
+    r_cw = outage.SCHEMES[scheme][0](rbar, l)
+    return scheme, snr, l, r_cw, (2.0**r_cw - 1.0) / snr
+
+
+class TopUniform:
+    """A stream that counts ``n`` candidates and whose every uniform is
+    1 - 2**-53, the largest float below 1."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def binomial(self, trials, p):
+        return self.n
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestCandidateDraw:
+    """One Binomial(trials, total) count, then each candidate's cell with
+    probability mass / total, never a cell of zero mass."""
+
+    @pytest.mark.parametrize(
+        "scheme,snr_db", [("successive", 0.0), ("successive", 20.0), ("classic2", 10.0)]
+    )
+    def test_cell_frequencies_match_mass_over_total(self, scheme, snr_db):
+        # seed 8, ~200,000 candidates.  Cells expected to hold fewer than 5
+        # are pooled into one bin; the chi-square statistic over the bins
+        # must have a p-value above 1e-4.  A bias spread over many cells hides
+        # in the chi-square; the running count, in cell-id order, must stay
+        # within 2.5 / sqrt(n) of the running mass (Kolmogorov p ~ 1e-5)
+        cum, tau = outage._cells(*cell_args(scheme, snr_db))
+        g = candidates(trial_rng(8, (0, 0)), int(200_000 / cum[-1]), cum, tau)
+        n = g.shape[1]
+        seen = np.bincount(cells_of(g), minlength=cum.size)
+        want = n * outage._BASE * -np.expm1(-tau) / cum[-1]
+        big = want >= 5.0
+        observed = np.append(seen[big], seen[~big].sum())
+        expected = np.append(want[big], want[~big].sum())
+        assert expected[-1] >= 5.0 and observed.size > 50, (expected[-1], observed.size)
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert stats.chi2.sf(stat, observed.size - 1) > 1e-4, (stat, observed.size)
+        gap = np.max(np.abs(np.cumsum(seen) - np.cumsum(want))) / n
+        assert gap < 2.5 / np.sqrt(n), gap * np.sqrt(n)
+
+    @pytest.mark.parametrize("snr_db,trials", [(0.0, 2000), (20.0, 10**6)])
+    def test_count_mean_and_variance_over_seeds(self, snr_db, trials):
+        # seeds 0-399: the count is Binomial(trials, total), mean trials *
+        # total and variance trials * total * (1 - total).  At 0 dB (total
+        # ~0.54) that variance is about half a Poisson count's, well outside
+        # the bound; each bound is 4 standard errors of the 400-seed mean or
+        # sample variance
+        cum, tau = outage._cells(*cell_args("successive", snr_db))
+        total = cum[-1]
+        counts = np.array([
+            candidates(trial_rng(seed, (0, 0)), trials, cum, tau).shape[1] for seed in range(400)
+        ])
+        mean, var = trials * total, trials * total * (1.0 - total)
+        assert abs(counts.mean() - mean) < 4.0 * np.sqrt(var / counts.size), counts.mean()
+        sample_var = counts.var(ddof=1)
+        assert abs(sample_var - var) < 4.0 * var * np.sqrt(2.0 / (counts.size - 1)), sample_var
+
+    @pytest.mark.parametrize("scheme", ["successive", "classic2"])
+    def test_no_zero_mass_cell_is_drawn(self, scheme):
+        # seeds 0 and 1, ~5,000 candidates a point, or what 2**62 trials hold
+        # (~20 for classic II at 60 dB); -10 dB at 12 bits gives every cell
+        # some mass, the points from 0 dB up leave cells at zero
+        for snr_db in (-10.0, 0.0, 20.0, 40.0, 60.0):
+            args = cell_args(scheme, snr_db, 12.0 if snr_db < 0 else 1.0)
+            cum, tau = outage._cells(*args)
+            mass = full_cell_table(*args)[0]
+            assert np.any(mass == 0.0) == (snr_db >= 0.0), snr_db
+            for seed in (0, 1):
+                g = candidates(trial_rng(seed, (0, 0)), int(min(2.0**62, 5000 / cum[-1])), cum, tau)
+                assert g.shape[1] > 10 and np.all(mass[cells_of(g)] > 0.0), (snr_db, seed)
+
+    @pytest.mark.parametrize(
+        "scheme,snr", [("successive", 100.0), ("classic2", 100.0), ("classic2", 1e300)]
+    )
+    def test_top_uniform_picks_the_last_cell_of_positive_mass(self, scheme, snr):
+        # the top uniform picks the last cell whose mass the running sum
+        # shows; cells of zero mass follow it, so a pick past it would fall
+        # on one.  At snr 1e300 the total is subnormal, and u * total rounds
+        # up to the total, past every cell
+        args = cell_args(scheme, 10.0 * np.log10(snr))
+        cum, tau = outage._cells(*args)
+        mass, lower, span = full_cell_table(*args)
+        last = np.flatnonzero(np.diff(cum, prepend=0.0))[-1]
+        assert mass[last] > 0.0 and np.any(mass[last + 1 :] == 0.0)
+        assert ((1.0 - 2.0**-53) * cum[-1] == cum[-1]) == (snr > 1e200)
+        got = candidates(TopUniform(5), 10**6, cum, tau)
+        want = lower[:, [last]] - np.log1p((1.0 - 2.0**-53) * span[:, [last]])
+        assert np.array_equal(got, np.repeat(want, 5, axis=1))
+        want = np.concatenate(list(table_candidate_gains(TopUniform(5), 10**6, mass, lower, span)), 1)
+        assert np.array_equal(got, want)
 
 
 def pivot_bound(g0, g1, g2, snr, l):
@@ -426,7 +539,7 @@ class TestScreenedCount:
         l, r_cw = 7, 8 / 7
         for snr_db, trials, most in ((0.0, 100_000, True), (20.0, 10**6, False)):
             snr = 10.0 ** (snr_db / 10.0)
-            mass = outage._cells("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)[0].sum()
+            mass = outage._cells("successive", snr, l, r_cw, (2.0**r_cw - 1.0) / snr)[0][-1]
             assert (mass > 0.5) == most
             sizes.clear()
             outage_prob_conditioned(snr, 1.0, l, trials, 5)
@@ -550,13 +663,14 @@ class TestGridPool:
         assert drawn == []
 
     def test_each_point_draws_its_own_trials(self, monkeypatch):
-        # 0 dB, where most trials are candidates, and 20 dB each spread their
-        # trials over the cells in one multinomial draw; no trial is drawn raw
+        # 0 dB, where most trials are candidates, and 20 dB each count their
+        # candidates among all their trials in one binomial draw; no trial is
+        # drawn raw
         streams = record_streams(monkeypatch)
         outage._outage_events("successive", [(1.0, 1.0, 100_000), (100.0, 1.0, 3 * 10**6)], 7, 9)
         assert [s.key for s in streams] == [(9, (0, 0)), (9, (1, 0))]
         assert [s.raw for s in streams] == [0, 0]
-        assert [s.multinomials for s in streams] == [[100_000], [3 * 10**6]]
+        assert [s.binomials for s in streams] == [[100_000], [3 * 10**6]]
 
     def test_point_past_2_40_trials_counts_on_one_stream(self, monkeypatch):
         # l = 7 at 1 bit/slot: p_out ~1.5e-10 at 50 dB and ~1.5e-12 at 60 dB,
@@ -567,7 +681,7 @@ class TestGridPool:
         points = [(10.0 ** (db / 10.0), 1.0, n) for db, n in zip((50.0, 60.0), trials)]
         events = outage._outage_events("successive", points, 7, 31)
         assert [s.key for s in streams] == [(31, (0, 0)), (31, (1, 0))]
-        assert [s.multinomials for s in streams] == [[n] for n in trials]
+        assert [s.binomials for s in streams] == [[n] for n in trials]
         assert min(events) > 1000
         slope = np.log10((events[0] / trials[0]) / (events[1] / trials[1]))
         assert slope == pytest.approx(2.0, abs=0.1), events
@@ -589,18 +703,18 @@ def record_candidates(monkeypatch) -> list:
 
 def record_streams(monkeypatch) -> list:
     """Patch outage.trial_rng to record, per stream, its key, the trials it
-    draws raw and the trial count of each multinomial draw."""
+    draws raw and the trial count of each binomial draw."""
     streams = []
     rng = outage.trial_rng
 
     class Recording:
         def __init__(self, *key):
-            self.key, self.rng, self.raw, self.multinomials = key, rng(*key), 0, []
+            self.key, self.rng, self.raw, self.binomials = key, rng(*key), 0, []
             streams.append(self)
 
-        def multinomial(self, n, pvals):
-            self.multinomials.append(n)
-            return self.rng.multinomial(n, pvals)
+        def binomial(self, n, p):
+            self.binomials.append(n)
+            return self.rng.binomial(n, p)
 
         def standard_exponential(self, size):
             self.raw += size[1]
@@ -625,11 +739,11 @@ class TestOutageProb:
     @pytest.mark.parametrize("l", [1, 7, 64])
     def test_certain_outage_counts_every_trial_as_a_candidate(self, monkeypatch, scheme, l):
         # at snr 1e-9 every cell holds events up to g0 = inf, so the cells'
-        # masses sum to 1 and the one multinomial draw leaves no trial out
+        # masses sum to 1 and the one binomial count leaves no trial out
         streams = record_streams(monkeypatch)
         sizes = record_candidates(monkeypatch)
         assert outage_prob_conditioned(1e-9, 1.0, l, 20_000, 3, scheme=scheme) == 1.0
-        assert [(s.raw, s.multinomials) for s in streams] == [(0, [20_000])]
+        assert [(s.raw, s.binomials) for s in streams] == [(0, [20_000])]
         assert sum(sizes) == 20_000
 
     @pytest.mark.parametrize(
