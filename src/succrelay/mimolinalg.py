@@ -25,8 +25,9 @@ inverse: Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992; Usmani,
 Linear Algebra Appl. 212/213, 1994).  The pivots are >= 1, so no
 division can fail.  The log-det costs O(l) per frame, a SIC stage O(l):
 O(l^2) for strongest-first order and O(l) in total for natural order.
-Dense factorizations of H serve only as test oracles.  The argument checks
-that every entry point shares, `check_real` and `check_count`, live here.
+Strongest-first holds detected streams at a -inf floor and picks the
+lowest tied stream k as the least k - l, mod l.  The argument checks that
+every entry point shares, `check_real` and `check_count`, live here.
 """
 
 from __future__ import annotations
@@ -138,9 +139,14 @@ def check_kernel_args(snr: float = 0.0, l: int = 1) -> None:
     check_count(l, "frame length l")
 
 
+def arg_ndim(x) -> int:
+    """np.ndim(x), also of a ragged sequence (np.ndim refuses one): the depth it is regular to."""
+    return np.ndim(np.array(x, dtype=object))
+
+
 def check_frame_lengths(ls) -> None:
     """A nonempty 1-D sequence of frame lengths, each passing `check_kernel_args`."""
-    if np.ndim(ls) != 1 or not len(ls):
+    if arg_ndim(ls) != 1 or not len(ls):
         raise ValueError(f"frame lengths l must be a nonempty 1-D sequence, got {reprlib.repr(ls)}")
     for l in ls:
         check_kernel_args(l=l)
@@ -168,7 +174,7 @@ def logdet_capacity_batch(
     gains are squared moduli, so >= 0.  A bad snr or length raises
     ValueError before any work.
     """
-    one = np.ndim(l) == 0
+    one = arg_ndim(l) == 0
     ls = (l,) if one else l
     check_kernel_args(snr)
     check_frame_lengths(ls)
@@ -268,11 +274,11 @@ def mmse_sic_sinrs_batch(
     streams; the Gram matrix is tridiagonal, so this is
     a_k - c_{k-1}/f_{k-1} - c_k/g_{k+1} (see `_right_terms`) with
     a_k = snr * (g_sd + g_r(k)) and c_k = snr^2 * g_sd * g_r(k) while streams
-    k and k+1 are both undetected, 0 otherwise.  Strongest-first picks the
-    maximal-SINR stream, counting candidates within a relative
-    `TIE_RTOL` of the maximum as tied and taking the lowest index among
-    them; natural order detects streams in time order.  An ``ordering``
-    that is not a DetectionOrder raises ValueError.
+    k and k+1 are both undetected, 0 otherwise.  Strongest-first holds a
+    detected stream's candidate at max(-inf - interference, -inf) = -inf and
+    picks the lowest stream k within a relative `TIE_RTOL` of the maximum as
+    (min over those k of k - l) mod l: 0 in a NaN column, as with argmax.
+    Natural order goes in time order; a non-DetectionOrder ``ordering`` raises ValueError.
 
     Returns (orders, sinrs): (n, l) arrays, sinrs indexed by stream.
     """
@@ -294,25 +300,26 @@ def mmse_sic_sinrs_batch(
         orders[:] = np.arange(l)[:, None]
         sinrs = np.maximum(a - _right_terms(a1, c, right), 0.0)
     else:
-        cols = np.arange(n)
+        cols, rank = np.arange(n), np.arange(-l, 0)[:, None]  # rank k - l: lowest tie is least
         sinrs = np.zeros((l, n))
         active = np.ones((l, n), dtype=bool)
+        masked, floor = a.copy(), np.zeros((l, n))  # a and 0, -inf once detected
         left = np.empty_like(a)
         for stage in range(l):
             if stage < l - 1:
                 live = c * (active[:-1] & active[1:]) if stage else c
                 _right_terms(a1, live, right)
                 _right_terms(a1[::-1], live[::-1], left[::-1])
-                cand = np.maximum(a - (right + left), 0.0)
+                right += left
             else:
-                # one stream is left and every coupling is dead: a - (0 + 0) is a
-                cand = np.maximum(a, 0.0)
-            cand = np.where(active, cand, -np.inf)
-            best = cand.max(axis=0)
-            sel = np.argmax(cand >= best * (1.0 - TIE_RTOL), axis=0)
-            orders[stage] = sel
-            sinrs[sel, cols] = cand[sel, cols]
-            active[sel, cols] = False
+                right[:] = 0.0  # one stream is left and every coupling is dead
+            cand = np.maximum(np.subtract(masked, right, out=right), floor, out=right)
+            hits = cand >= cand.max(axis=0) * (1.0 - TIE_RTOL)
+            sel = np.remainder((rank * hits).min(axis=0), l, out=orders[stage])
+            flat = sel * n + cols
+            sinrs.reshape(-1)[flat] = cand.reshape(-1)[flat]
+            for done, value in ((active, False), (masked, -np.inf), (floor, -np.inf)):
+                done.reshape(-1)[flat] = value
 
     # Post-detection SINR can never exceed the interference-free bound
     # a_k = snr * ||h_k||^2.

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import trial_rng
 from .mimolinalg import CHUNK, check_count, check_kernel_args, check_real, logdet_capacity_batch
-from .mimolinalg import require, snr_from_db
+from .mimolinalg import arg_ndim, require, snr_from_db
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
 # each interval's expm1(a - b), and its Exp(1) mass e^-a (1 - e^-(b - a)).
@@ -243,12 +243,10 @@ def estimate_dmt(
         raise ValueError("snr grid must span >= 20 dB within the >= 20 dB region")
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ValueError("snr grid must be strictly increasing")
-    if np.ndim(trials_per_point) == 0:
-        trial_counts = [trials_per_point] * len(grid)
-    else:
-        trial_counts = list(trials_per_point)
-        if len(trial_counts) != len(grid):
-            raise ValueError("trials_per_point must match the grid length")
+    one = arg_ndim(trials_per_point) == 0
+    trial_counts = [trials_per_point] * len(grid) if one else list(trials_per_point)
+    if len(trial_counts) != len(grid):
+        raise ValueError("trials_per_point must match the grid length")
 
     # a product of Python floats overflows to inf without a warning
     targets = [FIXED_RATE_BITS if r == 0.0 else r * float(np.log2(snr)) for snr in snrs]

@@ -34,12 +34,15 @@ checked here.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 # No rate builds the channel matrix; build_equivalent_channel_batch is
 # imported only because bench/tracing.py wraps it in this module.
 from .mimolinalg import (  # noqa: F401
     DetectionOrder,
+    arg_ndim,
     build_equivalent_channel_batch,
     check_frame_lengths,
     check_kernel_args,
@@ -204,8 +207,8 @@ def capacity_gain_G(
     each entry of ``snrs`` must pass `check_real` > 0 and ``ls``
     `check_frame_lengths`, or ValueError names the argument.
     """
-    if np.ndim(snrs) != 1 or not len(snrs):
-        raise ValueError(f"snrs must be a nonempty 1-D sequence, got {snrs!r}")
+    if arg_ndim(snrs) != 1 or not len(snrs):
+        raise ValueError(f"snrs must be a nonempty 1-D sequence, got {reprlib.repr(snrs)}")
     values = np.array([check_real(snr, "snrs", positive=True) for snr in snrs])
     check_frame_lengths(ls)
     if np.size(g_sd) == 0:

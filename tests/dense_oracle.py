@@ -174,7 +174,10 @@ def stagewise_mmse_sic_sinrs_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`mimolinalg.mmse_sic_sinrs_batch` that rebuilds the couplings and both
     pivot chains (c_k/g_{k+1} and, reversed, c_{k-1}/f_{k-1}) of every
-    stream at every stage, the last included."""
+    stream at every stage, the last included.  It keeps the plain selection
+    on purpose: detected streams masked by `np.where`, the lowest tied stream
+    by `np.argmax`, and scatters on (stream, column) pairs, so that the
+    kernel's -inf floor, rank pick and flat scatters are checked against it."""
     check_kernel_args(snr, l)
     g_r = np.stack((g_r1d, g_r2d))[np.arange(l) % 2]
     n = g_sd.shape[0]

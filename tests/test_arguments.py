@@ -5,7 +5,9 @@ Every public entry point checks its numbers with `mimolinalg.check_real`
 in a stated range) or `snr_from_db`, which applies `check_real`'s type rule
 to a dB value.  A str, bytes or bool, Python or numpy, NaN, inf or an int
 past float range raises ValueError naming the argument; numpy scalars, and
-the 0-d arrays that a real argument took before, still pass.
+the 0-d arrays that a real argument took before, still pass.  A sequence
+with such an entry is refused the same way, also when it is ragged, which
+numpy refuses to give an ndim.
 `NetworkGeometry` checks each of its eight fields with `check_real`.
 `ExperimentConfig` checks each numeric field with the same library call, so
 a field is refused exactly when the library refuses its value.
@@ -58,6 +60,9 @@ ENTRY_POINTS = {
         "trials", lambda x: outage_prob_conditioned(100.0, 1.0, 3, x, 0), 10
     ),
     "capacity_gain_G-snrs": ("snrs", lambda x: capacity_gain_G(E, E, E, [10.0, x], [3]), 100.0),
+    "capacity_gain_G-ls": (
+        "frame length", lambda x: capacity_gain_G(E, E, E, [10.0], [3, x]), 3
+    ),
     "snr_from_db": ("snr", snr_from_db, 20.0),
     "rate_direct_batch-snr": ("snr", lambda x: rate_direct_batch(G, x), 10.0),
     "rate_classic_batch-snr": ("snr", lambda x: rate_classic_batch(G, x, 0.5), 10.0),
@@ -69,6 +74,10 @@ ENTRY_POINTS = {
     "mmse_sic_sinrs_batch-snr": ("snr", lambda x: mmse_sic_sinrs_batch(E, E, E, x, 3), 10.0),
     "logdet_capacity_batch-l": (
         "frame length", lambda x: logdet_capacity_batch(E, E, E, 10.0, x), 3
+    ),
+    # one entry of a sequence of lengths
+    "logdet_capacity_batch-l-entry": (
+        "frame length", lambda x: logdet_capacity_batch(E, E, E, 10.0, [3, x]), 3
     ),
     "mmse_sic_sinrs_batch-l": ("frame length", lambda x: mmse_sic_sinrs_batch(E, E, E, 10.0, x), 3),
     "trial_rng-seed": ("seed", lambda x: trial_rng(x, 0), 5),
@@ -96,12 +105,10 @@ BAD_INPUTS = {
     "none": None,
 }
 # (entry point, bad input) -> what its error starts with instead of the
-# name: a one-entry list of counts is a valid form refused for its length,
-# and numpy refuses a ragged sequence before any check sees its entries
+# name: a one-entry list of counts is a valid form refused for its length.
+# A bad input in a list is a ragged sequence, refused by its entry's name.
 OTHER_PREFIX = {
     ("estimate_dmt-trials", "list"): "trials_per_point must match the grid length",
-    ("estimate_dmt-trials-entry", "list"): "setting an array element with a sequence",
-    ("capacity_gain_G-snrs", "list"): "setting an array element with a sequence",
 }
 
 
@@ -126,12 +133,16 @@ def test_long_value_is_cut_in_the_message(entry):
 
 
 def test_long_sequence_is_cut_in_the_message():
-    # a 2-D list is no sequence of frame lengths; reprlib cuts its
-    # 6,002-character repr to its first six entries
-    with pytest.raises(ValueError, match="^frame lengths ") as raised:
-        logdet_capacity_batch(E, E, E, 10.0, [[3] * 2000])
-    message = str(raised.value)
-    assert len(message) < 110 and message.endswith("got [[3, 3, 3, 3, 3, 3, ...]]"), message
+    # a 2-D list is no sequence of frame lengths or of SNRs; reprlib cuts
+    # its 6,002- or 5,002-character repr to its first six entries
+    for name, call, cut in (
+        ("frame lengths", lambda: logdet_capacity_batch(E, E, E, 10.0, [[3] * 2000]), "3, "),
+        ("snrs", lambda: capacity_gain_G(E, E, E, [[1.0] * 1000], [3]), "1.0, "),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} ") as raised:
+            call()
+        message = str(raised.value)
+        assert len(message) < 110 and message.endswith(f"got [[{cut * 6}...]]"), message
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

@@ -489,9 +489,10 @@ class TestLogdetLengths:
 
 
 class TestSicAgainstStagewiseChains:
-    """The kernel writes both pivot chains in place and skips them at the
-    last stage: its orders and SINR bytes equal those of the reference that
-    recomputes every chain at every stage, and it raises where that raises."""
+    """The kernel writes both pivot chains in place, skips them at the last
+    stage and picks the lowest tied stream without the reference's argmax:
+    its orders and SINR bytes equal those of the reference that recomputes
+    every chain at every stage, and it raises where that raises."""
 
     # snr^2 leaves float range at 10^154.5, where only a frame with a coupling squares it
     SNRS = (0.0, 1e-3, 1.0, 100.0, 1e5, 1e9, 10.0**154.5)
@@ -503,6 +504,8 @@ class TestSicAgainstStagewiseChains:
                 return kernel(*g, snr, l, ordering)
             except FloatingPointError as exc:
                 return str(exc)
+            except InvariantError as exc:
+                return type(exc), str(exc)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 7, 8, 16, 64])
     def test_same_bytes_and_errors(self, l):
@@ -513,17 +516,24 @@ class TestSicAgainstStagewiseChains:
         ]
         batches.append(np.full((3, 50), 0.7))  # every stream ties at every stage
         batches.append(np.full((3, 4), 1e300))  # a overflows from snr 1e9 on, c from 1 on
-        raised = 0
+        # NaN gains: every column of the first, and some entries of the
+        # second, have no candidate at the stage maximum, so the pick is stream 0
+        batches.append(np.full((3, 5), np.nan))
+        batches.append(np.where(rng.random((3, 40)) < 0.1, np.nan, rng.exponential(size=(3, 40))))
+        raised = invariant = 0
         for g, snr, ordering in itertools.product(batches, self.SNRS, DetectionOrder):
             got = self.outcome(mmse_sic_sinrs_batch, g, snr, l, ordering)
             want = self.outcome(stagewise_mmse_sic_sinrs_batch, g, snr, l, ordering)
-            if isinstance(want, str):
+            if isinstance(want, str) or want[0] is InvariantError:
                 raised += 1
+                invariant += want[0] is InvariantError
                 assert got == want, (snr, ordering)
                 continue
             assert got[0].tobytes() == want[0].tobytes(), (snr, ordering)
             assert got[1].tobytes() == want[1].tobytes(), (snr, ordering)
-        assert raised >= 4
+        # both NaN batches fail the column-norm bound at every SNR whose
+        # square stays in float range, in both orders
+        assert raised >= 4 and invariant >= 2 * 6 * 2
 
 
 class TestBounds:
