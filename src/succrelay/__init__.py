@@ -4,7 +4,6 @@ from .channel import (
     CASE_III_RELAY_SPACING,
     LINK_NAMES,
     NetworkGeometry,
-    coefficients,
     link_gains,
     preset_geometry,
     sample_realizations,
@@ -52,7 +51,6 @@ __all__ = [
     "NetworkGeometry",
     "adaptive_keep_batch",
     "capacity_gain_G",
-    "coefficients",
     "estimate_dmt",
     "interference_free_batch",
     "link_gains",

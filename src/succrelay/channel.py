@@ -13,14 +13,12 @@ shadowing term.  Shadowing is redrawn independently per link and per
 realization; the channel is block fading (one realization per frame).
 
 `sample_realizations` returns the standard normals behind n frames as a
-plain array; `coefficients` scales them to the six h, and `squared_gains`
-squares those to the six |h|**2 that every rate reads; `link_gains` does
-both.
+plain array, and `link_gains` scales them to the six |h|**2 that every rate
+reads, in real arithmetic: no complex h is formed.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -101,49 +99,29 @@ def preset_geometry(case_id: str) -> NetworkGeometry:
     return NetworkGeometry(d_sd=1.0, d_sr1=d, d_sr2=d, d_r1d=d, d_r2d=d, d_r1r2=d_rr)
 
 
-def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
-    """The (6, n) complex coefficients of normals ``v``, rows in LINK_NAMES order.
+def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
+    """The (6, n) squared link gains |h|**2 of normals ``v``, C-contiguous,
+    rows in LINK_NAMES order: the one place where normals become gains.
 
     ``v`` is a trial-major ``(n, k, 6)`` block as `sample_realizations`
     draws it: trial t's real parts, imaginary parts and, when ``geom`` is
     shadowed (k = 3; else k = 2), its shadowing ``zeta / shadow_sigma_db``,
-    each in LINK_NAMES order.  Both parts of a coefficient are multiplied by
-    the real amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
-    zeta in dB; the 1/sqrt 2 gives the complex Gaussian unit variance.  A
-    coefficient that path loss or shadowing overflows is left inf or NaN,
-    with no warning, for `squared_gains` to name.  ``v`` of any other shape
-    raises ValueError.
+    each in LINK_NAMES order.  Both parts are multiplied by the real
+    amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
+    zeta in dB, and the gain is the sum of their squares; the 1/sqrt 2 gives
+    the complex Gaussian unit variance.  ``v`` of any other shape raises
+    ValueError, and so does a gain that path loss or shadowing makes
+    non-finite, naming its first link.
     """
     shape = realization_shape(geom, len(v))
     if v.shape != shape:
         raise ValueError(f"v must have shape {shape}, got {v.shape}")
-    h = np.empty((6, v.shape[0]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
         if geom.shadow_sigma_db > 0.0:
             log_amp = log_amp + v[:, 2] * (geom.shadow_sigma_db * (np.log(10.0) / 20.0))
         amp = np.exp(log_amp)
-        h.real = (v[:, 0] * amp).T
-        h.imag = (v[:, 1] * amp).T
-    return h
-
-
-def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
-    """The (6, n) squared link gains of normals ``v``: `squared_gains` of
-    their `coefficients`, which raises ValueError on ``v`` of a shape other
-    than `realization_shape`."""
-    return squared_gains(coefficients(geom, v))
-
-
-def squared_gains(h: np.ndarray) -> np.ndarray:
-    """The (6, n) squared link gains |h|**2 that every rate reads, from the
-    coefficients ``h`` that `coefficients` returns.
-
-    Raises ValueError naming the first link with a gain that is not finite:
-    a non-finite coefficient, or one whose square overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.abs(h) ** 2
+        g = (np.square(v[:, 0] * amp) + np.square(v[:, 1] * amp)).T.copy()
     finite = np.isfinite(g)
     if not finite.all():
         link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]
@@ -183,20 +161,19 @@ def sample_realizations(
     """Draw the standard normals of ``n`` independent channel realizations.
 
     One ``standard_normal((n, k, 6))`` draw, trial-major, returned as is
-    (`realization_shape`: k = 3 when shadowed, else 2); `coefficients` and
-    `link_gains` scale it.  So one call for n trials gives the same bytes
-    as n consecutive calls for one trial each on the same generator, joined
-    in order.
+    (`realization_shape`: k = 3 when shadowed, else 2); `link_gains` scales
+    it.  So one call for n trials gives the same bytes as n consecutive
+    calls for one trial each on the same generator, joined in order.
 
     With ``out``, a writable C-contiguous float64 array of shape (n, k, 6),
     the draw fills ``out`` and returns it, with the same bytes as a fresh
-    draw.  ``n`` must be an integer >= 1 and not a bool; a bad ``n`` or
+    draw.  ``n`` must pass `check_count` in [1, 2**63); a bad ``n`` or
     ``out`` raises ValueError before anything is drawn.
     """
-    # an int skips the numbers.Integral test, an ABC check that costs about as
-    # much as the rest of a one-trial call, and a sweep makes one per trial
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    # a plain int skips check_count's ABC test, which costs about as much as
+    # the rest of a one-trial call, and a sweep makes one call per trial
+    if type(n) is not int or not 0 < n < 2**63:
+        n = check_count(n, "n")
     shape = realization_shape(geom, n)
     if out is None:
         return rng.standard_normal(shape)

@@ -29,11 +29,10 @@ import numpy as np
 from .channel import (
     LINK_NAMES,
     NetworkGeometry,
-    coefficients,
+    link_gains,
     preset_geometry,
     realization_shape,
     sample_realizations,
-    squared_gains,
     trial_rng,
 )
 from .mimolinalg import check_count, check_kernel_args, check_real, require, snr_from_db
@@ -50,7 +49,8 @@ from .protocols import (
     theorem1_rate_batch,
 )
 
-SCHEMA_VERSION = 1
+# raised when an output field changes or is removed, as README states
+SCHEMA_VERSION = 2
 
 
 def _one_codeword(rate: np.ndarray, slots: float):
@@ -230,12 +230,10 @@ def _mean_sem(x: np.ndarray) -> tuple[float, float]:
     return mean, sem
 
 
-def _gains(cfg: ExperimentConfig, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (6, n) coefficients and gains of normals ``v``: the one place a
-    draw block is scaled."""
+def _gains(cfg: ExperimentConfig, v: np.ndarray) -> np.ndarray:
+    """The (6, n) gains of normals ``v``: the one place a draw block is scaled."""
     try:
-        h = coefficients(cfg.network, v)
-        return h, squared_gains(h)
+        return link_gains(cfg.network, v)
     except ValueError as exc:
         raise ConfigError("geometry", f"{exc}; gamma or shadow_sigma_db is too large") from exc
 
@@ -284,8 +282,7 @@ def run_geometry_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_grid_db):
-        # only the gains: the coefficients are freed before the kernels run
-        g = _gains(cfg, _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials))[1]
+        g = _gains(cfg, _sample_trials(cfg.network, cfg.seed, snr_idx, cfg.trials))
         keep, (cancel_ok, source_ok), point = _point(cfg, g, snr_db)
         stats = {name: _mean_sem(rate) for name, _, rate, _, _ in point}
         require(np.array([*stats.values()]) >= 0.0, "mean rates and standard errors must be >= 0")
@@ -347,9 +344,10 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
     first draw of the sweep's first point, is read and scaled to gains once
     and evaluated at every SNR point, listing the decode-first branches,
     per-codeword caps and flags that the sweep averages away.  A fallen-back
-    codeword is one direct codeword, with no branches.
+    codeword is one direct codeword, with no branches.  ``realization`` holds
+    the draw's six gains, ``g_<link>`` for each name of LINK_NAMES.
     """
-    (h, g), entries = _gains(cfg, _sample_trials(cfg.network, cfg.seed, 0, 1)), []
+    g, entries = _gains(cfg, _sample_trials(cfg.network, cfg.seed, 0, 1)), []
     for snr_db in cfg.snr_grid_db:
         keep, flags, point = _point(cfg, g, snr_db)
         for name, relaying, rate, caps, branches in point:
@@ -367,8 +365,8 @@ def run_single_realization(cfg: ExperimentConfig) -> dict:
                 interference_free=None if branches is None else bool(flags[0][0]),
                 source_links_strong=None if branches is None else bool(flags[1][0]),
             )
-    coeffs = {f"h_{name}": [c.real, c.imag] for name, c in zip(LINK_NAMES, h[:, 0].tolist())}
-    return {"realization": coeffs, "entries": entries}
+    gains = {f"g_{name}": gain for name, gain in zip(LINK_NAMES, g[:, 0].tolist())}
+    return {"realization": gains, "entries": entries}
 
 
 # ---------------------------------------------------------------------------

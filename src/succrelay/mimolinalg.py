@@ -53,7 +53,10 @@ TIE_RTOL = 1e-9
 # The log-det kernel moves its running product into a log scale past this.
 _PRODUCT_LIMIT = 1e150
 # Draws per piece of the log-det kernel and the outage count: 64 KB arrays
-# stay in a core's cache (a 4M-draw outage block ran ~2.5x faster).
+# stay in a core's cache.  At l = 32 on a 2-core Xeon the pieced log-det took
+# 10.8 ms against 16.2 ms unpieced for 100,000 draws and 97 against 153 ms for
+# 1,000,000, with no difference at 10,000; the pieces also bound the memory
+# that the outage count's candidates take.
 CHUNK = 8192
 
 

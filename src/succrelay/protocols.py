@@ -67,8 +67,10 @@ def rate_direct_batch(g: np.ndarray, snr: float) -> np.ndarray:
 
 def rate_classic_batch(g: np.ndarray, snr: float, prefactor: float) -> np.ndarray:
     """Broadcast-then-relay rate: ``prefactor`` 1/3 for one relay slot each
-    (classic I), 1/2 for simultaneous space-time relaying (classic II)."""
+    (classic I), 1/2 for simultaneous space-time relaying (classic II); it
+    must pass `check_real` > 0."""
     check_kernel_args(snr)
+    prefactor = check_real(prefactor, "prefactor", positive=True)
     gsd, gsr1, gsr2, _, gr1d, gr2d = g
     bottleneck = np.minimum(
         np.minimum(_cap(gsr1 * snr), _cap(gsr2 * snr)),

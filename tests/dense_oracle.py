@@ -16,6 +16,10 @@ afresh from the undetected columns A with ``np.linalg.solve`` on the
 structure the library exploits.  A second
 SIC oracle repeats the same SIC in 60-digit ``mpmath`` arithmetic.
 
+The channel oracle `coefficients` forms the six complex coefficients h that
+``channel.link_gains`` never builds, so the tests can pin its gains against
+|h|**2 and feed the dense oracles, which take complex columns.
+
 The outage oracle is the full-draw count that ``succrelay.outage`` draws
 sparsely: every trial's three Exp(1) gains are drawn and run through the
 exact test, so its count is Binomial(trials, p_out), as the sampler's is.
@@ -44,6 +48,7 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 from succrelay import outage
+from succrelay.channel import NetworkGeometry, realization_shape
 from succrelay.mimolinalg import (
     _PRODUCT_LIMIT,
     CHUNK,
@@ -55,6 +60,32 @@ from succrelay.mimolinalg import (
 )
 
 LN2 = np.log(2.0)
+
+
+def coefficients(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
+    """The (6, n) complex coefficients of normals ``v``, rows in LINK_NAMES order.
+
+    ``v`` is a trial-major ``(n, k, 6)`` block as `sample_realizations`
+    draws it: trial t's real parts, imaginary parts and, when ``geom`` is
+    shadowed (k = 3; else k = 2), its shadowing ``zeta / shadow_sigma_db``,
+    each in LINK_NAMES order.  Both parts of a coefficient are multiplied by
+    the real amplitude ``exp(log(d**(-gamma/2) / sqrt 2) + zeta * ln(10) / 20)``,
+    zeta in dB; the 1/sqrt 2 gives the complex Gaussian unit variance.  A
+    coefficient that path loss or shadowing overflows is left inf or NaN,
+    with no warning.  ``v`` of any other shape raises ValueError.
+    """
+    shape = realization_shape(geom, len(v))
+    if v.shape != shape:
+        raise ValueError(f"v must have shape {shape}, got {v.shape}")
+    h = np.empty((6, v.shape[0]), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
+        if geom.shadow_sigma_db > 0.0:
+            log_amp = log_amp + v[:, 2] * (geom.shadow_sigma_db * (np.log(10.0) / 20.0))
+        amp = np.exp(log_amp)
+        h.real = (v[:, 0] * amp).T
+        h.imag = (v[:, 1] * amp).T
+    return h
 
 
 def gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from succrelay.channel import coefficients, link_gains, preset_geometry, sample_realizations
+from dense_oracle import coefficients
+from succrelay.channel import link_gains, preset_geometry, sample_realizations
 from succrelay.experiments import ExperimentConfig, run_gain_curve, run_geometry_sweep
 from succrelay.mimolinalg import (
     DetectionOrder,

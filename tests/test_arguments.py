@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from succrelay import experiments
-from succrelay.channel import NetworkGeometry, trial_rng
+from succrelay.channel import NetworkGeometry, preset_geometry, sample_realizations, trial_rng
 from succrelay.experiments import ConfigError, ExperimentConfig
 from succrelay.mimolinalg import logdet_capacity_batch, mmse_sic_sinrs_batch
 from succrelay.outage import estimate_dmt, outage_prob_conditioned, snr_from_db
@@ -46,6 +46,8 @@ ENTRY_POINTS = {
     "estimate_dmt-r": ("multiplexing gain", lambda x: estimate_dmt(x, 3, GRID, 10, 0), 0.0),
     "estimate_dmt-grid": ("snr", lambda x: estimate_dmt(0.0, 3, [20.0, 30.0, x], 10, 0), 40.0),
     "estimate_dmt-trials": ("trials", lambda x: estimate_dmt(0.0, 3, GRID, x, 0), 10),
+    "estimate_dmt-l": ("frame length", lambda x: estimate_dmt(0.0, x, GRID, 10, 0), 3),
+    "estimate_dmt-seed": ("seed", lambda x: estimate_dmt(0.0, 3, GRID, 10, x), 0),
     # one grid point's entry of a list of counts
     "estimate_dmt-trials-entry": (
         "trials", lambda x: estimate_dmt(0.0, 3, GRID, [10, 10, x], 0), 10
@@ -59,6 +61,13 @@ ENTRY_POINTS = {
     "outage_prob_conditioned-trials": (
         "trials", lambda x: outage_prob_conditioned(100.0, 1.0, 3, x, 0), 10
     ),
+    "outage_prob_conditioned-l": (
+        "frame length", lambda x: outage_prob_conditioned(100.0, 1.0, x, 10, 0), 3
+    ),
+    # a target above 0 draws, so the stream's seed is checked
+    "outage_prob_conditioned-seed": (
+        "seed", lambda x: outage_prob_conditioned(100.0, 1.0, 3, 10, x), 0
+    ),
     "capacity_gain_G-snrs": ("snrs", lambda x: capacity_gain_G(E, E, E, [10.0, x], [3]), 100.0),
     "capacity_gain_G-ls": (
         "frame length", lambda x: capacity_gain_G(E, E, E, [10.0], [3, x]), 3
@@ -66,10 +75,21 @@ ENTRY_POINTS = {
     "snr_from_db": ("snr", snr_from_db, 20.0),
     "rate_direct_batch-snr": ("snr", lambda x: rate_direct_batch(G, x), 10.0),
     "rate_classic_batch-snr": ("snr", lambda x: rate_classic_batch(G, x, 0.5), 10.0),
+    "rate_classic_batch-prefactor": ("prefactor", lambda x: rate_classic_batch(G, 10.0, x), 0.5),
     "successive_genie_batch-snr": ("snr", lambda x: successive_genie_batch(G, x, 3), 10.0),
     "successive_vblast_batch-snr": ("snr", lambda x: successive_vblast_batch(G, x, 3), 10.0),
     "theorem1_rate_batch-snr": ("snr", lambda x: theorem1_rate_batch(G, x, 3), 10.0),
     "interference_free_batch-snr": ("snr", lambda x: interference_free_batch(G, x, 3), 10.0),
+    "successive_genie_batch-l": (
+        "frame length", lambda x: successive_genie_batch(G, 10.0, x), 3
+    ),
+    "successive_vblast_batch-l": (
+        "frame length", lambda x: successive_vblast_batch(G, 10.0, x), 3
+    ),
+    "theorem1_rate_batch-l": ("frame length", lambda x: theorem1_rate_batch(G, 10.0, x), 3),
+    "interference_free_batch-l": (
+        "frame length", lambda x: interference_free_batch(G, 10.0, x), 3
+    ),
     "logdet_capacity_batch-snr": ("snr", lambda x: logdet_capacity_batch(E, E, E, x, 3), 10.0),
     "mmse_sic_sinrs_batch-snr": ("snr", lambda x: mmse_sic_sinrs_batch(E, E, E, x, 3), 10.0),
     "logdet_capacity_batch-l": (
@@ -82,6 +102,9 @@ ENTRY_POINTS = {
     "mmse_sic_sinrs_batch-l": ("frame length", lambda x: mmse_sic_sinrs_batch(E, E, E, 10.0, x), 3),
     "trial_rng-seed": ("seed", lambda x: trial_rng(x, 0), 5),
     "trial_rng-key": ("trial", lambda x: trial_rng(0, x), 5),
+    "sample_realizations-n": (
+        "n", lambda x: sample_realizations(preset_geometry("I"), trial_rng(0, 0), x), 3
+    ),
 }
 # each NetworkGeometry field, replaced in a geometry of valid fields
 GEOMETRY = {

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from dense_oracle import coefficients
 from succrelay.channel import (
     CASE_III_RELAY_SPACING,
     LINK_NAMES,
     NetworkGeometry,
-    coefficients,
     link_gains,
     preset_geometry,
     realization_shape,
@@ -24,8 +24,19 @@ from succrelay.experiments import _sample_trials
 
 
 def draw_h(geom, rng, n):
-    """The (6, n) coefficients of one n-trial draw from ``rng``."""
+    """The (6, n) oracle coefficients of one n-trial draw from ``rng``."""
     return coefficients(geom, sample_realizations(geom, rng, n))
+
+
+def draw_g(geom, rng, n):
+    """The (6, n) gains of one n-trial draw from ``rng``."""
+    return link_gains(geom, sample_realizations(geom, rng, n))
+
+
+def oracle_gains(geom, v):
+    """|h|**2 of the oracle's complex coefficients, inf or NaN left as they fall."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(coefficients(geom, v)) ** 2
 
 
 def flat_geometry(gamma=0.0, shadow=0.0, d=1.0):
@@ -136,24 +147,24 @@ class TestRealization:
         # shape that the sampler draws for that many trials
         geom = flat_geometry(shadow=shadow)
         want = realization_shape(geom, shape[0])
-        for scale in (coefficients, link_gains):
-            with pytest.raises(ValueError, match=re.escape(f"v must have shape {want}, got")):
-                scale(geom, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(f"v must have shape {want}, got")):
+            link_gains(geom, np.zeros(shape))
 
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("n", [1, 7, 5000])
     def test_real_arithmetic_matches_complex_formula(self, case, n):
         # one trial-major (n, 3, 6) draw: trial t's real parts, imaginary
-        # parts and shadowing.  Multiplying each part by the real amplitude
-        # gives the words of the complex (v_re + 1j v_im) * amp, draw for draw
+        # parts and shadowing.  The squares of each part times the real
+        # amplitude sum to |(v_re + 1j v_im) * amp|**2 within relative 1e-15,
+        # about 5 ulps: each side rounds about 2.5 times
         geom = preset_geometry(case)
         for seed in range(30):
-            got = draw_h(geom, np.random.default_rng(seed), n)
+            got = draw_g(geom, np.random.default_rng(seed), n)
             v = np.random.default_rng(seed).standard_normal((n, 3, 6))
             log_pathloss = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
             amp = np.exp(log_pathloss + v[:, 2] * (8.0 * (np.log(10.0) / 20.0)))
-            want = ((v[:, 0] + 1j * v[:, 1]) * amp).T
-            assert got.tobytes() == want.tobytes(), seed
+            want = np.abs(((v[:, 0] + 1j * v[:, 1]) * amp).T) ** 2
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
             # the amplitude is the model's d**(-gamma/2) * 10**(zeta/20) / sqrt 2
             model = geom.link_distances() ** -2.0 * 10.0 ** (8.0 * v[:, 2] / 20.0) / np.sqrt(2.0)
             np.testing.assert_allclose(amp, model, rtol=1e-13, atol=0.0)
@@ -194,11 +205,38 @@ class TestRealization:
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     def test_link_gains_are_squared_coefficient_moduli(self, geom):
-        # hypot, then square: bit for bit, not re**2 + im**2
+        # re**2 + im**2 in place of the oracle's hypot, then square: within relative 1e-15
         v = sample_realizations(geom, trial_rng(41, 2), 5000)
-        h = coefficients(geom, v)
-        assert h.shape == (6, 5000) and h.dtype == complex
-        assert link_gains(geom, v).tobytes() == (np.abs(h) ** 2).tobytes()
+        g = link_gains(geom, v)
+        assert g.shape == (6, 5000) and g.dtype == np.float64 and g.flags.c_contiguous
+        np.testing.assert_allclose(g, oracle_gains(geom, v), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("shadow", [0.0, 8.0, 300.0])
+    @pytest.mark.parametrize("gamma", [300.0, 700.0, 1023.0, 1400.0])
+    def test_gains_finite_exactly_where_the_oracle_is(self, gamma, shadow):
+        # every link's path loss puts its log gain near 709, the log of the
+        # float maximum, so gains overflow in some trials and not in others.
+        # Per trial, either the oracle's six |h|**2 are finite and agree, or
+        # link_gains names the oracle's first non-finite link; no RuntimeWarning
+        scale = np.array([1.0, 0.999, 1.001, 0.998, 1.002, 1.0])
+        d = np.exp(-709.0 / gamma) * scale
+        geom = NetworkGeometry(*d, gamma=gamma, shadow_sigma_db=shadow)
+        v = sample_realizations(geom, trial_rng(43, 0), 1000)
+        want = oracle_gains(geom, v)
+        finite = np.isfinite(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in range(len(v)):
+                if finite[:, t].all():
+                    got = link_gains(geom, v[t:t + 1])
+                    np.testing.assert_allclose(got, want[:, t:t + 1], rtol=1e-15, atol=0.0)
+                    continue
+                link = LINK_NAMES[int(np.argmin(finite[:, t]))]
+                with pytest.raises(ValueError, match=re.escape(f"|h_{link}|^2 must be finite")):
+                    link_gains(geom, v[t:t + 1])
+        # both kinds of trial occur, and more than one link is the first to overflow
+        assert 0 < np.count_nonzero(finite.all(axis=0)) < len(v)
+        assert len({int(np.argmin(col)) for col in finite.T if not col.all()}) > 1
 
     @pytest.mark.parametrize("geom", GEOMETRIES)
     @pytest.mark.parametrize("n", [1, 7, 5000])
@@ -213,14 +251,14 @@ class TestRealization:
 class TestMoments:
     def test_unit_variance_degenerate_model(self):
         # shadowing off, pathloss off: coefficients are pure CN(0, 1)
-        h = draw_h(flat_geometry(), np.random.default_rng(101), 1_000_000)
-        mean_gain = np.mean(np.abs(h[0]) ** 2)
+        g = draw_g(flat_geometry(), np.random.default_rng(101), 1_000_000)
+        mean_gain = np.mean(g[0])
         assert mean_gain == pytest.approx(1.0, abs=0.01)
 
     def test_pathloss_only_moment(self):
         geom = flat_geometry(gamma=4.0, d=0.5)
-        h = draw_h(geom, np.random.default_rng(102), 1_000_000)
-        mean_gain = np.mean(np.abs(h[3]) ** 2)
+        g = draw_g(geom, np.random.default_rng(102), 1_000_000)
+        mean_gain = np.mean(g[3])
         assert mean_gain == pytest.approx(16.0, rel=0.01)
 
     def test_lognormal_shadowing_moment(self):
@@ -235,8 +273,8 @@ class TestMoments:
         assert oracle == pytest.approx(5.45541, rel=1e-5)
 
         geom = flat_geometry(shadow=sigma)
-        h = draw_h(geom, np.random.default_rng(103), 1_000_000)
-        mean_gain = np.mean(np.abs(h[0]) ** 2)
+        g = draw_g(geom, np.random.default_rng(103), 1_000_000)
+        mean_gain = np.mean(g[0])
         assert mean_gain == pytest.approx(oracle, rel=0.03)
 
 
@@ -420,12 +458,12 @@ class TestSampleTrials:
             gamma=3.7, shadow_sigma_db=6.0,
         )
         # normals (1, 0, 0): real part 1, imaginary part 0, no shadowing, so
-        # h is the path-loss amplitude d**(-gamma/2) / sqrt 2 of a
+        # the gain is the squared path-loss amplitude d**-gamma / 2 of a
         # unit-variance complex Gaussian
-        h = coefficients(geom, np.array([[[1.0] * 6, [0.0] * 6, [0.0] * 6]]))
-        expected = geom.link_distances() ** (-geom.gamma / 2.0) / np.sqrt(2.0)
-        assert h.shape == (6, 1) and not h.imag.any()
-        np.testing.assert_allclose(h.real[:, 0], expected, rtol=1e-14, atol=0.0)
+        g = link_gains(geom, np.array([[[1.0] * 6, [0.0] * 6, [0.0] * 6]]))
+        expected = geom.link_distances() ** -geom.gamma / 2.0
+        assert g.shape == (6, 1)
+        np.testing.assert_allclose(g[:, 0], expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [0, -1, True, False, 2.5, np.float64(3), "3", None])

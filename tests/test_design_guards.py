@@ -1,10 +1,10 @@
 """The design rules that a test of behaviour cannot see, as one table.
 
 Each row names a rule, the files it reads, what it looks for there and the
-message a failure prints: no dense linear algebra and no assert in `src/`,
-one seeding path, one thread, one pivot recurrence, one table row per
-experiment, outage scheme, adaptive rule and config field, one check of a
-real number, and a README short enough to read.  A rule
+message a failure prints: no dense linear algebra, no complex arithmetic
+and no assert in `src/`, one seeding path, one thread, one pivot
+recurrence, one table row per experiment, outage scheme, adaptive rule and
+config field, one check of a number, and a README short enough to read.  A rule
 fails on every line that matches its pattern, `path:line: text`.  Only ``*.py`` files are
 read under `src/succrelay`, so a stale ``.pyc`` cannot match.  Each row
 also carries a line that breaks it; `test_rule_catches_its_example` plants
@@ -119,22 +119,29 @@ RULES = {
     ),
     "Real numbers meet check_real": (
         PY,
-        grep(r"numbers\.Real", exempt="mimolinalg.py"),
-        "each real-number argument and field is checked by mimolinalg.check_real; only "
-        "mimolinalg.py names numbers.Real",
-        "if not isinstance(x, numbers.Real):",
+        grep(r"numbers\.(Number|Complex|Real|Rational|Integral)\b", exempt="mimolinalg.py"),
+        "each numeric argument and field is checked by mimolinalg.check_real or check_count; "
+        "only mimolinalg.py names the numbers ABCs",
+        "if not isinstance(n, numbers.Integral):",
+    ),
+    "Gains need no complex arithmetic": (
+        PY,
+        grep(r"\b1j\b|\.imag\b|dtype=complex", exempt="mimolinalg.py"),
+        "every rate reads the six real squared gains, which channel.link_gains computes from "
+        "the normals; only mimolinalg.build_equivalent_channel_batch, the dense oracles' "
+        "matrix, forms complex numbers",
+        "h = (v[:, 0] + 1j * v[:, 1]) * amp",
     ),
     "The sampler returns arrays": (
         PY,
         grep(r"ChannelBatch"),
-        "sample_realizations returns its normals as an array; channel.coefficients and "
-        "channel.link_gains scale them",
+        "sample_realizations returns its normals as an array; channel.link_gains scales them",
         "class ChannelBatch:",
     ),
     "The geometry holds no cache": (
         [SRC / "channel.py"],
         grep(r"cached_property|_log_amplitudes|_LOG_AMPLITUDE_PER_DB"),
-        "NetworkGeometry holds no derived state; channel.coefficients computes each amplitude "
+        "NetworkGeometry holds no derived state; channel.link_gains computes each amplitude "
         "where it scales",
         "    @cached_property",
     ),

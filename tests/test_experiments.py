@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from dense_oracle import (
+    coefficients,
     quadrature_capacity_gain,
     quadrature_classic_bottleneck,
     quadrature_direct_rate,
 )
-from succrelay import channel, experiments, outage
+from succrelay import experiments, outage
 from succrelay.cli import main as cli_main
 from succrelay.channel import (
+    LINK_NAMES,
     NetworkGeometry,
-    coefficients,
     link_gains,
     preset_geometry,
     trial_rng,
@@ -370,8 +371,7 @@ class TestSampleTrials:
             raise AssertionError("_point drew from a stream or scaled a draw")
 
         for name in (
-            "trial_rng", "sample_realizations", "_sample_trials", "coefficients", "squared_gains",
-            "_gains",
+            "trial_rng", "sample_realizations", "_sample_trials", "link_gains", "_gains",
         ):
             monkeypatch.setattr(experiments, name, forbidden)
         first, second = (pickle.dumps(_point(cfg, g, 10.0)) for _ in range(2))
@@ -381,15 +381,14 @@ class TestSampleTrials:
     def test_gains_scaled_once_per_point(self, monkeypatch, experiment):
         # each sweep point scales its whole block of normals in one call; a
         # single realization scales its one draw once, for the whole grid and
-        # its JSON coefficients alike
+        # its JSON gains alike
         seen = []
 
         def record(geom, v):
             seen.append(v.shape[0])
-            return coefficients(geom, v)
+            return link_gains(geom, v)
 
-        monkeypatch.setattr(experiments, "coefficients", record)
-        monkeypatch.setattr(channel, "coefficients", record)
+        monkeypatch.setattr(experiments, "link_gains", record)
         cfg = ExperimentConfig(**{**SMALL_SWEEP, "experiment": experiment})
         run_experiment(cfg)
         assert seen == ([1] if experiment == "single_realization" else [cfg.trials] * 3)
@@ -545,9 +544,10 @@ class TestSingleRealization:
         )
         result = run_single_realization(cfg)
         assert len(result["entries"]) == 6
-        assert set(result["realization"]) == {
-            "h_sd", "h_sr1", "h_sr2", "h_r1r2", "h_r1d", "h_r2d"
-        }
+        # the six gains of trial 0, one g_<link> per link in LINK_NAMES order
+        g = link_gains(cfg.network, experiments._sample_trials(cfg.network, cfg.seed, 0, 1))
+        assert result["realization"] == {f"g_{name}": x for name, x in zip(LINK_NAMES, g[:, 0])}
+        assert list(result["realization"]) == [f"g_{name}" for name in LINK_NAMES]
 
     def test_direct_rate_is_the_sweep_kernel_on_trial_0(self):
         # trial 0 is the first trial of the sweep's first SNR point, and its
@@ -628,7 +628,7 @@ class TestOutput:
         blobs = [first, path.read_bytes()]
         assert blobs[0] == blobs[1]
         payload = json.loads(blobs[0])
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert len(payload["rows"]) == 3
 
     def test_json_writes_non_finite_fits_as_null(self, tmp_path):

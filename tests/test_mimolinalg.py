@@ -6,6 +6,7 @@ import pytest
 
 from dense_oracle import (
     dense_logdet_capacity_batch,
+    coefficients,
     dense_mmse_sic_sinrs_batch,
     gains,
     mp_logdet_capacity,
@@ -13,7 +14,7 @@ from dense_oracle import (
     recurrence_logdet_capacity_batch,
     stagewise_mmse_sic_sinrs_batch,
 )
-from succrelay.channel import coefficients, link_gains, preset_geometry, sample_realizations
+from succrelay.channel import link_gains, preset_geometry, sample_realizations
 from succrelay.mimolinalg import (
     _PRODUCT_LIMIT,
     CHUNK,
