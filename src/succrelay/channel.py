@@ -116,12 +116,19 @@ def link_gains(geom: NetworkGeometry, v: np.ndarray) -> np.ndarray:
     shape = realization_shape(geom, len(v))
     if v.shape != shape:
         raise ValueError(f"v must have shape {shape}, got {v.shape}")
+    vt = v.transpose(1, 2, 0)  # (k, 6, n) views: each part link-major
+    g, im = np.empty((6, len(v))), np.empty((6, len(v)))
     with np.errstate(over="ignore", invalid="ignore"):
-        log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))
+        log_amp = -0.5 * (geom.gamma * np.log(geom.link_distances()) + np.log(2.0))[:, None]
         if geom.shadow_sigma_db > 0.0:
-            log_amp = log_amp + v[:, 2] * (geom.shadow_sigma_db * (np.log(10.0) / 20.0))
-        amp = np.exp(log_amp)
-        g = (np.square(v[:, 0] * amp) + np.square(v[:, 1] * amp)).T.copy()
+            amp = np.multiply(vt[2], geom.shadow_sigma_db * (np.log(10.0) / 20.0), out=im)
+            amp += log_amp
+            np.exp(amp, out=amp)
+        else:
+            amp = np.exp(log_amp)
+        np.square(np.multiply(vt[0], amp, out=g), out=g)
+        np.square(np.multiply(vt[1], amp, out=im), out=im)
+        g += im
     finite = np.isfinite(g)
     if not finite.all():
         link = LINK_NAMES[int(np.argmin(finite.all(axis=1)))]

@@ -27,7 +27,8 @@ division can fail.  The log-det costs O(l) per frame, a SIC stage O(l):
 O(l^2) for strongest-first order and O(l) in total for natural order.
 Strongest-first holds detected streams at a -inf floor and picks the
 lowest tied stream k as the least k - l, mod l.  The argument checks that
-every entry point shares, `check_real` and `check_count`, live here.
+every entry point shares, `check_real`, `check_count` and `check_gains`,
+live here.
 """
 
 from __future__ import annotations
@@ -52,12 +53,17 @@ TIE_RTOL = 1e-9
 
 # The log-det kernel moves its running product into a log scale past this.
 _PRODUCT_LIMIT = 1e150
-# Draws per piece of the log-det kernel and the outage count: 64 KB arrays
-# stay in a core's cache.  At l = 32 on a 2-core Xeon the pieced log-det took
-# 10.8 ms against 16.2 ms unpieced for 100,000 draws and 97 against 153 ms for
-# 1,000,000, with no difference at 10,000; the pieces also bound the memory
-# that the outage count's candidates take.
-CHUNK = 8192
+# Draws per piece of the log-det kernel: the recurrence's ~8 working arrays
+# of 128 KB each stay in a 2 MiB L2 cache.  On a 2-core Xeon (2 MiB L2 per
+# core), 16,384 was the fastest of 8,192, 16,384, 32,768 and 65,536 at every
+# size; from 10^5 draws on, 32,768 and larger spill L2.  Pieces change no
+# output bit.  Times in ms, 8,192 -> 16,384 draws per piece:
+#
+#     draws   l = 7           l = 32
+#     10^4    0.535 -> 0.498  1.57 -> 1.32
+#     10^5    3.39  -> 2.85   13.2 -> 10.6
+#     10^6    33.7  -> 27.7   126  -> 107
+CHUNK = 16384
 
 
 class InvariantError(ArithmeticError):
@@ -126,6 +132,16 @@ def check_count(x, name: str, lo: int = 1, bits: int = 63) -> int:
     return int(x)
 
 
+def check_gains(g) -> None:
+    """ValueError naming ``g`` unless it is a 2-D numpy array of 6 rows: the
+    squared gains of n draws, one row per link, as every gains kernel of
+    `protocols` reads them."""
+    array = isinstance(g, np.ndarray)
+    if not (array and g.ndim == 2 and len(g) == 6):
+        got = f"shape {g.shape}" if array else reprlib.repr(g)
+        raise ValueError(f"g must be a 2-D array with 6 rows, got {got}")
+
+
 def snr_from_db(snr_db: float) -> float:
     """10 ** (snr_db / 10), or ValueError unless ``snr_db`` is a real number
     (see `_real`) whose linear value is a positive finite float."""
@@ -171,9 +187,11 @@ def logdet_capacity_batch(
     to rounding also for vanishing gains.  The first l pivots of a longer
     frame are those of an l-codeword frame, so one recurrence up to the
     longest length reads every length off on its way, bit for bit as a lone
-    length.  Each piece of `CHUNK` draws is written in place; a step whose q
-    cannot pass `_PRODUCT_LIMIT` by the piece's bound skips the overflow
-    check (see `_log_pivot_product`), which changes no output bit.  The
+    length.  Each piece of `CHUNK` draws, a size that keeps its working
+    arrays in cache, is written in place; a step whose q cannot pass
+    `_PRODUCT_LIMIT` by the piece's bound skips the overflow check (see
+    `_log_pivot_product`).  The rescale itself is decided per draw, so
+    neither the skipped checks nor the piece size change an output bit.  The
     gains are squared moduli, so >= 0.  A bad snr or length raises
     ValueError before any work.
     """

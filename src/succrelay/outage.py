@@ -11,12 +11,15 @@ falls as a gain rises.  So one fixed grid of cells covers (g1, g2), and
 `_staircase` gives each cell, in closed form, a g0 below which all its
 events lie.  Each grid point's one (seed, (point, 0)) stream draws how
 many trials fall in a cell as one Binomial(trials, total mass), then, in
-pieces of CHUNK, picks each one's cell and gains by inverting the masses'
-running sum and the truncated Exp(1) (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. 2 and XI), and runs the exact test on them: the cap
-and, where the row asks, the O(l) pivot recurrence.  The count is
-Binomial(trials, p_out), as for drawing every trial; only the stream
-differs.  Past the staircase, a point's work grows with its candidates.
+pieces of `CANDIDATE_CHUNK`, picks each one's cell and gains by inverting
+the masses' running sum and the truncated Exp(1) (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. 2 and XI), and runs the exact test on
+them: the cap and, where the row asks, the O(l) pivot recurrence.  The
+candidate pieces fix how the stream is read; the log-det kernel pieces its
+draws by its own cache-sized `mimolinalg.CHUNK`, which changes no bit.  The
+count is Binomial(trials, p_out), as for drawing every trial; only the
+stream differs.  Past the staircase, a point's work grows with its
+candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import trial_rng
-from .mimolinalg import CHUNK, check_count, check_kernel_args, check_real, logdet_capacity_batch
+from .mimolinalg import check_count, check_kernel_args, check_real, logdet_capacity_batch
 from .mimolinalg import arg_ndim, require, snr_from_db
 
 # Cell edges of each relay gain: 0, half-octaves from 2^-30 up to 64, inf;
@@ -134,16 +137,23 @@ def _cells(scheme: str, snr: float, l: int, r_cw: float, threshold: float):
     return np.cumsum(_BASE * -np.expm1(-tau)), tau
 
 
+# Candidates per piece of the outage count, which bounds the memory they
+# take.  Each piece draws its own (4, m) uniforms, so changing this changes
+# how every grid point's stream is read, and with it the DMT counts.
+CANDIDATE_CHUNK = 8192
+
+
 def _candidate_gains(rng, size: int, cum, tau):
-    """(3, <= CHUNK) gains of the Binomial(size, total) trials in a cell.  A
-    uniform u picks the cell where ``cum`` first passes u * total, exact up to
-    rounding (a cell below ~1e-16 of the total can be mis-weighted), clamped to
-    the last cell that raises the running sum; only drawn cells' edges and spans are gathered."""
+    """(3, <= `CANDIDATE_CHUNK`) gains of the Binomial(size, total) trials in
+    a cell.  A uniform u picks the cell where ``cum`` first passes u * total,
+    exact up to rounding (a cell below ~1e-16 of the total can be
+    mis-weighted), clamped to the last cell that raises the running sum;
+    only drawn cells' edges and spans are gathered."""
     total = cum[-1]
     last = np.searchsorted(cum, total)
     n = int(rng.binomial(size, min(total, 1.0)))
-    for first in range(0, n, CHUNK):
-        u = rng.random((4, min(CHUNK, n - first)))
+    for first in range(0, n, CANDIDATE_CHUNK):
+        u = rng.random((4, min(CANDIDATE_CHUNK, n - first)))
         cell = np.minimum(np.searchsorted(cum, u[0] * total, "right"), last)
         i, j = np.divmod(cell, _MASS.size)
         lower = np.array([np.zeros(cell.size), _EDGES[i], _EDGES[j]])

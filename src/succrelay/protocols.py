@@ -9,9 +9,10 @@ over classic protocol II.
 Every rate, interference flag and fallback rule depends only on the six
 squared link gains, so every kernel here takes one (6, n) float array ``g``
 of them, rows in ``channel.LINK_NAMES`` order (`channel.link_gains`), and
-returns one value per frame.  A caller computes ``g`` once per batch of
-draws; a single realization is the n = 1 case.  The capacity gain reads
-only the three destination gains and takes those rows.
+returns one value per frame; a ``g`` that is no 2-D numpy array of 6 rows
+raises ValueError (`mimolinalg.check_gains`).  A caller computes ``g`` once
+per batch of draws; a single realization is the n = 1 case.  The capacity
+gain reads only the three destination gains and takes those rows.
 
 The relays take turns (R1, R2, R1, ...), so every slot term of the
 successive scheme depends only on the parity of its slot: each is computed
@@ -45,6 +46,7 @@ from .mimolinalg import (  # noqa: F401
     arg_ndim,
     build_equivalent_channel_batch,
     check_frame_lengths,
+    check_gains,
     check_kernel_args,
     check_real,
     logdet_capacity_batch,
@@ -61,6 +63,7 @@ def _cap(x: np.ndarray) -> np.ndarray:
 
 def rate_direct_batch(g: np.ndarray, snr: float) -> np.ndarray:
     """Point-to-point rate of the direct link, one codeword per slot."""
+    check_gains(g)
     check_kernel_args(snr)
     return _cap(g[0] * snr)
 
@@ -69,6 +72,7 @@ def rate_classic_batch(g: np.ndarray, snr: float, prefactor: float) -> np.ndarra
     """Broadcast-then-relay rate: ``prefactor`` 1/3 for one relay slot each
     (classic I), 1/2 for simultaneous space-time relaying (classic II); it
     must pass `check_real` > 0."""
+    check_gains(g)
     check_kernel_args(snr)
     prefactor = check_real(prefactor, "prefactor", positive=True)
     gsd, gsr1, gsr2, _, gr1d, gr2d = g
@@ -120,6 +124,7 @@ def successive_genie_batch(
     g: np.ndarray, snr: float, l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Genie-bound rates: (rate_per_slot, per_codeword, branch, sum_caps, logdet)."""
+    check_gains(g)
     logdet = logdet_capacity_batch(g[0], g[4], g[5], snr, l)  # checks snr, l
     dest = _cap((g[0] + g[4:6]) * snr)[np.arange(l) % 2].T
     per_cw, branch = _successive_codeword_caps(g, snr, l, dest)
@@ -133,6 +138,7 @@ def successive_vblast_batch(
     g: np.ndarray, snr: float, l: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MMSE-SIC rates: (rate_per_slot, per_codeword, branch)."""
+    check_gains(g)
     _, sinrs = mmse_sic_sinrs_batch(g[0], g[4], g[5], snr, l, DetectionOrder.STRONGEST_FIRST)
     per_cw, branch = _successive_codeword_caps(g, snr, l, _cap(sinrs))
     # The SIC chain already enforces the sum-rate bound, so no outer min.
@@ -142,6 +148,7 @@ def successive_vblast_batch(
 
 def theorem1_rate_batch(g: np.ndarray, snr: float, l: int) -> np.ndarray:
     """Interference-free successive-relaying capacity, bits per slot."""
+    check_gains(g)
     return logdet_capacity_batch(g[0], g[4], g[5], snr, l) / (l + 1)
 
 
@@ -162,6 +169,7 @@ def interference_free_batch(
     slot's condition depends only on its parity, so the first flag tests
     slots 0 and 1 alone: the same two conditions for every l >= 2.
     """
+    check_gains(g)
     check_kernel_args(snr, l)
     gsd, gsr, gr1r2, grd = g[0], g[1:3], g[3], g[4:6]
     cancel_ok = gr1r2 * snr / (1.0 + gsr[::-1] * snr) >= np.minimum(gsr * snr, (gsd + grd) * snr)
@@ -188,6 +196,7 @@ ADAPTIVE_RULES = {
 
 def adaptive_keep_batch(g: np.ndarray, rule: str) -> np.ndarray:
     """True where the `ADAPTIVE_RULES` row ``rule`` lets the draw relay."""
+    check_gains(g)
     if rule not in ADAPTIVE_RULES:
         raise ValueError(f"adaptive rule must be one of {tuple(ADAPTIVE_RULES)}, got {rule!r}")
     return ADAPTIVE_RULES[rule](g)

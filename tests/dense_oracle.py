@@ -341,24 +341,26 @@ def full_cell_table(scheme: str, snr: float, l: int, r_cw: float, threshold: flo
 
 
 def table_picks(rng, size: int, mass):
-    """Per piece of <= CHUNK candidates, (their cells, (3, m) uniforms of their
-    gains): one Binomial(size, total) count of the candidates, then one (4, m)
-    ``random`` per piece, whose first row picks the cell where the running sum
-    of ``mass`` first exceeds u * total.  A u * total that rounds up to the
-    total picks the last cell whose mass the running sum shows."""
+    """Per piece of <= `outage.CANDIDATE_CHUNK` candidates, (their cells,
+    (3, m) uniforms of their gains): one Binomial(size, total) count of the
+    candidates, then one (4, m) ``random`` per piece, whose first row picks
+    the cell where the running sum of ``mass`` first exceeds u * total.  A
+    u * total that rounds up to the total picks the last cell whose mass the
+    running sum shows."""
     cum = np.cumsum(mass)
     total = cum[-1]
     n = int(rng.binomial(size, min(total, 1.0)))
-    for first in range(0, n, CHUNK):
-        u = rng.random((4, min(CHUNK, n - first)))
+    piece = outage.CANDIDATE_CHUNK
+    for first in range(0, n, piece):
+        u = rng.random((4, min(piece, n - first)))
         cell = np.searchsorted(cum, u[0] * total, "right")
         cell[cell == mass.size] = np.flatnonzero(np.diff(cum, prepend=0.0))[-1]
         yield cell, u[1:]
 
 
 def table_candidate_gains(rng, size: int, mass, lower, span):
-    """(3, <= CHUNK) candidate gains inverted from a `full_cell_table` at the
-    cells that `table_picks` draws."""
+    """(3, <= `outage.CANDIDATE_CHUNK`) candidate gains inverted from a
+    `full_cell_table` at the cells that `table_picks` draws."""
     for cell, u in table_picks(rng, size, mass):
         yield lower[:, cell] - np.log1p(u * span[:, cell])
 

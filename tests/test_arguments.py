@@ -8,6 +8,9 @@ past float range raises ValueError naming the argument; numpy scalars, and
 the 0-d arrays that a real argument took before, still pass.  A sequence
 with such an entry is refused the same way, also when it is ragged, which
 numpy refuses to give an ndim.
+Every gains kernel of `protocols` checks its (6, n) gains ``g`` with
+`mimolinalg.check_gains`: anything but a 2-D numpy array of 6 rows raises
+ValueError naming ``g``.
 `NetworkGeometry` checks each of its eight fields with `check_real`.
 `ExperimentConfig` checks each numeric field with the same library call, so
 a field is refused exactly when the library refuses its value.
@@ -26,6 +29,7 @@ from succrelay.experiments import ConfigError, ExperimentConfig
 from succrelay.mimolinalg import logdet_capacity_batch, mmse_sic_sinrs_batch
 from succrelay.outage import estimate_dmt, outage_prob_conditioned, snr_from_db
 from succrelay.protocols import (
+    adaptive_keep_batch,
     capacity_gain_G,
     interference_free_batch,
     rate_classic_batch,
@@ -133,6 +137,41 @@ BAD_INPUTS = {
 OTHER_PREFIX = {
     ("estimate_dmt-trials", "list"): "trials_per_point must match the grid length",
 }
+
+
+# gains kernel -> a call that passes its gains as g, its other arguments valid
+GAINS_KERNELS = {
+    "rate_direct_batch": lambda g: rate_direct_batch(g, 10.0),
+    "rate_classic_batch": lambda g: rate_classic_batch(g, 10.0, 0.5),
+    "successive_genie_batch": lambda g: successive_genie_batch(g, 10.0, 3),
+    "successive_vblast_batch": lambda g: successive_vblast_batch(g, 10.0, 3),
+    "theorem1_rate_batch": lambda g: theorem1_rate_batch(g, 10.0, 3),
+    "interference_free_batch": lambda g: interference_free_batch(g, 10.0, 3),
+    "adaptive_keep_batch": lambda g: adaptive_keep_batch(g, "a"),
+}
+BAD_GAINS = {
+    "one-link": E,
+    "five-rows": G[:5],
+    "seven-rows": np.full((7, 4), 0.5),
+    "transposed": G.T,
+    "stacked": G[None],
+    "numpy-scalar": np.float64(0.5),
+    "nested-list": G.tolist(),
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_GAINS)
+@pytest.mark.parametrize("kernel", GAINS_KERNELS)
+def test_bad_gains_raise_naming_g(kernel, bad):
+    with pytest.raises(ValueError, match="^g must be a 2-D array with 6 rows, got "):
+        GAINS_KERNELS[kernel](BAD_GAINS[bad])
+
+
+@pytest.mark.parametrize("kernel", GAINS_KERNELS)
+def test_six_rows_of_any_length_pass(kernel):
+    for g in (G, np.empty((6, 0)), np.asfortranarray(G)):
+        GAINS_KERNELS[kernel](g)
 
 
 @pytest.mark.parametrize("bad", BAD_INPUTS)

@@ -447,6 +447,24 @@ class TestLogdetAgainstEveryStepCheck:
         self.assert_same(g, l, "raise")
 
 
+class TestLogdetPieceEdges:
+    """Draw counts one short of a piece of `CHUNK`, one piece, one draw past
+    it and one past two pieces: the kernel's bytes equal those of the
+    recurrence that checks every step.  The last draw's 1e12 gains give the
+    last piece a bound of its own, so the pieces skip different checks."""
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("l", [1, 7, 64])
+    def test_equals_every_step_check(self, n, l):
+        g = np.random.default_rng(2800 + l).standard_exponential((3, n))
+        g[:, -1] = 1e12
+        for snr in (1.0, 1e4, 1e12):
+            with np.errstate(all="raise"):
+                got = logdet_capacity_batch(*g, snr, l)
+                want = recurrence_logdet_capacity_batch(*g, snr, l)
+            assert got.tobytes() == want.tobytes(), (n, l, snr)
+
+
 class TestLogdetLengths:
     """Given a sequence of lengths, one pivot pass up to the longest writes
     every length's row, bit for bit as a lone length's (n,) array, in the
@@ -457,8 +475,7 @@ class TestLogdetLengths:
     )
     def test_rows_equal_lone_lengths(self, ls):
         # Exp(1) gains over two pieces; at 1e60 and 1e150 every step rescales
-        g = np.random.default_rng(2700).standard_exponential((3, 10_000))
-        assert g.shape[1] > CHUNK
+        g = np.random.default_rng(2700).standard_exponential((3, CHUNK + 1000))
         for snr in (1.0, 1e4, 1e60, 1e150):
             with np.errstate(all="raise"):
                 got = logdet_capacity_batch(*g, snr, ls)

@@ -17,8 +17,9 @@ from dense_oracle import (
 )
 from succrelay import outage
 from succrelay.channel import NetworkGeometry, link_gains, sample_realizations, trial_rng
-from succrelay.mimolinalg import CHUNK, build_equivalent_channel_batch, logdet_capacity_batch
+from succrelay.mimolinalg import build_equivalent_channel_batch, logdet_capacity_batch
 from succrelay.outage import (
+    CANDIDATE_CHUNK,
     DmtPoint,
     estimate_dmt,
     outage_prob_conditioned,
@@ -266,7 +267,8 @@ class TestCandidateScreen:
             assert np.array_equal(cum, np.cumsum(table[0])), snr_db
             assert np.array_equal(outage._C1, table[1][1]), snr_db
             assert np.array_equal(outage._C2, table[1][2]), snr_db
-            trials = 3 * CHUNK + 100 if snr_db < 0 else int(min(2.0**62, 2000.0 / cum[-1]))
+            many = 3 * CANDIDATE_CHUNK + 100
+            trials = many if snr_db < 0 else int(min(2.0**62, 2000.0 / cum[-1]))
             for seed in (0, 1):
                 got = list(outage._candidate_gains(trial_rng(seed, (0, 0)), trials, *drawn))
                 want = list(table_candidate_gains(trial_rng(seed, (0, 0)), trials, *table))
@@ -281,7 +283,7 @@ class TestCandidateScreen:
             (20.0, 1.0, 2_000_000, 0),
             (30.0, 1.0, 30_000_000, 1),
             (40.0, 1.0, 2_000_000, 2),
-            (-10.0, 12.0, 3 * CHUNK + 100, 0),
+            (-10.0, 12.0, 3 * CANDIDATE_CHUNK + 100, 0),
         ],
     )
     def test_candidates_lie_in_their_cells(self, snr_db, rbar, trials, point):
@@ -543,7 +545,8 @@ class TestScreenedCount:
             assert (mass > 0.5) == most
             sizes.clear()
             outage_prob_conditioned(snr, 1.0, l, trials, 5)
-            assert max(sizes) <= CHUNK and all(s == CHUNK for s in sizes[:-1])
+            assert max(sizes) <= CANDIDATE_CHUNK
+            assert all(s == CANDIDATE_CHUNK for s in sizes[:-1])
             sigma = np.sqrt(mass * (1.0 - mass) * trials)
             assert abs(sum(sizes) - mass * trials) < 4.0 * sigma, (snr_db, sum(sizes))
 
